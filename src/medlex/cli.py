@@ -1,8 +1,8 @@
 """Command-line front end: map a dictionary, merge resources, evaluate.
 
-Exit codes: 0 success, 2 missing or unparseable input, 3 configuration
-lint failure, 4 equal-trust merge conflict, 5 gold term without a
-prediction. Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 missing or unparseable input or a bad option
+value, 3 configuration lint failure, 4 equal-trust merge conflict, 5 gold
+term without a prediction. Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .evaluate import (
     strategy_accuracy,
     stratified_sample,
 )
+from .io import open_input, write_text
 from .merge import (
     DEFAULT_MAPPED_NAME,
     DEFAULT_MAPPED_RANK,
@@ -53,13 +54,27 @@ from .textprep import ingest_conllu, load_stoplist, load_wordlist
 log = logging.getLogger("medlex")
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for integers no smaller than ``minimum``."""
+
+    # argparse turns the ValueError of a non-number into "invalid integer value".
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
+        type=_int_at_least(1),
         default=1,
-        help="upper bound on worker parallelism; output never depends on it",
+        help="reserved: accepted and checked (>= 1), but mapping runs in one "
+        "thread and output never depends on it",
     )
     common.add_argument(
         "--lax",
@@ -80,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--stops", help="stoplist file (default: shipped list)")
     p_map.add_argument("--function-words", help="function word list for the heuristic tagger")
     p_map.add_argument("--conllu", help="CoNLL-U token/POS annotation keyed by sent_id")
-    p_map.add_argument("--iter", type=int, default=1, dest="iter_rounds")
+    p_map.add_argument("--iter", type=_int_at_least(0), default=1, dest="iter_rounds")
     p_map.add_argument("--out", help="outcome file (omit to print outcomes to stdout)")
     p_map.add_argument("--format", choices=("tsv", "jsonl"), dest="fmt")
     p_map.set_defaults(func=cmd_map)
@@ -128,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", parents=[common], help="stratified sample for manual annotation"
     )
     p_sample.add_argument("--mapped", required=True)
-    p_sample.add_argument("--quota", type=int, required=True)
+    p_sample.add_argument("--quota", type=_int_at_least(1), required=True)
     p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument("--out", help="sample file (omit to print to stdout)")
     p_sample.set_defaults(func=cmd_eval_sample)
@@ -162,13 +177,10 @@ def cmd_map(args: argparse.Namespace) -> int:
     entries = read_dictionary(args.dict_file, args.fmt)
     conllu_tokens = None
     if args.conllu:
-        try:
-            with open(args.conllu, encoding="utf-8") as fh:
-                conllu_tokens = ingest_conllu(
-                    fh, id_map={e.id: e.id for e in entries}, path=args.conllu
-                )
-        except OSError as exc:
-            raise ParseError(f"cannot read CoNLL-U: {exc}", args.conllu) from exc
+        with open_input(args.conllu, "CoNLL-U") as fh:
+            conllu_tokens = ingest_conllu(
+                fh, id_map={e.id: e.id for e in entries}, path=args.conllu
+            )
     entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
@@ -229,9 +241,9 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
     acc = strategy_accuracy(gold, outcomes)
     sys.stdout.write(format_eval_report(report, acc))
     if args.matrix_out:
-        Path(args.matrix_out).write_text(matrix.to_csv(), encoding="utf-8")
+        write_text(args.matrix_out, matrix.to_csv())
     if args.report_tsv:
-        Path(args.report_tsv).write_text(format_eval_tsv(report), encoding="utf-8")
+        write_text(args.report_tsv, format_eval_tsv(report))
     return 0
 
 
@@ -245,7 +257,7 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
         lines.append(f"{o.entry_id}\t{o.term}\t{o.category}\t{o.provenance}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -255,8 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except ParseError as exc:

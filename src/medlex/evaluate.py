@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GoldCoverageError, ParseError
+from .io import data_lines, read_text
 from .merge import SourceRecord
 from .model import (
     ASSIGNABLE_CATEGORIES,
@@ -337,20 +338,14 @@ def strategy_accuracy(
 def read_gold(path: str | Path) -> dict[str, Category]:
     """Gold file: term<TAB>CATEGORY rows; OTHER allowed; terms normalized."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read gold file: {exc}", str(p)) from exc
+    text = read_text(p, "gold file")
     gold: dict[str, Category] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         cols = line.split("\t")
         if len(cols) != 2:
             raise ParseError(f"expected term<TAB>CATEGORY, got {len(cols)} columns", str(p), lineno)
-        term = normalize_term(cols[0])
         try:
+            term = normalize_term(cols[0])
             category = parse_category(cols[1], allow_other=True)
         except ValueError as exc:
             raise ParseError(f"term {cols[0]!r}: {exc}", str(p), lineno) from None

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import MergeConflictError, ParseError
+from .io import data_lines, read_text, sniff_format, write_text
 from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
 
 # The automatically mapped dictionary ranks below every curated resource
@@ -129,10 +130,7 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
     the default; layout uses ``field=column`` pairs joined by ``,``.
     """
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest: {exc}", str(p)) from exc
+    text = read_text(p, "manifest")
     if p.suffix.lower() == ".json":
         specs = _manifest_from_json(text, str(p))
     else:
@@ -162,7 +160,7 @@ def _parse_rules(
 def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"bad JSON manifest: {exc}", path) from None
     if not isinstance(data, list):
         raise ParseError("manifest must be a JSON list of resources", path)
@@ -187,7 +185,10 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
                 chapter_default=default,
                 layout=layout,
             )
-        except (KeyError, ValueError) as exc:
+        # TypeError, AttributeError and OverflowError come from values of the
+        # wrong JSON type: a resource that is not an object, a layout given
+        # as a list, an infinite trust rank.
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise ParseError(f"resource #{i}: {exc}", path) from None
         specs.append(spec)
     return specs
@@ -195,10 +196,7 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
 
 def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
     specs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         cols = line.split("\t")
         if len(cols) != 6:
             raise ParseError(
@@ -252,17 +250,11 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     p = Path(spec.file)
     if base_dir is not None and not p.is_absolute():
         p = Path(base_dir) / p
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read resource {spec.name}: {exc}", str(p)) from exc
+    text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     records: list[SourceRecord] = []
     ingested = excluded = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(text.splitlines()):
         cols = line.split("\t")
         if len(cols) < need:
             raise ParseError(
@@ -405,25 +397,6 @@ def merge_lexicons(
     return records, report
 
 
-def apply_corrections(
-    outcomes: Iterable[MappingOutcome], corrections: Iterable[Correction]
-) -> list[MappingOutcome]:
-    """Annotate outcomes whose category a resource overrode.
-
-    Only ``corrected_by`` is set; the outcome keeps its original category
-    and votes (the corrected category lives in the merged lexicon).
-    """
-    by_term = {normalize_term(c.term): c.resource for c in corrections}
-    out = []
-    for o in outcomes:
-        resource = by_term.get(normalize_term(o.term)) if o.category is not None else None
-        if resource is None:
-            out.append(o)
-        else:
-            out.append(replace(o, corrected_by=resource))
-    return out
-
-
 def format_merge_report(report: MergeReport) -> str:
     width = max([len("resource")] + [len(name) for name, *_ in report.resource_counts])
     lines = [f"{'resource'.ljust(width)}  ingested  kept  excluded"]
@@ -478,35 +451,5 @@ def export_lexicon(
 ) -> None:
     """Write the merged lexicon as TSV (default) or JSON-lines, with a
     stable ordering; callers pass records already sorted by merge."""
-    if fmt is None:
-        fmt = "jsonl" if Path(path).suffix.lower() in (".jsonl", ".json", ".ndjson") else "tsv"
-    Path(path).write_text(render_lexicon(records, fmt), encoding="utf-8")
+    write_text(path, render_lexicon(records, sniff_format(path, fmt)))
 
-
-def read_lexicon(path: str | Path) -> list[LexiconRecord]:
-    """Read back an exported TSV lexicon (used by evaluation commands)."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read lexicon: {exc}", str(p)) from exc
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        if lineno == 1 and raw.startswith("term\t"):
-            continue
-        cols = raw.split("\t")
-        if len(cols) != 4:
-            raise ParseError(f"expected 4 columns, got {len(cols)}", str(p), lineno)
-        term, category, sources, provenance = cols
-        records.append(
-            LexiconRecord(
-                term=term,
-                normalized_term=normalize_term(term),
-                category=parse_category(category),
-                sources=frozenset(sources.split(",")) if sources else frozenset(),
-                provenance=provenance,
-            )
-        )
-    return records

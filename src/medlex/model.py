@@ -201,7 +201,6 @@ class MappingOutcome:
     category: Category | None
     provenance: Provenance
     votes: tuple[Vote, ...] = ()
-    corrected_by: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.votes, tuple):

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
+from .io import json_object, read_text, sniff_format, write_text
 from .model import (
     STRATEGY_PRIORITY,
     Category,
@@ -58,11 +59,12 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
 
 def entry_votes(
     entry: Entry,
+    first_noun: str | None,
     suffixes: SuffixTable,
     keywords: KeywordTable,
-    stops: StopConfig,
 ) -> list[Vote]:
-    """All strategy votes for one entry, in priority order."""
+    """All strategy votes for one entry, in priority order; ``first_noun``
+    is the first noun of the entry's definition, if any."""
     term = normalize_term(entry.term)
     votes = []
     vote = suffix_vote(term, suffixes)
@@ -71,7 +73,7 @@ def entry_votes(
     vote = kw_entry_vote(term, keywords)
     if vote is not None:
         votes.append(vote)
-    vote = kw_firstnoun_vote(_first_noun(entry, stops), keywords)
+    vote = kw_firstnoun_vote(first_noun, keywords)
     if vote is not None:
         votes.append(vote)
     return votes
@@ -108,14 +110,13 @@ def map_dictionary(
         seen_ids.add(entry.id)
 
     outcomes: list[MappingOutcome] = []
-    first_nouns: list[str | None] = []
-    for entry in entries:
-        votes = entry_votes(entry, suffixes, keywords, stops)
+    first_nouns = [_first_noun(entry, stops) for entry in entries]
+    for entry, first_noun in zip(entries, first_nouns):
+        votes = entry_votes(entry, first_noun, suffixes, keywords)
         category, provenance = resolve_votes(votes)
         outcomes.append(
             MappingOutcome(entry.id, entry.term, category, provenance, tuple(votes))
         )
-        first_nouns.append(_first_noun(entry, stops))
 
     warned: set[str] = set()
     for _ in range(iter_rounds):
@@ -222,45 +223,29 @@ def format_stats(stats: MappingStats, heuristic_tagging: bool = False) -> str:
 # dictionary and outcome I/O
 
 
-def _sniff_format(path: str | Path, fmt: str | None) -> str:
-    if fmt:
-        return fmt
-    suffix = Path(path).suffix.lower()
-    return "jsonl" if suffix in (".jsonl", ".json", ".ndjson") else "tsv"
-
-
-def _check_term_chars(term: str, path: str | None, lineno: int) -> None:
-    if "\t" in term or "\n" in term or "\r" in term:
-        raise ParseError("terms must not contain tabs or newlines", path, lineno)
-
-
 def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     """Load dictionary entries from TSV (id, term, definition[, synonym_of])
     or JSON-lines with the same fields (plus multi-sense ``definitions``)."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read dictionary: {exc}", str(p)) from exc
+    text = read_text(p, "dictionary")
     entries: list[Entry] = []
     seen: set[str] = set()
-    use = _sniff_format(p, fmt)
+    use = sniff_format(p, fmt)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         if use == "jsonl":
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc}", str(p), lineno) from None
+            obj = json_object(raw, str(p), lineno)
             entry_id = str(obj.get("id", "")).strip()
             term = str(obj.get("term", ""))
             if "definitions" in obj:
+                if not isinstance(obj["definitions"], list):
+                    raise ParseError('"definitions" must be a JSON list', str(p), lineno)
                 defs = [str(d) for d in obj["definitions"]]
             else:
                 one = str(obj.get("definition", "") or "")
                 defs = [one] if one else []
-            synonym_of = obj.get("synonym_of") or None
+            synonym_of = str(obj["synonym_of"]) if obj.get("synonym_of") else None
         else:
             cols = raw.split("\t")
             if len(cols) not in (3, 4):
@@ -278,7 +263,8 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
         if entry_id in seen:
             raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
         seen.add(entry_id)
-        _check_term_chars(term, str(p), lineno)
+        if "\t" in term or "\n" in term or "\r" in term:
+            raise ParseError("terms must not contain tabs or newlines", str(p), lineno)
         if not term.strip():
             raise ParseError("empty term", str(p), lineno)
         senses = tuple(Definition(d) for d in defs)
@@ -411,48 +397,47 @@ def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str
 
 
 def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: str | None = None) -> None:
-    Path(path).write_text(
-        render_outcomes(outcomes, _sniff_format(path, fmt)), encoding="utf-8"
-    )
+    write_text(path, render_outcomes(outcomes, sniff_format(path, fmt)))
 
 
-def read_outcomes(path: str | Path, fmt: str | None = None) -> list[MappingOutcome]:
+def read_outcomes(path: str | Path) -> list[MappingOutcome]:
+    """Outcome rows as ``write_outcomes`` writes them; every row must have
+    a term and pass ``MappingOutcome.validate``."""
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read outcomes: {exc}", str(p)) from exc
-    use = _sniff_format(p, fmt)
+    text = read_text(p, "outcomes")
+    use = sniff_format(p)
     outcomes = []
-    rows = text.splitlines()
-    for lineno, raw in enumerate(rows, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             if use == "jsonl":
-                obj = json.loads(raw)
-                category = parse_category(obj["category"]) if obj.get("category") else None
-                outcomes.append(
-                    MappingOutcome(
-                        str(obj["id"]),
-                        str(obj["term"]),
-                        category,
-                        Provenance[str(obj["provenance"])],
-                        parse_votes(str(obj.get("votes", ""))),
-                    )
-                )
+                obj = json_object(raw, str(p), lineno)
+                cols = [
+                    str(obj["id"]),
+                    str(obj["term"]),
+                    str(obj.get("category") or ""),
+                    str(obj["provenance"]),
+                    str(obj.get("votes", "")),
+                ]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
                     continue
                 cols = raw.split("\t")
                 if len(cols) != 5:
                     raise ValueError(f"expected 5 columns, got {len(cols)}")
-                category = parse_category(cols[2]) if cols[2] else None
-                outcomes.append(
-                    MappingOutcome(
-                        cols[0], cols[1], category, Provenance[cols[3]], parse_votes(cols[4])
-                    )
-                )
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            entry_id, term, category, provenance, votes = cols
+            if not term.strip():
+                raise ValueError("empty term")
+            outcome = MappingOutcome(
+                entry_id,
+                term,
+                parse_category(category) if category else None,
+                Provenance[provenance],
+                parse_votes(votes),
+            )
+            outcome.validate()
+        except (ValueError, KeyError) as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
+        outcomes.append(outcome)
     return outcomes

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
+from .io import data_lines, read_text
 from .model import Category, Strategy, Vote, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
@@ -74,10 +75,7 @@ def _parse_table_rows(
     lines: Iterable[str], path: str | None
 ) -> list[tuple[str, Category, int]]:
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(lines):
         cols = line.split("\t")
         if len(cols) != 2:
             raise ParseError(
@@ -120,20 +118,12 @@ def parse_keyword_table(lines: Iterable[str], path: str | None = None) -> Keywor
 
 def load_suffix_table(path: str | Path) -> SuffixTable:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read suffix table: {exc}", str(p)) from exc
-    return parse_suffix_table(text.splitlines(), str(p))
+    return parse_suffix_table(read_text(p, "suffix table").splitlines(), str(p))
 
 
 def load_keyword_table(path: str | Path) -> KeywordTable:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read keyword table: {exc}", str(p)) from exc
-    return parse_keyword_table(text.splitlines(), str(p))
+    return parse_keyword_table(read_text(p, "keyword table").splitlines(), str(p))
 
 
 def suffix_vote(term: str, table: SuffixTable) -> Vote | None:

@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
+from .io import data_lines, read_text
 from .model import Token
 
 log = logging.getLogger(__name__)
@@ -58,11 +59,8 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
     nouns: set[str] = set()
     phrases: set[str] = set()
     abbrevs: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        item = raw.strip()
-        if not item or item.startswith("#"):
-            continue
-        item = " ".join(item.lower().split())
+    for lineno, line in data_lines(lines):
+        item = " ".join(line.lower().split())
         parts = item.split(" ")
         if len(parts) == 2:
             phrases.add(item)
@@ -79,30 +77,16 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
 
 def load_stoplist(path: str | Path) -> StopConfig:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read stoplist: {exc}", str(p)) from exc
-    return parse_stoplist(text.splitlines(), str(p))
+    return parse_stoplist(read_text(p, "stoplist").splitlines(), str(p))
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Plain word list, one item per line, ``#`` comments, lowercased."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read word list: {exc}", str(p)) from exc
-    return parse_wordlist(text.splitlines())
+    return parse_wordlist(read_text(Path(path), "word list").splitlines())
 
 
 def parse_wordlist(lines: Iterable[str]) -> frozenset[str]:
-    words = set()
-    for raw in lines:
-        item = raw.strip()
-        if item and not item.startswith("#"):
-            words.add(item.lower())
-    return frozenset(words)
+    return frozenset(line.strip().lower() for _, line in data_lines(lines))
 
 
 def ingest_conllu(
@@ -125,7 +109,7 @@ def ingest_conllu(
     forms: list[tuple[str, str]] = []
     sent_start_line = 0
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal sent_id, forms
         if not forms and sent_id is None:
             return
@@ -149,11 +133,10 @@ def ingest_conllu(
         results[entry_id] = tokens
         sent_id, forms = None, []
 
-    lineno = 0
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if not line:
-            flush(lineno)
+            flush()
             continue
         if line.startswith("#"):
             m = _SENT_ID_COMMENT.match(line)
@@ -172,8 +155,10 @@ def ingest_conllu(
         token_id = cols[0]
         if "-" in token_id or "." in token_id:
             continue
+        if not cols[1]:
+            raise ParseError("empty FORM column", path, lineno)
         forms.append((cols[1], cols[3]))
-    flush(lineno + 1)
+    flush()
     return results
 
 

@@ -9,13 +9,11 @@ from medlex.merge import (
     ResourceMode,
     ResourceSpec,
     SourceRecord,
-    apply_corrections,
     export_lexicon,
     ingest_resource,
     load_manifest,
     mapped_records,
     merge_lexicons,
-    read_lexicon,
     render_lexicon,
 )
 from medlex.model import (
@@ -217,20 +215,6 @@ class TestMergeLexicons:
         result = mapped_records(outcomes)
         assert (result.ingested, result.kept, result.excluded) == (2, 1, 1)
 
-    def test_apply_corrections_annotates_without_changing_category(self):
-        outcomes = [
-            MappingOutcome("e1", "forbrenning", Category.PHYSIOLOGY, Provenance.ITER),
-            MappingOutcome("e2", "leukemi", Category.CONDITION, Provenance.ITER),
-        ]
-        icpc = result_of(source("forbrenning", Category.CONDITION, "ICPC-2", 3), name="ICPC-2")
-        _, report = merge_lexicons(mapped_records(outcomes), [icpc])
-        annotated = apply_corrections(outcomes, report.corrections)
-        assert annotated[0].corrected_by == "ICPC-2"
-        assert annotated[0].category is Category.PHYSIOLOGY  # category untouched
-        assert annotated[1].corrected_by is None
-        for o in annotated:
-            o.validate()
-
 
 class TestFixtureMerge:
     @pytest.fixture()
@@ -383,15 +367,6 @@ class TestExport:
             category = line.split("\t")[1]
             recount[category] = recount.get(category, 0) + 1
         assert recount == report.category_counts
-
-    def test_read_back(self, tmp_path):
-        res = result_of(source("alfa", Category.CONDITION))
-        records, _ = merge_lexicons(None, [res])
-        path = tmp_path / "lex.tsv"
-        export_lexicon(records, path)
-        back = read_lexicon(path)
-        assert back[0].term == "alfa"
-        assert back[0].category is Category.CONDITION
 
     def test_jsonl_render_is_stable(self):
         res = result_of(source("alfa", Category.CONDITION))
