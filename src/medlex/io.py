@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -22,12 +23,9 @@ def sniff_format(path: str | Path, fmt: str | None = None) -> str:
 
 @contextmanager
 def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
-    """Open a UTF-8 text input for streaming.
-
-    A file that cannot be opened, read or decoded raises ParseError
-    naming it. Streamed text is decoded in chunks, so a decoding error
-    here cannot name the line; ``read_text`` decodes whole files and can.
-    """
+    """Open a UTF-8 text input for streaming. A file that cannot be opened,
+    read or decoded raises ParseError naming it, but not the line: streamed
+    text is decoded in chunks (``read_text`` decodes whole files and can)."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
@@ -44,7 +42,9 @@ def read_text(path: str | Path, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
+        # The readers number lines with str.splitlines; the prefix is valid.
+        prefix = exc.object[: exc.start].decode("utf-8")
+        line = len((prefix + "x").splitlines())
         raise ParseError(f"{what} is not UTF-8: {exc.reason}", str(path), line) from None
 
 
@@ -69,18 +69,28 @@ def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, replacing ``path`` only once all of it is
-    written: a failed write leaves any old file as it was and no partial
-    one. The new file gets the mode a plain ``open`` would give it."""
-    target = Path(path)
+    """Write ``text`` as UTF-8, replacing a regular file only once all of
+    it is written: a failed write leaves any old file as it was and no
+    partial one. A symlink is written through, an existing file keeps its
+    mode and a new one gets the mode a plain ``open`` would give it. A
+    target that is not a regular file, such as a device or a pipe, is
+    written directly."""
+    old = os.stat(path) if os.path.exists(path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = Path(os.path.realpath(path))
     tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
     try:
-        # O_EXCL with mode 0o666 lets the umask decide the final mode.
+        # O_EXCL with mode 0o666 lets the umask decide a new file's mode.
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(target)) from None
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

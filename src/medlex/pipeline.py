@@ -413,13 +413,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
         try:
             if use == "jsonl":
                 obj = json_object(raw, str(p), lineno)
-                cols = [
-                    str(obj["id"]),
-                    str(obj["term"]),
-                    str(obj.get("category") or ""),
-                    str(obj["provenance"]),
-                    str(obj.get("votes", "")),
-                ]
+                cols = [str(obj["id"]), str(obj["term"]), str(obj.get("category") or ""),
+                        str(obj["provenance"]), str(obj.get("votes", ""))]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
                     continue
@@ -429,13 +424,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
             entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
-            outcome = MappingOutcome(
-                entry_id,
-                term,
-                parse_category(category) if category else None,
-                Provenance[provenance],
-                parse_votes(votes),
-            )
+            outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
+                                     Provenance[provenance], parse_votes(votes))
             outcome.validate()
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -37,6 +38,11 @@ def put(path: Path, content: str | bytes) -> str:
 # the error message must name).
 def latin1_dictionary(tmp, data):
     d = put(tmp / "d.tsv", GOOD_DICT.encode() + "e2\tfeber\tsykdom i bl\xf8det\n".encode("latin-1"))
+    return ["map", "--dict", d], f"{d}:2:"
+
+
+def latin1_dictionary_cr_endings(tmp, data):
+    d = put(tmp / "d.tsv", GOOD_DICT.replace("\n", "\r").encode() + b"e2\tfeber\tbl\xf8d\r")
     return ["map", "--dict", d], f"{d}:2:"
 
 
@@ -117,6 +123,7 @@ def manifest_layout_list(tmp, data):
     "case",
     [
         latin1_dictionary,
+        latin1_dictionary_cr_endings,
         latin1_keyword_table,
         latin1_conllu,
         dictionary_array_line,
@@ -162,17 +169,49 @@ def test_json_synonym_of_any_type_is_a_string(tmp_path):
     assert read_dictionary(path)[0].synonym_of == "[1]"
 
 
+def current_umask() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
 class TestWriteText:
-    def test_replaces_whole_file_with_umask_mode(self, tmp_path):
+    def test_replaces_whole_file_keeping_its_mode(self, tmp_path):
         path = tmp_path / "out.tsv"
         path.write_text("old contents that are longer\n", encoding="utf-8")
         os.chmod(path, 0o600)
         io.write_text(path, "ny\n")
-        umask = os.umask(0)
-        os.umask(umask)
         assert path.read_bytes() == "ny\n".encode()
-        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert path.stat().st_mode & 0o777 == 0o600
         assert os.listdir(tmp_path) == ["out.tsv"]
+
+    def test_new_file_gets_umask_mode(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        io.write_text(path, "ny\n")
+        assert path.stat().st_mode & 0o777 == 0o666 & ~current_umask()
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real = tmp_path / "real.tsv"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(real)
+        io.write_text(link, "ny\n")
+        assert link.is_symlink()
+        assert real.read_text(encoding="utf-8") == "ny\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.tsv", "real.tsv"]
+
+    def test_pipe_is_written_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the pipe at once.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            io.write_text(fifo, "ny\n")
+            assert os.read(reader, 100) == b"ny\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.tsv"
