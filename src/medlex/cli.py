@@ -25,7 +25,7 @@ from .evaluate import (
     strategy_accuracy,
     stratified_sample,
 )
-from .io import open_input, write_text
+from .io import open_input, sniff_format, write_text
 from .merge import (
     DEFAULT_MAPPED_NAME,
     DEFAULT_MAPPED_RANK,
@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reserved: accepted and checked (>= 1), but mapping runs in one "
         "thread and output never depends on it",
     )
-    common.add_argument(
-        "--lax",
-        action="store_true",
-        help="demote configuration lint failures to warnings",
-    )
 
     parser = argparse.ArgumentParser(
         prog="medlex",
@@ -97,7 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--conllu", help="CoNLL-U token/POS annotation keyed by sent_id")
     p_map.add_argument("--iter", type=_int_at_least(0), default=1, dest="iter_rounds")
     p_map.add_argument("--out", help="outcome file (omit to print outcomes to stdout)")
-    p_map.add_argument("--format", choices=("tsv", "jsonl"), dest="fmt")
+    p_map.add_argument("--format", choices=("tsv", "jsonl"), dest="fmt", help="outcome format")
+    p_map.add_argument(
+        "--lax",
+        action="store_true",
+        help="demote configuration lint failures to warnings",
+    )
     p_map.set_defaults(func=cmd_map)
 
     p_merge = sub.add_parser("merge", parents=[common], help="merge mapped output with resources")
@@ -152,6 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    # merge and eval read an outcome file in the format its suffix names.
+    if args.out and args.fmt and args.fmt != sniff_format(args.out):
+        raise ParseError(f"--format {args.fmt} contradicts the suffix of --out {args.out}")
     suffixes = (
         load_suffix_table(args.suffixes) if args.suffixes else defaults.default_suffix_table()
     )
@@ -174,7 +177,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     for note in keywords.lint():
         log.info("lint: %s", note)
 
-    entries = read_dictionary(args.dict_file, args.fmt)
+    entries = read_dictionary(args.dict_file)
     conllu_tokens = None
     if args.conllu:
         with open_input(args.conllu, "CoNLL-U") as fh:
@@ -188,7 +191,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     outcomes = map_dictionary(entries, suffixes, keywords, stops, args.iter_rounds)
 
     if args.out:
-        write_outcomes(outcomes, args.out, args.fmt)
+        write_outcomes(outcomes, args.out)
         sys.stdout.write(format_stats(mapping_stats(outcomes), heuristic_used))
     else:
         sys.stdout.write(render_outcomes(outcomes, args.fmt or "tsv"))

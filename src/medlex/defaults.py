@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .io import split_lines
 from .strategies import KeywordTable, SuffixTable, parse_keyword_table, parse_suffix_table
 from .textprep import StopConfig, parse_stoplist, parse_wordlist
 
 
 def _data_lines(name: str) -> list[str]:
     text = (resources.files("medlex") / "data" / name).read_text(encoding="utf-8")
-    return text.splitlines()
+    return split_lines(text)
 
 
 def default_suffix_table() -> SuffixTable:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GoldCoverageError, ParseError
-from .io import data_lines, read_text
+from .io import data_lines, read_text, split_lines
 from .merge import SourceRecord
 from .model import (
     ASSIGNABLE_CATEGORIES,
@@ -340,7 +340,7 @@ def read_gold(path: str | Path) -> dict[str, Category]:
     p = Path(path)
     text = read_text(p, "gold file")
     gold: dict[str, Category] = {}
-    for lineno, line in data_lines(text.splitlines()):
+    for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
         if len(cols) != 2:
             raise ParseError(f"expected term<TAB>CATEGORY, got {len(cols)} columns", str(p), lineno)

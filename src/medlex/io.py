@@ -42,10 +42,17 @@ def read_text(path: str | Path, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The readers number lines with str.splitlines; the prefix is valid.
+        # The readers number lines with split_lines; the prefix is valid.
         prefix = exc.object[: exc.start].decode("utf-8")
-        line = len((prefix + "x").splitlines())
+        line = len(split_lines(prefix + "x"))
         raise ParseError(f"{what} is not UTF-8: {exc.reason}", str(path), line) from None
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken only at CR LF, CR and LF: ``str.splitlines``
+    also breaks at U+2028, U+0085 and more, which a JSON string or term may hold."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -61,7 +68,8 @@ def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
     """One JSON-lines row, which must be a JSON object."""
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}", path, lineno) from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path, lineno)

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import MergeConflictError, ParseError
-from .io import data_lines, read_text, sniff_format, write_text
+from .io import data_lines, read_text, sniff_format, split_lines, write_text
 from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
 
 # The automatically mapped dictionary ranks below every curated resource
@@ -160,7 +160,8 @@ def _parse_rules(
 def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON manifest: {exc}", path) from None
     if not isinstance(data, list):
         raise ParseError("manifest must be a JSON list of resources", path)
@@ -196,7 +197,7 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
 
 def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
     specs = []
-    for lineno, line in data_lines(text.splitlines()):
+    for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
         if len(cols) != 6:
             raise ParseError(
@@ -254,7 +255,7 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     need = max(spec.layout.values()) + 1
     records: list[SourceRecord] = []
     ingested = excluded = 0
-    for lineno, line in data_lines(text.splitlines()):
+    for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
         if len(cols) < need:
             raise ParseError(

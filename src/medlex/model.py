@@ -115,23 +115,19 @@ class Token:
 
     surface: str
     upos: str
-    start: int
-    end: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValueError(
-                f"bad token offsets [{self.start}, {self.end}) for {self.surface!r}"
-            )
+        if not self.surface:
+            raise ValueError("empty token surface")
 
 
 @dataclass(frozen=True)
 class Definition:
     """Definition text, optionally with token/POS annotation attached.
 
-    Token offsets must index into ``text`` in order without overlaps;
-    CoNLL-U tokens need re-alignment (textprep.align_tokens_to_text)
-    before they can be attached.
+    Each token's surface must start at the next non-whitespace character
+    after the previous token: the tokens spell out the text in order,
+    separated only by whitespace (a text may end in untokenized material).
     """
 
     text: str
@@ -142,16 +138,15 @@ class Definition:
             return
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        prev_end = 0
+        text, cursor = self.text, 0
         for tok in self.tokens:
-            if tok.start < prev_end:
-                raise ValueError(f"tokens overlap or are unordered at {tok.surface!r}")
-            if self.text[tok.start : tok.end] != tok.surface:
+            while cursor < len(text) and text[cursor].isspace():
+                cursor += 1
+            if not text.startswith(tok.surface, cursor):
                 raise ValueError(
-                    f"token {tok.surface!r} does not match text at "
-                    f"[{tok.start}, {tok.end})"
+                    f"token {tok.surface!r} does not align with text at offset {cursor}"
                 )
-            prev_end = tok.end
+            cursor += len(tok.surface)
 
 
 @dataclass(frozen=True)

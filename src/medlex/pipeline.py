@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
-from .io import json_object, read_text, sniff_format, write_text
+from .io import json_object, read_text, sniff_format, split_lines, write_text
 from .model import (
     STRATEGY_PRIORITY,
     Category,
@@ -26,7 +26,7 @@ from .model import (
     parse_category,
 )
 from .strategies import KeywordTable, SuffixTable, kw_entry_vote, kw_firstnoun_vote, suffix_vote
-from .textprep import StopConfig, align_tokens_to_text, extract_first_noun, heuristic_tag
+from .textprep import StopConfig, extract_first_noun, heuristic_tag
 
 log = logging.getLogger(__name__)
 
@@ -223,6 +223,20 @@ def format_stats(stats: MappingStats, heuristic_tagging: bool = False) -> str:
 # dictionary and outcome I/O
 
 
+def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
+    """A JSON-lines row's ``id`` and ``term``: strings, except that an
+    integer ``id`` is read as its decimal text."""
+    entry_id, term = obj.get("id"), obj.get("term")
+    if type(entry_id) is int:
+        entry_id = str(entry_id)
+    if isinstance(entry_id, str) and isinstance(term, str):
+        return entry_id, term
+    key, want = ("term", "string") if isinstance(entry_id, str) else ("id", "string or integer")
+    found = "null" if obj.get(key) is None else type(obj[key]).__name__
+    problem = f"must be a JSON {want}, not {found}" if key in obj else "is missing"
+    raise ParseError(f'"{key}" {problem}', path, lineno)
+
+
 def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     """Load dictionary entries from TSV (id, term, definition[, synonym_of])
     or JSON-lines with the same fields (plus multi-sense ``definitions``)."""
@@ -231,13 +245,13 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     entries: list[Entry] = []
     seen: set[str] = set()
     use = sniff_format(p, fmt)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
         if use == "jsonl":
             obj = json_object(raw, str(p), lineno)
-            entry_id = str(obj.get("id", "")).strip()
-            term = str(obj.get("term", ""))
+            entry_id, term = _json_id_term(obj, str(p), lineno)
+            entry_id = entry_id.strip()
             if "definitions" in obj:
                 if not isinstance(obj["definitions"], list):
                     raise ParseError('"definitions" must be a JSON list', str(p), lineno)
@@ -279,10 +293,10 @@ def attach_tokens(
 ) -> tuple[list[Entry], bool]:
     """Attach tokens to each entry's first sense.
 
-    CoNLL-U tokens win when present for an entry (offsets are re-aligned
-    to the definition text); otherwise the heuristic tagger fills in when
-    a function-word list is supplied. Returns the new entries and whether
-    any heuristic tagging happened.
+    CoNLL-U tokens win when present for an entry (their surfaces must
+    spell out the definition text, see ``Definition``); otherwise the
+    heuristic tagger fills in when a function-word list is supplied.
+    Returns the new entries and whether any heuristic tagging happened.
     """
     out: list[Entry] = []
     heuristic_used = False
@@ -291,19 +305,18 @@ def attach_tokens(
         if sense is None or sense.tokens is not None:
             out.append(entry)
             continue
-        tokens: tuple[Token, ...] | None = None
         if conllu_tokens is not None and entry.id in conllu_tokens:
             try:
-                tokens = tuple(align_tokens_to_text(sense.text, conllu_tokens[entry.id]))
+                tagged = Definition(sense.text, tuple(conllu_tokens[entry.id]))
             except ValueError as exc:
                 raise ParseError(f"entry {entry.id}: {exc}") from None
         elif function_words is not None:
-            tokens = tuple(heuristic_tag(sense.text, function_words))
+            tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words)))
             heuristic_used = True
-        if tokens is None:
+        else:
             out.append(entry)
             continue
-        senses = (Definition(sense.text, tokens),) + entry.senses[1:]
+        senses = (tagged,) + entry.senses[1:]
         out.append(Entry(entry.id, entry.term, senses, entry.synonym_of))
     return out, heuristic_used
 
@@ -407,13 +420,13 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     text = read_text(p, "outcomes")
     use = sniff_format(p)
     outcomes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
         try:
             if use == "jsonl":
                 obj = json_object(raw, str(p), lineno)
-                cols = [str(obj["id"]), str(obj["term"]), str(obj.get("category") or ""),
+                cols = [*_json_id_term(obj, str(p), lineno), str(obj.get("category") or ""),
                         str(obj["provenance"]), str(obj.get("votes", ""))]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
-from .io import data_lines, read_text
+from .io import data_lines, read_text, split_lines
 from .model import Category, Strategy, Vote, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
@@ -118,12 +118,12 @@ def parse_keyword_table(lines: Iterable[str], path: str | None = None) -> Keywor
 
 def load_suffix_table(path: str | Path) -> SuffixTable:
     p = Path(path)
-    return parse_suffix_table(read_text(p, "suffix table").splitlines(), str(p))
+    return parse_suffix_table(split_lines(read_text(p, "suffix table")), str(p))
 
 
 def load_keyword_table(path: str | Path) -> KeywordTable:
     p = Path(path)
-    return parse_keyword_table(read_text(p, "keyword table").splitlines(), str(p))
+    return parse_keyword_table(split_lines(read_text(p, "keyword table")), str(p))
 
 
 def suffix_vote(term: str, table: SuffixTable) -> Vote | None:

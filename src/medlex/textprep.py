@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
-from .io import data_lines, read_text
+from .io import data_lines, read_text, split_lines
 from .model import Token
 
 log = logging.getLogger(__name__)
@@ -77,12 +77,12 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
 
 def load_stoplist(path: str | Path) -> StopConfig:
     p = Path(path)
-    return parse_stoplist(read_text(p, "stoplist").splitlines(), str(p))
+    return parse_stoplist(split_lines(read_text(p, "stoplist")), str(p))
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Plain word list, one item per line, ``#`` comments, lowercased."""
-    return parse_wordlist(read_text(Path(path), "word list").splitlines())
+    return parse_wordlist(split_lines(read_text(Path(path), "word list")))
 
 
 def parse_wordlist(lines: Iterable[str]) -> frozenset[str]:
@@ -99,19 +99,19 @@ def ingest_conllu(
     The ``# sent_id`` comment carries the entry id; ``id_map``, when
     given, translates sent_ids to entry ids and any sent_id missing from
     it is skipped with a warning. Multiword-token ranges (id "3-4") and
-    empty nodes (id "3.1") are dropped in favor of their parts. Token
-    offsets refer to the single-space-joined surface reconstruction; use
-    :func:`align_tokens_to_text` to rebase them onto a definition.
+    empty nodes (id "3.1") are dropped in favor of their parts. Tokens
+    carry only FORM and UPOS; attaching them to a definition checks that
+    the FORMs spell out its text in order (see ``model.Definition``).
     """
     results: dict[str, list[Token]] = {}
     seen_ids: set[str] = set()
     sent_id: str | None = None
-    forms: list[tuple[str, str]] = []
+    tokens: list[Token] = []
     sent_start_line = 0
 
     def flush() -> None:
-        nonlocal sent_id, forms
-        if not forms and sent_id is None:
+        nonlocal sent_id, tokens
+        if not tokens and sent_id is None:
             return
         if sent_id is None:
             raise ParseError("sentence without a # sent_id comment", path, sent_start_line)
@@ -122,16 +122,11 @@ def ingest_conllu(
         if id_map is not None:
             if sent_id not in id_map:
                 log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
-                sent_id, forms = None, []
+                sent_id, tokens = None, []
                 return
             entry_id = id_map[sent_id]
-        tokens: list[Token] = []
-        pos = 0
-        for surface, upos in forms:
-            tokens.append(Token(surface, upos, pos, pos + len(surface)))
-            pos += len(surface) + 1
         results[entry_id] = tokens
-        sent_id, forms = None, []
+        sent_id, tokens = None, []
 
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
@@ -141,11 +136,11 @@ def ingest_conllu(
         if line.startswith("#"):
             m = _SENT_ID_COMMENT.match(line)
             if m:
-                if sent_id is None and not forms:
+                if sent_id is None and not tokens:
                     sent_start_line = lineno
                 sent_id = m.group(1)
             continue
-        if not forms and sent_id is None:
+        if not tokens and sent_id is None:
             sent_start_line = lineno
         cols = line.split("\t")
         if len(cols) != 10:
@@ -157,7 +152,7 @@ def ingest_conllu(
             continue
         if not cols[1]:
             raise ParseError("empty FORM column", path, lineno)
-        forms.append((cols[1], cols[3]))
+        tokens.append(Token(cols[1], cols[3]))
     flush()
     return results
 
@@ -171,11 +166,10 @@ def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[
     downstream output as heuristically tagged.
     """
     tokens: list[Token] = []
-    for chunk in re.finditer(r"\S+", text):
-        piece = chunk.group()
-        base = chunk.start()
+    # str.split() breaks at exactly the characters re's \s matches.
+    for piece in text.split():
         if _ABBREV_PATTERN.match(piece):
-            tokens.append(Token(piece, "X", base, base + len(piece)))
+            tokens.append(Token(piece, "X"))
             continue
         for m in _WORD_OR_PUNCT.finditer(piece):
             surface = m.group()
@@ -185,28 +179,8 @@ def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[
                 upos = "X"
             else:
                 upos = "NOUN"
-            tokens.append(Token(surface, upos, base + m.start(), base + m.end()))
+            tokens.append(Token(surface, upos))
     return tokens
-
-
-def align_tokens_to_text(text: str, tokens: Iterable[Token]) -> list[Token]:
-    """Rebase token offsets onto ``text``, ignoring whitespace differences.
-
-    Raises ValueError when the token surfaces do not occur in order in
-    the text.
-    """
-    out: list[Token] = []
-    cursor = 0
-    for tok in tokens:
-        while cursor < len(text) and text[cursor].isspace():
-            cursor += 1
-        if not text.startswith(tok.surface, cursor):
-            raise ValueError(
-                f"token {tok.surface!r} does not align with text at offset {cursor}"
-            )
-        out.append(Token(tok.surface, tok.upos, cursor, cursor + len(tok.surface)))
-        cursor += len(tok.surface)
-    return out
 
 
 def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import medlex
 from medlex.cli import main
 from medlex.pipeline import read_outcomes
 
@@ -137,6 +141,54 @@ class TestCmdMap:
         assert code == 2
         assert "bad.conllu" in stderr
 
+    def test_conllu_forms_not_matching_definition_exit_2(self, capsys, tmp_path):
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")
+        conllu = tmp_path / "d.conllu"
+        conllu.write_text(
+            "# sent_id = e1\n"
+            "1\tsykdom\t_\tNOUN\t_\t_\t0\tdep\t_\t_\n"
+            "2\tav\t_\tADP\t_\t_\t0\tdep\t_\t_\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.tsv"
+        code, stdout, stderr = run(
+            capsys,
+            ["map", "--dict", str(dict_file), "--conllu", str(conllu), "--out", str(out)],
+        )
+        assert code == 2
+        assert stderr == "error: entry e1: token 'av' does not align with text at offset 7\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_format_sets_only_the_outcome_format(self, capsys, data_dir):
+        code, stdout, _ = run(
+            capsys, ["map", "--dict", str(data_dir / "dict_50.tsv"), "--format", "jsonl"]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in stdout.splitlines()]
+        assert len(rows) == 50
+
+    def test_format_agreeing_with_out_suffix(self, capsys, tmp_path, data_dir):
+        out = tmp_path / "mapped.jsonl"
+        argv = ["map", "--dict", str(data_dir / "dict_50.tsv"), "--format", "jsonl"]
+        code, _, _ = run(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        assert len(read_outcomes(out)) == 50
+        json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+
+    @pytest.mark.parametrize("fmt, name", [("jsonl", "mapped.tsv"), ("tsv", "mapped.jsonl")])
+    def test_format_contradicting_out_suffix_exit_2(self, capsys, tmp_path, data_dir, fmt, name):
+        out = tmp_path / name
+        code, stdout, stderr = run(
+            capsys,
+            ["map", "--dict", str(data_dir / "dict_50.tsv"), "--format", fmt, "--out", str(out)],
+        )
+        assert code == 2
+        assert f"--format {fmt}" in stderr and str(out) in stderr
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestCmdMerge:
     def test_merges_and_reports(self, capsys, tmp_path, data_dir, mapped_file):
@@ -239,6 +291,23 @@ class TestCmdMerge:
         )
         assert code == 4
         assert "omstridt begrep" in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["merge", "--manifest", "m.json", "--mapped", "m.tsv", "--out", "x.tsv"],
+            ["eval", "overlap", "--mapped", "m.tsv", "--manifest", "m.json"],
+            ["eval", "gold", "--gold", "g.tsv", "--mapped", "m.tsv"],
+            ["eval", "sample", "--mapped", "m.tsv", "--quota", "1", "--seed", "1"],
+        ],
+    )
+    def test_lax_is_a_map_option_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--lax"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--lax" in err
 
 
 class TestCmdEval:
@@ -375,10 +444,13 @@ class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         dict_file = tmp_path / "d.tsv"
         dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")
+        src = str(Path(medlex.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "medlex", "map", "--dict", str(dict_file)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("id\tterm")

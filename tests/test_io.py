@@ -46,6 +46,24 @@ def latin1_dictionary_cr_endings(tmp, data):
     return ["map", "--dict", d], f"{d}:2:"
 
 
+def latin1_dictionary_after_line_separator(tmp, data):
+    # U+2028 and U+0085 inside a row do not start a new line.
+    first = "e1\tleukemi\tsykdom\u2028i\x85blodet\n".encode()
+    d = put(tmp / "d.tsv", first + "e2\tfeber\tbl\xf8d\n".encode("latin-1"))
+    return ["map", "--dict", d], f"{d}:2:"
+
+
+def dictionary_cr_endings_bad_row(tmp, data):
+    d = put(tmp / "d.tsv", "e1\tleukemi\tsykdom\r\re2\tfeber\r")
+    return ["map", "--dict", d], f"{d}:3:"
+
+
+def gold_cr_endings_bad_row(tmp, data):
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "e1\tleukemi\tCONDITION\tITER\t\n")
+    gold = put(tmp / "g.tsv", "# gold\rleukemi\tCONDITION\rfeber\r")
+    return ["eval", "gold", "--gold", gold, "--mapped", mapped], f"{gold}:3:"
+
+
 def latin1_keyword_table(tmp, data):
     kw = put(tmp / "kw.tsv", b"# keywords\nbl\xf8d\tCONDITION\n")
     return ["map", "--dict", put(tmp / "d.tsv", GOOD_DICT), "--keywords", kw], f"{kw}:2:"
@@ -71,6 +89,31 @@ def dictionary_definitions_string(tmp, data):
     return ["map", "--dict", d], f"{d}:1:"
 
 
+def dictionary_null_id_and_term(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": null, "term": null, "definition": "sykdom"}\n')
+    return ["map", "--dict", d], f'{d}:1: "id" must be a JSON string or integer, not null'
+
+
+def dictionary_missing_term(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e1", "term": "leukemi"}\n{"id": "e2"}\n')
+    return ["map", "--dict", d], f'{d}:2: "term" is missing'
+
+
+def dictionary_boolean_id(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": true, "term": "leukemi"}\n')
+    return ["map", "--dict", d], f"{d}:1:"
+
+
+def dictionary_number_term(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e1", "term": 1.5}\n')
+    return ["map", "--dict", d], f'{d}:1: "term" must be a JSON string, not float'
+
+
+def dictionary_integer_too_long(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": ' + "1" * 5000 + ', "term": "leukemi"}\n')
+    return ["map", "--dict", d], f"{d}:1: bad JSON"
+
+
 def merge_args(tmp, data, mapped):
     return ["merge", "--manifest", str(data / "manifest.json"), "--mapped", mapped,
             "--out", str(tmp / "lex.tsv")]
@@ -80,6 +123,18 @@ def outcomes_string_line(tmp, data):
     row = {"id": "e1", "term": "leukemi", "category": "CONDITION", "provenance": "ITER"}
     mapped = put(tmp / "m.jsonl", json.dumps(row) + '\n"s"\n')
     return merge_args(tmp, data, mapped), f"{mapped}:2:"
+
+
+def outcomes_list_id(tmp, data):
+    row = {"id": ["e1"], "term": "leukemi", "category": "CONDITION", "provenance": "ITER"}
+    mapped = put(tmp / "m.jsonl", json.dumps(row) + "\n")
+    return merge_args(tmp, data, mapped), f"{mapped}:1:"
+
+
+def outcomes_null_term(tmp, data):
+    row = {"id": "e1", "term": None, "category": "CONDITION", "provenance": "ITER"}
+    mapped = put(tmp / "m.jsonl", json.dumps(row) + "\n")
+    return merge_args(tmp, data, mapped), f"{mapped}:1:"
 
 
 def outcomes_blank_term(tmp, data):
@@ -111,6 +166,12 @@ def manifest_deep_nesting(tmp, data):
     return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:"
 
 
+def manifest_integer_too_long(tmp, data):
+    manifest = put(tmp / "m.json", '[{"trust_rank": ' + "1" * 5000 + "}]")
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
+    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:"
+
+
 def manifest_layout_list(tmp, data):
     resource = {"name": "A", "file": "a.tsv", "mode": "FIXED", "category": "TOOL",
                 "trust_rank": 1, "layout": [0]}
@@ -124,18 +185,29 @@ def manifest_layout_list(tmp, data):
     [
         latin1_dictionary,
         latin1_dictionary_cr_endings,
+        latin1_dictionary_after_line_separator,
+        dictionary_cr_endings_bad_row,
+        gold_cr_endings_bad_row,
         latin1_keyword_table,
         latin1_conllu,
         dictionary_array_line,
         dictionary_deep_nesting,
         dictionary_definitions_string,
+        dictionary_null_id_and_term,
+        dictionary_missing_term,
+        dictionary_boolean_id,
+        dictionary_number_term,
+        dictionary_integer_too_long,
         outcomes_string_line,
+        outcomes_list_id,
+        outcomes_null_term,
         outcomes_blank_term,
         outcomes_iter_with_votes,
         gold_empty_term,
         conllu_empty_form,
         manifest_layout_list,
         manifest_deep_nesting,
+        manifest_integer_too_long,
     ],
 )
 def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys):
@@ -167,6 +239,36 @@ def test_bad_cli_value_is_a_usage_error(argv, capsys):
 def test_json_synonym_of_any_type_is_a_string(tmp_path):
     path = put(tmp_path / "d.jsonl", '{"id": "e1", "term": "a", "synonym_of": [1]}\n')
     assert read_dictionary(path)[0].synonym_of == "[1]"
+
+
+def test_json_integer_id_is_its_decimal_text(tmp_path):
+    path = put(tmp_path / "d.jsonl", '{"id": 7, "term": "a"}\n')
+    assert read_dictionary(path)[0].id == "7"
+    row = {"id": 7, "term": "a", "category": "CONDITION", "provenance": "ITER"}
+    path = put(tmp_path / "m.jsonl", json.dumps(row) + "\n")
+    assert read_outcomes(path)[0].entry_id == "7"
+
+
+class TestLineBreaks:
+    def test_split_lines_breaks_only_at_cr_and_lf(self):
+        text = "a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\r\nh\ri\n\nj"
+        assert io.split_lines(text) == ["a\u2028b\u2029c\x85d\x0be\x0cf\x1cg", "h", "i", "", "j"]
+        assert io.split_lines("") == []
+        assert io.split_lines("a\n") == ["a"]
+
+    @given(st.text(alphabet="ab \r\n"))
+    def test_split_lines_agrees_with_splitlines_on_cr_and_lf(self, text):
+        assert io.split_lines(text) == text.splitlines()
+
+    def test_unicode_line_breaks_stay_inside_a_jsonl_row(self, tmp_path, data_dir, capsys):
+        row = {"id": "e1", "term": "akutt\u2028leuk\x85emi", "definition": "sykdom\u2028i\x85blodet"}
+        d = put(tmp_path / "d.jsonl", json.dumps(row, ensure_ascii=False) + "\n")
+        mapped = tmp_path / "m.tsv"
+        assert main(["map", "--dict", d, "--out", str(mapped)]) == 0
+        [outcome] = read_outcomes(mapped)
+        assert outcome.term == row["term"]
+        assert main(merge_args(tmp_path, data_dir, str(mapped))) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def current_umask() -> int:

@@ -96,24 +96,29 @@ class TestEntry:
 
 
 class TestToken:
-    def test_bad_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            Token("x", "NOUN", 3, 3)
-        with pytest.raises(ValueError):
-            Token("x", "NOUN", -1, 2)
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            Token("", "NOUN")
 
 
 class TestDefinitionTokenAlignment:
     def test_aligned_tokens_accepted(self):
-        Definition("form av", (Token("form", "NOUN", 0, 4), Token("av", "ADP", 5, 7)))
+        Definition("form av", (Token("form", "NOUN"), Token("av", "ADP")))
 
     def test_mismatched_surface_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Definition("form av", (Token("form", "NOUN", 0, 4), Token("xx", "ADP", 5, 7)))
+        with pytest.raises(ValueError, match="'xx' does not align with text at offset 5"):
+            Definition("form av", (Token("form", "NOUN"), Token("xx", "ADP")))
 
     def test_overlapping_tokens_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            Definition("formav", (Token("form", "NOUN", 0, 4), Token("mav", "ADP", 3, 6)))
+        with pytest.raises(ValueError, match="'mav' does not align with text at offset 4"):
+            Definition("formav", (Token("form", "NOUN"), Token("mav", "ADP")))
+
+    def test_whitespace_between_tokens_ignored(self):
+        Definition("  sykdom \u2028 i", (Token("sykdom", "NOUN"), Token("i", "ADP")))
+
+    def test_misaligned_surface_rejected(self):
+        with pytest.raises(ValueError, match="does not align with text at offset 0"):
+            Definition("noe annet", (Token("sykdom", "NOUN"),))
 
 
 def _vote(strategy=Strategy.SUFF, category=Category.CONDITION):

@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from medlex.errors import ParseError
-from medlex.model import Token
+from medlex.model import Definition, Token
 from medlex.textprep import (
     StopConfig,
-    align_tokens_to_text,
     extract_first_noun,
     heuristic_tag,
     ingest_conllu,
@@ -41,11 +40,6 @@ class TestIngestConllu:
             ("kronisk", "ADJ"),
             ("sykdom", "NOUN"),
         ]
-
-    def test_offsets_follow_space_joined_reconstruction(self):
-        text = conllu_text(("e1", [("ab", "NOUN"), ("cde", "NOUN")]))
-        tokens = ingest_conllu(io.StringIO(text))["e1"]
-        assert [(t.start, t.end) for t in tokens] == [(0, 2), (3, 6)]
 
     def test_empty_stream_gives_empty_map(self):
         assert ingest_conllu(io.StringIO("")) == {}
@@ -117,10 +111,9 @@ class TestHeuristicTag:
             (t.surface, t.upos) for t in ingested
         ]
 
-    def test_offsets_index_into_text(self):
-        text = "form av anemi, akutt"
-        for tok in heuristic_tag(text, frozenset({"av"})):
-            assert text[tok.start : tok.end] == tok.surface
+    def test_tokens_align_with_text(self):
+        text = "form av anemi, akutt\u2028lat. x-y--z_ ¶"
+        Definition(text, tuple(heuristic_tag(text, frozenset({"av"}))))
 
     def test_punctuation_not_tagged_noun(self):
         tokens = heuristic_tag("anemi, akutt", frozenset())
@@ -136,12 +129,7 @@ def make_stops(**kwargs) -> StopConfig:
 
 
 def nouns(*surfaces: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    for s in surfaces:
-        tokens.append(Token(s, "NOUN", pos, pos + len(s)))
-        pos += len(s) + 1
-    return tokens
+    return [Token(s, "NOUN") for s in surfaces]
 
 
 class TestExtractFirstNoun:
@@ -156,20 +144,20 @@ class TestExtractFirstNoun:
         assert extract_first_noun(tokens, stops) == "glede"
 
     def test_no_noun_tokens_gives_none(self):
-        tokens = [Token("av", "ADP", 0, 2), Token("ved", "ADP", 3, 6)]
+        tokens = [Token("av", "ADP"), Token("ved", "ADP")]
         assert extract_first_noun(tokens, make_stops()) is None
 
     def test_abbreviations_skipped_regardless_of_tag(self):
-        tokens = [Token("plur.", "NOUN", 0, 5), Token("celler", "NOUN", 6, 12)]
+        tokens = [Token("plur.", "NOUN"), Token("celler", "NOUN")]
         stops = make_stops(abbreviations=frozenset({"plur."}))
         assert extract_first_noun(tokens, stops) == "celler"
 
     def test_propn_counts_as_nominal(self):
-        tokens = [Token("Akershus", "PROPN", 0, 8)]
+        tokens = [Token("Akershus", "PROPN")]
         assert extract_first_noun(tokens, make_stops()) == "akershus"
 
     def test_result_is_lowercased_surface(self):
-        tokens = [Token("Anemi", "NOUN", 0, 5)]
+        tokens = [Token("Anemi", "NOUN")]
         assert extract_first_noun(tokens, make_stops()) == "anemi"
 
     @given(
@@ -182,11 +170,7 @@ class TestExtractFirstNoun:
         )
     )
     def test_result_is_an_input_nominal_surface_or_none(self, pairs):
-        tokens = []
-        pos = 0
-        for surface, upos in pairs:
-            tokens.append(Token(surface, upos, pos, pos + len(surface)))
-            pos += len(surface) + 1
+        tokens = [Token(surface, upos) for surface, upos in pairs]
         result = extract_first_noun(tokens, make_stops())
         if result is None:
             return
@@ -205,17 +189,6 @@ class TestExtractFirstNoun:
         if absent in [s.lower() for s in surfaces]:
             return
         assert extract_first_noun(tokens, base) == extract_first_noun(tokens, extended)
-
-
-class TestAlignTokens:
-    def test_realigns_offsets_whitespace_insensitively(self):
-        tokens = [Token("sykdom", "NOUN", 0, 6), Token("i", "ADP", 7, 8)]
-        aligned = align_tokens_to_text("  sykdom   i", tokens)
-        assert [(t.start, t.end) for t in aligned] == [(2, 8), (11, 12)]
-
-    def test_misaligned_surface_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            align_tokens_to_text("noe annet", [Token("sykdom", "NOUN", 0, 6)])
 
 
 class TestStoplistParsing:
