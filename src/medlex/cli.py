@@ -76,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reserved: accepted and checked (>= 1), but mapping runs in one "
         "thread and output never depends on it",
     )
+    common.add_argument(
+        "-v", "--verbose", action="store_true", help="also show INFO diagnostics on stderr"
+    )
 
     parser = argparse.ArgumentParser(
         prog="medlex",
@@ -267,9 +270,13 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(
+        stream=sys.stderr,
+        format="%(levelname)s: %(message)s",
+        level=logging.INFO if args.verbose else logging.WARNING,
+    )
     try:
         return args.func(args)
     except ParseError as exc:

@@ -24,14 +24,23 @@ class LintError(MedlexError):
 
 
 class MergeConflictError(MedlexError):
-    """Resources with equal trust rank disagree on a term's category."""
+    """Resources with equal trust rank disagree on a term's category.
+
+    The message lists the first ``MAX_LISTED`` conflicts; ``conflicts`` holds
+    them all.
+    """
+
+    MAX_LISTED = 20
 
     def __init__(self, conflicts: list[tuple[str, str, str, str, str]]):
         self.conflicts = conflicts
         lines = [
             f"  {term!r}: {src_a}={cat_a} vs {src_b}={cat_b}"
-            for term, src_a, cat_a, src_b, cat_b in conflicts
+            for term, src_a, cat_a, src_b, cat_b in conflicts[: self.MAX_LISTED]
         ]
+        hidden = len(conflicts) - self.MAX_LISTED
+        if hidden > 0:
+            lines.append(f"  … and {hidden} more ({len(conflicts)} conflicts in total)")
         super().__init__(
             "equal trust rank with disagreeing categories; assign explicit ranks:\n"
             + "\n".join(lines)

@@ -3,7 +3,8 @@ keyword in the term, and keyword match on the definition's first noun."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import unicodedata
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -16,29 +17,55 @@ from .model import Category, Strategy, Vote, parse_category
 MIN_CONTAINED_KEYWORD_LEN = 5
 
 
+def _index(entries: tuple[tuple[str, Category], ...], kind: str) -> dict[str, Category]:
+    """Trigger -> category lookup; raises ValueError on an empty or
+    repeated trigger."""
+    index: dict[str, Category] = {}
+    for trigger, category in entries:
+        if not trigger:
+            raise ValueError(f"empty {kind}")
+        if trigger in index:
+            raise ValueError(f"duplicate {kind} {trigger!r}")
+        index[trigger] = category
+    return index
+
+
+def _lengths_longest_first(triggers: Iterable[str], minimum: int = 1) -> tuple[int, ...]:
+    return tuple(sorted({len(t) for t in triggers if len(t) >= minimum}, reverse=True))
+
+
 @dataclass(frozen=True)
 class SuffixTable:
     """Suffix -> category mapping; suffixes are stored without the
-    leading dash and must be unique."""
+    leading dash and must be unique.
+
+    ``index`` and ``lengths`` are derived from ``entries`` once, so a
+    vote costs one lookup per distinct suffix length; equality, hashing
+    and repr come from ``entries`` alone.
+    """
 
     entries: tuple[tuple[str, Category], ...]
+    index: dict[str, Category] = field(init=False, repr=False, compare=False)
+    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for suffix, _ in self.entries:
-            if not suffix:
-                raise ValueError("empty suffix")
-            if suffix in seen:
-                raise ValueError(f"duplicate suffix {suffix!r}")
-            seen.add(suffix)
+        index = _index(self.entries, "suffix")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "lengths", _lengths_longest_first(index))
 
     def lint(self) -> list[str]:
         """Warn about length-nested suffixes mapped to different
         categories; longest-match then silently prefers one of them."""
+        # Table suffix -> the longer rows ending in it, in table order.
+        enclosing: dict[str, list[tuple[str, Category]]] = {}
+        for long, cat_long in self.entries:
+            for start in range(1, len(long)):
+                if long[start:] in self.index:
+                    enclosing.setdefault(long[start:], []).append((long, cat_long))
         warnings = []
         for short, cat_short in self.entries:
-            for long, cat_long in self.entries:
-                if long != short and long.endswith(short) and cat_long is not cat_short:
+            for long, cat_long in enclosing.get(short, ()):
+                if cat_long is not cat_short:
                     warnings.append(
                         f"suffix -{short} ({cat_short}) nests inside -{long} "
                         f"({cat_long}); longest match wins"
@@ -48,18 +75,23 @@ class SuffixTable:
 
 @dataclass(frozen=True)
 class KeywordTable:
-    """Keyword -> category mapping; keywords unique and lowercase."""
+    """Keyword -> category mapping; keywords unique and lowercase.
+
+    ``index`` serves exact matches; ``contained_lengths`` lists the
+    distinct lengths of keywords long enough to fire by containment,
+    longest first. Both are derived from ``entries`` once.
+    """
 
     entries: tuple[tuple[str, Category], ...]
+    index: dict[str, Category] = field(init=False, repr=False, compare=False)
+    contained_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for keyword, _ in self.entries:
-            if not keyword:
-                raise ValueError("empty keyword")
-            if keyword in seen:
-                raise ValueError(f"duplicate keyword {keyword!r}")
-            seen.add(keyword)
+        index = _index(self.entries, "keyword")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(
+            self, "contained_lengths", _lengths_longest_first(index, MIN_CONTAINED_KEYWORD_LEN)
+        )
 
     def lint(self) -> list[str]:
         short = [
@@ -81,7 +113,8 @@ def _parse_table_rows(
             raise ParseError(
                 f"expected trigger<TAB>CATEGORY, got {len(cols)} columns", path, lineno
             )
-        trigger = cols[0].strip().lower()
+        # Folded as normalize_term folds terms, so an NFD trigger still matches.
+        trigger = unicodedata.normalize("NFC", cols[0]).strip().lower()
         try:
             category = parse_category(cols[1])
         except ValueError as exc:
@@ -132,14 +165,12 @@ def suffix_vote(term: str, table: SuffixTable) -> Vote | None:
     The term must already be normalized lowercase. Equality is not a
     match: the term has to be strictly longer than the suffix.
     """
-    best: tuple[str, Category] | None = None
-    for suffix, category in table.entries:
-        if len(term) > len(suffix) and term.endswith(suffix):
-            if best is None or len(suffix) > len(best[0]):
-                best = (suffix, category)
-    if best is None:
-        return None
-    return Vote(Strategy.SUFF, best[1], best[0])
+    for length in table.lengths:
+        if length < len(term):
+            category = table.index.get(term[-length:])
+            if category is not None:
+                return Vote(Strategy.SUFF, category, term[-length:])
+    return None
 
 
 def contained_keyword(
@@ -149,21 +180,21 @@ def contained_keyword(
 
     Keywords of length <= 4 never fire; ties on start position go to the
     longest keyword. Position 0 matches are excluded to approximate the
-    keyword occurring as the second part of a compound.
+    keyword occurring as the second part of a compound. Each start
+    position costs one lookup per distinct keyword length.
     """
-    best: tuple[int, int, str, Category] | None = None
-    for keyword, category in table.entries:
-        if len(keyword) < MIN_CONTAINED_KEYWORD_LEN:
-            continue
-        pos = haystack.find(keyword, 1)
-        if pos < 1:
-            continue
-        rank = (pos, -len(keyword))
-        if best is None or rank < (best[0], best[1]):
-            best = (pos, -len(keyword), keyword, category)
-    if best is None:
+    lengths = table.contained_lengths
+    if not lengths:
         return None
-    return best[2], best[3], best[0]
+    end = len(haystack)
+    for pos in range(1, end - lengths[-1] + 1):
+        for length in lengths:
+            if pos + length <= end:
+                keyword = haystack[pos : pos + length]
+                category = table.index.get(keyword)
+                if category is not None:
+                    return keyword, category, pos
+    return None
 
 
 def kw_entry_vote(term: str, table: KeywordTable) -> Vote | None:
@@ -183,9 +214,9 @@ def kw_firstnoun_vote(first_noun: str | None, table: KeywordTable) -> Vote | Non
     """
     if first_noun is None:
         return None
-    for keyword, category in table.entries:
-        if first_noun == keyword:
-            return Vote(Strategy.KW_1N, category, keyword)
+    category = table.index.get(first_noun)
+    if category is not None:
+        return Vote(Strategy.KW_1N, category, first_noun)
     hit = contained_keyword(first_noun, table)
     if hit is None:
         return None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,18 @@ class TestCmdMap:
         )
         assert code == 3
         assert "tograf" in stderr
+
+    def test_keywords_differing_only_in_normalisation_exit_3(self, capsys, tmp_path):
+        table = tmp_path / "keywords.tsv"
+        nfd = unicodedata.normalize("NFD", "blåsebelg")
+        table.write_text(f"blåsebelg\tTOOL\n{nfd}\tTOOL\n", encoding="utf-8")
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text("e1\txblåsebelg\tapparat\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, ["map", "--dict", str(dict_file), "--keywords", str(table)]
+        )
+        assert code == 3 and stdout == ""
+        assert stderr == f"lint error: {table}: duplicate keyword 'blåsebelg'\n"
 
     def test_lax_demotes_lint_to_warning(self, capsys, tmp_path):
         table = tmp_path / "suffixes.tsv"
@@ -440,17 +453,38 @@ class TestCmdEval:
             main(["map", "--dict", str(dict_file), "--threads", "0"])
 
 
+def run_module(argv):
+    src = str(Path(medlex.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "medlex", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
         dict_file = tmp_path / "d.tsv"
         dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")
-        src = str(Path(medlex.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "medlex", "map", "--dict", str(dict_file)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_module(["map", "--dict", str(dict_file)])
         assert proc.returncode == 0
         assert proc.stdout.startswith("id\tterm")
+
+    def test_verbose_shows_keyword_lint_notes(self, tmp_path):
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")
+        table = tmp_path / "keywords.tsv"
+        table.write_text("lege\tPERSON\nsykdom\tCONDITION\n", encoding="utf-8")
+        argv = ["map", "--dict", str(dict_file), "--keywords", str(table)]
+        heuristic = "WARNING: one or more definitions were tagged heuristically\n"
+        note = (
+            "INFO: lint: keyword 'lege' has length <= 4; it can only fire as an exact "
+            "first-noun match\n"
+        )
+        quiet, verbose = run_module(argv), run_module([*argv, "-v"])
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == heuristic
+        assert verbose.stderr == note + heuristic
+        assert quiet.stdout == verbose.stdout

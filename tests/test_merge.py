@@ -184,6 +184,20 @@ class TestMergeLexicons:
             merge_lexicons(None, [a, b])
         assert exc_info.value.conflicts
 
+    @pytest.mark.parametrize(
+        ("n", "tail"), [(20, None), (25, "  … and 5 more (25 conflicts in total)")]
+    )
+    def test_conflict_message_lists_the_first_twenty(self, n, tail):
+        terms = [f"term{i:02}" for i in range(n)]
+        a = result_of(*(source(t, Category.CONDITION, "A", 1) for t in terms), name="A")
+        b = result_of(*(source(t, Category.PROCEDURE, "B", 1) for t in terms), name="B")
+        with pytest.raises(MergeConflictError) as exc_info:
+            merge_lexicons(None, [a, b])
+        assert [c[0] for c in exc_info.value.conflicts] == terms
+        lines = str(exc_info.value).splitlines()[1:]
+        listed = [f"  'term{i:02}': A=CONDITION vs B=PROCEDURE" for i in range(20)]
+        assert lines == listed + ([tail] if tail else [])
+
     def test_equal_rank_agreement_is_fine(self):
         a = result_of(source("x", Category.CONDITION, "A", 1), name="A")
         b = result_of(source("x", Category.CONDITION, "B", 1), name="B")

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import LintError, ParseError
 from medlex.model import Category, Strategy
 from medlex.strategies import (
+    MIN_CONTAINED_KEYWORD_LEN,
     KeywordTable,
     SuffixTable,
     contained_keyword,
@@ -34,6 +37,107 @@ def find_oracle(haystack: str, needle: str, start: int) -> int:
         if haystack[i : i + len(needle)] == needle:
             return i
     return -1
+
+
+# Brute-force oracles: linear scans over every table row, the rules the
+# indexed lookups in medlex.strategies must reproduce.
+
+
+def suffix_vote_oracle(term: str, table: SuffixTable) -> tuple[str, Category] | None:
+    best = None
+    for suffix, category in table.entries:
+        if len(term) > len(suffix) and term.endswith(suffix):
+            if best is None or len(suffix) > len(best[0]):
+                best = (suffix, category)
+    return best
+
+
+def contained_keyword_oracle(
+    haystack: str, table: KeywordTable
+) -> tuple[str, Category, int] | None:
+    best = None
+    for keyword, category in table.entries:
+        if len(keyword) < MIN_CONTAINED_KEYWORD_LEN:
+            continue
+        pos = haystack.find(keyword, 1)
+        if pos < 1:
+            continue
+        if best is None or (pos, -len(keyword)) < (best[2], -len(best[0])):
+            best = (keyword, category, pos)
+    return best
+
+
+def exact_keyword_oracle(word: str, table: KeywordTable) -> Category | None:
+    for keyword, category in table.entries:
+        if word == keyword:
+            return category
+    return None
+
+
+def lint_oracle(table: SuffixTable) -> list[str]:
+    warnings = []
+    for short, cat_short in table.entries:
+        for long, cat_long in table.entries:
+            if long != short and long.endswith(short) and cat_long is not cat_short:
+                warnings.append(
+                    f"suffix -{short} ({cat_short}) nests inside -{long} "
+                    f"({cat_long}); longest match wins"
+                )
+    return warnings
+
+
+# A small alphabet makes nested and overlapping triggers common; lengths
+# up to 7 cover keywords both below and above the containment minimum.
+TRIGGER = st.text(alphabet="aeæøå", min_size=1, max_size=7)
+ROWS = st.dictionaries(TRIGGER, st.sampled_from(list(Category)), max_size=12).map(
+    lambda rows: tuple(rows.items())
+)
+
+
+@st.composite
+def rows_and_terms(draw):
+    """A table's rows and terms built from triggers, stray letters and
+    spaces, so terms equal to, nesting and spanning triggers all occur."""
+    rows = draw(ROWS)
+    triggers = [trigger for trigger, _ in rows]
+    piece = st.one_of(TRIGGER, st.just(" "), *([st.sampled_from(triggers)] if triggers else []))
+    term = st.lists(piece, min_size=1, max_size=4).map("".join)
+    return rows, draw(st.lists(term, min_size=1, max_size=8))
+
+
+def shape(vote):
+    return None if vote is None else (vote.trigger, vote.category, vote.position)
+
+
+class TestIndexedEqualsOracle:
+    @settings(max_examples=250)
+    @given(rows_and_terms())
+    def test_votes(self, case):
+        rows, terms = case
+        suffixes, keywords = SuffixTable(rows), KeywordTable(rows)
+        for term in terms:
+            suffix = suffix_vote_oracle(term, suffixes)
+            assert shape(suffix_vote(term, suffixes)) == (suffix and (*suffix, None))
+
+            contained = contained_keyword_oracle(term, keywords)
+            assert contained_keyword(term, keywords) == contained
+            assert shape(kw_entry_vote(term, keywords)) == contained
+
+            exact = exact_keyword_oracle(term, keywords)
+            expected = (term, exact, None) if exact is not None else contained
+            assert shape(kw_firstnoun_vote(term, keywords)) == expected
+
+    @given(ROWS)
+    def test_suffix_lint(self, rows):
+        table = SuffixTable(rows)
+        assert table.lint() == lint_oracle(table)
+
+    def test_index_stays_out_of_equality_hash_and_repr(self):
+        rows = (("sykdom", Category.CONDITION), ("lege", Category.PERSON))
+        a, b = KeywordTable(rows), KeywordTable(rows)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"KeywordTable(entries={rows!r})"
+        assert a != KeywordTable(rows[:1])
 
 
 class TestSuffixVote:
@@ -221,6 +325,28 @@ class TestTableParsing:
     def test_triggers_lowercased(self):
         table = parse_keyword_table(["SYKDOM\tCONDITION"])
         assert table.entries[0][0] == "sykdom"
+
+    def test_nfd_keyword_fires_on_nfc_term(self):
+        nfd = unicodedata.normalize("NFD", "blåsebelg")
+        assert nfd != "blåsebelg"
+        table = parse_keyword_table([f"{nfd}\tTOOL"])
+        assert table.entries == (("blåsebelg", Category.TOOL),)
+        vote = kw_entry_vote("xblåsebelg", table)
+        assert (vote.trigger, vote.category, vote.position) == ("blåsebelg", Category.TOOL, 1)
+
+    def test_nfd_suffix_fires_on_nfc_term(self):
+        table = parse_suffix_table([f"-{unicodedata.normalize('NFD', 'blå')}\tCONDITION"])
+        vote = suffix_vote("xxblå", table)
+        assert (vote.trigger, vote.category) == ("blå", Category.CONDITION)
+
+    @pytest.mark.parametrize(
+        ("parse", "kind"), [(parse_keyword_table, "keyword"), (parse_suffix_table, "suffix")]
+    )
+    def test_triggers_differing_only_in_normalisation_are_duplicates(self, parse, kind):
+        rows = ["blåsebelg\tTOOL", f"{unicodedata.normalize('NFD', 'blåsebelg')}\tTOOL"]
+        with pytest.raises(LintError) as exc_info:
+            parse(rows, path="t.tsv")
+        assert str(exc_info.value) == f"t.tsv: duplicate {kind} 'blåsebelg'"
 
 
 class TestLint:
