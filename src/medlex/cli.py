@@ -8,6 +8,7 @@ term without a prediction. Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -277,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s: %(message)s",
         level=logging.INFO if args.verbose else logging.WARNING,
     )
+    # A command builds up to millions of acyclic records, which every full
+    # collection would re-walk to free nothing; collection resumes on return.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -294,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

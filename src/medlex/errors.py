@@ -24,7 +24,7 @@ class LintError(MedlexError):
 
 
 class MergeConflictError(MedlexError):
-    """Resources with equal trust rank disagree on a term's category.
+    """Different sources with equal trust rank disagree on a term's category.
 
     The message lists the first ``MAX_LISTED`` conflicts; ``conflicts`` holds
     them all.

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -13,6 +15,8 @@ from typing import Iterable, Sequence
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, read_text, sniff_format, split_lines, write_text
 from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
+
+log = logging.getLogger(__name__)
 
 # The automatically mapped dictionary ranks below every curated resource
 # unless the caller says otherwise.
@@ -35,13 +39,15 @@ class ChapterRule:
     chapter: str
     category: Category | None  # None means exclude
 
-    def matches(self, chapter: str) -> bool:
-        return chapter.strip().lower() == self.chapter.strip().lower()
-
 
 @dataclass(frozen=True)
 class ResourceSpec:
-    """Declarative description of one external terminology source."""
+    """Declarative description of one external terminology source.
+
+    ``chapter_index`` maps each rule's trimmed, lowercased chapter to its
+    category (None: exclude); where two rules share a chapter, the first
+    wins. It is derived from ``chapter_rules`` once.
+    """
 
     name: str
     file: str
@@ -51,6 +57,7 @@ class ResourceSpec:
     chapter_rules: tuple[ChapterRule, ...] = ()
     chapter_default: Category | None = None
     layout: dict[str, int] = field(default_factory=dict)
+    chapter_index: dict[str, Category | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode is ResourceMode.FIXED and self.category is None:
@@ -65,6 +72,10 @@ class ResourceSpec:
             raise ValueError(f"resource {self.name}: PER_ENTRY layout needs a category column")
         if self.mode is ResourceMode.CHAPTERED and "chapter" not in self.layout:
             raise ValueError(f"resource {self.name}: CHAPTERED layout needs a chapter column")
+        index: dict[str, Category | None] = {}
+        for rule in self.chapter_rules:
+            index.setdefault(rule.chapter.strip().lower(), rule.category)
+        object.__setattr__(self, "chapter_index", index)
 
     def _default_layout(self) -> dict[str, int]:
         if self.mode is ResourceMode.PER_ENTRY:
@@ -251,8 +262,10 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     p = Path(spec.file)
     if base_dir is not None and not p.is_absolute():
         p = Path(base_dir) / p
+    path = str(p)
     text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
+    term_column = spec.layout["term"]
     records: list[SourceRecord] = []
     ingested = excluded = 0
     for lineno, line in data_lines(split_lines(text)):
@@ -260,12 +273,12 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
         if len(cols) < need:
             raise ParseError(
                 f"resource {spec.name}: expected at least {need} columns, got {len(cols)}",
-                str(p),
+                path,
                 lineno,
             )
-        term = cols[spec.layout["term"]].strip()
+        term = cols[term_column].strip()
         if not term:
-            raise ParseError(f"resource {spec.name}: empty term", str(p), lineno)
+            raise ParseError(f"resource {spec.name}: empty term", path, lineno)
         ingested += 1
         if spec.mode is ResourceMode.FIXED:
             category = spec.category
@@ -273,10 +286,9 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
             try:
                 category = parse_category(cols[spec.layout["category"]])
             except ValueError as exc:
-                raise ParseError(f"resource {spec.name}: {exc}", str(p), lineno) from None
+                raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
         else:
-            chapter = cols[spec.layout["chapter"]]
-            category = _route_chapter(spec, chapter, str(p), lineno)
+            category = _route_chapter(spec, cols[spec.layout["chapter"]], path, lineno)
             if category is None:
                 excluded += 1
                 continue
@@ -288,17 +300,16 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
 def _route_chapter(
     spec: ResourceSpec, chapter: str, path: str, lineno: int
 ) -> Category | None:
-    for rule in spec.chapter_rules:
-        if rule.matches(chapter):
-            return rule.category
-    if spec.chapter_default is None:
+    key = chapter.strip().lower()
+    category = spec.chapter_index.get(key, spec.chapter_default)
+    if category is None and key not in spec.chapter_index:
         raise ParseError(
             f"resource {spec.name}: chapter {chapter!r} matches no rule and "
             "the spec has no default",
             path,
             lineno,
         )
-    return spec.chapter_default
+    return category
 
 
 def mapped_records(
@@ -328,8 +339,10 @@ def merge_lexicons(
 
     Groups records by normalized term. Within a group the category of
     the lowest trust rank wins; a mapped-dictionary category overridden
-    by a more trusted resource is logged as a correction. Disagreements
-    between equal lowest ranks are refused.
+    by a more trusted resource is logged as a correction. At the lowest
+    rank each source counts once, by its earliest row (a later row that
+    disagrees with it is dropped with a warning); disagreements between
+    different sources at that rank are refused.
     """
     sources = ([mapped] if mapped is not None else []) + list(resources)
     mapped_name = mapped.name if mapped is not None else None
@@ -338,51 +351,56 @@ def merge_lexicons(
     for result in sources:
         for record in result.records:
             key = normalize_term(record.term, lowercase)
-            groups.setdefault(key, []).append(record)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [record]
+            else:
+                group.append(record)
 
     conflicts: list[tuple[str, str, str, str, str]] = []
     corrections: list[Correction] = []
     records: list[LexiconRecord] = []
-    pair_counts: dict[tuple[str, str], int] = {}
+    # One frozenset per distinct combination of sources, shared by every
+    # record with that combination; the combinations of two or more sources
+    # are counted and expanded into overlap pairs once, after the loop.
+    single: dict[str, frozenset[str]] = {}
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    combination_counts: dict[frozenset[str], int] = {}
 
     for key in sorted(groups):
         group = groups[key]
-        best_rank = min(r.trust_rank for r in group)
-        winners = [r for r in group if r.trust_rank == best_rank]
-        winner = winners[0]
-        for other in winners[1:]:
-            if other.category is not winner.category:
-                conflicts.append(
-                    (key, winner.source, str(winner.category), other.source, str(other.category))
-                )
-        group_sources = {r.source for r in group}
-        for a in sorted(group_sources):
-            for b in sorted(group_sources):
-                if a < b:
-                    pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-        if mapped_name is not None and winner.source != mapped_name:
-            for r in group:
-                if r.source == mapped_name and r.category is not winner.category:
-                    corrections.append(
-                        Correction(r.term, r.category, winner.category, winner.source)
-                    )
-                    break
+        if len(group) == 1:
+            winner = group[0]
+            group_sources = single.get(winner.source)
+            if group_sources is None:
+                group_sources = single[winner.source] = frozenset((winner.source,))
+        else:
+            winner = min(group, key=_trust_rank)  # the earliest of the most trusted
+            rank, category = winner.trust_rank, winner.category
+            if any(r.category is not category and r.trust_rank == rank for r in group):
+                conflicts += _equal_rank_conflicts(key, group, winner)
+            combination = frozenset([r.source for r in group])
+            group_sources = shared.setdefault(combination, combination)
+            if len(group_sources) > 1:
+                combination_counts[group_sources] = combination_counts.get(group_sources, 0) + 1
+            if mapped_name is not None and winner.source != mapped_name:
+                for r in group:
+                    if r.source == mapped_name and r.category is not category:
+                        corrections.append(Correction(r.term, r.category, category, winner.source))
+                        break
         records.append(
-            LexiconRecord(
-                term=winner.term,
-                normalized_term=key,
-                category=winner.category,
-                sources=frozenset(group_sources),
-                provenance=winner.provenance,
-            )
+            LexiconRecord(winner.term, key, winner.category, group_sources, winner.provenance)
         )
 
     if conflicts:
         raise MergeConflictError(conflicts)
 
-    category_counts: dict[str, int] = {}
-    for record in records:
-        category_counts[str(record.category)] = category_counts.get(str(record.category), 0) + 1
+    pair_counts: dict[tuple[str, str], int] = {}
+    for combination, n in combination_counts.items():
+        names = sorted(combination)
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
 
     report = MergeReport(
         resource_counts=tuple(
@@ -392,10 +410,46 @@ def merge_lexicons(
             (a, b, n) for (a, b), n in sorted(pair_counts.items())
         ),
         corrections=tuple(corrections),
-        category_counts=category_counts,
+        # _value_ is the label str() gives, read without calling the enum's
+        # Python-level __str__ or __hash__ (as in render_lexicon).
+        category_counts=dict(Counter(r.category._value_ for r in records)),
         total=len(records),
     )
     return records, report
+
+
+def _trust_rank(record: SourceRecord) -> int:
+    return record.trust_rank
+
+
+def _equal_rank_conflicts(
+    key: str, group: list[SourceRecord], winner: SourceRecord
+) -> list[tuple[str, str, str, str, str]]:
+    """Disagreements with ``winner`` among the group's rows at its rank.
+
+    Each source counts once, by its earliest such row; a later row of the
+    same source that disagrees with it is dropped with a warning.
+    """
+    conflicts = []
+    earliest: dict[str, SourceRecord] = {}
+    for r in group:
+        if r.trust_rank != winner.trust_rank:
+            continue
+        first = earliest.setdefault(r.source, r)
+        if first is not r:
+            if r.category is not first.category:
+                log.warning(
+                    "term %r has both %s and %s in %s; merge uses the earliest",
+                    key,
+                    first.category,
+                    r.category,
+                    r.source,
+                )
+        elif r.category is not winner.category:
+            conflicts.append(
+                (key, winner.source, str(winner.category), r.source, str(r.category))
+            )
+    return conflicts
 
 
 def format_merge_report(report: MergeReport) -> str:
@@ -424,26 +478,19 @@ def format_merge_report(report: MergeReport) -> str:
 
 
 def render_lexicon(records: Sequence[LexiconRecord], fmt: str = "tsv") -> str:
-    lines = []
-    if fmt == "jsonl":
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "term": r.term,
-                        "category": str(r.category),
-                        "sources": sorted(r.sources),
-                        "provenance": r.provenance,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-    else:
-        lines.append("term\tcategory\tsources\tprovenance")
-        for r in records:
-            lines.append(
-                "\t".join((r.term, str(r.category), ",".join(sorted(r.sources)), r.provenance))
-            )
+    # Records share their sources sets, so each distinct set is sorted once.
+    sorted_sources: dict[frozenset[str], list[str]] = {}
+    lines = [] if fmt == "jsonl" else ["term\tcategory\tsources\tprovenance"]
+    for r in records:
+        names = sorted_sources.get(r.sources)
+        if names is None:
+            names = sorted_sources[r.sources] = sorted(r.sources)
+        if fmt == "jsonl":
+            row = {"term": r.term, "category": r.category._value_, "sources": names,
+                   "provenance": r.provenance}
+            lines.append(json.dumps(row, ensure_ascii=False))
+        else:
+            lines.append("\t".join((r.term, r.category._value_, ",".join(names), r.provenance)))
     return "\n".join(lines) + "\n"
 
 

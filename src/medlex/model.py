@@ -7,7 +7,6 @@ and to use as dict keys where hashable.
 from __future__ import annotations
 
 import enum
-import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -38,10 +37,9 @@ ASSIGNABLE_CATEGORIES: tuple[Category, ...] = tuple(
     c for c in Category if c is not Category.OTHER
 )
 
-# Alternate spellings tolerated on input (hyphenated table form, long form).
-_CATEGORY_ALIASES = {
-    "MICROORGANISM": Category.MICROORG,
-}
+# Every label accepted after folding case and hyphens: the member names
+# plus the long form of MICROORG.
+_CATEGORY_LABELS = {c.name: c for c in Category} | {"MICROORGANISM": Category.MICROORG}
 
 
 def parse_category(label: str, allow_other: bool = False) -> Category:
@@ -50,13 +48,9 @@ def parse_category(label: str, allow_other: bool = False) -> Category:
     Raises ValueError for anything outside the scheme, or for OTHER
     unless ``allow_other`` is set.
     """
-    key = label.strip().upper().replace("-", "_")
-    cat = _CATEGORY_ALIASES.get(key)
+    cat = _CATEGORY_LABELS.get(label.strip().upper().replace("-", "_"))
     if cat is None:
-        try:
-            cat = Category[key]
-        except KeyError:
-            raise ValueError(f"unknown category label: {label!r}") from None
+        raise ValueError(f"unknown category label: {label!r}")
     if cat is Category.OTHER and not allow_other:
         raise ValueError("OTHER is a gold-only label, not assignable")
     return cat
@@ -91,17 +85,14 @@ class Provenance(enum.Enum):
 STRATEGY_PRIORITY: tuple[Strategy, ...] = (Strategy.SUFF, Strategy.KW_E, Strategy.KW_1N)
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
 def normalize_term(raw: str, lowercase: bool = True) -> str:
     """Canonical form of a term: NFC, trimmed, inner whitespace collapsed.
 
     Lowercasing is unicode-aware and applied only when ``lowercase`` is on.
     Raises ValueError if nothing is left after trimming.
     """
-    text = unicodedata.normalize("NFC", raw)
-    text = _WS_RUN.sub(" ", text).strip()
+    # str.split() breaks at exactly the characters re's \s matches.
+    text = " ".join(unicodedata.normalize("NFC", raw).split())
     if not text:
         raise ValueError("empty term")
     if lowercase:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import medlex
+from medlex import cli
 from medlex.cli import main
 from medlex.pipeline import read_outcomes
 
@@ -304,6 +306,59 @@ class TestCmdMerge:
         )
         assert code == 4
         assert "omstridt begrep" in stderr
+
+    def test_within_source_disagreement_warns_and_keeps_the_earliest(self, tmp_path):
+        mapped = tmp_path / "mapped.tsv"
+        mapped.write_text(
+            "id\tterm\tcategory\tprovenance\tvotes\n"
+            "e1\tkjerne\tANAT_LOC\tITER\t\n"
+            "e2\tKjerne\tTOOL\tITER\t\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "res.tsv").write_text("annen\n", encoding="utf-8")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            '[{"name": "R", "file": "res.tsv", "mode": "FIXED",'
+            ' "category": "CONDITION", "trust_rank": 1}]',
+            encoding="utf-8",
+        )
+        out = tmp_path / "lex.tsv"
+        proc = run_module(
+            ["merge", "--manifest", str(manifest), "--mapped", str(mapped),
+             "--lowercase", "--out", str(out)]
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "WARNING: term 'kjerne' has both ANAT_LOC and TOOL in MO; merge uses the earliest\n"
+        )
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "annen\tCONDITION\tR\tR",
+            "kjerne\tANAT_LOC\tMO\tITER",
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_restored(self, capsys, tmp_path, data_dir, mapped_file, enabled):
+        def merge(manifest):
+            argv = ["merge", "--manifest", str(manifest), "--mapped", str(mapped_file),
+                    "--out", str(tmp_path / "lex.tsv")]
+            return run(capsys, argv)[0]
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert merge(data_dir / "manifest.json") == 0
+            assert gc.isenabled() is enabled
+            assert merge(tmp_path / "absent.json") == 2
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_command_runs_without_cyclic_gc(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_merge", lambda args: seen.append(gc.isenabled()) or 0)
+        argv = ["merge", "--manifest", "m.json", "--mapped", "m.tsv", "--out", "x.tsv"]
+        assert main(argv) == 0
+        assert seen == [False]
 
     @pytest.mark.parametrize(
         "argv",

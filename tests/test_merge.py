@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import json
+import logging
+import re
+import unicodedata
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medlex.errors import MergeConflictError, ParseError
 from medlex.merge import (
     ChapterRule,
+    Correction,
     IngestResult,
     ResourceMode,
     ResourceSpec,
@@ -16,8 +24,10 @@ from medlex.merge import (
     merge_lexicons,
     render_lexicon,
 )
+from medlex.merge import _route_chapter as route_chapter
 from medlex.model import (
     Category,
+    LexiconRecord,
     MappingOutcome,
     Provenance,
     Strategy,
@@ -228,6 +238,338 @@ class TestMergeLexicons:
         ]
         result = mapped_records(outcomes)
         assert (result.ingested, result.kept, result.excluded) == (2, 1, 1)
+
+
+def merge_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "medlex.merge"]
+
+
+class TestWithinSourceDisagreement:
+    """At the lowest rank each source counts once, by its earliest row."""
+
+    def test_mapped_homographs_earliest_wins(self, caplog):
+        outcomes = [
+            MappingOutcome("e1", "kjerne", Category.ANAT_LOC, Provenance.ITER),
+            MappingOutcome("e2", "kjerne", Category.TOOL, Provenance.ITER),
+        ]
+        records, report = merge_lexicons(mapped_records(outcomes), [])
+        assert [(r.term, r.category, r.sources) for r in records] == [
+            ("kjerne", Category.ANAT_LOC, frozenset({"MO"}))
+        ]
+        assert report.corrections == ()
+        assert merge_warnings(caplog) == [
+            "term 'kjerne' has both ANAT_LOC and TOOL in MO; merge uses the earliest"
+        ]
+
+    def test_homographs_below_a_trusted_resource_are_not_a_disagreement(self, caplog):
+        outcomes = [
+            MappingOutcome("e1", "kjerne", Category.ANAT_LOC, Provenance.ITER),
+            MappingOutcome("e2", "kjerne", Category.TOOL, Provenance.ITER),
+        ]
+        icd = result_of(source("kjerne", Category.TOOL, "ICD-10", 2), name="ICD-10")
+        records, report = merge_lexicons(mapped_records(outcomes), [icd])
+        assert records[0].category is Category.TOOL
+        assert report.corrections == (
+            Correction("kjerne", Category.ANAT_LOC, Category.TOOL, "ICD-10"),
+        )
+        assert merge_warnings(caplog) == []
+
+    def test_resource_disagreeing_with_itself_after_case_folding(self, caplog):
+        res = result_of(
+            source("Aspartam", Category.SUBSTANCE),
+            source("aspartam", Category.TOOL),
+        )
+        cased, _ = merge_lexicons(None, [res], lowercase=False)
+        assert len(cased) == 2
+        assert merge_warnings(caplog) == []
+        lower, report = merge_lexicons(None, [res], lowercase=True)
+        assert [(r.term, r.category) for r in lower] == [("Aspartam", Category.SUBSTANCE)]
+        assert report.category_counts == {"SUBSTANCE": 1}
+        assert merge_warnings(caplog) == [
+            "term 'aspartam' has both SUBSTANCE and TOOL in RES; merge uses the earliest"
+        ]
+
+    def test_other_source_disagreeing_with_the_earliest_row_is_refused(self, caplog):
+        a = result_of(
+            source("x", Category.CONDITION, "A", 1),
+            source("x", Category.PROCEDURE, "A", 1),
+            name="A",
+        )
+        b = result_of(source("x", Category.PROCEDURE, "B", 1), name="B")
+        with pytest.raises(MergeConflictError) as exc_info:
+            merge_lexicons(None, [a, b])
+        assert exc_info.value.conflicts == [("x", "A", "CONDITION", "B", "PROCEDURE")]
+        assert merge_warnings(caplog) == [
+            "term 'x' has both CONDITION and PROCEDURE in A; merge uses the earliest"
+        ]
+
+    def test_other_source_agreeing_with_the_earliest_row_merges(self, caplog):
+        a = result_of(
+            source("x", Category.CONDITION, "A", 1),
+            source("x", Category.PROCEDURE, "A", 1),
+            name="A",
+        )
+        b = result_of(source("x", Category.CONDITION, "B", 1), name="B")
+        records, report = merge_lexicons(None, [a, b])
+        assert [(r.category, r.sources) for r in records] == [
+            (Category.CONDITION, frozenset({"A", "B"}))
+        ]
+        assert report.overlap_pairs == (("A", "B", 1),)
+        assert len(merge_warnings(caplog)) == 1
+
+
+# The normalisation and merge as they were before the merge loop was
+# rewritten, plus the within-source rule, as oracles for the rewrite.
+_WS_RUN = re.compile(r"\s+")
+
+
+def reference_normalize(raw, lowercase=True):
+    text = _WS_RUN.sub(" ", unicodedata.normalize("NFC", raw)).strip()
+    if not text:
+        raise ValueError("empty term")
+    return text.lower() if lowercase else text
+
+
+def reference_merge(mapped, resources, lowercase=True):
+    """Returns (records, report fields, conflicts, dropped); ``dropped``
+    lists (term, earliest category, dropped category, source). The merge
+    is refused if there are conflicts."""
+    sources = ([mapped] if mapped is not None else []) + list(resources)
+    mapped_name = mapped.name if mapped is not None else None
+    groups = {}
+    for result in sources:
+        for record in result.records:
+            groups.setdefault(reference_normalize(record.term, lowercase), []).append(record)
+    conflicts, dropped, corrections, records, pair_counts = [], [], [], [], {}
+    for key in sorted(groups):
+        group = groups[key]
+        best_rank = min(r.trust_rank for r in group)
+        winners = [r for r in group if r.trust_rank == best_rank]
+        winner = winners[0]
+        earliest = {}
+        for r in winners:
+            earliest.setdefault(r.source, r)
+        for other in winners[1:]:
+            first = earliest[other.source]
+            if first is not other:
+                if other.category is not first.category:
+                    dropped.append((key, str(first.category), str(other.category), other.source))
+            elif other.category is not winner.category:
+                conflicts.append(
+                    (key, winner.source, str(winner.category), other.source, str(other.category))
+                )
+        group_sources = {r.source for r in group}
+        for a in sorted(group_sources):
+            for b in sorted(group_sources):
+                if a < b:
+                    pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
+        if mapped_name is not None and winner.source != mapped_name:
+            for r in group:
+                if r.source == mapped_name and r.category is not winner.category:
+                    corrections.append(
+                        Correction(r.term, r.category, winner.category, winner.source)
+                    )
+                    break
+        records.append(
+            LexiconRecord(
+                term=winner.term,
+                normalized_term=key,
+                category=winner.category,
+                sources=frozenset(group_sources),
+                provenance=winner.provenance,
+            )
+        )
+    category_counts = {}
+    for record in records:
+        category_counts[str(record.category)] = category_counts.get(str(record.category), 0) + 1
+    report = (
+        tuple((res.name, res.ingested, res.kept, res.excluded) for res in sources),
+        tuple((a, b, n) for (a, b), n in sorted(pair_counts.items())),
+        tuple(corrections),
+        category_counts,
+        len(records),
+    )
+    return records, report, conflicts, dropped
+
+
+def reference_render(records, fmt):
+    if fmt == "jsonl":
+        lines = [
+            json.dumps(
+                {
+                    "term": r.term,
+                    "category": str(r.category),
+                    "sources": sorted(r.sources),
+                    "provenance": r.provenance,
+                },
+                ensure_ascii=False,
+            )
+            for r in records
+        ]
+    else:
+        lines = ["term\tcategory\tsources\tprovenance"] + [
+            "\t".join((r.term, str(r.category), ",".join(sorted(r.sources)), r.provenance))
+            for r in records
+        ]
+    return "\n".join(lines) + "\n"
+
+
+class _Captured(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.dropped = []
+
+    def emit(self, record):
+        key, first, other, source = record.args
+        self.dropped.append((key, str(first), str(other), source))
+
+
+# Case and whitespace variants of a few words (U+00A0 and U+2003 are
+# whitespace too), so that groups mix sources, cases and spellings.
+TERMS = st.builds(
+    lambda word, case, pad: pad + case(word).replace(" ", pad or " ") + pad,
+    st.sampled_from(["alfa", "al fa", "beta", "gamma", "æøå", "blå kors"]),
+    st.sampled_from([str.lower, str.upper, str.title]),
+    st.sampled_from(["", " ", "\t", "\u00a0", "  \u2003"]),
+)
+CATEGORIES = st.sampled_from([Category.CONDITION, Category.PROCEDURE, Category.TOOL])
+
+
+@st.composite
+def merge_inputs(draw):
+    def rows(name, rank, provenance):
+        pairs = draw(st.lists(st.tuples(TERMS, CATEGORIES), max_size=8))
+        return tuple(SourceRecord(t, c, name, provenance(), rank) for t, c in pairs)
+
+    ranks = st.integers(1, 3)
+    mapped = None
+    if draw(st.booleans()):
+        rank = draw(st.sampled_from([1, 2, 100]))
+        provenances = st.sampled_from(["SUFF", "KW_E", "MULTI", "ITER"])
+        records = rows("MO", rank, lambda: draw(provenances))
+        excluded = draw(st.integers(0, 2))
+        mapped = IngestResult("MO", records, len(records) + excluded, excluded)
+    resources = []
+    for name in draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True)):
+        rank = draw(ranks)
+        records = rows(name, rank, lambda: name)
+        excluded = draw(st.integers(0, 2))
+        resources.append(IngestResult(name, records, len(records) + excluded, excluded))
+    return mapped, resources, draw(st.booleans())
+
+
+class TestMergeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(merge_inputs())
+    def test_merge_matches_reference(self, inputs):
+        mapped, resources, lowercase = inputs
+        captured = _Captured()
+        logger = logging.getLogger("medlex.merge")
+        logger.addHandler(captured)
+        want_records, want_report, conflicts, dropped = reference_merge(
+            mapped, resources, lowercase
+        )
+        try:
+            if conflicts:
+                with pytest.raises(MergeConflictError) as refused:
+                    merge_lexicons(mapped, resources, lowercase)
+                assert refused.value.conflicts == conflicts
+            else:
+                records, report = merge_lexicons(mapped, resources, lowercase)
+        finally:
+            logger.removeHandler(captured)
+        assert captured.dropped == dropped
+        if conflicts:
+            return
+        assert records == want_records
+        got_report = (
+            report.resource_counts,
+            report.overlap_pairs,
+            report.corrections,
+            report.category_counts,
+            report.total,
+        )
+        assert got_report == want_report
+        assert list(report.category_counts.items()) == list(want_report[3].items())
+        for fmt in ("tsv", "jsonl"):
+            assert render_lexicon(records, fmt) == reference_render(want_records, fmt)
+
+
+CHAPTERS = st.builds(
+    lambda word, case, pad: pad + case(word) + pad,
+    st.sampled_from(["A", "b", "Procedure codes", "İx", "ß"]),
+    st.sampled_from([str.lower, str.upper, str.title, str.casefold]),
+    st.sampled_from(["", " ", "\t", "\u00a0"]),
+)
+
+
+def linear_route(spec, chapter):
+    for rule in spec.chapter_rules:
+        if chapter.strip().lower() == rule.chapter.strip().lower():
+            return rule.category
+    if spec.chapter_default is None:
+        raise ParseError(
+            f"resource {spec.name}: chapter {chapter!r} matches no rule and "
+            "the spec has no default",
+            "r.tsv",
+            7,
+        )
+    return spec.chapter_default
+
+
+class TestChapterRouting:
+    @given(
+        st.lists(
+            st.builds(ChapterRule, CHAPTERS, st.one_of(st.none(), CATEGORIES)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.one_of(st.none(), CATEGORIES),
+        st.lists(CHAPTERS, max_size=6),
+    )
+    def test_lookup_matches_first_matching_rule(self, rules, default, chapters):
+        spec = ResourceSpec(
+            name="R",
+            file="r.tsv",
+            mode=ResourceMode.CHAPTERED,
+            trust_rank=1,
+            chapter_rules=tuple(rules),
+            chapter_default=default,
+        )
+        for chapter in chapters + [r.chapter for r in rules]:
+            try:
+                expected = linear_route(spec, chapter)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    route_chapter(spec, chapter, "r.tsv", 7)
+                assert str(got.value) == str(exc)
+                continue
+            assert route_chapter(spec, chapter, "r.tsv", 7) is expected
+
+    def test_first_of_two_rules_for_one_chapter_wins(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("x\t Procedure CODES\n", encoding="utf-8")
+        spec = ResourceSpec(
+            name="X",
+            file=str(path),
+            mode=ResourceMode.CHAPTERED,
+            trust_rank=1,
+            chapter_rules=(
+                ChapterRule("procedure codes", Category.PROCEDURE),
+                ChapterRule("Procedure codes", None),
+            ),
+        )
+        assert ingest_resource(spec).records[0].category is Category.PROCEDURE
+
+    def test_index_is_not_part_of_equality_or_repr(self):
+        rules = (ChapterRule("A", Category.CONDITION),)
+        a, b = (
+            ResourceSpec("R", "r.tsv", ResourceMode.CHAPTERED, 1, chapter_rules=rules)
+            for _ in range(2)
+        )
+        assert a == b
+        assert a.chapter_index == {"a": Category.CONDITION}
+        assert "chapter_index" not in repr(a)
 
 
 class TestFixtureMerge:

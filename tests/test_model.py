@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import re
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from medlex.model import (
 )
 
 TERM_TEXT = st.text(alphabet="abcæøå ABZ\t\n  ", min_size=0, max_size=30)
+UNICODE_SPACE = [c for c in map(chr, range(0x3001)) if re.fullmatch(r"\s", c)]
 
 
 class TestNormalizeTerm:
@@ -56,6 +61,21 @@ class TestNormalizeTerm:
             return len(out)
 
         assert distinct(True) <= distinct(False)
+
+    def test_split_breaks_at_exactly_the_regex_whitespace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        split_at = {c for c in every if len(f"a{c}a".split()) == 2}
+        assert split_at == set(re.findall(r"\s", every))
+
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(UNICODE_SPACE))))
+    def test_matches_regex_normalisation(self, raw):
+        for lowercase in (True, False):
+            expected = re.sub(r"\s+", " ", unicodedata.normalize("NFC", raw)).strip()
+            if not expected:
+                with pytest.raises(ValueError, match="empty term"):
+                    normalize_term(raw, lowercase)
+                continue
+            assert normalize_term(raw, lowercase) == (expected.lower() if lowercase else expected)
 
 
 class TestCategory:
