@@ -166,9 +166,6 @@ class ConfusionMatrix:
     def col_sums(self) -> tuple[int, ...]:
         return tuple(sum(row[j] for row in self.counts) for j in range(len(self.labels)))
 
-    def total(self) -> int:
-        return sum(self.row_sums())
-
     def to_csv(self) -> str:
         lines = ["gold\\pred," + ",".join(self.labels)]
         for label, row in zip(self.labels, self.counts):
@@ -183,20 +180,11 @@ class CategoryScore:
     pred_n: int
     gold_n: int
 
-    @property
-    def precision(self) -> float | None:
-        return None if self.pred_n == 0 else self.tp / self.pred_n
-
-    @property
-    def recall(self) -> float | None:
-        return None if self.gold_n == 0 else self.tp / self.gold_n
-
 
 @dataclass(frozen=True)
 class EvalReport:
     per_category: tuple[CategoryScore, ...]
     scored_n: int
-    matched_n: int
     accuracy_incl_other: tuple[int, int]  # matches, total over all gold terms
     accuracy_excl_other: tuple[int, int]  # matches, total over non-OTHER terms
 
@@ -297,11 +285,9 @@ def score(
         )
         for label, i in index.items()
     )
-    matched = sum(grid[i][i] for i in range(len(labels)))
     report = EvalReport(
         per_category=per_category,
         scored_n=len(scored),
-        matched_n=matched,
         accuracy_incl_other=(matches_all, total_all),
         accuracy_excl_other=(matches_all, total_non_other),
     )

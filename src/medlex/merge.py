@@ -9,8 +9,9 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, read_text, sniff_format, split_lines, write_text
@@ -91,8 +92,7 @@ class ResourceSpec:
         return "Multiple"
 
 
-@dataclass(frozen=True)
-class SourceRecord:
+class SourceRecord(NamedTuple):
     """One categorized term with its origin and trust."""
 
     term: str
@@ -114,8 +114,7 @@ class IngestResult:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class Correction:
+class Correction(NamedTuple):
     """A mapped-dictionary category overridden by a trusted resource."""
 
     term: str
@@ -375,7 +374,7 @@ def merge_lexicons(
             if group_sources is None:
                 group_sources = single[winner.source] = frozenset((winner.source,))
         else:
-            winner = min(group, key=_trust_rank)  # the earliest of the most trusted
+            winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
             rank, category = winner.trust_rank, winner.category
             if any(r.category is not category and r.trust_rank == rank for r in group):
                 conflicts += _equal_rank_conflicts(key, group, winner)
@@ -389,7 +388,7 @@ def merge_lexicons(
                         corrections.append(Correction(r.term, r.category, category, winner.source))
                         break
         records.append(
-            LexiconRecord(winner.term, key, winner.category, group_sources, winner.provenance)
+            LexiconRecord(winner.term, winner.category, group_sources, winner.provenance)
         )
 
     if conflicts:
@@ -416,10 +415,6 @@ def merge_lexicons(
         total=len(records),
     )
     return records, report
-
-
-def _trust_rank(record: SourceRecord) -> int:
-    return record.trust_rank
 
 
 def _equal_rank_conflicts(
@@ -481,16 +476,16 @@ def render_lexicon(records: Sequence[LexiconRecord], fmt: str = "tsv") -> str:
     # Records share their sources sets, so each distinct set is sorted once.
     sorted_sources: dict[frozenset[str], list[str]] = {}
     lines = [] if fmt == "jsonl" else ["term\tcategory\tsources\tprovenance"]
-    for r in records:
-        names = sorted_sources.get(r.sources)
+    for term, category, sources, provenance in records:
+        names = sorted_sources.get(sources)
         if names is None:
-            names = sorted_sources[r.sources] = sorted(r.sources)
+            names = sorted_sources[sources] = sorted(sources)
         if fmt == "jsonl":
-            row = {"term": r.term, "category": r.category._value_, "sources": names,
-                   "provenance": r.provenance}
+            row = {"term": term, "category": category._value_, "sources": names,
+                   "provenance": provenance}
             lines.append(json.dumps(row, ensure_ascii=False))
         else:
-            lines.append("\t".join((r.term, r.category._value_, ",".join(names), r.provenance)))
+            lines.append("\t".join((term, category._value_, ",".join(names), provenance)))
     return "\n".join(lines) + "\n"
 
 

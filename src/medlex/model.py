@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Category(enum.Enum):
@@ -100,6 +101,12 @@ def normalize_term(raw: str, lowercase: bool = True) -> str:
     return text
 
 
+def fold(text: str) -> str:
+    """NFC, then lowercase, as ``normalize_term`` folds a term; table triggers,
+    list items and definition words are compared in this form."""
+    return unicodedata.normalize("NFC", text).lower()
+
+
 @dataclass(frozen=True)
 class Token:
     """One token of a definition with its universal POS tag."""
@@ -164,8 +171,7 @@ class Entry:
         return self.senses[0] if self.senses else None
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     """One strategy's category proposal for an entry.
 
     ``position`` is the character index of a containment match; it is
@@ -215,16 +221,10 @@ class MappingOutcome:
             raise ValueError(f"{self.entry_id}: ITER outcomes carry no votes")
 
 
-@dataclass(frozen=True)
-class LexiconRecord:
+class LexiconRecord(NamedTuple):
     """One merged, deduplicated row of the final lexicon."""
 
     term: str
-    normalized_term: str
     category: Category
-    sources: frozenset[str] = field(default_factory=frozenset)
-    provenance: str = ""
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.sources, frozenset):
-            object.__setattr__(self, "sources", frozenset(self.sources))
+    sources: frozenset[str]
+    provenance: str

@@ -277,6 +277,9 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
         if entry_id in seen:
             raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
         seen.add(entry_id)
+        # Outcome rows are tab-separated lines holding the id and the term.
+        if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
+            raise ParseError("ids must not contain tabs or newlines", str(p), lineno)
         if "\t" in term or "\n" in term or "\r" in term:
             raise ParseError("terms must not contain tabs or newlines", str(p), lineno)
         if not term.strip():
@@ -354,9 +357,9 @@ def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
 
 def format_votes(votes: Iterable[Vote]) -> str:
     parts = []
-    for v in votes:
-        pos = "-" if v.position is None else str(v.position)
-        parts.append(f"{v.strategy}:{v.category}:{v.trigger}:{pos}")
+    for strategy, category, trigger, position in votes:
+        pos = "-" if position is None else str(position)
+        parts.append(f"{strategy}:{category}:{trigger}:{pos}")
     return ";".join(parts)
 
 
@@ -415,11 +418,12 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
 
 def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """Outcome rows as ``write_outcomes`` writes them; every row must have
-    a term and pass ``MappingOutcome.validate``."""
+    a term and an id no earlier row has, and pass ``MappingOutcome.validate``."""
     p = Path(path)
     text = read_text(p, "outcomes")
     use = sniff_format(p)
     outcomes = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
@@ -442,5 +446,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
             outcome.validate()
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
+        if entry_id in seen:
+            raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
+        seen.add(entry_id)
         outcomes.append(outcome)
     return outcomes

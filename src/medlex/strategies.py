@@ -3,14 +3,13 @@ keyword in the term, and keyword match on the definition's first noun."""
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
 from .io import data_lines, read_text, split_lines
-from .model import Category, Strategy, Vote, parse_category
+from .model import Category, Strategy, Vote, fold, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
 # sequences over-generating false positives.
@@ -113,8 +112,11 @@ def _parse_table_rows(
             raise ParseError(
                 f"expected trigger<TAB>CATEGORY, got {len(cols)} columns", path, lineno
             )
-        # Folded as normalize_term folds terms, so an NFD trigger still matches.
-        trigger = unicodedata.normalize("NFC", cols[0]).strip().lower()
+        # Folded as terms are, so an NFD trigger still matches.
+        trigger = fold(cols[0]).strip()
+        # A vote is written as strategy:category:trigger:position, joined by ";".
+        if ":" in trigger or ";" in trigger:
+            raise ParseError(f"trigger {trigger!r} must not contain ':' or ';'", path, lineno)
         try:
             category = parse_category(cols[1])
         except ValueError as exc:

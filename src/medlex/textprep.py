@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
 from .io import data_lines, read_text, split_lines
-from .model import Token
+from .model import Token, fold
 
 log = logging.getLogger(__name__)
 
@@ -21,7 +22,9 @@ NOMINAL_TAGS = frozenset({"NOUN", "PROPN"})
 # Period-terminated short token, e.g. "plur." or "lat.".
 _ABBREV_PATTERN = re.compile(r"^\S{1,5}\.$")
 
-_WORD_OR_PUNCT = re.compile(r"\w+(?:-\w+)*|[^\w\s]+")
+# Combining diacritical marks (U+0300-U+036F) are not \w, but they belong to
+# the letter before them, so a word written in NFD stays one token.
+_WORD_OR_PUNCT = re.compile(r"\w[\w\u0300-\u036f]*(?:-\w[\w\u0300-\u036f]*)*|[^\w\s]+")
 
 _SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
 
@@ -60,7 +63,7 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
     phrases: set[str] = set()
     abbrevs: set[str] = set()
     for lineno, line in data_lines(lines):
-        item = " ".join(line.lower().split())
+        item = " ".join(fold(line).split())
         parts = item.split(" ")
         if len(parts) == 2:
             phrases.add(item)
@@ -81,12 +84,12 @@ def load_stoplist(path: str | Path) -> StopConfig:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Plain word list, one item per line, ``#`` comments, lowercased."""
+    """Plain word list, one item per line, ``#`` comments, folded as terms are."""
     return parse_wordlist(split_lines(read_text(Path(path), "word list")))
 
 
 def parse_wordlist(lines: Iterable[str]) -> frozenset[str]:
-    return frozenset(line.strip().lower() for _, line in data_lines(lines))
+    return frozenset(fold(line).strip() for _, line in data_lines(lines))
 
 
 def ingest_conllu(
@@ -162,20 +165,21 @@ def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[
 
     Whitespace and punctuation tokenization; short period-terminated
     tokens stay whole. Function words, abbreviation-shaped tokens and
-    bare punctuation get tag X, everything else NOUN. Callers must flag
+    bare punctuation get tag X, everything else NOUN; each token is judged
+    in its NFC form but cut from ``text`` as written. Callers must flag
     downstream output as heuristically tagged.
     """
     tokens: list[Token] = []
     # str.split() breaks at exactly the characters re's \s matches.
     for piece in text.split():
-        if _ABBREV_PATTERN.match(piece):
+        if piece.endswith(".") and _ABBREV_PATTERN.match(unicodedata.normalize("NFC", piece)):
             tokens.append(Token(piece, "X"))
             continue
         for m in _WORD_OR_PUNCT.finditer(piece):
             surface = m.group()
             if not any(ch.isalnum() for ch in surface):
                 upos = "X"
-            elif surface.lower() in function_words:
+            elif fold(surface) in function_words:
                 upos = "X"
             else:
                 upos = "NOUN"
@@ -184,7 +188,7 @@ def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[
 
 
 def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None:
-    """First semantically loaded noun of a definition, lowercased.
+    """First semantically loaded noun of a definition, folded as terms are.
 
     Scans left to right skipping configured abbreviations, stop nouns
     and nouns heading a stop phrase; absence of a noun is a valid
@@ -192,15 +196,13 @@ def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None
     """
     toks = list(tokens)
     for i, tok in enumerate(toks):
-        surface = tok.surface.lower()
-        if surface in stops.abbreviations:
-            continue
         if tok.upos not in NOMINAL_TAGS:
             continue
-        if surface in stops.stop_nouns:
+        surface = fold(tok.surface)
+        if surface in stops.abbreviations or surface in stops.stop_nouns:
             continue
         if i + 1 < len(toks):
-            pair = f"{surface} {toks[i + 1].surface.lower()}"
+            pair = f"{surface} {fold(toks[i + 1].surface)}"
             if pair in stops.stop_phrases:
                 continue
         return surface

@@ -128,6 +128,27 @@ class TestCmdMap:
         assert code == 3 and stdout == ""
         assert stderr == f"lint error: {table}: duplicate keyword 'blåsebelg'\n"
 
+    @pytest.mark.parametrize("text_form, list_form", [("NFD", "NFC"), ("NFC", "NFD")])
+    def test_definitions_and_lists_fold_like_terms(self, capsys, tmp_path, text_form, list_form):
+        def write(name, text, form):
+            path = tmp_path / name
+            path.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+            return str(path)
+
+        # "form" heads the stop phrase "form på", "på" is a function word and
+        # "måte" a stop noun, so the first noun is "blåsebelg" only if each
+        # is compared in one Unicode form.
+        argv = [
+            "map",
+            "--dict", write("d.tsv", "e1\tapparat\tform på måte blåsebelg til luft\n", text_form),
+            "--keywords", write("kw.tsv", "blåsebelg\tTOOL\n", list_form),
+            "--stops", write("stops.txt", "form på\nmåte\n", list_form),
+            "--function-words", write("fw.txt", "på\ntil\n", list_form),
+        ]
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0
+        assert stdout.splitlines()[1] == "e1\tapparat\tTOOL\tKW_1N\tKW_1N:TOOL:blåsebelg:-"
+
     def test_lax_demotes_lint_to_warning(self, capsys, tmp_path):
         table = tmp_path / "suffixes.tsv"
         table.write_text("graf\tTOOL\ntograf\tPROCEDURE\n", encoding="utf-8")
@@ -508,14 +529,14 @@ class TestCmdEval:
             main(["map", "--dict", str(dict_file), "--threads", "0"])
 
 
-def run_module(argv):
+def run_module(argv, **env):
     src = str(Path(medlex.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "medlex", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -543,3 +564,45 @@ class TestConsoleEntryPoint:
         assert quiet.stderr == heuristic
         assert verbose.stderr == note + heuristic
         assert quiet.stdout == verbose.stdout
+
+
+def fixture_job(data, out):
+    """The fixture job's commands, writing under ``out``: map in both outcome
+    formats, merge each, and the three eval protocols."""
+    mapped = {fmt: str(out / f"mapped.{fmt}") for fmt in ("tsv", "jsonl")}
+    manifest = str(data / "manifest.json")
+    return [
+        *(
+            ["map", "--dict", str(data / "dict_50.tsv"), "--conllu", str(data / "dict_50.conllu"),
+             "--out", mapped[fmt]]
+            for fmt in ("tsv", "jsonl")
+        ),
+        ["merge", "--manifest", manifest, "--mapped", mapped["tsv"], "--lowercase",
+         "--out", str(out / "lexicon.tsv")],
+        ["merge", "--manifest", manifest, "--mapped", mapped["jsonl"],
+         "--out", str(out / "lexicon.jsonl")],
+        ["eval", "overlap", "--mapped", mapped["tsv"], "--manifest", manifest],
+        ["eval", "gold", "--gold", str(data / "gold.tsv"), "--mapped", mapped["jsonl"],
+         "--merge-labels", "ORG+SER", "--matrix-out", str(out / "matrix.csv"),
+         "--report-tsv", str(out / "report.tsv")],
+        ["eval", "sample", "--mapped", mapped["tsv"], "--quota", "3", "--seed", "7"],
+    ]
+
+
+class TestHashOrder:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, data_dir):
+        # Lexicon sources are frozensets, whose iteration order follows
+        # string hashing, which PYTHONHASHSEED changes per process.
+        runs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            out.mkdir()
+            printed = []
+            for argv in fixture_job(data_dir, out):
+                proc = run_module(argv, PYTHONHASHSEED=seed)
+                assert proc.returncode == 0, proc.stderr
+                printed.append((proc.stdout, proc.stderr))
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert len(files) == 6
+            runs.append((printed, files))
+        assert runs[0] == runs[1]

@@ -6,6 +6,7 @@ import pytest
 
 from medlex.errors import GoldCoverageError, ParseError
 from medlex.evaluate import (
+    format_eval_tsv,
     overlap_eval,
     parse_merge_groups,
     pct1,
@@ -206,19 +207,21 @@ class TestScore:
         report, matrix = score(gold, dict(gold))
         for s in report.per_category:
             if s.gold_n:
-                assert s.precision == 1.0 and s.recall == 1.0
-        assert report.matched_n == report.scored_n == 12
-        assert matrix.total() == 12
+                assert s.tp == s.pred_n == s.gold_n
+        assert report.micro_precision == (12, 12)
+        assert report.scored_n == 12
+        assert sum(matrix.row_sums()) == 12
 
     def test_small_example_counts(self):
         report, _ = score(GOLD3, PRED3)
         by_label = {s.label: s for s in report.per_category}
         cond, phys = by_label["CONDITION"], by_label["PHYSIOLOGY"]
         assert (cond.tp, cond.pred_n, cond.gold_n) == (1, 1, 2)
-        assert cond.precision == 1.0 and cond.recall == 0.5
         assert (phys.tp, phys.pred_n, phys.gold_n) == (1, 2, 1)
-        assert phys.precision == 0.5 and phys.recall == 1.0
-        assert (report.matched_n, report.scored_n) == (2, 3)
+        rows = {line.split("\t")[0]: line for line in format_eval_tsv(report).splitlines()}
+        assert rows["CONDITION"] == "CONDITION\t1\t1\t2\t1.000\t0.500"
+        assert rows["PHYSIOLOGY"] == "PHYSIOLOGY\t1\t2\t1\t0.500\t1.000"
+        assert (report.micro_precision[0], report.scored_n) == (2, 3)
 
     def test_small_example_matches_oracle(self):
         report, matrix = score(GOLD3, PRED3)
@@ -242,7 +245,7 @@ class TestScore:
         }
         groups = parse_merge_groups("ORG+SER")
         report, _ = score(gold, predicted, merge_groups=groups)
-        assert report.matched_n == 3  # cross-labels count as correct
+        assert report.micro_precision[0] == 3  # cross-labels count as correct
 
         # equivalence: relabel inputs explicitly, score without groups
         def relabel(c):
@@ -252,7 +255,7 @@ class TestScore:
             {t: relabel(c) for t, c in gold.items()},
             {t: relabel(c) for t, c in predicted.items()},
         )
-        assert relabeled_report.matched_n == report.matched_n
+        assert relabeled_report.micro_precision[0] == report.micro_precision[0]
         assert relabeled_report.scored_n == report.scored_n
 
     def test_other_included_vs_excluded(self):

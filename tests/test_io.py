@@ -114,6 +114,35 @@ def dictionary_integer_too_long(tmp, data):
     return ["map", "--dict", d], f"{d}:1: bad JSON"
 
 
+def dictionary_id_with_tab(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e1", "term": "kniv"}\n{"id": "e\\t2", "term": "sag"}\n')
+    return ["map", "--dict", d], f"{d}:2: ids must not contain tabs or newlines"
+
+
+def dictionary_id_with_line_break(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e\\r\\n1", "term": "kniv"}\n')
+    return ["map", "--dict", d], f"{d}:1: ids must not contain tabs or newlines"
+
+
+def keyword_with_colon(tmp, data):
+    kw = put(tmp / "kw.tsv", "# keywords\nab:cde\tTOOL\n")
+    d = put(tmp / "d.tsv", "e1\tkniv\tab:cde\n")
+    return ["map", "--dict", d, "--keywords", kw], f"{kw}:2: trigger 'ab:cde' must not contain"
+
+
+def suffix_with_semicolon(tmp, data):
+    sf = put(tmp / "sf.tsv", "-emi\tCONDITION\n-i;tis\tCONDITION\n")
+    d = put(tmp / "d.tsv", "e1\tartri;tis\tbetennelse\n")
+    return ["map", "--dict", d, "--suffixes", sf], f"{sf}:2: trigger '-i;tis' must not contain"
+
+
+def outcomes_duplicate_id(tmp, data):
+    rows = ["e1\tkniv\tTOOL\tITER\t", "e2\tsag\tTOOL\tITER\t", "e1\tkniv\tTOOL\tITER\t"]
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "\n".join(rows) + "\n")
+    argv = ["eval", "sample", "--mapped", mapped, "--quota", "5", "--seed", "1"]
+    return argv, f"{mapped}:4: duplicate entry id 'e1'"
+
+
 def merge_args(tmp, data, mapped):
     return ["merge", "--manifest", str(data / "manifest.json"), "--mapped", mapped,
             "--out", str(tmp / "lex.tsv")]
@@ -198,11 +227,16 @@ def manifest_layout_list(tmp, data):
         dictionary_boolean_id,
         dictionary_number_term,
         dictionary_integer_too_long,
+        dictionary_id_with_tab,
+        dictionary_id_with_line_break,
+        keyword_with_colon,
+        suffix_with_semicolon,
         outcomes_string_line,
         outcomes_list_id,
         outcomes_null_term,
         outcomes_blank_term,
         outcomes_iter_with_votes,
+        outcomes_duplicate_id,
         gold_empty_term,
         conllu_empty_form,
         manifest_layout_list,

@@ -220,7 +220,7 @@ class TestMergeLexicons:
             source("alfa", Category.CONDITION),
         )
         records, _ = merge_lexicons(None, [res])
-        assert [r.normalized_term for r in records] == ["alfa", "zebra"]
+        assert [r.term for r in records] == ["alfa", "Zebra"]
 
     def test_provenance_of_winner_kept(self):
         votes = (
@@ -331,16 +331,16 @@ def reference_normalize(raw, lowercase=True):
 
 
 def reference_merge(mapped, resources, lowercase=True):
-    """Returns (records, report fields, conflicts, dropped); ``dropped``
-    lists (term, earliest category, dropped category, source). The merge
-    is refused if there are conflicts."""
+    """Returns (records, their keys, report fields, conflicts, dropped);
+    ``dropped`` lists (term, earliest category, dropped category, source).
+    The merge is refused if there are conflicts."""
     sources = ([mapped] if mapped is not None else []) + list(resources)
     mapped_name = mapped.name if mapped is not None else None
     groups = {}
     for result in sources:
         for record in result.records:
             groups.setdefault(reference_normalize(record.term, lowercase), []).append(record)
-    conflicts, dropped, corrections, records, pair_counts = [], [], [], [], {}
+    conflicts, dropped, corrections, records, keys, pair_counts = [], [], [], [], [], {}
     for key in sorted(groups):
         group = groups[key]
         best_rank = min(r.trust_rank for r in group)
@@ -373,12 +373,12 @@ def reference_merge(mapped, resources, lowercase=True):
         records.append(
             LexiconRecord(
                 term=winner.term,
-                normalized_term=key,
                 category=winner.category,
                 sources=frozenset(group_sources),
                 provenance=winner.provenance,
             )
         )
+        keys.append(key)
     category_counts = {}
     for record in records:
         category_counts[str(record.category)] = category_counts.get(str(record.category), 0) + 1
@@ -389,7 +389,7 @@ def reference_merge(mapped, resources, lowercase=True):
         category_counts,
         len(records),
     )
-    return records, report, conflicts, dropped
+    return records, keys, report, conflicts, dropped
 
 
 def reference_render(records, fmt):
@@ -466,7 +466,7 @@ class TestMergeOracle:
         captured = _Captured()
         logger = logging.getLogger("medlex.merge")
         logger.addHandler(captured)
-        want_records, want_report, conflicts, dropped = reference_merge(
+        want_records, want_keys, want_report, conflicts, dropped = reference_merge(
             mapped, resources, lowercase
         )
         try:
@@ -482,6 +482,7 @@ class TestMergeOracle:
         if conflicts:
             return
         assert records == want_records
+        assert [normalize_term(r.term, lowercase) for r in records] == want_keys
         got_report = (
             report.resource_counts,
             report.overlap_pairs,
@@ -582,12 +583,12 @@ class TestFixtureMerge:
 
     def test_no_duplicate_normalized_terms(self, merged):
         (records, _), _ = merged
-        keys = [r.normalized_term for r in records]
+        keys = [normalize_term(r.term, True) for r in records]
         assert len(keys) == len(set(keys))
 
     def test_conservation_every_kept_record_lands_exactly_once(self, merged, fixture_outcomes):
         (records, _), resources = merged
-        by_key = {r.normalized_term: r for r in records}
+        by_key = {normalize_term(r.term, True): r for r in records}
         mo = mapped_records(fixture_outcomes)
         for res in [mo] + resources:
             for rec in res.records:
@@ -603,13 +604,14 @@ class TestFixtureMerge:
             for rec in res.records:
                 all_records.setdefault(normalize_term(rec.term, True), []).append(rec)
         for out in records:
-            group = all_records[out.normalized_term]
+            key = normalize_term(out.term, True)
+            group = all_records[key]
             best = min(r.trust_rank for r in group)
             for rec in group:
                 if rec.trust_rank < best or (
                     rec.trust_rank == best and rec.category is not out.category
                 ):
-                    pytest.fail(f"trust dominance violated for {out.normalized_term}")
+                    pytest.fail(f"trust dominance violated for {key}")
 
     def test_expected_corrections(self, merged):
         (_, report), _ = merged

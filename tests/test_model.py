@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from medlex.merge import Correction, SourceRecord
 from medlex.model import (
     ASSIGNABLE_CATEGORIES,
     Category,
     Definition,
     Entry,
+    LexiconRecord,
     MappingOutcome,
     Provenance,
     Strategy,
@@ -190,3 +192,40 @@ class TestMappingOutcomeInvariants:
             MappingOutcome(
                 "e", "t", Category.CONDITION, Provenance.ITER, (_vote(),)
             ).validate()
+
+
+# The plain row types, each built positionally, with its fields in order.
+ROWS = [
+    (Vote(Strategy.KW_E, Category.TOOL, "kniv", 3), ("strategy", "category", "trigger", "position")),
+    (
+        SourceRecord("kniv", Category.TOOL, "ICD-10", "ICD-10", 1),
+        ("term", "category", "source", "provenance", "trust_rank"),
+    ),
+    (
+        LexiconRecord("kniv", Category.TOOL, frozenset({"MO"}), "KW_E"),
+        ("term", "category", "sources", "provenance"),
+    ),
+    (
+        Correction("kniv", Category.TOOL, Category.SUBSTANCE, "ATC"),
+        ("term", "old_category", "new_category", "resource"),
+    ),
+]
+
+ROW_IDS = [type(row).__name__ for row, _ in ROWS]
+
+
+class TestPlainRows:
+    @pytest.mark.parametrize("row, fields", ROWS, ids=ROW_IDS)
+    def test_fields_in_order_and_read_by_name(self, row, fields):
+        assert [getattr(row, name) for name in fields] == list(row)
+
+    @pytest.mark.parametrize("row, fields", ROWS, ids=ROW_IDS)
+    def test_attribute_assignment_rejected(self, row, fields):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+        with pytest.raises(AttributeError):
+            row.extra = None
+
+    def test_vote_position_defaults_to_none(self):
+        assert Vote(Strategy.SUFF, Category.CONDITION, "emi").position is None

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import io
 import logging
+import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from medlex.errors import ParseError
-from medlex.model import Definition, Token
+from medlex.model import Definition, Token, fold
 from medlex.textprep import (
     StopConfig,
     extract_first_noun,
@@ -114,6 +115,17 @@ class TestHeuristicTag:
     def test_tokens_align_with_text(self):
         text = "form av anemi, akutt\u2028lat. x-y--z_ ¶"
         Definition(text, tuple(heuristic_tag(text, frozenset({"av"}))))
+
+    @given(st.text(alphabet="påaeéö. ,-", max_size=40))
+    def test_nfd_text_tags_as_its_nfc_form(self, text):
+        words = frozenset({"på", "é"})
+        nfd = unicodedata.normalize("NFD", text)
+        tokens = heuristic_tag(nfd, words)
+        Definition(nfd, tuple(tokens))
+        nfc_tokens = heuristic_tag(unicodedata.normalize("NFC", text), words)
+        assert [(fold(t.surface), t.upos) for t in tokens] == [
+            (fold(t.surface), t.upos) for t in nfc_tokens
+        ]
 
     def test_punctuation_not_tagged_noun(self):
         tokens = heuristic_tag("anemi, akutt", frozenset())
