@@ -13,6 +13,9 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import ParseError
 
+# The scanner json.loads uses, with its default settings.
+_scan_value = json.JSONDecoder().scan_once
+
 
 def sniff_format(path: str | Path, fmt: str | None = None) -> str:
     """``fmt`` when given, else ``jsonl`` or ``tsv`` from the file suffix."""
@@ -66,6 +69,16 @@ def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
     """One JSON-lines row, which must be a JSON object."""
+    # The usual row, one object with nothing around it, goes straight to the
+    # scanner json.loads ends in. Any other line goes through json.loads,
+    # which also allows surrounding whitespace and words the errors.
+    if line.startswith("{"):
+        try:
+            obj, end = _scan_value(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(line):
+            return obj
     try:
         obj = json.loads(line)
     # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.

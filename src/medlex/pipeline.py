@@ -4,9 +4,9 @@ serializes outcomes."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -128,7 +128,7 @@ def map_dictionary(
             if key not in index:
                 index[key] = outcome.category
             elif index[key] is not outcome.category and key not in warned:
-                log.warning(
+                log.info(
                     "term %r mapped to both %s and %s; ITER uses the earliest",
                     key,
                     index[key],
@@ -147,6 +147,12 @@ def map_dictionary(
                 changed = True
         if not changed:
             break
+    if warned:
+        log.warning(
+            "%d term(s) mapped to more than one category; ITER uses the earliest "
+            "of each (listed at INFO level, -v)",
+            len(warned),
+        )
 
     for outcome in outcomes:
         outcome.validate()
@@ -356,11 +362,15 @@ def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
 
 
 def format_votes(votes: Iterable[Vote]) -> str:
-    parts = []
-    for strategy, category, trigger, position in votes:
-        pos = "-" if position is None else str(position)
-        parts.append(f"{strategy}:{category}:{trigger}:{pos}")
-    return ";".join(parts)
+    # _value_ is the label str() gives, read without calling the enum's
+    # Python-level __str__ (as in merge.render_lexicon).
+    return ";".join(
+        [
+            f"{strategy._value_}:{category._value_}:{trigger}:"
+            f"{'-' if position is None else position}"
+            for strategy, category, trigger, position in votes
+        ]
+    )
 
 
 def parse_votes(text: str) -> tuple[Vote, ...]:
@@ -384,27 +394,29 @@ def parse_votes(text: str) -> tuple[Vote, ...]:
 
 
 def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str:
-    lines = []
     if fmt == "jsonl":
+        # The bytes json.dumps(row, ensure_ascii=False) writes for the row
+        # {"id", "term", "category", "provenance", "votes"}: the same string
+        # encoder, key order and separators, without building a dict per row.
+        # Labels are ASCII identifiers, which the encoder leaves as they are.
+        enc = encode_basestring
+        lines = []
         for o in outcomes:
-            obj = {
-                "id": o.entry_id,
-                "term": o.term,
-                "category": str(o.category) if o.category else None,
-                "provenance": str(o.provenance),
-                "votes": format_votes(o.votes),
-            }
-            lines.append(json.dumps(obj, ensure_ascii=False))
+            category = "null" if o.category is None else f'"{o.category._value_}"'
+            lines.append(
+                f'{{"id": {enc(o.entry_id)}, "term": {enc(o.term)}, "category": {category}, '
+                f'"provenance": "{o.provenance._value_}", "votes": {enc(format_votes(o.votes))}}}'
+            )
     else:
-        lines.append("\t".join(OUTCOME_HEADER))
+        lines = ["\t".join(OUTCOME_HEADER)]
         for o in outcomes:
             lines.append(
                 "\t".join(
                     (
                         o.entry_id,
                         o.term,
-                        str(o.category) if o.category else "",
-                        str(o.provenance),
+                        "" if o.category is None else o.category._value_,
+                        o.provenance._value_,
                         format_votes(o.votes),
                     )
                 )
@@ -418,36 +430,55 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
 
 def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """Outcome rows as ``write_outcomes`` writes them; every row must have
-    a term and an id no earlier row has, and pass ``MappingOutcome.validate``."""
+    a term and an id no earlier row has, and pass ``MappingOutcome.validate``.
+
+    Votes come from K-row tables, so (category, provenance, votes) texts
+    repeat across rows: each distinct one is parsed and validated once, and
+    later rows with the same text reuse the values.
+    """
     p = Path(path)
+    where = str(p)
     text = read_text(p, "outcomes")
-    use = sniff_format(p)
+    jsonl = sniff_format(p) == "jsonl"
     outcomes = []
     seen: set[str] = set()
+    # (category, provenance, votes) text -> their values, for texts that
+    # have passed validate(); the checks do not depend on the id or term.
+    checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
         try:
-            if use == "jsonl":
-                obj = json_object(raw, str(p), lineno)
-                cols = [*_json_id_term(obj, str(p), lineno), str(obj.get("category") or ""),
-                        str(obj["provenance"]), str(obj.get("votes", ""))]
+            if jsonl:
+                obj = json_object(raw, where, lineno)
+                entry_id, term = obj.get("id"), obj.get("term")
+                if type(entry_id) is not str or type(term) is not str:
+                    entry_id, term = _json_id_term(obj, where, lineno)
+                category = str(obj.get("category") or "")
+                provenance = str(obj["provenance"])
+                votes = str(obj.get("votes", ""))
             else:
-                if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
-                    continue
                 cols = raw.split("\t")
+                if lineno == 1 and cols[:2] == ["id", "term"]:
+                    continue
                 if len(cols) != 5:
                     raise ValueError(f"expected 5 columns, got {len(cols)}")
-            entry_id, term, category, provenance, votes = cols
+                entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
-            outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
-                                     Provenance[provenance], parse_votes(votes))
-            outcome.validate()
+            key = (category, provenance, votes)
+            values = checked.get(key)
+            if values is None:
+                outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
+                                         Provenance[provenance], parse_votes(votes))
+                outcome.validate()
+                checked[key] = (outcome.category, outcome.provenance, outcome.votes)
+            else:
+                outcome = MappingOutcome(entry_id, term, *values)
         except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
+            raise ParseError(f"bad outcome row: {exc}", where, lineno) from None
         if entry_id in seen:
-            raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
+            raise ParseError(f"duplicate entry id {entry_id!r}", where, lineno)
         seen.add(entry_id)
         outcomes.append(outcome)
     return outcomes

@@ -18,11 +18,14 @@ MIN_CONTAINED_KEYWORD_LEN = 5
 
 def _index(entries: tuple[tuple[str, Category], ...], kind: str) -> dict[str, Category]:
     """Trigger -> category lookup; raises ValueError on an empty or
-    repeated trigger."""
+    repeated trigger, or one that is not in the folded form terms are
+    compared in."""
     index: dict[str, Category] = {}
     for trigger, category in entries:
         if not trigger:
             raise ValueError(f"empty {kind}")
+        if trigger != fold(trigger):
+            raise ValueError(f"{kind} {trigger!r} is not folded (NFC, then lowercase)")
         if trigger in index:
             raise ValueError(f"duplicate {kind} {trigger!r}")
         index[trigger] = category
@@ -36,7 +39,7 @@ def _lengths_longest_first(triggers: Iterable[str], minimum: int = 1) -> tuple[i
 @dataclass(frozen=True)
 class SuffixTable:
     """Suffix -> category mapping; suffixes are stored without the
-    leading dash and must be unique.
+    leading dash, folded (``model.fold``), and must be unique.
 
     ``index`` and ``lengths`` are derived from ``entries`` once, so a
     vote costs one lookup per distinct suffix length; equality, hashing
@@ -74,7 +77,7 @@ class SuffixTable:
 
 @dataclass(frozen=True)
 class KeywordTable:
-    """Keyword -> category mapping; keywords unique and lowercase.
+    """Keyword -> category mapping; keywords unique and folded (``model.fold``).
 
     ``index`` serves exact matches; ``contained_lengths`` lists the
     distinct lengths of keywords long enough to fire by containment,

@@ -31,7 +31,8 @@ _SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
 
 @dataclass(frozen=True)
 class StopConfig:
-    """Filters applied before picking a definition's first noun."""
+    """Filters applied before picking a definition's first noun. Items are
+    compared with folded words, so each must be folded (``model.fold``)."""
 
     stop_nouns: frozenset[str] = frozenset()
     stop_phrases: frozenset[str] = frozenset()
@@ -43,8 +44,8 @@ class StopConfig:
             if not isinstance(value, frozenset):
                 object.__setattr__(self, name, frozenset(value))
         for item in self.stop_nouns | self.stop_phrases | self.abbreviations:
-            if item != item.lower():
-                raise ValueError(f"stoplist entries must be lowercase: {item!r}")
+            if item != fold(item):
+                raise ValueError(f"stoplist entries must be folded (NFC, then lowercase): {item!r}")
         for phrase in self.stop_phrases:
             if len(phrase.split()) != 2:
                 raise ValueError(
@@ -75,7 +76,10 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
             abbrevs.add(item)
         else:
             nouns.add(item)
-    return StopConfig(frozenset(nouns), frozenset(phrases), frozenset(abbrevs))
+    try:
+        return StopConfig(frozenset(nouns), frozenset(phrases), frozenset(abbrevs))
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
 
 
 def load_stoplist(path: str | Path) -> StopConfig:

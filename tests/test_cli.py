@@ -565,6 +565,35 @@ class TestConsoleEntryPoint:
         assert verbose.stderr == note + heuristic
         assert quiet.stdout == verbose.stdout
 
+    def test_iter_homographs_warn_once_and_list_at_info(self, tmp_path):
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text(
+            "e1\tlege\tsykdom i blodet\n"
+            "e2\tlege\tskalpell til kirurgi\n"
+            "e3\ttang\tskalpell for kirurgi\n"
+            "e4\ttang\tsykdom i huden\n"
+            "e5\tbarnelege\tlege for barn\n",
+            encoding="utf-8",
+        )
+        table = tmp_path / "keywords.tsv"
+        table.write_text("sykdom\tCONDITION\nskalpell\tTOOL\n", encoding="utf-8")
+        argv = ["map", "--dict", str(dict_file), "--keywords", str(table)]
+        heuristic = "WARNING: one or more definitions were tagged heuristically\n"
+        listed = (
+            "INFO: term 'lege' mapped to both CONDITION and TOOL; ITER uses the earliest\n"
+            "INFO: term 'tang' mapped to both TOOL and CONDITION; ITER uses the earliest\n"
+        )
+        summary = (
+            "WARNING: 2 term(s) mapped to more than one category; ITER uses the earliest "
+            "of each (listed at INFO level, -v)\n"
+        )
+        quiet, verbose = run_module(argv), run_module([*argv, "-v"])
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == heuristic + summary
+        assert verbose.stderr == heuristic + listed + summary
+        assert quiet.stdout == verbose.stdout
+        assert quiet.stdout.splitlines()[-1] == "e5\tbarnelege\tCONDITION\tITER\t"
+
 
 def fixture_job(data, out):
     """The fixture job's commands, writing under ``out``: map in both outcome

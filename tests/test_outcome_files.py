@@ -1,0 +1,463 @@
+"""Outcome files: the reader and writer against the plain per-row codec
+they replaced, and the map -> merge/eval contract on generated inputs."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from medlex.cli import main
+from medlex.defaults import default_function_words, default_stops
+from medlex.errors import ParseError
+from medlex.model import (
+    Category,
+    MappingOutcome,
+    Provenance,
+    Strategy,
+    Vote,
+    fold,
+    normalize_term,
+    parse_category,
+)
+from medlex.pipeline import (
+    _json_id_term,
+    attach_tokens,
+    map_dictionary,
+    parse_votes,
+    read_dictionary,
+    read_outcomes,
+    render_outcomes,
+    resolve_synonyms,
+    resolve_votes,
+)
+from medlex.strategies import parse_keyword_table, parse_suffix_table
+
+# ---------------------------------------------------------------------------
+# Oracles: the codec as it was before each distinct (category, provenance,
+# votes) text was parsed once and rows were written without json.dumps.
+
+
+def oracle_json_object(line, path, lineno):
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}", path, lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path, lineno)
+    return obj
+
+
+def oracle_read(path):
+    p = Path(path)
+    text = p.read_bytes().decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = lines[:-1] if lines[-1] == "" else lines
+    use = "jsonl" if p.suffix == ".jsonl" else "tsv"
+    outcomes = []
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            if use == "jsonl":
+                obj = oracle_json_object(raw, str(p), lineno)
+                cols = [*_json_id_term(obj, str(p), lineno), str(obj.get("category") or ""),
+                        str(obj["provenance"]), str(obj.get("votes", ""))]
+            else:
+                if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
+                    continue
+                cols = raw.split("\t")
+                if len(cols) != 5:
+                    raise ValueError(f"expected 5 columns, got {len(cols)}")
+            entry_id, term, category, provenance, votes = cols
+            if not term.strip():
+                raise ValueError("empty term")
+            outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
+                                     Provenance[provenance], parse_votes(votes))
+            outcome.validate()
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
+        if entry_id in seen:
+            raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
+        seen.add(entry_id)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def oracle_format_votes(votes):
+    parts = []
+    for strategy, category, trigger, position in votes:
+        pos = "-" if position is None else str(position)
+        parts.append(f"{strategy}:{category}:{trigger}:{pos}")
+    return ";".join(parts)
+
+
+def oracle_render(outcomes, fmt="tsv"):
+    lines = []
+    if fmt == "jsonl":
+        for o in outcomes:
+            obj = {
+                "id": o.entry_id,
+                "term": o.term,
+                "category": str(o.category) if o.category else None,
+                "provenance": str(o.provenance),
+                "votes": oracle_format_votes(o.votes),
+            }
+            lines.append(json.dumps(obj, ensure_ascii=False))
+    else:
+        lines.append("\t".join(("id", "term", "category", "provenance", "votes")))
+        for o in outcomes:
+            lines.append("\t".join((o.entry_id, o.term, str(o.category) if o.category else "",
+                                    str(o.provenance), oracle_format_votes(o.votes))))
+    return "\n".join(lines) + "\n"
+
+
+def fields(outcomes):
+    return [(o.entry_id, o.term, o.category, o.provenance, o.votes) for o in outcomes]
+
+
+def outcome_or_error(read, path):
+    try:
+        return fields(read(path))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def both_readers(path):
+    """The reader's result next to the oracle's: rows, or the error text."""
+    return outcome_or_error(read_outcomes, path), outcome_or_error(oracle_read, path)
+
+
+# ---------------------------------------------------------------------------
+# Generated outcome rows
+
+# Non-ASCII text, JSON's escaped characters and line separators other than
+# CR and LF, which neither format breaks lines at.
+AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\x85", "å", "ø", "é", "\u0301",
+           "\U0001f600", "/", "<", " ", "\t"]
+TEXT = st.text(alphabet=st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(AWKWARD)),
+               max_size=8)
+# Few distinct ids, so duplicates come up.
+IDS = st.one_of(st.sampled_from(["e1", "e2", "e3", "7"]), TEXT)
+TRIGGERS = st.one_of(st.sampled_from(["sykdom", "emi", "blå"]),
+                     st.text(alphabet=st.characters(exclude_categories=("Cs",),
+                                                    exclude_characters=":;\t\r\n"),
+                             min_size=1, max_size=6))
+CATEGORIES = st.sampled_from([c for c in Category if c is not Category.OTHER])
+VOTE = st.builds(Vote, st.sampled_from(list(Strategy)), CATEGORIES, TRIGGERS,
+                 st.one_of(st.none(), st.integers(0, 30)))
+
+
+@st.composite
+def valid_outcomes(draw, id_text=IDS, term_text=TEXT):
+    """An outcome that passes validate(): resolved votes, ITER or UNMAPPED."""
+    term = draw(term_text.filter(str.strip))
+    kind = draw(st.sampled_from(["votes", "votes", "iter", "unmapped"]))
+    if kind == "iter":
+        return MappingOutcome(draw(id_text), term, draw(CATEGORIES), Provenance.ITER)
+    strategies = draw(st.lists(st.sampled_from(list(Strategy)), unique=True, max_size=3))
+    votes = tuple(Vote(s, draw(CATEGORIES), draw(TRIGGERS), draw(st.one_of(st.none(), st.integers(0, 30))))
+                  for s in strategies)
+    if kind == "unmapped":
+        votes = ()
+    category, provenance = resolve_votes(votes)
+    return MappingOutcome(draw(id_text), term, category, provenance, votes)
+
+
+CATEGORY_TEXT = st.sampled_from(["CONDITION", "TOOL", "microorganism", "ANAT-LOC", " PERSON ",
+                                 "OTHER", "", " ", "BOGUS"])
+PROVENANCE_TEXT = st.sampled_from([p.name for p in Provenance] + ["multi", "BOGUS", ""])
+VOTE_PART = st.one_of(
+    st.builds(lambda v: oracle_format_votes([v]), VOTE),
+    st.sampled_from(["SUFF:TOOL:kniv:-", "KW_E:CONDITION:sykdom:3", "KW_1N:OTHER:x:-",
+                     "SUFF:TOOL:kniv:x", "SUFF:TOOL:kniv: 4", "SUFF:TOOL", "SUFF:TOOL:a:b:c",
+                     "BOGUS:TOOL:kniv:-", "SUFF:BOGUS:kniv:-", "", ":::"]),
+)
+VOTES_TEXT = st.builds(";".join, st.lists(VOTE_PART, max_size=3))
+
+
+@st.composite
+def row_texts(draw):
+    """(id, term, category, provenance, votes) texts of one row: mostly
+    those of a valid outcome, some drawn at random, so that validate()
+    fails for MULTI, ITER and winning-strategy mismatches."""
+    if draw(st.integers(0, 2)):
+        o = draw(valid_outcomes())
+        return [o.entry_id, o.term, str(o.category) if o.category else "", str(o.provenance),
+                oracle_format_votes(o.votes)]
+    return [draw(IDS), draw(st.one_of(TEXT, st.sampled_from(["", " ", "\u2028"]))), draw(CATEGORY_TEXT),
+            draw(PROVENANCE_TEXT), draw(VOTES_TEXT)]
+
+
+@st.composite
+def tsv_lines(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append("id\tterm\tcategory\tprovenance\tvotes")
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        cols = draw(row_texts())
+        if kind == 0:
+            cols = cols[: draw(st.integers(0, 4))] + ([] if draw(st.booleans()) else ["x", "y"])
+        if kind == 1:
+            lines.append(draw(st.sampled_from(["", "   ", "id\tterm\tcategory\tprovenance\tvotes"])))
+            continue
+        lines.append("\t".join(cols))
+    return lines
+
+
+@st.composite
+def jsonl_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        entry_id, term, category, provenance, votes = draw(row_texts())
+        obj = {"id": entry_id, "term": term, "category": category or None,
+               "provenance": provenance, "votes": votes}
+        if kind == 0:
+            key = draw(st.sampled_from(sorted(obj)))
+            obj[key] = draw(st.sampled_from([None, 7, 0, True, [], {}, "", 1.5]))
+        if kind == 1:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        if kind == 2:
+            lines.append(draw(st.sampled_from(
+                ["", "  ", "[]", "1", "null", '"x"', "{", '{"id": "a"', "\ufeff{}", '{"id": "a"} x',
+                 '{"id": "a", "term": "b", "provenance": "ITER", "category": "TOOL"}  '])))
+            continue
+        items = list(obj.items())
+        if kind == 3:
+            items = draw(st.permutations(items))
+        line = json.dumps(dict(items), ensure_ascii=draw(st.booleans()))
+        if kind == 4:
+            line = draw(st.sampled_from([" ", "\t", ""])) + line
+        if kind == 5:
+            # A row split over two lines must not parse.
+            cut = draw(st.integers(1, len(line) - 1))
+            lines += [line[:cut], line[cut:]]
+            continue
+        if kind == 6:
+            # Text after the object: whitespace is allowed, anything else not.
+            line += draw(st.sampled_from([" ", "\t ", " x", "{}", "]", ",", "0"]))
+        lines.append(line)
+    return lines
+
+
+def write_and_compare(suffix, lines, end):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mapped{suffix}"
+        path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        got, want = both_readers(path)
+    assert got == want
+    return got
+
+
+class TestReaderAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tsv_lines(), st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_tsv(self, lines, end):
+        write_and_compare(".tsv", lines, end)
+
+    @settings(max_examples=300, deadline=None)
+    @given(jsonl_lines(), st.sampled_from(["\n", "\r\n"]))
+    def test_jsonl(self, lines, end):
+        write_and_compare(".jsonl", lines, end)
+
+    @pytest.mark.parametrize(
+        ("suffix", "lines", "error"),
+        [
+            (".tsv", ["e1\tt\tBOGUS\tKW_E\t"], "2: bad outcome row: unknown category label: 'BOGUS'"),
+            (".tsv", ["e1\tt\tTOOL\tBOGUS\t"], "2: bad outcome row: 'BOGUS'"),
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x"],
+             "2: bad outcome row: bad vote serialization: 'SUFF:TOOL:x'"),
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:y"],
+             "2: bad outcome row: invalid literal for int() with base 10: 'y'"),
+            (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-"],
+             "2: bad outcome row: e1: MULTI needs at least two votes"),
+            (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-;KW_E:SERVICE:y:1"],
+             "2: bad outcome row: e1: MULTI votes must all agree"),
+            (".tsv", ["e1\tt\tTOOL\tITER\tSUFF:TOOL:x:-"],
+             "2: bad outcome row: e1: ITER outcomes carry no votes"),
+            (".tsv", ["e1\tt\tTOOL\tKW_E\tSUFF:TOOL:x:-"],
+             "2: bad outcome row: e1: winning strategy KW_E missing from votes or category mismatch"),
+            (".tsv", ["e1\tt\t\tSUFF\tSUFF:TOOL:x:-"],
+             "2: bad outcome row: e1: category must be absent iff provenance is UNMAPPED"),
+            (".tsv", ["e1\t \tTOOL\tITER\t"], "2: bad outcome row: empty term"),
+            (".tsv", ["e1\tt\tTOOL\tITER"], "2: bad outcome row: expected 5 columns, got 4"),
+            (".tsv", ["e1\tt\tTOOL\tITER\t", "e1\tu\tTOOL\tITER\t"], "3: duplicate entry id 'e1'"),
+            (".tsv", ["e1\tt\tTOOL\tITER\t", "e2\tu\tTOOL\tITER\t", "e2\tu\tTOOL\tMULTI\t"],
+             "4: bad outcome row: e2: MULTI needs at least two votes"),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL", "provenance": "ITER"}',
+                        '{"id": "e2", "term": "t"'], "2: bad JSON: Expecting ',' delimiter"),
+            (".jsonl", ['{"id": "e1",', '"term": "t", "provenance": "ITER", "category": "TOOL"}'],
+             "1: bad JSON: Expecting property name enclosed in double quotes"),
+            (".jsonl", ['{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"} x'],
+             "1: bad JSON: Extra data"),
+            (".jsonl", ['{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}{}'],
+             "1: bad JSON: Extra data"),
+            (".jsonl", ['\ufeff{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}'],
+             "1: bad JSON: Unexpected UTF-8 BOM"),
+            (".jsonl", ["[1]"], "1: expected a JSON object, got list"),
+            (".jsonl", ['{"id": null, "term": "t"}'], '1: "id" must be a JSON string or integer, not null'),
+            (".jsonl", ['{"id": "e1", "term": 5}'], '1: "term" must be a JSON string, not int'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'], "1: bad outcome row: 'provenance'"),
+            (".jsonl", ['{"id": "e1", "term": "t", "provenance": "UNMAPPED", "votes": null}'],
+             "1: bad outcome row: bad vote serialization: 'None'"),
+        ],
+    )
+    def test_bad_rows_fail_as_before(self, suffix, lines, error):
+        if suffix == ".tsv":
+            lines = ["id\tterm\tcategory\tprovenance\tvotes", *lines]
+        got = write_and_compare(suffix, lines, "\n")
+        assert got.startswith("ParseError: ") and f"mapped{suffix}:{error}" in got
+
+    def test_whitespace_around_a_json_row_is_allowed(self):
+        row = '{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}'
+        got = write_and_compare(".jsonl", [f" {row}", f"\t{row.replace('e1', 'e2')} \t"], "\n")
+        assert [o[0] for o in got] == ["e1", "e2"]
+
+    def test_repeated_texts_give_equal_outcomes(self, tmp_path):
+        row = "\tTOOL\tMULTI\tSUFF:TOOL:kniv:-;KW_1N:TOOL:kniv:-"
+        path = tmp_path / "mapped.tsv"
+        path.write_text("".join(f"e{i}\tterm {i}{row}\n" for i in range(3)), encoding="utf-8")
+        got = read_outcomes(path)
+        assert got == oracle_read(path)
+        assert [o.entry_id for o in got] == ["e0", "e1", "e2"]
+        assert [o.term for o in got] == ["term 0", "term 1", "term 2"]
+
+
+class TestWriterAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(valid_outcomes(), max_size=6))
+    def test_render_is_byte_identical(self, outcomes):
+        for fmt in ("tsv", "jsonl"):
+            assert render_outcomes(outcomes, fmt) == oracle_render(outcomes, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(valid_outcomes(), max_size=6, unique_by=lambda o: o.entry_id))
+    def test_jsonl_round_trip_keeps_every_field(self, outcomes):
+        # JSON escapes tabs and line breaks, so any id and term survive.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mapped.jsonl"
+            path.write_text(render_outcomes(outcomes, "jsonl"), encoding="utf-8")
+            assert read_outcomes(path) == outcomes
+
+    def test_jsonl_row_shape(self):
+        outcomes = [
+            MappingOutcome("e\"1", "blå\u2028\\", None, Provenance.UNMAPPED),
+            MappingOutcome("e2", "x", Category.TOOL, Provenance.KW_1N,
+                           (Vote(Strategy.KW_1N, Category.TOOL, "kniv", 3),)),
+        ]
+        assert render_outcomes(outcomes, "jsonl") == (
+            '{"id": "e\\"1", "term": "blå\u2028\\\\", "category": null, "provenance": "UNMAPPED", '
+            '"votes": ""}\n'
+            '{"id": "e2", "term": "x", "category": "TOOL", "provenance": "KW_1N", '
+            '"votes": "KW_1N:TOOL:kniv:3"}\n'
+        )
+
+
+# ---------------------------------------------------------------------------
+# What map writes, merge and eval read
+
+# Nouns the tables can hold, and other words: function words, stop nouns
+# and awkward text. Triggers with ':' or ';' are refused at table parse.
+NOUNS = ["sykdom", "lege", "kniv", "blodet", "blåsebelg", "bla\u030asebelg", "leukemi", "Sykdom",
+         "røde", "kors"]
+WORDS = st.sampled_from(NOUNS + ["i", "av", "med", "til", "form", "a:b", "x;y", "\u2028", '"q"', "b\\s"])
+DEFINITION = st.builds(lambda first, rest: " ".join([first, *rest]).strip(),
+                       st.sampled_from(NOUNS + ["form av", "i", ""]), st.lists(WORDS, max_size=3))
+TERM = st.one_of(st.sampled_from(NOUNS), st.builds(" ".join, st.lists(WORDS, min_size=1, max_size=2)))
+ENTRY_IDS = st.sampled_from([f"e{i}" for i in range(12)] + ['a"b', "å\u2028", "x:y;z", "b\\s", "7", 7])
+
+
+@st.composite
+def map_inputs(draw):
+    """Keyword and suffix tables and a dictionary, in either format, with
+    homographs, synonym chains and entries ITER can reach."""
+    keywords = draw(st.lists(st.tuples(st.sampled_from(NOUNS), CATEGORIES), min_size=2, max_size=8,
+                             unique_by=lambda r: fold(r[0])))
+    suffixes = draw(st.lists(st.tuples(st.sampled_from(["emi", "oma", "ose", "lege", "belg"]), CATEGORIES),
+                             max_size=3, unique_by=lambda r: r[0]))
+    dict_fmt = draw(st.sampled_from(["tsv", "jsonl"]))
+    ids = draw(st.lists(ENTRY_IDS, min_size=1, max_size=12, unique_by=str))
+    if dict_fmt == "tsv":
+        ids = [str(i) for i in ids]
+    rows = []
+    for i, entry_id in enumerate(ids):
+        # Synonyms point back, so chains end.
+        synonym_of = str(draw(st.sampled_from(ids[:i]))) if i and draw(st.integers(0, 4)) == 0 else None
+        definition = "" if synonym_of else draw(DEFINITION)
+        rows.append((entry_id, draw(TERM), definition, synonym_of))
+    out_fmt = draw(st.sampled_from(["tsv", "jsonl"]))
+    return keywords, suffixes, rows, dict_fmt, out_fmt, draw(st.integers(0, 3))
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(map_inputs())
+def test_what_map_writes_merge_and_eval_read(inputs):
+    keywords, suffixes, rows, dict_fmt, out_fmt, iter_rounds = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "kw.tsv").write_text("".join(f"{k}\t{c}\n" for k, c in keywords), encoding="utf-8")
+        (d / "suf.tsv").write_text("".join(f"-{s}\t{c}\n" for s, c in suffixes), encoding="utf-8")
+        dict_file = d / f"dict.{dict_fmt}"
+        if dict_fmt == "tsv":
+            lines = ["\t".join([i, t, df] + ([s] if s else [])) for i, t, df, s in rows]
+        else:
+            lines = [json.dumps({"id": i, "term": t, "definition": df, "synonym_of": s})
+                     for i, t, df, s in rows]
+        dict_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        mapped = str(d / f"mapped.{out_fmt}")
+        code, err = run_quietly(["map", "--dict", str(dict_file), "--keywords", str(d / "kw.tsv"),
+                                 "--suffixes", str(d / "suf.tsv"), "--iter", str(iter_rounds),
+                                 "--out", mapped, "--lax"])
+        if code != 0:
+            assert code in (2, 3) and "Traceback" not in err
+            return
+        # The outcomes map computed, through the library calls cmd_map makes.
+        entries, _ = attach_tokens(read_dictionary(dict_file), None, default_function_words())
+        in_memory = map_dictionary(
+            resolve_synonyms(entries),
+            parse_suffix_table([f"-{s}\t{c}" for s, c in suffixes]),
+            parse_keyword_table([f"{k}\t{c}" for k, c in keywords]),
+            default_stops(),
+            iter_rounds,
+        )
+        outcomes = read_outcomes(mapped)
+        assert outcomes == in_memory
+
+        (d / "res.tsv").write_text("sykdom\tCONDITION\nkniv\tTOOL\n", encoding="utf-8")
+        (d / "manifest.json").write_text(json.dumps([{
+            "name": "RES", "file": "res.tsv", "mode": "PER_ENTRY", "trust_rank": 1,
+            "layout": {"term": 0, "category": 1}}]), encoding="utf-8")
+        predicted = {}
+        for o in outcomes:
+            if o.category is not None:
+                predicted.setdefault(normalize_term(o.term), (o.term, o.category))
+        # Every gold term has a prediction; a line starting with '#' is a comment.
+        gold = [f"{term}\t{category}\n" for term, category in predicted.values()
+                if not term.lstrip().startswith("#")]
+        (d / "gold.tsv").write_text("".join(gold), encoding="utf-8")
+        manifest = str(d / "manifest.json")
+        for argv in (
+            ["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(d / "lex.tsv")],
+            ["merge", "--manifest", manifest, "--mapped", mapped, "--lowercase",
+             "--out", str(d / "lex.jsonl")],
+            ["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            ["eval", "gold", "--gold", str(d / "gold.tsv"), "--mapped", mapped],
+            ["eval", "sample", "--mapped", mapped, "--quota", "2", "--seed", "1"],
+        ):
+            code, err = run_quietly(argv)
+            assert code == 0, (argv, err)

@@ -373,8 +373,8 @@ class TestOutcomeIO:
         path = tmp_path / "out.jsonl"
         write_outcomes(fixture_outcomes, path)
         back = read_outcomes(path)
-        assert [(o.entry_id, o.category, o.provenance) for o in back] == [
-            (o.entry_id, o.category, o.provenance) for o in fixture_outcomes
+        assert [(o.entry_id, o.term, o.category, o.provenance, o.votes) for o in back] == [
+            (o.entry_id, o.term, o.category, o.provenance, o.votes) for o in fixture_outcomes
         ]
 
     def test_vote_serialization_round_trip(self):

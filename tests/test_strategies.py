@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import LintError, ParseError
-from medlex.model import Category, Strategy
+from medlex.model import Category, Strategy, fold
 from medlex.strategies import (
     MIN_CONTAINED_KEYWORD_LEN,
     KeywordTable,
@@ -347,6 +347,18 @@ class TestTableParsing:
         with pytest.raises(LintError) as exc_info:
             parse(rows, path="t.tsv")
         assert str(exc_info.value) == f"t.tsv: duplicate {kind} 'blåsebelg'"
+
+    @pytest.mark.parametrize(("table", "kind"), [(KeywordTable, "keyword"), (SuffixTable, "suffix")])
+    @pytest.mark.parametrize(
+        "trigger", ["Sykdom", unicodedata.normalize("NFD", "blåsebelg")], ids=["upper", "NFD"]
+    )
+    def test_table_built_directly_rejects_unfolded_triggers(self, table, kind, trigger):
+        with pytest.raises(ValueError) as exc_info:
+            table(((trigger, Category.CONDITION),))
+        assert str(exc_info.value) == f"{kind} {trigger!r} is not folded (NFC, then lowercase)"
+        # The parsers fold, so the same row read from a file is accepted.
+        parse = parse_keyword_table if table is KeywordTable else parse_suffix_table
+        assert parse([f"{trigger}\tCONDITION"]).entries == ((fold(trigger), Category.CONDITION),)
 
 
 class TestLint:

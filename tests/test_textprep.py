@@ -226,6 +226,15 @@ class TestStoplistParsing:
         with pytest.raises(ValueError):
             StopConfig(stop_nouns=frozenset({"Upper"}))
 
+    @pytest.mark.parametrize("field", ["stop_nouns", "stop_phrases", "abbreviations"])
+    def test_config_rejects_items_not_in_nfc(self, field):
+        item = {"stop_nouns": "måte", "stop_phrases": "måte på", "abbreviations": "må."}[field]
+        nfd = unicodedata.normalize("NFD", item)
+        with pytest.raises(ValueError) as exc_info:
+            StopConfig(**{field: frozenset({nfd})})
+        assert str(exc_info.value) == f"stoplist entries must be folded (NFC, then lowercase): {nfd!r}"
+        assert getattr(parse_stoplist([nfd]), field) == frozenset({item})
+
 
 class TestTaggerIndependence:
     def test_first_nouns_agree_between_conllu_and_heuristic(self, stops):
