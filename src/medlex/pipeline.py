@@ -58,14 +58,14 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
 
 
 def entry_votes(
-    entry: Entry,
+    term: str,
     first_noun: str | None,
     suffixes: SuffixTable,
     keywords: KeywordTable,
 ) -> list[Vote]:
-    """All strategy votes for one entry, in priority order; ``first_noun``
-    is the first noun of the entry's definition, if any."""
-    term = normalize_term(entry.term)
+    """All strategy votes for one entry, in priority order; ``term`` is the
+    entry's term as ``normalize_term`` gives it, and ``first_noun`` the first
+    noun of its definition, if any."""
     votes = []
     vote = suffix_vote(term, suffixes)
     if vote is not None:
@@ -110,21 +110,30 @@ def map_dictionary(
         seen_ids.add(entry.id)
 
     outcomes: list[MappingOutcome] = []
+    terms = [normalize_term(entry.term) for entry in entries]
     first_nouns = [_first_noun(entry, stops) for entry in entries]
-    for entry, first_noun in zip(entries, first_nouns):
-        votes = entry_votes(entry, first_noun, suffixes, keywords)
+    for entry, term, first_noun in zip(entries, terms, first_nouns):
+        votes = entry_votes(term, first_noun, suffixes, keywords)
         category, provenance = resolve_votes(votes)
         outcomes.append(
             MappingOutcome(entry.id, entry.term, category, provenance, tuple(votes))
         )
 
+    # (position, ITER key) of each entry left unmapped by pass 0 that has a
+    # first noun; an assignment removes it.
+    pending: list[tuple[int, str]] = []
+    if iter_rounds:
+        pending = [
+            (i, normalize_term(first_noun))
+            for i, first_noun in enumerate(first_nouns)
+            if first_noun is not None and outcomes[i].category is None
+        ]
     warned: set[str] = set()
     for _ in range(iter_rounds):
         index: dict[str, Category] = {}
-        for entry, outcome in zip(entries, outcomes):
+        for key, outcome in zip(terms, outcomes):
             if outcome.category is None:
                 continue
-            key = normalize_term(entry.term)
             if key not in index:
                 index[key] = outcome.category
             elif index[key] is not outcome.category and key not in warned:
@@ -135,18 +144,19 @@ def map_dictionary(
                     outcome.category,
                 )
                 warned.add(key)
-        changed = False
-        for i, outcome in enumerate(outcomes):
-            if outcome.category is not None or first_nouns[i] is None:
-                continue
-            category = index.get(normalize_term(first_nouns[i]))
-            if category is not None:
+        still_pending = []
+        for i, key in pending:
+            category = index.get(key)
+            if category is None:
+                still_pending.append((i, key))
+            else:
+                outcome = outcomes[i]
                 outcomes[i] = MappingOutcome(
                     outcome.entry_id, outcome.term, category, Provenance.ITER
                 )
-                changed = True
-        if not changed:
+        if len(still_pending) == len(pending):
             break
+        pending = still_pending
     if warned:
         log.warning(
             "%d term(s) mapped to more than one category; ITER uses the earliest "
@@ -309,6 +319,8 @@ def attach_tokens(
     """
     out: list[Entry] = []
     heuristic_used = False
+    # Whitespace piece -> its heuristic tokens, for this function-word list.
+    memo: dict[str, tuple[Token, ...]] = {}
     for entry in entries:
         sense = entry.first_sense()
         if sense is None or sense.tokens is not None:
@@ -320,7 +332,7 @@ def attach_tokens(
             except ValueError as exc:
                 raise ParseError(f"entry {entry.id}: {exc}") from None
         elif function_words is not None:
-            tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words)))
+            tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words, memo)))
             heuristic_used = True
         else:
             out.append(entry)

@@ -32,8 +32,8 @@ def _index(entries: tuple[tuple[str, Category], ...], kind: str) -> dict[str, Ca
     return index
 
 
-def _lengths_longest_first(triggers: Iterable[str], minimum: int = 1) -> tuple[int, ...]:
-    return tuple(sorted({len(t) for t in triggers if len(t) >= minimum}, reverse=True))
+def _lengths_longest_first(triggers: Iterable[str]) -> tuple[int, ...]:
+    return tuple(sorted({len(t) for t in triggers}, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,25 @@ class SuffixTable:
 class KeywordTable:
     """Keyword -> category mapping; keywords unique and folded (``model.fold``).
 
-    ``index`` serves exact matches; ``contained_lengths`` lists the
-    distinct lengths of keywords long enough to fire by containment,
-    longest first. Both are derived from ``entries`` once.
+    ``index`` serves exact matches; ``heads`` maps the first
+    ``MIN_CONTAINED_KEYWORD_LEN`` characters of each keyword long enough
+    to fire by containment to the distinct lengths of the keywords that
+    start with them, longest first. Both are derived from ``entries`` once.
     """
 
     entries: tuple[tuple[str, Category], ...]
     index: dict[str, Category] = field(init=False, repr=False, compare=False)
-    contained_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    heads: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = _index(self.entries, "keyword")
         object.__setattr__(self, "index", index)
-        object.__setattr__(
-            self, "contained_lengths", _lengths_longest_first(index, MIN_CONTAINED_KEYWORD_LEN)
-        )
+        by_head: dict[str, list[str]] = {}
+        for keyword in index:
+            if len(keyword) >= MIN_CONTAINED_KEYWORD_LEN:
+                by_head.setdefault(keyword[:MIN_CONTAINED_KEYWORD_LEN], []).append(keyword)
+        heads = {head: _lengths_longest_first(kws) for head, kws in by_head.items()}
+        object.__setattr__(self, "heads", heads)
 
     def lint(self) -> list[str]:
         short = [
@@ -186,17 +190,19 @@ def contained_keyword(
     Keywords of length <= 4 never fire; ties on start position go to the
     longest keyword. Position 0 matches are excluded to approximate the
     keyword occurring as the second part of a compound. Each start
-    position costs one lookup per distinct keyword length.
+    position costs one lookup of the ``MIN_CONTAINED_KEYWORD_LEN``
+    characters there, then one per length of the keywords they begin.
     """
-    lengths = table.contained_lengths
-    if not lengths:
-        return None
+    heads, index = table.heads, table.index
     end = len(haystack)
-    for pos in range(1, end - lengths[-1] + 1):
+    for pos in range(1, end - MIN_CONTAINED_KEYWORD_LEN + 1):
+        lengths = heads.get(haystack[pos : pos + MIN_CONTAINED_KEYWORD_LEN])
+        if lengths is None:
+            continue
         for length in lengths:
             if pos + length <= end:
                 keyword = haystack[pos : pos + length]
-                category = table.index.get(keyword)
+                category = index.get(keyword)
                 if category is not None:
                     return keyword, category, pos
     return None

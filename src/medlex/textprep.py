@@ -22,8 +22,10 @@ NOMINAL_TAGS = frozenset({"NOUN", "PROPN"})
 # Period-terminated short token, e.g. "plur." or "lat.".
 _ABBREV_PATTERN = re.compile(r"^\S{1,5}\.$")
 
-# Combining diacritical marks (U+0300-U+036F) are not \w, but they belong to
-# the letter before them, so a word written in NFD stays one token.
+# Combining marks are not \w, but they belong to the letter before them, so a
+# word written in NFD, or with the vowel signs of a script such as Devanagari,
+# stays one token. The pattern names U+0300-U+036F only; ``_tag_piece`` runs it
+# over a copy of the piece in which every other non-\w mark is U+0300.
 _WORD_OR_PUNCT = re.compile(r"\w[\w\u0300-\u036f]*(?:-\w[\w\u0300-\u036f]*)*|[^\w\s]+")
 
 _SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
@@ -164,7 +166,35 @@ def ingest_conllu(
     return results
 
 
-def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[Token]:
+def _tag_piece(piece: str, function_words: frozenset[str] | set[str]) -> tuple[Token, ...]:
+    """Tokens of one whitespace-free piece of a definition, cut from it as written."""
+    if piece.endswith(".") and _ABBREV_PATTERN.match(unicodedata.normalize("NFC", piece)):
+        return (Token(piece, "X"),)
+    shadow = piece
+    if not piece.isascii():
+        # Same length as the piece, so match spans cut surfaces from it.
+        shadow = "".join(
+            "\u0300" if unicodedata.category(ch)[0] == "M" and not ch.isalnum() else ch
+            for ch in piece
+        )
+    tokens = []
+    for m in _WORD_OR_PUNCT.finditer(shadow):
+        surface = piece[m.start() : m.end()]
+        if not any(ch.isalnum() for ch in surface):
+            upos = "X"
+        elif fold(surface) in function_words:
+            upos = "X"
+        else:
+            upos = "NOUN"
+        tokens.append(Token(surface, upos))
+    return tuple(tokens)
+
+
+def heuristic_tag(
+    text: str,
+    function_words: frozenset[str] | set[str],
+    memo: dict[str, tuple[Token, ...]] | None = None,
+) -> list[Token]:
     """Fallback tokenizer/tagger used when no CoNLL-U annotation is supplied.
 
     Whitespace and punctuation tokenization; short period-terminated
@@ -172,22 +202,20 @@ def heuristic_tag(text: str, function_words: frozenset[str] | set[str]) -> list[
     bare punctuation get tag X, everything else NOUN; each token is judged
     in its NFC form but cut from ``text`` as written. Callers must flag
     downstream output as heuristically tagged.
+
+    ``memo`` maps whitespace pieces to their tokens; a caller tagging many
+    texts passes one dict, used with one ``function_words`` only, so each
+    distinct piece is tagged once.
     """
+    if memo is None:
+        memo = {}
     tokens: list[Token] = []
     # str.split() breaks at exactly the characters re's \s matches.
     for piece in text.split():
-        if piece.endswith(".") and _ABBREV_PATTERN.match(unicodedata.normalize("NFC", piece)):
-            tokens.append(Token(piece, "X"))
-            continue
-        for m in _WORD_OR_PUNCT.finditer(piece):
-            surface = m.group()
-            if not any(ch.isalnum() for ch in surface):
-                upos = "X"
-            elif fold(surface) in function_words:
-                upos = "X"
-            else:
-                upos = "NOUN"
-            tokens.append(Token(surface, upos))
+        tagged = memo.get(piece)
+        if tagged is None:
+            tagged = memo[piece] = _tag_piece(piece, function_words)
+        tokens.extend(tagged)
     return tokens
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import unicodedata
 
 import pytest
@@ -127,17 +128,42 @@ class TestIndexedEqualsOracle:
             expected = (term, exact, None) if exact is not None else contained
             assert shape(kw_firstnoun_vote(term, keywords)) == expected
 
+    # Two letters and lengths 4-9 make many keywords share their first five
+    # characters, so one head lists several lengths.
+    @settings(max_examples=300)
+    @given(
+        st.dictionaries(
+            st.text(alphabet="ab", min_size=4, max_size=9),
+            st.sampled_from(list(Category)),
+            max_size=20,
+        ),
+        st.lists(st.text(alphabet="ab", max_size=12), min_size=1, max_size=10),
+    )
+    def test_containment_with_shared_heads(self, rows, haystacks):
+        keywords = KeywordTable(tuple(rows.items()))
+        for haystack in haystacks:
+            assert contained_keyword(haystack, keywords) == contained_keyword_oracle(
+                haystack, keywords
+            )
+
     @given(ROWS)
     def test_suffix_lint(self, rows):
         table = SuffixTable(rows)
         assert table.lint() == lint_oracle(table)
 
     def test_index_stays_out_of_equality_hash_and_repr(self):
-        rows = (("sykdom", Category.CONDITION), ("lege", Category.PERSON))
+        rows = (
+            ("sykdom", Category.CONDITION),
+            ("sykdommer", Category.CONDITION),
+            ("lege", Category.PERSON),
+        )
         a, b = KeywordTable(rows), KeywordTable(rows)
+        assert a.heads == {"sykdo": (9, 6)}
         assert a == b and hash(a) == hash(b)
         assert repr(a) == f"KeywordTable(entries={rows!r})"
         assert a != KeywordTable(rows[:1])
+        derived = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(KeywordTable)}
+        assert derived["index"] == derived["heads"] == (False, False, False)
 
 
 class TestSuffixVote:
@@ -207,6 +233,16 @@ class TestContainedKeyword:
         table = table_of(("tjeneste", Category.SERVICE))
         assert contained_keyword("tjeneste", table) is None
         assert contained_keyword("tjenesten", table) is None
+
+    def test_five_letter_keyword_at_the_last_start_position(self):
+        table = table_of(("sykdo", Category.CONDITION))
+        assert contained_keyword("xyzsykdo", table) == ("sykdo", Category.CONDITION, 3)
+        assert contained_keyword("xyzsykd", table) is None
+
+    def test_five_character_haystack_has_no_start_position(self):
+        table = table_of(("sykdo", Category.CONDITION), ("ykdom", Category.CONDITION))
+        assert contained_keyword("sykdo", table) is None
+        assert contained_keyword("sykdom", table) == ("ykdom", Category.CONDITION, 1)
 
     def test_leftmost_match_wins(self):
         table = table_of(("sykdom", Category.CONDITION), ("mangel", Category.CONDITION))

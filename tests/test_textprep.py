@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import io
 import logging
+import re
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import ParseError
-from medlex.model import Definition, Token, fold
+from medlex.model import Definition, Entry, Token, fold
+from medlex.pipeline import attach_tokens
 from medlex.textprep import (
     StopConfig,
     extract_first_noun,
@@ -30,6 +32,33 @@ def conllu_text(*sentences: tuple[str, list[tuple[str, str]]]) -> str:
             lines.append(ROW.format(i=i, form=form, upos=upos))
         lines.append("")
     return "\n".join(lines)
+
+
+# The tagger as it was before it tagged each distinct whitespace piece once,
+# token by token, kept as the reference the memoised tagger must reproduce.
+# It keeps only the combining marks U+0300-U+036F with their letter.
+_ORACLE_ABBREV = re.compile(r"^\S{1,5}\.$")
+_ORACLE_WORD_OR_PUNCT = re.compile(
+    r"\w[\w\u0300-\u036f]*(?:-\w[\w\u0300-\u036f]*)*|[^\w\s]+"
+)
+
+
+def heuristic_tag_oracle(text: str, function_words: frozenset[str]) -> list[tuple[str, str]]:
+    pairs = []
+    for piece in text.split():
+        if piece.endswith(".") and _ORACLE_ABBREV.match(unicodedata.normalize("NFC", piece)):
+            pairs.append((piece, "X"))
+            continue
+        for m in _ORACLE_WORD_OR_PUNCT.finditer(piece):
+            surface = m.group()
+            if not any(ch.isalnum() for ch in surface):
+                upos = "X"
+            elif fold(surface) in function_words:
+                upos = "X"
+            else:
+                upos = "NOUN"
+            pairs.append((surface, upos))
+    return pairs
 
 
 class TestIngestConllu:
@@ -132,6 +161,56 @@ class TestHeuristicTag:
         surfaces = {t.surface: t.upos for t in tokens}
         assert surfaces[","] == "X"
         assert surfaces["anemi"] == "NOUN"
+
+    def test_vowel_signs_and_viramas_stay_with_their_letter(self):
+        # Devanagari vowel signs (Mc) and the virama (Mn) are not \w.
+        tokens = heuristic_tag("हिन्दी रोग", frozenset())
+        assert [(t.surface, t.upos) for t in tokens] == [("हिन्दी", "NOUN"), ("रोग", "NOUN")]
+
+    @given(st.text(max_size=30))
+    def test_any_text_aligns(self, text):
+        Definition(text, tuple(heuristic_tag(text, frozenset({"av"}))))
+
+
+# Function words in several cases, abbreviations, NFD marks, punctuation
+# runs and hyphen compounds, separated by unusual whitespace or by nothing,
+# so that a piece may also join its neighbour.
+TAGGER_PIECE = st.sampled_from(
+    [
+        "av", "Av", "AV", "på", "PÅ", unicodedata.normalize("NFD", "På"), "i", "I",
+        "lat.", "Lat.", "plur.", "anemi", unicodedata.normalize("NFD", "blåbær"),
+        "e\u0301", "hjerte-kar", "x--y", "-", ",", "...", "(", ")", ";:", "¶", "_",
+    ]
+)
+TAGGER_GAP = st.sampled_from(["", " ", " ", "  ", "\u2028", "\t\n"])
+TAGGER_TEXT = st.lists(st.tuples(TAGGER_PIECE, TAGGER_GAP), max_size=12).map(
+    lambda pairs: "".join(piece + gap for piece, gap in pairs)
+)
+
+
+class TestMemoisedTaggerEqualsOracle:
+    @settings(max_examples=200)
+    @given(
+        st.lists(TAGGER_TEXT, min_size=1, max_size=15),
+        st.sampled_from([frozenset(), frozenset({"av", "på", "i"}), frozenset({"lat.", "anemi"})]),
+    )
+    def test_attach_tokens_tags_each_entry_as_the_oracle(self, texts, function_words):
+        entries = [Entry(f"e{i}", "term", (Definition(t),)) for i, t in enumerate(texts)]
+        attached, heuristic = attach_tokens(entries, None, function_words)
+        assert heuristic
+        for text, entry in zip(texts, attached):
+            tokens = entry.first_sense().tokens
+            assert [(t.surface, t.upos) for t in tokens] == heuristic_tag_oracle(
+                text, function_words
+            )
+
+    def test_each_call_tags_with_its_own_function_words(self):
+        entries = [Entry("e1", "term", (Definition("form av anemi"),))]
+        tagged = [
+            [t.upos for t in attach_tokens(entries, None, words)[0][0].first_sense().tokens]
+            for words in (frozenset({"av"}), frozenset({"anemi"}))
+        ]
+        assert tagged == [["NOUN", "X", "NOUN"], ["NOUN", "NOUN", "X"]]
 
 
 def make_stops(**kwargs) -> StopConfig:
