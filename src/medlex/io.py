@@ -63,7 +63,8 @@ def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     ``#`` comment, with any line terminator removed."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if line.strip() and not line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if head and head[0] != "#":
             yield lineno, line
 
 

@@ -67,6 +67,9 @@ class ResourceSpec:
             raise ValueError(f"resource {self.name}: CHAPTERED mode needs chapter rules")
         if not self.layout:
             object.__setattr__(self, "layout", self._default_layout())
+        for name, column in self.layout.items():
+            if column < 0:
+                raise ValueError(f"resource {self.name}: layout column {name}={column} is negative")
         if "term" not in self.layout:
             raise ValueError(f"resource {self.name}: layout must place the term column")
         if self.mode is ResourceMode.PER_ENTRY and "category" not in self.layout:
@@ -265,7 +268,17 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     term_column = spec.layout["term"]
+    name, rank = spec.name, spec.trust_rank
+    if spec.mode is ResourceMode.FIXED:
+        column = None
+    else:
+        column = spec.layout["category" if spec.mode is ResourceMode.PER_ENTRY else "chapter"]
+    # The category (None: excluded) of each distinct category or chapter
+    # text. Only a success is cached, so the first row with a bad value
+    # raises with its own line.
+    resolved: dict[str, Category | None] = {}
     records: list[SourceRecord] = []
+    append = records.append
     ingested = excluded = 0
     for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
@@ -279,21 +292,30 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
         if not term:
             raise ParseError(f"resource {spec.name}: empty term", path, lineno)
         ingested += 1
-        if spec.mode is ResourceMode.FIXED:
+        if column is None:
             category = spec.category
-        elif spec.mode is ResourceMode.PER_ENTRY:
-            try:
-                category = parse_category(cols[spec.layout["category"]])
-            except ValueError as exc:
-                raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
         else:
-            category = _route_chapter(spec, cols[spec.layout["chapter"]], path, lineno)
+            raw = cols[column]
+            try:
+                category = resolved[raw]
+            except KeyError:
+                category = resolved[raw] = _column_category(spec, raw, path, lineno)
             if category is None:
                 excluded += 1
                 continue
-        assert category is not None
-        records.append(SourceRecord(term, category, spec.name, spec.name, spec.trust_rank))
+        # What SourceRecord._make does, without the Python-level __new__.
+        append(tuple.__new__(SourceRecord, (term, category, name, name, rank)))
     return IngestResult(spec.name, tuple(records), ingested, excluded)
+
+
+def _column_category(spec: ResourceSpec, raw: str, path: str, lineno: int) -> Category | None:
+    """The category a PER_ENTRY category or CHAPTERED chapter text gives."""
+    if spec.mode is ResourceMode.CHAPTERED:
+        return _route_chapter(spec, raw, path, lineno)
+    try:
+        return parse_category(raw)
+    except ValueError as exc:
+        raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
 
 
 def _route_chapter(
@@ -346,50 +368,60 @@ def merge_lexicons(
     sources = ([mapped] if mapped is not None else []) + list(resources)
     mapped_name = mapped.name if mapped is not None else None
 
-    groups: dict[str, list[SourceRecord]] = {}
+    # The first record of each key; a key seen again gets its whole group,
+    # in source and row order, in ``more``. Most keys are seen once.
+    firsts: dict[str, SourceRecord] = {}
+    more: dict[str, list[SourceRecord]] = {}
     for result in sources:
         for record in result.records:
             key = normalize_term(record.term, lowercase)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [record]
+            first = firsts.get(key)
+            if first is None:
+                firsts[key] = record
             else:
-                group.append(record)
+                group = more.get(key)
+                if group is None:
+                    more[key] = [first, record]
+                else:
+                    group.append(record)
 
     conflicts: list[tuple[str, str, str, str, str]] = []
     corrections: list[Correction] = []
     records: list[LexiconRecord] = []
+    append = records.append
     # One frozenset per distinct combination of sources, shared by every
-    # record with that combination; the combinations of two or more sources
-    # are counted and expanded into overlap pairs once, after the loop.
+    # record with that combination (``single`` finds a one-source set by the
+    # source's name); the combinations of two or more sources are counted
+    # and expanded into overlap pairs once, after the loop.
     single: dict[str, frozenset[str]] = {}
     shared: dict[frozenset[str], frozenset[str]] = {}
     combination_counts: dict[frozenset[str], int] = {}
 
-    for key in sorted(groups):
-        group = groups[key]
-        if len(group) == 1:
-            winner = group[0]
-            group_sources = single.get(winner.source)
+    for key in sorted(firsts):
+        group = more.get(key)
+        if group is None:
+            term, category, source, provenance, _ = firsts[key]
+            group_sources = single.get(source)
             if group_sources is None:
-                group_sources = single[winner.source] = frozenset((winner.source,))
-        else:
-            winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
-            rank, category = winner.trust_rank, winner.category
-            if any(r.category is not category and r.trust_rank == rank for r in group):
-                conflicts += _equal_rank_conflicts(key, group, winner)
-            combination = frozenset([r.source for r in group])
-            group_sources = shared.setdefault(combination, combination)
-            if len(group_sources) > 1:
-                combination_counts[group_sources] = combination_counts.get(group_sources, 0) + 1
-            if mapped_name is not None and winner.source != mapped_name:
-                for r in group:
-                    if r.source == mapped_name and r.category is not category:
-                        corrections.append(Correction(r.term, r.category, category, winner.source))
-                        break
-        records.append(
-            LexiconRecord(winner.term, winner.category, group_sources, winner.provenance)
-        )
+                combination = frozenset((source,))
+                group_sources = single[source] = shared.setdefault(combination, combination)
+            # What LexiconRecord._make does, without the Python-level __new__.
+            append(tuple.__new__(LexiconRecord, (term, category, group_sources, provenance)))
+            continue
+        winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
+        rank, category = winner.trust_rank, winner.category
+        if any(r.category is not category and r.trust_rank == rank for r in group):
+            conflicts += _equal_rank_conflicts(key, group, winner)
+        combination = frozenset([r.source for r in group])
+        group_sources = shared.setdefault(combination, combination)
+        if len(group_sources) > 1:
+            combination_counts[group_sources] = combination_counts.get(group_sources, 0) + 1
+        if mapped_name is not None and winner.source != mapped_name:
+            for r in group:
+                if r.source == mapped_name and r.category is not category:
+                    corrections.append(Correction(r.term, r.category, category, winner.source))
+                    break
+        append(LexiconRecord(winner.term, category, group_sources, winner.provenance))
 
     if conflicts:
         raise MergeConflictError(conflicts)

@@ -89,22 +89,27 @@ STRATEGY_PRIORITY: tuple[Strategy, ...] = (Strategy.SUFF, Strategy.KW_E, Strateg
 def normalize_term(raw: str, lowercase: bool = True) -> str:
     """Canonical form of a term: NFC, trimmed, inner whitespace collapsed.
 
-    Lowercasing is unicode-aware and applied only when ``lowercase`` is on.
-    Raises ValueError if nothing is left after trimming.
+    Lowercasing is unicode-aware and applied only when ``lowercase`` is on;
+    NFC is applied again after it (see ``fold``). Raises ValueError if
+    nothing is left after trimming.
     """
     # str.split() breaks at exactly the characters re's \s matches.
     text = " ".join(unicodedata.normalize("NFC", raw).split())
     if not text:
         raise ValueError("empty term")
     if lowercase:
-        text = text.lower()
+        text = unicodedata.normalize("NFC", text.lower())
     return text
 
 
 def fold(text: str) -> str:
-    """NFC, then lowercase, as ``normalize_term`` folds a term; table triggers,
-    list items and definition words are compared in this form."""
-    return unicodedata.normalize("NFC", text).lower()
+    """NFC, then lowercase, then NFC again, as ``normalize_term`` folds a term;
+    table triggers, list items and definition words are compared in this form.
+
+    The second NFC is needed because lowercasing can leave a sequence NFC
+    composes: ``"W\u030a"`` lowercases to ``"w\u030a"``, whose NFC is U+1E98.
+    """
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).lower())
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,39 @@ class TestCmdMerge:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("name", "text", "where"),
+        [
+            (
+                "m.tsv",
+                "R\tres.tsv\tFIXED\tCONDITION\t1\tterm=0\n"
+                "S\tres.tsv\tPER_ENTRY\t\t2\tterm=-2,category=-1\n",
+                "m.tsv:2: ",
+            ),
+            (
+                "m.json",
+                '[{"name": "R", "file": "res.tsv", "mode": "FIXED", "category": "CONDITION",'
+                ' "trust_rank": 1},'
+                ' {"name": "S", "file": "res.tsv", "mode": "PER_ENTRY", "trust_rank": 2,'
+                ' "layout": {"term": -2, "category": -1}}]',
+                "m.json: resource #2: ",
+            ),
+        ],
+        ids=["tsv", "json"],
+    )
+    def test_negative_layout_column_exit_2(self, capsys, tmp_path, mapped_file, name, text, where):
+        (tmp_path / "res.tsv").write_text("feber\tCONDITION\n", encoding="utf-8")
+        manifest = tmp_path / name
+        manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.tsv"
+        code, stdout, stderr = run(
+            capsys,
+            ["merge", "--manifest", str(manifest), "--mapped", str(mapped_file), "--out", str(out)],
+        )
+        assert (code, stdout) == (2, "")
+        assert f"{manifest.parent}/{where}resource S: layout column term=-2 is negative" in stderr
+        assert not out.exists()
+
     def test_equal_trust_conflict_exit_4(self, capsys, tmp_path, data_dir, mapped_file):
         code, _, stderr = run(
             capsys,

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import stat
+import sys
 import tempfile
 from pathlib import Path
 
@@ -283,6 +284,10 @@ def test_json_integer_id_is_its_decimal_text(tmp_path):
     assert read_outcomes(path)[0].entry_id == "7"
 
 
+# Every character str.isspace accepts.
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
 class TestLineBreaks:
     def test_split_lines_breaks_only_at_cr_and_lf(self):
         text = "a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\r\nh\ri\n\nj"
@@ -293,6 +298,16 @@ class TestLineBreaks:
     @given(st.text(alphabet="ab \r\n"))
     def test_split_lines_agrees_with_splitlines_on_cr_and_lf(self, text):
         assert io.split_lines(text) == text.splitlines()
+
+    @given(st.lists(st.text(alphabet=st.sampled_from(SPACES + "#ab\r\n"), max_size=8), max_size=8))
+    def test_data_lines_matches_the_strip_form(self, lines):
+        def reference(lines):
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.rstrip("\r\n")
+                if line.strip() and not line.lstrip().startswith("#"):
+                    yield lineno, line
+
+        assert list(io.data_lines(lines)) == list(reference(lines))
 
     def test_unicode_line_breaks_stay_inside_a_jsonl_row(self, tmp_path, data_dir, capsys):
         row = {"id": "e1", "term": "akutt\u2028leuk\x85emi", "definition": "sykdom\u2028i\x85blodet"}

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 import logging
 import re
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import MergeConflictError, ParseError
+from medlex.io import read_text, split_lines
 from medlex.merge import (
     ChapterRule,
     Correction,
@@ -33,6 +36,7 @@ from medlex.model import (
     Strategy,
     Vote,
     normalize_term,
+    parse_category,
 )
 
 
@@ -153,6 +157,133 @@ class TestIngestResource:
             ingest_resource(spec)
 
 
+def reference_ingest(spec, base_dir):
+    """``ingest_resource`` as it was before it resolved each distinct
+    category or chapter text once: every row parses its own, and lines
+    are filtered with the strip form."""
+    path = str(base_dir / spec.file)
+    text = read_text(path, f"resource {spec.name}")
+    need = max(spec.layout.values()) + 1
+    records = []
+    ingested = excluded = 0
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < need:
+            raise ParseError(
+                f"resource {spec.name}: expected at least {need} columns, got {len(cols)}",
+                path,
+                lineno,
+            )
+        term = cols[spec.layout["term"]].strip()
+        if not term:
+            raise ParseError(f"resource {spec.name}: empty term", path, lineno)
+        ingested += 1
+        if spec.mode is ResourceMode.FIXED:
+            category = spec.category
+        elif spec.mode is ResourceMode.PER_ENTRY:
+            try:
+                category = parse_category(cols[spec.layout["category"]])
+            except ValueError as exc:
+                raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
+        else:
+            category = route_chapter(spec, cols[spec.layout["chapter"]], path, lineno)
+            if category is None:
+                excluded += 1
+                continue
+        records.append(SourceRecord(term, category, spec.name, spec.name, spec.trust_rank))
+    return IngestResult(spec.name, tuple(records), ingested, excluded)
+
+
+def variant(words, pads=("", " ", "\u00a0")):
+    """Case and space variants of ``words``; no tab, which splits columns."""
+    return st.builds(
+        lambda word, case, pad: pad + case(word) + pad,
+        st.sampled_from(words),
+        st.sampled_from([str.lower, str.upper, str.title]),
+        st.sampled_from(pads),
+    )
+
+
+RESOURCE_TERMS = st.one_of(variant(["feber", "blå kors", "Ærlig sak"]), st.sampled_from([" ", ""]))
+GOOD_LABELS = variant(["CONDITION", "ANAT_LOC", "anat-loc", "MICROORGANISM", "Procedure"])
+# A bad value often starts like a good one, as a cache keyed on less than
+# the whole text would confuse them.
+BAD_LABELS = st.one_of(GOOD_LABELS.map(lambda label: label + "S"), variant(["ukjent", "OTHER", ""]))
+RULE_CHAPTERS = ["Procedure codes", "Social problems", "General", "ß"]
+RULE_LABELS = st.sampled_from(["PROCEDURE", "condition", "Tool", "EXCLUDE", "exclude", " Exclude "])
+NOISE_LINES = st.sampled_from(["", "   ", "\u00a0", "# note", "  # indented\tnote", "#"])
+
+
+@st.composite
+def resource_files(draw):
+    """(manifest TSV line, resource file text) for one resource of any mode."""
+    mode = draw(st.sampled_from(["FIXED", "PER_ENTRY", "CHAPTERED"]))
+    columns = draw(st.permutations([0, 1, 2]))
+    term_column, value_column, code_column = columns
+    layout = {"term": term_column}
+    rules_text = "CONDITION"
+    if mode == "PER_ENTRY":
+        rules_text, good, bad = "", GOOD_LABELS, BAD_LABELS
+        layout["category"] = value_column
+    elif mode == "CHAPTERED":
+        chapters = draw(st.lists(st.sampled_from(RULE_CHAPTERS), min_size=1, max_size=4))
+        rules = [f"{chapter}={draw(RULE_LABELS)}" for chapter in chapters]
+        if draw(st.booleans()):
+            rules.append(f"*={draw(st.sampled_from(['CONDITION', 'tool']))}")
+        rules_text = ";".join(rules)
+        good = variant(chapters, pads=("", " ", "\u00a0", "  "))
+        # A miss unless there is a default.
+        bad = st.one_of(good.map(lambda chapter: chapter + " x"), variant(["Ukjent kapittel", "SS"]))
+        layout["chapter"] = value_column
+    else:
+        good = bad = st.just("A10")
+    if draw(st.booleans()):
+        layout["code"] = code_column
+    need = max(layout.values()) + 1
+
+    def row(value):
+        cols = ["A10"] * (need + draw(st.integers(0, 1)))
+        cols[term_column] = draw(RESOURCE_TERMS)
+        if mode != "FIXED":
+            cols[value_column] = value
+        return "\t".join(cols)
+
+    lines = [row(draw(good)) for _ in range(draw(st.integers(1, 12)))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), row(draw(bad)))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NOISE_LINES))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    layout_text = ",".join(f"{k}={v}" for k, v in layout.items())
+    return f"R\tres.tsv\t{mode}\t{rules_text}\t1\t{layout_text}\n", text
+
+
+class TestIngestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(resource_files())
+    def test_ingest_matches_per_row_reference(self, files):
+        manifest_line, text = files
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            (base / "m.tsv").write_text(manifest_line, encoding="utf-8")
+            (base / "res.tsv").write_bytes(text.encode("utf-8"))
+            [spec] = load_manifest(base / "m.tsv")
+            try:
+                want = reference_ingest(spec, base)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    ingest_resource(spec, base)
+                assert (str(got.value), got.value.line) == (str(exc), exc.line)
+                return
+            got = ingest_resource(spec, base)
+        assert got == want
+        assert all(type(r) is SourceRecord for r in got.records)
+
+
 class TestMergeLexicons:
     def test_agreeing_overlap_unions_sources_without_correction(self):
         mo = result_of(source("leukemi", Category.CONDITION, "MO", 100), name="MO")
@@ -185,6 +316,17 @@ class TestMergeLexicons:
         lower, _ = merge_lexicons(None, [res], lowercase=True)
         cased, _ = merge_lexicons(None, [res], lowercase=False)
         assert len(lower) == 1
+        assert len(cased) == 2
+
+    def test_spellings_that_lowercase_to_one_composed_form_merge(self):
+        # "W" + ring lowercases to "w" + ring, which NFC writes as U+1E98.
+        res = result_of(
+            source("W\u030ax", Category.SUBSTANCE),
+            source("\u1e98x", Category.SUBSTANCE),
+        )
+        lower, _ = merge_lexicons(None, [res], lowercase=True)
+        assert [(r.term, r.sources) for r in lower] == [("W\u030ax", frozenset({"RES"}))]
+        cased, _ = merge_lexicons(None, [res], lowercase=False)
         assert len(cased) == 2
 
     def test_equal_rank_disagreement_is_refused(self):
@@ -327,7 +469,7 @@ def reference_normalize(raw, lowercase=True):
     text = _WS_RUN.sub(" ", unicodedata.normalize("NFC", raw)).strip()
     if not text:
         raise ValueError("empty term")
-    return text.lower() if lowercase else text
+    return unicodedata.normalize("NFC", text.lower()) if lowercase else text
 
 
 def reference_merge(mapped, resources, lowercase=True):
@@ -435,10 +577,18 @@ TERMS = st.builds(
 CATEGORIES = st.sampled_from([Category.CONDITION, Category.PROCEDURE, Category.TOOL])
 
 
+# Mostly distinct words, with a few TERMS among them: most keys are seen once.
+MOSTLY_SINGLE_TERMS = st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzæøå", min_size=4, max_size=10),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzæøå", min_size=4, max_size=10).map(str.title),
+    TERMS,
+)
+
+
 @st.composite
-def merge_inputs(draw):
+def merge_inputs(draw, terms=TERMS, max_rows=8):
     def rows(name, rank, provenance):
-        pairs = draw(st.lists(st.tuples(TERMS, CATEGORIES), max_size=8))
+        pairs = draw(st.lists(st.tuples(terms, CATEGORIES), max_size=max_rows))
         return tuple(SourceRecord(t, c, name, provenance(), rank) for t, c in pairs)
 
     ranks = st.integers(1, 3)
@@ -458,42 +608,55 @@ def merge_inputs(draw):
     return mapped, resources, draw(st.booleans())
 
 
+def check_against_reference(mapped, resources, lowercase):
+    captured = _Captured()
+    logger = logging.getLogger("medlex.merge")
+    logger.addHandler(captured)
+    want_records, want_keys, want_report, conflicts, dropped = reference_merge(
+        mapped, resources, lowercase
+    )
+    try:
+        if conflicts:
+            with pytest.raises(MergeConflictError) as refused:
+                merge_lexicons(mapped, resources, lowercase)
+            assert refused.value.conflicts == conflicts
+        else:
+            records, report = merge_lexicons(mapped, resources, lowercase)
+    finally:
+        logger.removeHandler(captured)
+    assert captured.dropped == dropped
+    if conflicts:
+        return
+    assert records == want_records
+    assert all(type(r) is LexiconRecord for r in records)
+    assert [normalize_term(r.term, lowercase) for r in records] == want_keys
+    got_report = (
+        report.resource_counts,
+        report.overlap_pairs,
+        report.corrections,
+        report.category_counts,
+        report.total,
+    )
+    assert got_report == want_report
+    assert list(report.category_counts.items()) == list(want_report[3].items())
+    for fmt in ("tsv", "jsonl"):
+        assert render_lexicon(records, fmt) == reference_render(want_records, fmt)
+    # Records with the same combination of sources share one frozenset.
+    shared = {}
+    for r in records:
+        assert shared.setdefault(r.sources, r.sources) is r.sources
+
+
 class TestMergeOracle:
     @settings(max_examples=200, deadline=None)
     @given(merge_inputs())
     def test_merge_matches_reference(self, inputs):
-        mapped, resources, lowercase = inputs
-        captured = _Captured()
-        logger = logging.getLogger("medlex.merge")
-        logger.addHandler(captured)
-        want_records, want_keys, want_report, conflicts, dropped = reference_merge(
-            mapped, resources, lowercase
-        )
-        try:
-            if conflicts:
-                with pytest.raises(MergeConflictError) as refused:
-                    merge_lexicons(mapped, resources, lowercase)
-                assert refused.value.conflicts == conflicts
-            else:
-                records, report = merge_lexicons(mapped, resources, lowercase)
-        finally:
-            logger.removeHandler(captured)
-        assert captured.dropped == dropped
-        if conflicts:
-            return
-        assert records == want_records
-        assert [normalize_term(r.term, lowercase) for r in records] == want_keys
-        got_report = (
-            report.resource_counts,
-            report.overlap_pairs,
-            report.corrections,
-            report.category_counts,
-            report.total,
-        )
-        assert got_report == want_report
-        assert list(report.category_counts.items()) == list(want_report[3].items())
-        for fmt in ("tsv", "jsonl"):
-            assert render_lexicon(records, fmt) == reference_render(want_records, fmt)
+        check_against_reference(*inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(merge_inputs(terms=MOSTLY_SINGLE_TERMS, max_rows=30))
+    def test_merge_of_mostly_single_keys_matches_reference(self, inputs):
+        check_against_reference(*inputs)
 
 
 CHAPTERS = st.builds(

@@ -20,6 +20,7 @@ from medlex.model import (
     Strategy,
     Token,
     Vote,
+    fold,
     normalize_term,
     parse_category,
 )
@@ -77,7 +78,26 @@ class TestNormalizeTerm:
                 with pytest.raises(ValueError, match="empty term"):
                     normalize_term(raw, lowercase)
                 continue
-            assert normalize_term(raw, lowercase) == (expected.lower() if lowercase else expected)
+            if lowercase:
+                expected = unicodedata.normalize("NFC", expected.lower())
+            assert normalize_term(raw, lowercase) == expected
+
+    @given(st.text(alphabet=st.characters()))
+    def test_fold_and_normalize_term_are_idempotent(self, raw):
+        assert fold(fold(raw)) == fold(raw)
+        for lowercase in (True, False):
+            try:
+                once = normalize_term(raw, lowercase)
+            except ValueError:
+                continue
+            assert normalize_term(once, lowercase) == once
+
+    @pytest.mark.parametrize("raw", ["W\u030ax", "Y\u030a", "J\u030c", "H\u0331", "T\u0308"])
+    def test_lowercasing_into_a_composable_sequence_is_composed(self, raw):
+        composed = unicodedata.normalize("NFC", raw.lower())
+        assert composed != raw.lower()
+        assert fold(raw) == fold(composed) == composed
+        assert normalize_term(raw) == normalize_term(composed) == composed
 
 
 class TestCategory:

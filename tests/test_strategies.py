@@ -396,6 +396,14 @@ class TestTableParsing:
         parse = parse_keyword_table if table is KeywordTable else parse_suffix_table
         assert parse([f"{trigger}\tCONDITION"]).entries == ((fold(trigger), Category.CONDITION),)
 
+    def test_trigger_that_lowercases_to_a_composable_sequence_is_accepted(self):
+        # "W" + combining ring lowercases to "w" + ring, which NFC composes
+        # to U+1E98; the table must hold that composed form.
+        table = parse_keyword_table(["W\u030aabcde\tCONDITION"], path="t.tsv")
+        assert table.entries == (("\u1e98abcde", Category.CONDITION),)
+        vote = kw_entry_vote("x\u1e98abcde", table)
+        assert (vote.trigger, vote.category, vote.position) == ("\u1e98abcde", Category.CONDITION, 1)
+
 
 class TestLint:
     def test_nested_suffixes_with_conflicting_categories_flagged(self):
