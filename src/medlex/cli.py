@@ -19,6 +19,7 @@ from .evaluate import (
     format_eval_report,
     format_eval_tsv,
     format_overlap_report,
+    mapped_categories,
     overlap_eval,
     parse_merge_groups,
     read_gold,
@@ -26,7 +27,7 @@ from .evaluate import (
     strategy_accuracy,
     stratified_sample,
 )
-from .io import open_input, sniff_format, write_text
+from .io import read_text, sniff_format, split_lines, write_text
 from .merge import (
     DEFAULT_MAPPED_NAME,
     DEFAULT_MAPPED_RANK,
@@ -37,7 +38,6 @@ from .merge import (
     mapped_records,
     merge_lexicons,
 )
-from .model import normalize_term
 from .pipeline import (
     attach_tokens,
     format_stats,
@@ -184,10 +184,11 @@ def cmd_map(args: argparse.Namespace) -> int:
     entries = read_dictionary(args.dict_file)
     conllu_tokens = None
     if args.conllu:
-        with open_input(args.conllu, "CoNLL-U") as fh:
-            conllu_tokens = ingest_conllu(
-                fh, id_map={e.id: e.id for e in entries}, path=args.conllu
-            )
+        conllu_tokens = ingest_conllu(
+            split_lines(read_text(args.conllu, "CoNLL-U")),
+            id_map={e.id: e.id for e in entries},
+            path=args.conllu,
+        )
     entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
@@ -229,11 +230,7 @@ def cmd_eval_overlap(args: argparse.Namespace) -> int:
 def cmd_eval_gold(args: argparse.Namespace) -> int:
     gold = read_gold(args.gold)
     outcomes = read_outcomes(args.mapped)
-    predicted = {}
-    for o in outcomes:
-        if o.category is None:
-            continue
-        predicted.setdefault(normalize_term(o.term), o.category)
+    predicted = mapped_categories(outcomes)
     try:
         groups = parse_merge_groups(args.merge_labels) if args.merge_labels else None
     except ValueError as exc:

@@ -67,6 +67,16 @@ class OverlapResult:
         return pct1(self.correct, self.overlap)
 
 
+def mapped_categories(outcomes: Iterable[MappingOutcome]) -> dict[str, Category]:
+    """The category of each mapped term, keyed by its normalized lowercase
+    form; where a term repeats, its first mapped outcome wins."""
+    categories: dict[str, Category] = {}
+    for o in outcomes:
+        if o.category is not None:
+            categories.setdefault(normalize_term(o.term), o.category)
+    return categories
+
+
 def overlap_eval(
     mapped: Iterable[MappingOutcome], resource: Iterable[SourceRecord]
 ) -> OverlapResult:
@@ -75,12 +85,7 @@ def overlap_eval(
     Terms are compared in normalized lowercase form; the first record
     wins when either side repeats a term.
     """
-    mapped_cats: dict[str, Category] = {}
-    for o in mapped:
-        if o.category is None:
-            continue
-        key = normalize_term(o.term)
-        mapped_cats.setdefault(key, o.category)
+    mapped_cats = mapped_categories(mapped)
     resource_cats: dict[str, Category] = {}
     for r in resource:
         resource_cats.setdefault(normalize_term(r.term), r.category)

@@ -1,15 +1,15 @@
 """File input and output: the only module that opens, reads or writes a
-file. Unreadable input, including text that is not UTF-8, becomes a
-ParseError naming the file and, where it is known, the line."""
+file. Every input is read whole by ``read_text``; unreadable input becomes
+a ParseError naming the file, and text that is not UTF-8 one naming the
+file and line. Outputs are written by ``write_text``."""
 
 from __future__ import annotations
 
 import json
 import os
 import stat
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -24,24 +24,13 @@ def sniff_format(path: str | Path, fmt: str | None = None) -> str:
     return "jsonl" if Path(path).suffix.lower() in (".jsonl", ".json", ".ndjson") else "tsv"
 
 
-@contextmanager
-def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
-    """Open a UTF-8 text input for streaming. A file that cannot be opened,
-    read or decoded raises ParseError naming it, but not the line: streamed
-    text is decoded in chunks (``read_text`` decodes whole files and can)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise ParseError(f"cannot read {what}: {exc}", str(path)) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} is not UTF-8: {exc.reason}", str(path)) from None
-
-
 def read_text(path: str | Path, what: str) -> str:
     """The whole of a UTF-8 text input; ``what`` names it in errors."""
-    with open_input(path, what) as fh:
-        data = fh.buffer.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}", str(path)) from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

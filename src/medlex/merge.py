@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, read_text, sniff_format, split_lines, write_text
 from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
+from .pipeline import count_table
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +31,13 @@ class ResourceMode(enum.Enum):
     PER_ENTRY = "PER_ENTRY"
     CHAPTERED = "CHAPTERED"
 
+
+# The layout column each mode reads a row's category from (FIXED: none).
+_CATEGORY_COLUMN: dict[ResourceMode, str | None] = {
+    ResourceMode.FIXED: None,
+    ResourceMode.PER_ENTRY: "category",
+    ResourceMode.CHAPTERED: "chapter",
+}
 
 # Sentinel used in chapter rules: rows under this "category" are dropped.
 EXCLUDE = "EXCLUDE"
@@ -65,28 +73,23 @@ class ResourceSpec:
             raise ValueError(f"resource {self.name}: FIXED mode needs a category")
         if self.mode is ResourceMode.CHAPTERED and not self.chapter_rules:
             raise ValueError(f"resource {self.name}: CHAPTERED mode needs chapter rules")
+        category_field = _CATEGORY_COLUMN[self.mode]
         if not self.layout:
-            object.__setattr__(self, "layout", self._default_layout())
+            default = {"term": 0} if category_field is None else {"term": 0, category_field: 1}
+            object.__setattr__(self, "layout", default)
         for name, column in self.layout.items():
             if column < 0:
                 raise ValueError(f"resource {self.name}: layout column {name}={column} is negative")
         if "term" not in self.layout:
             raise ValueError(f"resource {self.name}: layout must place the term column")
-        if self.mode is ResourceMode.PER_ENTRY and "category" not in self.layout:
-            raise ValueError(f"resource {self.name}: PER_ENTRY layout needs a category column")
-        if self.mode is ResourceMode.CHAPTERED and "chapter" not in self.layout:
-            raise ValueError(f"resource {self.name}: CHAPTERED layout needs a chapter column")
+        if category_field is not None and category_field not in self.layout:
+            raise ValueError(
+                f"resource {self.name}: {self.mode.value} layout needs a {category_field} column"
+            )
         index: dict[str, Category | None] = {}
         for rule in self.chapter_rules:
             index.setdefault(rule.chapter.strip().lower(), rule.category)
         object.__setattr__(self, "chapter_index", index)
-
-    def _default_layout(self) -> dict[str, int]:
-        if self.mode is ResourceMode.PER_ENTRY:
-            return {"term": 0, "category": 1}
-        if self.mode is ResourceMode.CHAPTERED:
-            return {"term": 0, "chapter": 1}
-        return {"term": 0}
 
     def category_descriptor(self) -> str:
         """Short per-resource category summary, for report rows."""
@@ -138,9 +141,10 @@ class MergeReport:
 def load_manifest(path: str | Path) -> list[ResourceSpec]:
     """Resource manifest, JSON (list of objects) or TSV.
 
-    TSV columns: name, file, mode, category-or-rules, trust_rank, layout.
-    Rules use ``chapter=CATEGORY`` pairs joined by ``;`` with ``*`` for
-    the default; layout uses ``field=column`` pairs joined by ``,``.
+    TSV columns: name, file, mode, category-or-rules (ignored for
+    PER_ENTRY), trust_rank, layout. Rules use ``chapter=CATEGORY`` pairs
+    joined by ``;`` with ``*`` for the default; layout uses ``field=column``
+    pairs joined by ``,``.
     """
     p = Path(path)
     text = read_text(p, "manifest")
@@ -154,20 +158,46 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
     return specs
 
 
-def _parse_rules(
-    raw_rules: Iterable[tuple[str, str]], path: str, name: str
-) -> tuple[tuple[ChapterRule, ...], Category | None]:
-    rules: list[ChapterRule] = []
+def _mode(name: str, text: str) -> ResourceMode:
+    """The mode a manifest names; case, ``-`` and ``_`` do not matter."""
+    try:
+        return ResourceMode[text.strip().upper().replace("-", "_")]
+    except KeyError:
+        raise ValueError(f"resource {name}: unknown mode {text.strip()!r}") from None
+
+
+def _spec(
+    name: str,
+    file: str,
+    mode: ResourceMode,
+    trust_rank: str | int,
+    category: str | None,
+    rules: Iterable[tuple[str, str]],
+    layout: dict[str, int],
+) -> ResourceSpec:
+    """The resource one manifest entry declares, in either format; ``rules``
+    are (chapter, label) pairs. A fault raises ValueError, to which the
+    format's reader adds where the entry is."""
+    chapter_rules: list[ChapterRule] = []
     default: Category | None = None
-    for chapter, label in raw_rules:
-        category = None if label.strip().upper() == EXCLUDE else parse_category(label)
+    for chapter, label in rules:
+        routed = None if label.strip().upper() == EXCLUDE else parse_category(label)
         if chapter.strip() == "*":
-            if category is None:
-                raise ParseError(f"resource {name}: default rule cannot exclude", path)
-            default = category
+            if routed is None:
+                raise ValueError(f"resource {name}: default rule cannot exclude")
+            default = routed
         else:
-            rules.append(ChapterRule(chapter, category))
-    return tuple(rules), default
+            chapter_rules.append(ChapterRule(chapter, routed))
+    return ResourceSpec(
+        name=name,
+        file=file,
+        mode=mode,
+        trust_rank=int(trust_rank),
+        category=parse_category(category) if category else None,
+        chapter_rules=tuple(chapter_rules),
+        chapter_default=default,
+        layout=layout,
+    )
 
 
 def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
@@ -181,23 +211,18 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
     specs = []
     for i, obj in enumerate(data, start=1):
         try:
-            mode = ResourceMode[str(obj["mode"]).strip().upper().replace("-", "_")]
-            raw_rules = [
-                (str(r["chapter"]), str(r["category"])) for r in obj.get("rules", [])
-            ]
-            if "default" in obj and obj["default"] is not None:
-                raw_rules.append(("*", str(obj["default"])))
-            rules, default = _parse_rules(raw_rules, path, str(obj.get("name", i)))
-            layout = {str(k): int(v) for k, v in obj.get("layout", {}).items()}
-            spec = ResourceSpec(
-                name=str(obj["name"]),
-                file=str(obj["file"]),
-                mode=mode,
-                trust_rank=int(obj["trust_rank"]),
-                category=parse_category(str(obj["category"])) if obj.get("category") else None,
-                chapter_rules=rules,
-                chapter_default=default,
-                layout=layout,
+            name = str(obj["name"])
+            rules = [(str(r["chapter"]), str(r["category"])) for r in obj.get("rules", [])]
+            if obj.get("default") is not None:
+                rules.append(("*", str(obj["default"])))
+            spec = _spec(
+                name,
+                str(obj["file"]),
+                _mode(name, str(obj["mode"])),
+                obj["trust_rank"],
+                str(obj["category"]) if obj.get("category") else None,
+                rules,
+                {str(k): int(v) for k, v in obj.get("layout", {}).items()},
             )
         # TypeError, AttributeError and OverflowError come from values of the
         # wrong JSON type: a resource that is not an object, a layout given
@@ -220,35 +245,22 @@ def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
                 lineno,
             )
         name, file, mode_s, cat_or_rules, rank_s, layout_s = cols
+        name = name.strip()
         try:
-            mode = ResourceMode[mode_s.strip().upper().replace("-", "_")]
+            mode = _mode(name, mode_s)
             layout = {}
             for pair in layout_s.split(","):
                 if pair.strip():
                     k, _, v = pair.partition("=")
                     layout[k.strip()] = int(v)
-            category = None
-            rules: tuple[ChapterRule, ...] = ()
-            default = None
-            if mode is ResourceMode.FIXED:
-                category = parse_category(cat_or_rules)
-            elif mode is ResourceMode.CHAPTERED:
-                raw_rules = []
+            rules = []
+            if mode is ResourceMode.CHAPTERED:
                 for pair in cat_or_rules.split(";"):
                     chapter, _, label = pair.partition("=")
-                    raw_rules.append((chapter, label))
-                rules, default = _parse_rules(raw_rules, path, name)
-            spec = ResourceSpec(
-                name=name.strip(),
-                file=file.strip(),
-                mode=mode,
-                trust_rank=int(rank_s),
-                category=category,
-                chapter_rules=rules,
-                chapter_default=default,
-                layout=layout,
-            )
-        except (KeyError, ValueError) as exc:
+                    rules.append((chapter, label))
+            category = cat_or_rules if mode is ResourceMode.FIXED else None
+            spec = _spec(name, file.strip(), mode, rank_s, category, rules, layout)
+        except ValueError as exc:
             raise ParseError(str(exc), path, lineno) from None
         specs.append(spec)
     return specs
@@ -269,10 +281,8 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     need = max(spec.layout.values()) + 1
     term_column = spec.layout["term"]
     name, rank = spec.name, spec.trust_rank
-    if spec.mode is ResourceMode.FIXED:
-        column = None
-    else:
-        column = spec.layout["category" if spec.mode is ResourceMode.PER_ENTRY else "chapter"]
+    category_field = _CATEGORY_COLUMN[spec.mode]
+    column = None if category_field is None else spec.layout[category_field]
     # The category (None: excluded) of each distinct category or chapter
     # text. Only a success is cached, so the first row with a bad value
     # raises with its own line.
@@ -495,12 +505,7 @@ def format_merge_report(report: MergeReport) -> str:
         for c in report.corrections:
             lines.append(f"  {c.term}: {c.old_category} -> {c.new_category} (by {c.resource})")
         lines.append("")
-    rows = sorted(report.category_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    cat_width = max([len("category")] + [len(k) for k, _ in rows])
-    lines.append(f"{'category'.ljust(cat_width)}  entries")
-    for name, n in rows:
-        lines.append(f"{name.ljust(cat_width)}  {n}")
-    lines.append(f"{'total'.ljust(cat_width)}  {report.total}")
+    lines += count_table("category", report.category_counts, [("total", report.total)])
     return "\n".join(lines) + "\n"
 
 

@@ -205,26 +205,28 @@ def mapping_stats(outcomes: Iterable[MappingOutcome]) -> MappingStats:
     return MappingStats(category_counts, provenance_counts, disagreements, mapped, unmapped)
 
 
+def count_table(title: str, counts: dict[str, int], footer: list[tuple[str, int]]) -> list[str]:
+    """The lines of a frequency table: most frequent first, ties by name,
+    then the ``footer`` rows, in one column as wide as its longest name."""
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    width = max([len(title)] + [len(k) for k, _ in rows] + [len(k) for k, _ in footer])
+    lines = [f"{title.ljust(width)}  entries"]
+    for name, n in rows:
+        lines.append(f"{name.ljust(width)}  {n}")
+    for name, n in footer:
+        lines.append(f"{name.ljust(width)}  {n}")
+    return lines
+
+
 def format_stats(stats: MappingStats, heuristic_tagging: bool = False) -> str:
     """Render the two frequency tables the map command prints."""
-
-    def table(title: str, counts: dict[str, int], footer: list[tuple[str, int]]) -> list[str]:
-        rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        width = max([len(title)] + [len(k) for k, _ in rows] + [len(k) for k, _ in footer])
-        lines = [f"{title.ljust(width)}  entries"]
-        for name, n in rows:
-            lines.append(f"{name.ljust(width)}  {n}")
-        for name, n in footer:
-            lines.append(f"{name.ljust(width)}  {n}")
-        return lines
-
-    lines = table(
+    lines = count_table(
         "category",
         stats.category_counts,
         [("total mapped", stats.mapped), ("not mapped", stats.unmapped), ("total", stats.total)],
     )
     lines.append("")
-    lines += table(
+    lines += count_table(
         "strategy",
         stats.provenance_counts,
         [("disagreements", stats.disagreements)],

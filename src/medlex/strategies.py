@@ -25,7 +25,7 @@ def _index(entries: tuple[tuple[str, Category], ...], kind: str) -> dict[str, Ca
         if not trigger:
             raise ValueError(f"empty {kind}")
         if trigger != fold(trigger):
-            raise ValueError(f"{kind} {trigger!r} is not folded (NFC, then lowercase)")
+            raise ValueError(f"{kind} {trigger!r} is not folded (NFC, lowercase, NFC)")
         if trigger in index:
             raise ValueError(f"duplicate {kind} {trigger!r}")
         index[trigger] = category

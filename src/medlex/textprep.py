@@ -47,7 +47,7 @@ class StopConfig:
                 object.__setattr__(self, name, frozenset(value))
         for item in self.stop_nouns | self.stop_phrases | self.abbreviations:
             if item != fold(item):
-                raise ValueError(f"stoplist entries must be folded (NFC, then lowercase): {item!r}")
+                raise ValueError(f"stoplist entries must be folded (NFC, lowercase, NFC): {item!r}")
         for phrase in self.stop_phrases:
             if len(phrase.split()) != 2:
                 raise ValueError(

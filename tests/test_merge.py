@@ -828,6 +828,65 @@ class TestFixtureMerge:
         assert by_name["ICPC-2"] == (7, 5, 2)
 
 
+MANIFEST_NAMES = st.text(alphabet="AZ09-_ .", min_size=1, max_size=6).map(str.strip).filter(bool)
+MANIFEST_MODES = st.sampled_from(
+    ["FIXED", "fixed", " Fixed ", "PER_ENTRY", "per-entry", "CHAPTERED", "Chaptered", "BOGUS", ""]
+)
+MANIFEST_LABELS = st.sampled_from(["CONDITION", "tool", "anat-loc", " SUBSTANCE ", "NOPE", "OTHER", ""])
+MANIFEST_RULE_LABELS = st.one_of(MANIFEST_LABELS, st.sampled_from(["EXCLUDE", " exclude "]))
+MANIFEST_RANKS = st.sampled_from(["1", " 2 ", "10", "-3", "x", ""])
+MANIFEST_LAYOUTS = st.dictionaries(
+    st.sampled_from(["term", "category", "chapter", "code"]), st.integers(-1, 3), max_size=3
+)
+
+
+@st.composite
+def manifest_entries(draw):
+    """(TSV row, JSON object) declaring the same resource as the README
+    describes each format: the fourth TSV column is a FIXED category or
+    CHAPTERED ``chapter=CATEGORY`` rules with ``*`` the default, which the
+    JSON object gives as ``category``, or ``rules`` and ``default``."""
+    name, file, mode = draw(MANIFEST_NAMES), draw(MANIFEST_NAMES), draw(MANIFEST_MODES)
+    rank, layout = draw(MANIFEST_RANKS), draw(MANIFEST_LAYOUTS)
+    number = rank.strip(" -").isdigit()
+    obj = {"name": name, "file": file, "mode": mode, "trust_rank": int(rank) if number else rank}
+    if layout or draw(st.booleans()):
+        obj["layout"] = layout
+    kind = mode.strip().upper().replace("-", "_")
+    if kind == "CHAPTERED":
+        chapters = st.sampled_from(["K01", "k02 ", "General"])
+        rules = draw(st.lists(st.tuples(chapters, MANIFEST_RULE_LABELS), max_size=3))
+        default = draw(st.one_of(st.none(), MANIFEST_RULE_LABELS))
+        if not rules and default is None:
+            default = "CONDITION"
+        pairs = [f"{chapter}={label}" for chapter, label in rules]
+        if default is not None:
+            pairs.append(f"{draw(st.sampled_from(['*', ' * ']))}={default}")
+            obj["default"] = default
+        column4 = ";".join(pairs)
+        obj["rules"] = [{"chapter": chapter, "category": label} for chapter, label in rules]
+    else:
+        column4 = draw(MANIFEST_LABELS)
+        if kind == "FIXED" and column4:
+            obj["category"] = column4
+    layout_text = ",".join(f"{k}={v}" for k, v in layout.items())
+    return "\t".join([name, file, mode, column4, rank, layout_text]), obj
+
+
+def load_one(tmp, filename, text):
+    """The spec a one-entry manifest loads to, or the error message with
+    its location prefix removed."""
+    path = Path(tmp) / filename
+    path.write_text(text, encoding="utf-8")
+    try:
+        [spec] = load_manifest(path)
+    except ParseError as exc:
+        where = f"{path}:1: " if filename.endswith(".tsv") else f"{path}: resource #1: "
+        assert str(exc).startswith(where)
+        return str(exc)[len(where):]
+    return spec
+
+
 class TestManifest:
     def test_tsv_and_json_manifests_agree(self, data_dir):
         json_specs = load_manifest(data_dir / "manifest.json")
@@ -857,6 +916,52 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "missing.json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest_entries())
+    def test_tsv_row_and_json_object_load_alike(self, entry):
+        row, obj = entry
+        with tempfile.TemporaryDirectory() as tmp:
+            from_tsv = load_one(tmp, "m.tsv", row + "\n")
+            from_json = load_one(tmp, "m.json", json.dumps([obj]))
+        assert from_tsv == from_json
+
+    @pytest.mark.parametrize(
+        ("row", "obj", "message"),
+        [
+            (
+                "A\ta.tsv\tCHAPTERED\tK01=TOOL;*=EXCLUDE\t1\tterm=0,chapter=1",
+                {"mode": "CHAPTERED", "rules": [{"chapter": "K01", "category": "TOOL"}],
+                 "default": "EXCLUDE"},
+                "resource A: default rule cannot exclude",
+            ),
+            (
+                "A\ta.tsv\tBOGUS\tCONDITION\t1\tterm=0",
+                {"mode": "BOGUS", "category": "CONDITION"},
+                "resource A: unknown mode 'BOGUS'",
+            ),
+            (
+                "A\ta.tsv\tFIXED\t\t1\tterm=0",
+                {"mode": "FIXED"},
+                "resource A: FIXED mode needs a category",
+            ),
+        ],
+        ids=["default-exclude", "unknown-mode", "fixed-without-category"],
+    )
+    def test_manifest_fault_names_resource_and_location(self, tmp_path, row, obj, message):
+        tsv = tmp_path / "m.tsv"
+        tsv.write_text("# resources\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as got:
+            load_manifest(tsv)
+        assert str(got.value) == f"{tsv}:2: {message}"
+        good = {"name": "G", "file": "g.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 0}
+        json_path = tmp_path / "m.json"
+        json_path.write_text(
+            json.dumps([good, {"name": "A", "file": "a.tsv", "trust_rank": 1, **obj}]), encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as got:
+            load_manifest(json_path)
+        assert str(got.value) == f"{json_path}: resource #2: {message}"
 
 
 class TestExport:

@@ -391,7 +391,7 @@ class TestTableParsing:
     def test_table_built_directly_rejects_unfolded_triggers(self, table, kind, trigger):
         with pytest.raises(ValueError) as exc_info:
             table(((trigger, Category.CONDITION),))
-        assert str(exc_info.value) == f"{kind} {trigger!r} is not folded (NFC, then lowercase)"
+        assert str(exc_info.value) == f"{kind} {trigger!r} is not folded (NFC, lowercase, NFC)"
         # The parsers fold, so the same row read from a file is accepted.
         parse = parse_keyword_table if table is KeywordTable else parse_suffix_table
         assert parse([f"{trigger}\tCONDITION"]).entries == ((fold(trigger), Category.CONDITION),)

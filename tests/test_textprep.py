@@ -311,7 +311,7 @@ class TestStoplistParsing:
         nfd = unicodedata.normalize("NFD", item)
         with pytest.raises(ValueError) as exc_info:
             StopConfig(**{field: frozenset({nfd})})
-        assert str(exc_info.value) == f"stoplist entries must be folded (NFC, then lowercase): {nfd!r}"
+        assert str(exc_info.value) == f"stoplist entries must be folded (NFC, lowercase, NFC): {nfd!r}"
         assert getattr(parse_stoplist([nfd]), field) == frozenset({item})
 
 
