@@ -9,7 +9,6 @@ from .model import (
     LexiconRecord,
     MappingOutcome,
     Provenance,
-    Strategy,
     Token,
     Vote,
     normalize_term,
@@ -23,7 +22,6 @@ __all__ = [
     "LexiconRecord",
     "MappingOutcome",
     "Provenance",
-    "Strategy",
     "Token",
     "Vote",
     "normalize_term",

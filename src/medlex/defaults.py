@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
-from .io import split_lines
+from .io import read_text, split_lines
 from .strategies import KeywordTable, SuffixTable, parse_keyword_table, parse_suffix_table
 from .textprep import StopConfig, parse_stoplist, parse_wordlist
 
 
 def _data_lines(name: str) -> list[str]:
-    text = (resources.files("medlex") / "data" / name).read_text(encoding="utf-8")
-    return split_lines(text)
+    return split_lines(read_text(Path(__file__).parent / "data" / name, "shipped data"))
 
 
 def default_suffix_table() -> SuffixTable:

@@ -4,11 +4,10 @@ per-strategy accuracy, and stratified sampling for manual annotation."""
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GoldCoverageError, ParseError
 from .io import data_lines, read_text, split_lines
@@ -52,8 +51,7 @@ def ratio3(num: int, den: int) -> str:
 # overlap evaluation (mapped entries vs one external resource)
 
 
-@dataclass(frozen=True)
-class OverlapResult:
+class OverlapResult(NamedTuple):
     overlap: int
     correct: int
     per_category: tuple[tuple[str, int, int], ...]  # label, overlap, correct
@@ -158,8 +156,7 @@ def stratified_sample(
 # gold scoring
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """Square gold x predicted count grid over an ordered label set."""
 
     labels: tuple[str, ...]
@@ -178,16 +175,14 @@ class ConfusionMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CategoryScore:
+class CategoryScore(NamedTuple):
     label: str
     tp: int
     pred_n: int
     gold_n: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_category: tuple[CategoryScore, ...]
     scored_n: int
     accuracy_incl_other: tuple[int, int]  # matches, total over all gold terms
@@ -423,9 +418,11 @@ def format_eval_report(
 
 
 def _macro(pairs: list[tuple[int, int]]) -> str:
-    # Average of exact per-label ratios, no float drift.
-    total = sum(Fraction(tp, den) for tp, den in pairs) / len(pairs)
-    return ratio3(total.numerator, total.denominator)
+    # Mean of the exact per-label ratios, summed over their least common
+    # denominator: no float drift, and ratio3 rounds num/den as it would
+    # the reduced fraction.
+    common = math.lcm(*(den for _, den in pairs))
+    return ratio3(sum(tp * (common // den) for tp, den in pairs), common * len(pairs))
 
 
 def format_eval_tsv(report: EvalReport) -> str:

@@ -79,6 +79,40 @@ def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
     return obj
 
 
+# The JSON name of each type a value of a JSON-lines row or manifest may need.
+_JSON_NAMES = {str: "string", int: "integer", list: "list", dict: "object"}
+
+
+def _json_type(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def json_field(
+    obj: dict[str, Any], key: str, *types: type, optional: bool = False, items: type | None = None
+) -> Any:
+    """``obj[key]``, which must be of one of ``types`` as ``json.loads`` gives
+    them (a JSON ``true`` is not an integer), with every item or object value
+    of type ``items`` when that is given; with ``optional``, None when the key
+    is absent or null. Anything else raises a ValueError naming the key:
+    ``"id" must be a JSON string or integer, not list``, ``"term" is missing``."""
+    value = obj.get(key)
+    if type(value) in types:
+        if items is not None:
+            for item in value.values() if type(value) is dict else value:
+                if type(item) is not items:
+                    raise ValueError(
+                        f'"{key}" must be a JSON {_JSON_NAMES[type(value)]} of '
+                        f"{_JSON_NAMES[items]}s, not one holding {_json_type(item)}"
+                    )
+        return value
+    if optional and value is None:
+        return None
+    if key not in obj:
+        raise ValueError(f'"{key}" is missing')
+    want = " or ".join(_JSON_NAMES[t] for t in types)
+    raise ValueError(f'"{key}" must be a JSON {want}, not {_json_type(value)}')
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8, replacing a regular file only once all of
     it is written: a failed write leaves any old file as it was and no

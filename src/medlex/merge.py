@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
-from .io import data_lines, read_text, sniff_format, split_lines, write_text
+from .io import data_lines, json_field, read_text, sniff_format, split_lines, write_text
 from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .pipeline import count_table
 
@@ -43,8 +43,7 @@ _CATEGORY_COLUMN: dict[ResourceMode, str | None] = {
 EXCLUDE = "EXCLUDE"
 
 
-@dataclass(frozen=True)
-class ChapterRule:
+class ChapterRule(NamedTuple):
     chapter: str
     category: Category | None  # None means exclude
 
@@ -108,8 +107,7 @@ class SourceRecord(NamedTuple):
     trust_rank: int
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     name: str
     records: tuple[SourceRecord, ...]
     ingested: int
@@ -129,8 +127,7 @@ class Correction(NamedTuple):
     resource: str
 
 
-@dataclass(frozen=True)
-class MergeReport:
+class MergeReport(NamedTuple):
     resource_counts: tuple[tuple[str, int, int, int], ...]  # name, ingested, kept, excluded
     overlap_pairs: tuple[tuple[str, str, int], ...]
     corrections: tuple[Correction, ...]
@@ -211,26 +208,35 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
     specs = []
     for i, obj in enumerate(data, start=1):
         try:
-            name = str(obj["name"])
-            rules = [(str(r["chapter"]), str(r["category"])) for r in obj.get("rules", [])]
-            if obj.get("default") is not None:
-                rules.append(("*", str(obj["default"])))
-            spec = _spec(
-                name,
-                str(obj["file"]),
-                _mode(name, str(obj["mode"])),
-                obj["trust_rank"],
-                str(obj["category"]) if obj.get("category") else None,
-                rules,
-                {str(k): int(v) for k, v in obj.get("layout", {}).items()},
-            )
-        # TypeError, AttributeError and OverflowError come from values of the
-        # wrong JSON type: a resource that is not an object, a layout given
-        # as a list, an infinite trust rank.
-        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
+            specs.append(_json_spec(obj))
+        except ValueError as exc:
             raise ParseError(f"resource #{i}: {exc}", path) from None
-        specs.append(spec)
     return specs
+
+
+def _json_spec(obj: object) -> ResourceSpec:
+    """The resource one JSON manifest object declares. Each value must have
+    its JSON type; an optional one (``category``, ``rules``, ``default``,
+    ``layout``) may be null or absent."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    name = json_field(obj, "name", str)
+    try:
+        file = json_field(obj, "file", str)
+        mode = json_field(obj, "mode", str)
+        trust_rank = json_field(obj, "trust_rank", int)
+        category = json_field(obj, "category", str, optional=True)
+        rules = [
+            (json_field(rule, "chapter", str), json_field(rule, "category", str))
+            for rule in json_field(obj, "rules", list, optional=True, items=dict) or ()
+        ]
+        default = json_field(obj, "default", str, optional=True)
+        layout = json_field(obj, "layout", dict, optional=True, items=int) or {}
+    except ValueError as exc:
+        raise ValueError(f"resource {name}: {exc}") from None
+    if default is not None:
+        rules.append(("*", default))
+    return _spec(name, file, _mode(name, mode), trust_rank, category, rules, layout)
 
 
 def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
@@ -254,7 +260,8 @@ def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
                     k, _, v = pair.partition("=")
                     layout[k.strip()] = int(v)
             rules = []
-            if mode is ResourceMode.CHAPTERED:
+            # An empty column 4 gives no rules, which ResourceSpec refuses.
+            if mode is ResourceMode.CHAPTERED and cat_or_rules.strip():
                 for pair in cat_or_rules.split(";"):
                     chapter, _, label = pair.partition("=")
                     rules.append((chapter, label))

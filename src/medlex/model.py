@@ -57,19 +57,10 @@ def parse_category(label: str, allow_other: bool = False) -> Category:
     return cat
 
 
-class Strategy(enum.Enum):
-    """Vote-producing strategies."""
-
-    SUFF = "SUFF"
-    KW_E = "KW_E"
-    KW_1N = "KW_1N"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class Provenance(enum.Enum):
-    """How a mapping outcome got its category."""
+    """How a mapping outcome got its category: the one strategy that voted
+    or won (SUFF, KW_E, KW_1N, which are also what a vote names), agreeing
+    strategies (MULTI), the iterative pass (ITER), or none (UNMAPPED)."""
 
     SUFF = "SUFF"
     KW_E = "KW_E"
@@ -82,8 +73,8 @@ class Provenance(enum.Enum):
         return self.value
 
 
-# Priority order used to resolve disagreeing votes.
-STRATEGY_PRIORITY: tuple[Strategy, ...] = (Strategy.SUFF, Strategy.KW_E, Strategy.KW_1N)
+# The strategies that vote, in the priority order that resolves disagreeing votes.
+STRATEGY_PRIORITY: tuple[Provenance, ...] = (Provenance.SUFF, Provenance.KW_E, Provenance.KW_1N)
 
 
 def normalize_term(raw: str, lowercase: bool = True) -> str:
@@ -179,11 +170,12 @@ class Entry:
 class Vote(NamedTuple):
     """One strategy's category proposal for an entry.
 
+    ``strategy`` is the ``STRATEGY_PRIORITY`` member that cast it.
     ``position`` is the character index of a containment match; it is
     None for suffix matches and exact keyword matches.
     """
 
-    strategy: Strategy
+    strategy: Provenance
     category: Category
     trigger: str
     position: int | None = None
@@ -214,12 +206,11 @@ class MappingOutcome:
                 raise ValueError(f"{self.entry_id}: MULTI needs at least two votes")
             if any(v.category is not self.category for v in self.votes):
                 raise ValueError(f"{self.entry_id}: MULTI votes must all agree")
-        if self.provenance.value in Strategy.__members__:
-            strat = Strategy[self.provenance.value]
-            match = [v for v in self.votes if v.strategy is strat]
+        if self.provenance in STRATEGY_PRIORITY:
+            match = [v for v in self.votes if v.strategy is self.provenance]
             if not match or match[0].category is not self.category:
                 raise ValueError(
-                    f"{self.entry_id}: winning strategy {strat} missing from votes "
+                    f"{self.entry_id}: winning strategy {self.provenance} missing from votes "
                     "or category mismatch"
                 )
         if self.provenance is Provenance.ITER and self.votes:

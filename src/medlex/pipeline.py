@@ -5,13 +5,12 @@ serializes outcomes."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
-from .io import json_object, read_text, sniff_format, split_lines, write_text
+from .io import json_field, json_object, read_text, sniff_format, split_lines, write_text
 from .model import (
     STRATEGY_PRIORITY,
     Category,
@@ -19,7 +18,6 @@ from .model import (
     Entry,
     MappingOutcome,
     Provenance,
-    Strategy,
     Token,
     Vote,
     normalize_term,
@@ -37,24 +35,24 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
     """Resolve per-strategy votes into one category with provenance.
 
     Unanimous multi-strategy agreement becomes MULTI; any disagreement
-    falls back to the highest-priority voter (SUFF > KW_E > KW_1N).
+    falls back to the highest-priority voter (SUFF > KW_E > KW_1N). Two
+    votes from one strategy, or a vote from a provenance that does not
+    vote, raise ValueError.
     """
-    strategies = [v.strategy for v in votes]
-    if len(set(strategies)) != len(strategies):
+    by_strategy = {v.strategy: v for v in votes}
+    if len(by_strategy) != len(votes):
         raise ValueError("more than one vote from the same strategy")
+    for strategy in by_strategy:
+        if strategy not in STRATEGY_PRIORITY:
+            raise ValueError(f"{strategy} is not a voting strategy")
     if not votes:
         return None, Provenance.UNMAPPED
     if len(votes) == 1:
-        only = votes[0]
-        return only.category, Provenance[only.strategy.value]
+        return votes[0].category, votes[0].strategy
     if len({v.category for v in votes}) == 1:
         return votes[0].category, Provenance.MULTI
-    by_strategy = {v.strategy: v for v in votes}
-    for strategy in STRATEGY_PRIORITY:
-        winner = by_strategy.get(strategy)
-        if winner is not None:
-            return winner.category, Provenance[strategy.value]
-    raise AssertionError("unreachable: votes carry unknown strategies")
+    winner = next(by_strategy[s] for s in STRATEGY_PRIORITY if s in by_strategy)
+    return winner.category, winner.strategy
 
 
 def entry_votes(
@@ -169,8 +167,7 @@ def map_dictionary(
     return outcomes
 
 
-@dataclass(frozen=True)
-class MappingStats:
+class MappingStats(NamedTuple):
     """Frequency tables over a mapping run."""
 
     category_counts: dict[str, int]
@@ -244,21 +241,26 @@ def format_stats(stats: MappingStats, heuristic_tagging: bool = False) -> str:
 def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
     """A JSON-lines row's ``id`` and ``term``: strings, except that an
     integer ``id`` is read as its decimal text."""
-    entry_id, term = obj.get("id"), obj.get("term")
-    if type(entry_id) is int:
-        entry_id = str(entry_id)
-    if isinstance(entry_id, str) and isinstance(term, str):
-        return entry_id, term
-    key, want = ("term", "string") if isinstance(entry_id, str) else ("id", "string or integer")
-    found = "null" if obj.get(key) is None else type(obj[key]).__name__
-    problem = f"must be a JSON {want}, not {found}" if key in obj else "is missing"
-    raise ParseError(f'"{key}" {problem}', path, lineno)
+    try:
+        entry_id = json_field(obj, "id", str, int)
+        return str(entry_id), json_field(obj, "term", str)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
+
+
+def _check_tab_free(entry_id: str, term: str) -> None:
+    """Outcome rows are tab-separated lines holding the id and the term."""
+    if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
+        raise ValueError("ids must not contain tabs or newlines")
+    if "\t" in term or "\n" in term or "\r" in term:
+        raise ValueError("terms must not contain tabs or newlines")
 
 
 def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     """Load dictionary entries from TSV (id, term, definition[, synonym_of])
     or JSON-lines with the same fields (plus multi-sense ``definitions``)."""
     p = Path(path)
+    where = str(p)
     text = read_text(p, "dictionary")
     entries: list[Entry] = []
     seen: set[str] = set()
@@ -266,42 +268,38 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
-        if use == "jsonl":
-            obj = json_object(raw, str(p), lineno)
-            entry_id, term = _json_id_term(obj, str(p), lineno)
-            entry_id = entry_id.strip()
-            if "definitions" in obj:
-                if not isinstance(obj["definitions"], list):
-                    raise ParseError('"definitions" must be a JSON list', str(p), lineno)
-                defs = [str(d) for d in obj["definitions"]]
+        try:
+            if use == "jsonl":
+                obj = json_object(raw, where, lineno)
+                entry_id, term = _json_id_term(obj, where, lineno)
+                entry_id = entry_id.strip()
+                if "definitions" in obj:
+                    defs = json_field(obj, "definitions", list, items=str)
+                else:
+                    one = json_field(obj, "definition", str, optional=True)
+                    defs = [one] if one else []
+                synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
+                synonym_of = None if synonym_of is None or synonym_of == "" else str(synonym_of)
             else:
-                one = str(obj.get("definition", "") or "")
-                defs = [one] if one else []
-            synonym_of = str(obj["synonym_of"]) if obj.get("synonym_of") else None
-        else:
-            cols = raw.split("\t")
-            if len(cols) not in (3, 4):
-                raise ParseError(
-                    f"expected id<TAB>term<TAB>definition[<TAB>synonym_of], got "
-                    f"{len(cols)} columns",
-                    str(p),
-                    lineno,
-                )
-            entry_id, term = cols[0].strip(), cols[1]
-            defs = [cols[2]] if cols[2].strip() else []
-            synonym_of = cols[3].strip() or None if len(cols) == 4 else None
-        if not entry_id:
-            raise ParseError("missing entry id", str(p), lineno)
-        if entry_id in seen:
-            raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
-        seen.add(entry_id)
-        # Outcome rows are tab-separated lines holding the id and the term.
-        if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
-            raise ParseError("ids must not contain tabs or newlines", str(p), lineno)
-        if "\t" in term or "\n" in term or "\r" in term:
-            raise ParseError("terms must not contain tabs or newlines", str(p), lineno)
-        if not term.strip():
-            raise ParseError("empty term", str(p), lineno)
+                cols = raw.split("\t")
+                if len(cols) not in (3, 4):
+                    raise ValueError(
+                        "expected id<TAB>term<TAB>definition[<TAB>synonym_of], got "
+                        f"{len(cols)} columns"
+                    )
+                entry_id, term = cols[0].strip(), cols[1]
+                defs = [cols[2]] if cols[2].strip() else []
+                synonym_of = cols[3].strip() or None if len(cols) == 4 else None
+            if not entry_id:
+                raise ValueError("missing entry id")
+            if entry_id in seen:
+                raise ValueError(f"duplicate entry id {entry_id!r}")
+            seen.add(entry_id)
+            _check_tab_free(entry_id, term)
+            if not term.strip():
+                raise ValueError("empty term")
+        except ValueError as exc:
+            raise ParseError(str(exc), where, lineno) from None
         senses = tuple(Definition(d) for d in defs)
         entries.append(Entry(entry_id, term.strip(), senses, synonym_of))
     return entries
@@ -387,6 +385,10 @@ def format_votes(votes: Iterable[Vote]) -> str:
     )
 
 
+# The label of each strategy that votes; a KeyError names any other text.
+_VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
+
+
 def parse_votes(text: str) -> tuple[Vote, ...]:
     votes = []
     if not text:
@@ -398,7 +400,7 @@ def parse_votes(text: str) -> tuple[Vote, ...]:
         strategy, category, trigger, pos = fields
         votes.append(
             Vote(
-                Strategy[strategy],
+                _VOTERS[strategy],
                 parse_category(category),
                 trigger,
                 None if pos == "-" else int(pos),
@@ -468,6 +470,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 entry_id, term = obj.get("id"), obj.get("term")
                 if type(entry_id) is not str or type(term) is not str:
                     entry_id, term = _json_id_term(obj, where, lineno)
+                _check_tab_free(entry_id, term)
                 category = str(obj.get("category") or "")
                 provenance = str(obj["provenance"])
                 votes = str(obj.get("votes", ""))

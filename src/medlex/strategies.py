@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .errors import LintError, ParseError
 from .io import data_lines, read_text, split_lines
-from .model import Category, Strategy, Vote, fold, parse_category
+from .model import Category, Provenance, Vote, fold, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
 # sequences over-generating false positives.
@@ -178,7 +178,7 @@ def suffix_vote(term: str, table: SuffixTable) -> Vote | None:
         if length < len(term):
             category = table.index.get(term[-length:])
             if category is not None:
-                return Vote(Strategy.SUFF, category, term[-length:])
+                return Vote(Provenance.SUFF, category, term[-length:])
     return None
 
 
@@ -214,7 +214,7 @@ def kw_entry_vote(term: str, table: KeywordTable) -> Vote | None:
     if hit is None:
         return None
     keyword, category, pos = hit
-    return Vote(Strategy.KW_E, category, keyword, pos)
+    return Vote(Provenance.KW_E, category, keyword, pos)
 
 
 def kw_firstnoun_vote(first_noun: str | None, table: KeywordTable) -> Vote | None:
@@ -227,9 +227,9 @@ def kw_firstnoun_vote(first_noun: str | None, table: KeywordTable) -> Vote | Non
         return None
     category = table.index.get(first_noun)
     if category is not None:
-        return Vote(Strategy.KW_1N, category, first_noun)
+        return Vote(Provenance.KW_1N, category, first_noun)
     hit = contained_keyword(first_noun, table)
     if hit is None:
         return None
     keyword, category, pos = hit
-    return Vote(Strategy.KW_1N, category, keyword, pos)
+    return Vote(Provenance.KW_1N, category, keyword, pos)

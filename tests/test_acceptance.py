@@ -22,7 +22,6 @@ from medlex.model import (
     Category,
     MappingOutcome,
     Provenance,
-    Strategy,
     Vote,
     normalize_term,
 )
@@ -111,7 +110,7 @@ def test_suffix_suite():
         vote = suffix_vote("xxx" + suffix, table)
         assert vote is not None, suffix
         assert vote.category is category, suffix
-        assert vote.strategy is Strategy.SUFF
+        assert vote.strategy is Provenance.SUFF
         # boundary: a term equal to the suffix itself is not a proper
         # match for that suffix (a strictly shorter nested one may fire)
         boundary = suffix_vote(suffix, table)
@@ -152,7 +151,7 @@ def test_containment_rules():
 @criterion("resolver: exhaustive enumeration matches the brute-force oracle")
 def test_resolver_law():
     categories = (Category.CONDITION, Category.PROCEDURE, Category.SERVICE)
-    strategies = (Strategy.SUFF, Strategy.KW_E, Strategy.KW_1N)
+    strategies = (Provenance.SUFF, Provenance.KW_E, Provenance.KW_1N)
     total = 0
     for r in range(len(strategies) + 1):
         for subset in itertools.combinations(strategies, r):
@@ -167,7 +166,7 @@ def test_resolver_law():
                         assert provenance is Provenance.MULTI
                     else:
                         by_strategy = {v.strategy: v for v in votes}
-                        for s in (Strategy.SUFF, Strategy.KW_E, Strategy.KW_1N):
+                        for s in (Provenance.SUFF, Provenance.KW_E, Provenance.KW_1N):
                             if s in by_strategy:
                                 assert category is by_strategy[s].category
                                 break

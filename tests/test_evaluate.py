@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from medlex.errors import GoldCoverageError, ParseError
 from medlex.evaluate import (
+    _macro,
     format_eval_tsv,
     overlap_eval,
     parse_merge_groups,
@@ -48,6 +52,12 @@ class TestRounding:
         assert ratio3(1, 16) == "0.063"  # 0.0625 rounds up
         assert ratio3(779, 1000) == "0.779"
         assert ratio3(1, 3) == "0.333"
+
+    @given(st.lists(st.integers(1, 10_000).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den))),
+                    min_size=1, max_size=14))
+    def test_macro_matches_the_mean_of_fractions(self, pairs):
+        mean = sum(Fraction(tp, den) for tp, den in pairs) / len(pairs)
+        assert _macro(pairs) == ratio3(mean.numerator, mean.denominator)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,6 @@ from medlex.model import (
     LexiconRecord,
     MappingOutcome,
     Provenance,
-    Strategy,
     Vote,
     normalize_term,
     parse_category,
@@ -366,8 +365,8 @@ class TestMergeLexicons:
 
     def test_provenance_of_winner_kept(self):
         votes = (
-            Vote(Strategy.SUFF, Category.CONDITION, "emi"),
-            Vote(Strategy.KW_1N, Category.CONDITION, "sykdom"),
+            Vote(Provenance.SUFF, Category.CONDITION, "emi"),
+            Vote(Provenance.KW_1N, Category.CONDITION, "sykdom"),
         )
         outcome = MappingOutcome("e1", "leukemi", Category.CONDITION, Provenance.MULTI, votes)
         records, _ = merge_lexicons(mapped_records([outcome]), [])
@@ -857,8 +856,6 @@ def manifest_entries(draw):
         chapters = st.sampled_from(["K01", "k02 ", "General"])
         rules = draw(st.lists(st.tuples(chapters, MANIFEST_RULE_LABELS), max_size=3))
         default = draw(st.one_of(st.none(), MANIFEST_RULE_LABELS))
-        if not rules and default is None:
-            default = "CONDITION"
         pairs = [f"{chapter}={label}" for chapter, label in rules]
         if default is not None:
             pairs.append(f"{draw(st.sampled_from(['*', ' * ']))}={default}")
@@ -871,6 +868,10 @@ def manifest_entries(draw):
             obj["category"] = column4
     layout_text = ",".join(f"{k}={v}" for k, v in layout.items())
     return "\t".join([name, file, mode, column4, rank, layout_text]), obj
+
+
+# A valid JSON manifest resource; each fault case changes one thing in it.
+JSON_A = {"name": "A", "file": "a.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 1}
 
 
 def load_one(tmp, filename, text):
@@ -924,7 +925,12 @@ class TestManifest:
         with tempfile.TemporaryDirectory() as tmp:
             from_tsv = load_one(tmp, "m.tsv", row + "\n")
             from_json = load_one(tmp, "m.json", json.dumps([obj]))
-        assert from_tsv == from_json
+        if isinstance(obj["trust_rank"], str):
+            # A rank that is not a number has no JSON form: a JSON string is refused first.
+            assert isinstance(from_tsv, str)
+            assert from_json == f'resource {obj["name"]}: "trust_rank" must be a JSON integer, not str'
+        else:
+            assert from_tsv == from_json
 
     @pytest.mark.parametrize(
         ("row", "obj", "message"),
@@ -945,8 +951,13 @@ class TestManifest:
                 {"mode": "FIXED"},
                 "resource A: FIXED mode needs a category",
             ),
+            (
+                "A\ta.tsv\tCHAPTERED\t\t1\tterm=0,chapter=1",
+                {"mode": "CHAPTERED"},
+                "resource A: CHAPTERED mode needs chapter rules",
+            ),
         ],
-        ids=["default-exclude", "unknown-mode", "fixed-without-category"],
+        ids=["default-exclude", "unknown-mode", "fixed-without-category", "chaptered-without-rules"],
     )
     def test_manifest_fault_names_resource_and_location(self, tmp_path, row, obj, message):
         tsv = tmp_path / "m.tsv"
@@ -962,6 +973,45 @@ class TestManifest:
         with pytest.raises(ParseError) as got:
             load_manifest(json_path)
         assert str(got.value) == f"{json_path}: resource #2: {message}"
+
+    @pytest.mark.parametrize(
+        ("resource", "message"),
+        [
+            ({**JSON_A, "trust_rank": 1.5}, 'resource A: "trust_rank" must be a JSON integer, not float'),
+            ({**JSON_A, "trust_rank": True}, 'resource A: "trust_rank" must be a JSON integer, not bool'),
+            ({**JSON_A, "trust_rank": "1"}, 'resource A: "trust_rank" must be a JSON integer, not str'),
+            ({**JSON_A, "trust_rank": None}, 'resource A: "trust_rank" must be a JSON integer, not null'),
+            ({k: v for k, v in JSON_A.items() if k != "trust_rank"}, 'resource A: "trust_rank" is missing'),
+            ({**JSON_A, "layout": {"term": 0.9}},
+             'resource A: "layout" must be a JSON object of integers, not one holding float'),
+            ({**JSON_A, "layout": [0]}, 'resource A: "layout" must be a JSON object, not list'),
+            ({**JSON_A, "category": 5}, 'resource A: "category" must be a JSON string, not int'),
+            ({**JSON_A, "mode": "CHAPTERED", "rules": ["K01=TOOL"]},
+             'resource A: "rules" must be a JSON list of objects, not one holding str'),
+            ({**JSON_A, "mode": "CHAPTERED", "rules": [{"category": "TOOL"}]},
+             'resource A: "chapter" is missing'),
+            ({**JSON_A, "name": 5}, '"name" must be a JSON string, not int'),
+            ({k: v for k, v in JSON_A.items() if k != "name"}, '"name" is missing'),
+            ("A", "expected a JSON object, got str"),
+        ],
+        ids=["float-rank", "true-rank", "text-rank", "null-rank", "no-rank", "float-column",
+             "layout-list", "number-category", "text-rule", "rule-without-chapter", "number-name",
+             "no-name", "text-resource"],
+    )
+    def test_json_value_of_the_wrong_type_names_resource_and_key(self, tmp_path, resource, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{**JSON_A, "name": "G"}, resource]), encoding="utf-8")
+        with pytest.raises(ParseError) as got:
+            load_manifest(path)
+        assert str(got.value) == f"{path}: resource #2: {message}"
+
+    def test_json_null_optional_value_is_absent(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{"name": "A", "file": "a.tsv", "mode": "PER_ENTRY", "trust_rank": 1,
+                                     "category": None, "rules": None, "default": None, "layout": None}]),
+                        encoding="utf-8")
+        [spec] = load_manifest(path)
+        assert (spec.category, spec.chapter_rules, spec.layout) == (None, (), {"term": 0, "category": 1})
 
 
 class TestExport:

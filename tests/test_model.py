@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
 import re
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medlex.merge import Correction, SourceRecord
+from medlex.evaluate import CategoryScore, ConfusionMatrix, EvalReport, OverlapResult
+from medlex.merge import ChapterRule, Correction, IngestResult, MergeReport, SourceRecord
 from medlex.model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -17,13 +20,13 @@ from medlex.model import (
     LexiconRecord,
     MappingOutcome,
     Provenance,
-    Strategy,
     Token,
     Vote,
     fold,
     normalize_term,
     parse_category,
 )
+from medlex.pipeline import MappingStats
 
 TERM_TEXT = st.text(alphabet="abcæøå ABZ\t\n  ", min_size=0, max_size=30)
 UNICODE_SPACE = [c for c in map(chr, range(0x3001)) if re.fullmatch(r"\s", c)]
@@ -163,7 +166,7 @@ class TestDefinitionTokenAlignment:
             Definition("noe annet", (Token("sykdom", "NOUN"),))
 
 
-def _vote(strategy=Strategy.SUFF, category=Category.CONDITION):
+def _vote(strategy=Provenance.SUFF, category=Category.CONDITION):
     return Vote(strategy, category, "emi")
 
 
@@ -176,7 +179,7 @@ class TestMappingOutcomeInvariants:
             MappingOutcome("e", "t", Category.CONDITION, Provenance.UNMAPPED).validate()
 
     def test_multi_needs_two_agreeing_votes(self):
-        votes = (_vote(), _vote(Strategy.KW_1N))
+        votes = (_vote(), _vote(Provenance.KW_1N))
         MappingOutcome("e", "t", Category.CONDITION, Provenance.MULTI, votes).validate()
         with pytest.raises(ValueError):
             MappingOutcome(
@@ -188,7 +191,7 @@ class TestMappingOutcomeInvariants:
                 "t",
                 Category.CONDITION,
                 Provenance.MULTI,
-                (_vote(), _vote(Strategy.KW_1N, Category.PROCEDURE)),
+                (_vote(), _vote(Provenance.KW_1N, Category.PROCEDURE)),
             ).validate()
 
     def test_single_strategy_provenance_matches_votes(self):
@@ -216,7 +219,7 @@ class TestMappingOutcomeInvariants:
 
 # The plain row types, each built positionally, with its fields in order.
 ROWS = [
-    (Vote(Strategy.KW_E, Category.TOOL, "kniv", 3), ("strategy", "category", "trigger", "position")),
+    (Vote(Provenance.KW_E, Category.TOOL, "kniv", 3), ("strategy", "category", "trigger", "position")),
     (
         SourceRecord("kniv", Category.TOOL, "ICD-10", "ICD-10", 1),
         ("term", "category", "source", "provenance", "trust_rank"),
@@ -228,6 +231,23 @@ ROWS = [
     (
         Correction("kniv", Category.TOOL, Category.SUBSTANCE, "ATC"),
         ("term", "old_category", "new_category", "resource"),
+    ),
+    (ChapterRule("Procedure codes", None), ("chapter", "category")),
+    (IngestResult("ATC", (), 2, 2), ("name", "records", "ingested", "excluded")),
+    (
+        MergeReport((("ATC", 2, 0, 2),), (), (), {}, 0),
+        ("resource_counts", "overlap_pairs", "corrections", "category_counts", "total"),
+    ),
+    (OverlapResult(4, 3, (("TOOL", 4, 3),)), ("overlap", "correct", "per_category")),
+    (ConfusionMatrix(("TOOL",), ((1,),)), ("labels", "counts")),
+    (CategoryScore("TOOL", 1, 2, 3), ("label", "tp", "pred_n", "gold_n")),
+    (
+        EvalReport((CategoryScore("TOOL", 1, 2, 3),), 3, (1, 3), (1, 3)),
+        ("per_category", "scored_n", "accuracy_incl_other", "accuracy_excl_other"),
+    ),
+    (
+        MappingStats({"TOOL": 1}, {"KW_E": 1}, 0, 1, 0),
+        ("category_counts", "provenance_counts", "disagreements", "mapped", "unmapped"),
     ),
 ]
 
@@ -247,5 +267,22 @@ class TestPlainRows:
         with pytest.raises(AttributeError):
             row.extra = None
 
+    def test_every_dataclass_left_checks_its_fields(self):
+        # A record without checks is a NamedTuple: a dataclass would generate
+        # its code at import for nothing.
+        src = Path(__file__).resolve().parent.parent / "src" / "medlex"
+        unchecked = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+                names = {getattr(d, "id", None) or getattr(d, "attr", None) for d in decorators}
+                if "dataclass" in names:
+                    methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                    if "__post_init__" not in methods:
+                        unchecked.append(f"{path.name}: {node.name}")
+        assert unchecked == []
+
     def test_vote_position_defaults_to_none(self):
-        assert Vote(Strategy.SUFF, Category.CONDITION, "emi").position is None
+        assert Vote(Provenance.SUFF, Category.CONDITION, "emi").position is None

@@ -17,10 +17,10 @@ from medlex.cli import main
 from medlex.defaults import default_function_words, default_stops
 from medlex.errors import ParseError
 from medlex.model import (
+    STRATEGY_PRIORITY,
     Category,
     MappingOutcome,
     Provenance,
-    Strategy,
     Vote,
     fold,
     normalize_term,
@@ -68,7 +68,13 @@ def oracle_read(path):
         try:
             if use == "jsonl":
                 obj = oracle_json_object(raw, str(p), lineno)
-                cols = [*_json_id_term(obj, str(p), lineno), str(obj.get("category") or ""),
+                entry_id, term = _json_id_term(obj, str(p), lineno)
+                # As in a dictionary: the TSV outcome and lexicon rows hold
+                # both, so they are checked before any other field is read.
+                for what, text in (("ids", entry_id), ("terms", term)):
+                    if "\t" in text or "\n" in text or "\r" in text:
+                        raise ValueError(f"{what} must not contain tabs or newlines")
+                cols = [entry_id, term, str(obj.get("category") or ""),
                         str(obj["provenance"]), str(obj.get("votes", ""))]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
@@ -144,6 +150,8 @@ AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\x85", "å", 
            "\U0001f600", "/", "<", " ", "\t"]
 TEXT = st.text(alphabet=st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(AWKWARD)),
                max_size=8)
+# What an id or term may hold: the reader refuses a tab, CR or LF.
+TAB_FREE = TEXT.map(lambda text: text.translate({9: " ", 10: " ", 13: " "}))
 # Few distinct ids, so duplicates come up.
 IDS = st.one_of(st.sampled_from(["e1", "e2", "e3", "7"]), TEXT)
 TRIGGERS = st.one_of(st.sampled_from(["sykdom", "emi", "blå"]),
@@ -151,7 +159,7 @@ TRIGGERS = st.one_of(st.sampled_from(["sykdom", "emi", "blå"]),
                                                     exclude_characters=":;\t\r\n"),
                              min_size=1, max_size=6))
 CATEGORIES = st.sampled_from([c for c in Category if c is not Category.OTHER])
-VOTE = st.builds(Vote, st.sampled_from(list(Strategy)), CATEGORIES, TRIGGERS,
+VOTE = st.builds(Vote, st.sampled_from(list(STRATEGY_PRIORITY)), CATEGORIES, TRIGGERS,
                  st.one_of(st.none(), st.integers(0, 30)))
 
 
@@ -162,7 +170,7 @@ def valid_outcomes(draw, id_text=IDS, term_text=TEXT):
     kind = draw(st.sampled_from(["votes", "votes", "iter", "unmapped"]))
     if kind == "iter":
         return MappingOutcome(draw(id_text), term, draw(CATEGORIES), Provenance.ITER)
-    strategies = draw(st.lists(st.sampled_from(list(Strategy)), unique=True, max_size=3))
+    strategies = draw(st.lists(st.sampled_from(list(STRATEGY_PRIORITY)), unique=True, max_size=3))
     votes = tuple(Vote(s, draw(CATEGORIES), draw(TRIGGERS), draw(st.one_of(st.none(), st.integers(0, 30))))
                   for s in strategies)
     if kind == "unmapped":
@@ -309,6 +317,11 @@ class TestReaderAgainstOracle:
             (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'], "1: bad outcome row: 'provenance'"),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "UNMAPPED", "votes": null}'],
              "1: bad outcome row: bad vote serialization: 'None'"),
+            (".tsv", ["e1\tt\tTOOL\tMULTI\tMULTI:TOOL:x:-;SUFF:TOOL:y:-"], "2: bad outcome row: 'MULTI'"),
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:-;ITER:TOOL:y:-"], "2: bad outcome row: 'ITER'"),
+            (".tsv", ["e1\tt\t\tUNMAPPED\tUNMAPPED:TOOL:x:-"], "2: bad outcome row: 'UNMAPPED'"),
+            (".jsonl", ['{"id": "e1", "term": "a\\tb", "category": "TOOL", "provenance": "ITER"}'],
+             "1: bad outcome row: terms must not contain tabs or newlines"),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
@@ -340,9 +353,10 @@ class TestWriterAgainstOracle:
             assert render_outcomes(outcomes, fmt) == oracle_render(outcomes, fmt)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(valid_outcomes(), max_size=6, unique_by=lambda o: o.entry_id))
+    @given(st.lists(valid_outcomes(TAB_FREE, TAB_FREE), max_size=6, unique_by=lambda o: o.entry_id))
     def test_jsonl_round_trip_keeps_every_field(self, outcomes):
-        # JSON escapes tabs and line breaks, so any id and term survive.
+        # JSON escapes the other line separators and control characters, so
+        # any id and term without a tab, CR or LF survive.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mapped.jsonl"
             path.write_text(render_outcomes(outcomes, "jsonl"), encoding="utf-8")
@@ -352,7 +366,7 @@ class TestWriterAgainstOracle:
         outcomes = [
             MappingOutcome("e\"1", "blå\u2028\\", None, Provenance.UNMAPPED),
             MappingOutcome("e2", "x", Category.TOOL, Provenance.KW_1N,
-                           (Vote(Strategy.KW_1N, Category.TOOL, "kniv", 3),)),
+                           (Vote(Provenance.KW_1N, Category.TOOL, "kniv", 3),)),
         ]
         assert render_outcomes(outcomes, "jsonl") == (
             '{"id": "e\\"1", "term": "blå\u2028\\\\", "category": null, "provenance": "UNMAPPED", '

@@ -11,7 +11,6 @@ from medlex.model import (
     Definition,
     Entry,
     Provenance,
-    Strategy,
     Vote,
 )
 from medlex.pipeline import (
@@ -32,7 +31,7 @@ from medlex.textprep import StopConfig
 EMPTY_STOPS = StopConfig()
 
 
-def vote(strategy: Strategy, category: Category) -> Vote:
+def vote(strategy: Provenance, category: Category) -> Vote:
     return Vote(strategy, category, "trigger")
 
 
@@ -55,36 +54,43 @@ def resolver_oracle(votes):
 
 class TestResolveVotes:
     def test_agreement_is_multi(self):
-        votes = [vote(Strategy.SUFF, Category.CONDITION), vote(Strategy.KW_1N, Category.CONDITION)]
+        votes = [vote(Provenance.SUFF, Category.CONDITION), vote(Provenance.KW_1N, Category.CONDITION)]
         assert resolve_votes(votes) == (Category.CONDITION, Provenance.MULTI)
 
     def test_disagreement_prefers_suffix(self):
-        votes = [vote(Strategy.SUFF, Category.PROCEDURE), vote(Strategy.KW_1N, Category.CONDITION)]
+        votes = [vote(Provenance.SUFF, Category.PROCEDURE), vote(Provenance.KW_1N, Category.CONDITION)]
         assert resolve_votes(votes) == (Category.PROCEDURE, Provenance.SUFF)
 
     def test_empty_is_unmapped(self):
         assert resolve_votes([]) == (None, Provenance.UNMAPPED)
 
     def test_kw_e_beats_kw_1n(self):
-        votes = [vote(Strategy.KW_E, Category.SERVICE), vote(Strategy.KW_1N, Category.ORGANIZATION)]
+        votes = [vote(Provenance.KW_E, Category.SERVICE), vote(Provenance.KW_1N, Category.ORGANIZATION)]
         assert resolve_votes(votes) == (Category.SERVICE, Provenance.KW_E)
 
     def test_two_agreeing_one_disagreeing_is_not_multi(self):
         votes = [
-            vote(Strategy.SUFF, Category.CONDITION),
-            vote(Strategy.KW_E, Category.CONDITION),
-            vote(Strategy.KW_1N, Category.PROCEDURE),
+            vote(Provenance.SUFF, Category.CONDITION),
+            vote(Provenance.KW_E, Category.CONDITION),
+            vote(Provenance.KW_1N, Category.PROCEDURE),
         ]
         assert resolve_votes(votes) == (Category.CONDITION, Provenance.SUFF)
 
     def test_duplicate_strategy_rejected(self):
-        votes = [vote(Strategy.SUFF, Category.CONDITION), vote(Strategy.SUFF, Category.PROCEDURE)]
+        votes = [vote(Provenance.SUFF, Category.CONDITION), vote(Provenance.SUFF, Category.PROCEDURE)]
         with pytest.raises(ValueError):
             resolve_votes(votes)
 
+    @pytest.mark.parametrize("provenance", [Provenance.MULTI, Provenance.ITER, Provenance.UNMAPPED])
+    def test_vote_from_a_provenance_that_does_not_vote_rejected(self, provenance):
+        for votes in ([vote(provenance, Category.CONDITION)],
+                      [vote(Provenance.SUFF, Category.TOOL), vote(provenance, Category.CONDITION)]):
+            with pytest.raises(ValueError, match=f"{provenance} is not a voting strategy"):
+                resolve_votes(votes)
+
     def test_exhaustive_enumeration_matches_oracle(self):
         categories = (Category.CONDITION, Category.PROCEDURE, Category.SERVICE)
-        strategies = (Strategy.SUFF, Strategy.KW_E, Strategy.KW_1N)
+        strategies = (Provenance.SUFF, Provenance.KW_E, Provenance.KW_1N)
         checked = 0
         for r in range(len(strategies) + 1):
             for subset in itertools.combinations(strategies, r):
@@ -215,7 +221,7 @@ class TestMapDictionary:
             outcome.validate()
 
     def test_precedence_law_on_stored_votes(self, fixture_outcomes):
-        priority = {Strategy.SUFF: 0, Strategy.KW_E: 1, Strategy.KW_1N: 2}
+        priority = {Provenance.SUFF: 0, Provenance.KW_E: 1, Provenance.KW_1N: 2}
         for o in fixture_outcomes:
             if len({v.category for v in o.votes}) > 1:
                 winner = min(o.votes, key=lambda v: priority[v.strategy])
@@ -379,8 +385,8 @@ class TestOutcomeIO:
 
     def test_vote_serialization_round_trip(self):
         votes = (
-            Vote(Strategy.KW_E, Category.SERVICE, "tjeneste", 9),
-            Vote(Strategy.SUFF, Category.CONDITION, "emi", None),
+            Vote(Provenance.KW_E, Category.SERVICE, "tjeneste", 9),
+            Vote(Provenance.SUFF, Category.CONDITION, "emi", None),
         )
         from medlex.pipeline import format_votes
 

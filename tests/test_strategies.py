@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import LintError, ParseError
-from medlex.model import Category, Strategy, fold
+from medlex.model import Category, Provenance, fold
 from medlex.strategies import (
     MIN_CONTAINED_KEYWORD_LEN,
     KeywordTable,
@@ -188,7 +188,7 @@ class TestSuffixVote:
 
     def test_vote_strategy_and_shape(self, suffixes):
         vote = suffix_vote("leukemi", suffixes)
-        assert vote.strategy is Strategy.SUFF
+        assert vote.strategy is Provenance.SUFF
         assert vote.position is None
 
     @given(WORD)
@@ -277,7 +277,7 @@ class TestKwEntryVote:
         assert vote is not None
         assert (vote.category, vote.trigger) == (Category.PERSON, "person")
         assert vote.position == find_oracle("schizoid personlighetstype", "person", 1) == 9
-        assert vote.strategy is Strategy.KW_E
+        assert vote.strategy is Provenance.KW_E
 
     def test_omsorg_not_contained_in_sjelesorg(self, keywords):
         assert kw_entry_vote("sjelesorg", keywords) is None
@@ -298,7 +298,7 @@ class TestKwFirstNounVote:
     def test_exact_match(self, keywords):
         vote = kw_firstnoun_vote("sykdom", keywords)
         assert (vote.category, vote.trigger) == (Category.CONDITION, "sykdom")
-        assert vote.strategy is Strategy.KW_1N
+        assert vote.strategy is Provenance.KW_1N
         assert vote.position is None
 
     def test_containment_match(self, keywords):
