@@ -138,7 +138,7 @@ class MergeReport(NamedTuple):
 def load_manifest(path: str | Path) -> list[ResourceSpec]:
     """Resource manifest, JSON (list of objects) or TSV.
 
-    TSV columns: name, file, mode, category-or-rules (ignored for
+    TSV columns: name, file, mode, category-or-rules (empty for
     PER_ENTRY), trust_rank, layout. Rules use ``chapter=CATEGORY`` pairs
     joined by ``;`` with ``*`` for the default; layout uses ``field=column``
     pairs joined by ``,``.
@@ -167,14 +167,20 @@ def _spec(
     name: str,
     file: str,
     mode: ResourceMode,
-    trust_rank: str | int,
+    trust_rank: int,
     category: str | None,
-    rules: Iterable[tuple[str, str]],
+    rules: list[tuple[str, str]],
     layout: dict[str, int],
 ) -> ResourceSpec:
     """The resource one manifest entry declares, in either format; ``rules``
-    are (chapter, label) pairs. A fault raises ValueError, to which the
-    format's reader adds where the entry is."""
+    are (chapter, label) pairs, the default as chapter ``*``. A category
+    (other than empty) or rules that the mode does not use are refused. A
+    fault raises ValueError, to which the format's reader adds where the
+    entry is."""
+    if category and mode is not ResourceMode.FIXED:
+        raise ValueError(f"resource {name}: {mode.value} mode takes no category")
+    if rules and mode is not ResourceMode.CHAPTERED:
+        raise ValueError(f"resource {name}: {mode.value} mode takes no chapter rules or default")
     chapter_rules: list[ChapterRule] = []
     default: Category | None = None
     for chapter, label in rules:
@@ -189,7 +195,7 @@ def _spec(
         name=name,
         file=file,
         mode=mode,
-        trust_rank=int(trust_rank),
+        trust_rank=trust_rank,
         category=parse_category(category) if category else None,
         chapter_rules=tuple(chapter_rules),
         chapter_default=default,
@@ -253,24 +259,35 @@ def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
         name, file, mode_s, cat_or_rules, rank_s, layout_s = cols
         name = name.strip()
         try:
-            mode = _mode(name, mode_s)
+            # In the order the JSON reader checks the same fields.
+            trust_rank = _tsv_int(name, '"trust_rank"', rank_s)
             layout = {}
             for pair in layout_s.split(","):
                 if pair.strip():
                     k, _, v = pair.partition("=")
-                    layout[k.strip()] = int(v)
+                    layout[k.strip()] = _tsv_int(name, f'layout column "{k.strip()}"', v)
+            mode = _mode(name, mode_s)
             rules = []
             # An empty column 4 gives no rules, which ResourceSpec refuses.
             if mode is ResourceMode.CHAPTERED and cat_or_rules.strip():
                 for pair in cat_or_rules.split(";"):
                     chapter, _, label = pair.partition("=")
                     rules.append((chapter, label))
-            category = cat_or_rules if mode is ResourceMode.FIXED else None
-            spec = _spec(name, file.strip(), mode, rank_s, category, rules, layout)
+            category = None if mode is ResourceMode.CHAPTERED else cat_or_rules
+            spec = _spec(name, file.strip(), mode, trust_rank, category, rules, layout)
         except ValueError as exc:
             raise ParseError(str(exc), path, lineno) from None
         specs.append(spec)
     return specs
+
+
+def _tsv_int(name: str, key: str, text: str) -> int:
+    """A TSV manifest integer, as ``int`` reads it (surrounding spaces and a
+    sign allowed)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"resource {name}: {key} must be an integer, not {text!r}") from None
 
 
 def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:

@@ -130,8 +130,6 @@ class Definition:
     def __post_init__(self) -> None:
         if self.tokens is None:
             return
-        if not isinstance(self.tokens, tuple):
-            object.__setattr__(self, "tokens", tuple(self.tokens))
         text, cursor = self.text, 0
         for tok in self.tokens:
             while cursor < len(text) and text[cursor].isspace():
@@ -159,8 +157,6 @@ class Entry:
     def __post_init__(self) -> None:
         if not self.term.strip():
             raise ValueError(f"entry {self.id}: empty term")
-        if not isinstance(self.senses, tuple):
-            object.__setattr__(self, "senses", tuple(self.senses))
 
     def first_sense(self) -> Definition | None:
         """Only the first sense is ever consulted by the mapping."""
@@ -181,19 +177,15 @@ class Vote(NamedTuple):
     position: int | None = None
 
 
-@dataclass(frozen=True)
-class MappingOutcome:
-    """Resolved category with provenance for one entry."""
+class MappingOutcome(NamedTuple):
+    """Resolved category with provenance for one entry. Building one checks
+    nothing; ``validate`` checks the provenance rules."""
 
     entry_id: str
     term: str
     category: Category | None
     provenance: Provenance
     votes: tuple[Vote, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.votes, tuple):
-            object.__setattr__(self, "votes", tuple(self.votes))
 
     def validate(self) -> None:
         """Check the provenance/vote consistency rules; raise on violation."""

@@ -248,6 +248,18 @@ def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
         raise ParseError(str(exc), path, lineno) from None
 
 
+def _json_outcome_texts(obj: dict) -> tuple[str, str, str]:
+    """A JSON-lines outcome row's category (a string, null or absent: ""
+    when none), provenance (a string) and votes (a string or absent). A
+    missing provenance raises KeyError, as ``obj["provenance"]`` would."""
+    category = json_field(obj, "category", str, optional=True) or ""
+    if "provenance" not in obj:
+        raise KeyError("provenance")
+    provenance = json_field(obj, "provenance", str)
+    votes = json_field(obj, "votes", str) if "votes" in obj else ""
+    return category, provenance, votes
+
+
 def _check_tab_free(entry_id: str, term: str) -> None:
     """Outcome rows are tab-separated lines holding the id and the term."""
     if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
@@ -258,7 +270,11 @@ def _check_tab_free(entry_id: str, term: str) -> None:
 
 def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     """Load dictionary entries from TSV (id, term, definition[, synonym_of])
-    or JSON-lines with the same fields (plus multi-sense ``definitions``)."""
+    or JSON-lines with the same fields (plus multi-sense ``definitions``).
+
+    Both formats follow one rule: the id, term and ``synonym_of`` are
+    trimmed, an empty ``synonym_of`` is none, and a definition that is
+    blank after trimming is dropped (its text is kept as written)."""
     p = Path(path)
     where = str(p)
     text = read_text(p, "dictionary")
@@ -266,20 +282,19 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     seen: set[str] = set()
     use = sniff_format(p, fmt)
     for lineno, raw in enumerate(split_lines(text), start=1):
-        if not raw.strip():
+        # A TSV line with a tab is a row, even when its columns are blank.
+        if not raw.strip() and (use == "jsonl" or "\t" not in raw):
             continue
         try:
             if use == "jsonl":
                 obj = json_object(raw, where, lineno)
                 entry_id, term = _json_id_term(obj, where, lineno)
-                entry_id = entry_id.strip()
                 if "definitions" in obj:
                     defs = json_field(obj, "definitions", list, items=str)
                 else:
-                    one = json_field(obj, "definition", str, optional=True)
-                    defs = [one] if one else []
+                    defs = [json_field(obj, "definition", str, optional=True) or ""]
                 synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
-                synonym_of = None if synonym_of is None or synonym_of == "" else str(synonym_of)
+                synonym_of = "" if synonym_of is None else str(synonym_of)
             else:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
@@ -287,9 +302,9 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
                         "expected id<TAB>term<TAB>definition[<TAB>synonym_of], got "
                         f"{len(cols)} columns"
                     )
-                entry_id, term = cols[0].strip(), cols[1]
-                defs = [cols[2]] if cols[2].strip() else []
-                synonym_of = cols[3].strip() or None if len(cols) == 4 else None
+                entry_id, term, defs = cols[0], cols[1], [cols[2]]
+                synonym_of = cols[3] if len(cols) == 4 else ""
+            entry_id = entry_id.strip()
             if not entry_id:
                 raise ValueError("missing entry id")
             if entry_id in seen:
@@ -300,8 +315,8 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
                 raise ValueError("empty term")
         except ValueError as exc:
             raise ParseError(str(exc), where, lineno) from None
-        senses = tuple(Definition(d) for d in defs)
-        entries.append(Entry(entry_id, term.strip(), senses, synonym_of))
+        senses = tuple(Definition(d) for d in defs if d.strip())
+        entries.append(Entry(entry_id, term.strip(), senses, synonym_of.strip() or None))
     return entries
 
 
@@ -471,9 +486,12 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 if type(entry_id) is not str or type(term) is not str:
                     entry_id, term = _json_id_term(obj, where, lineno)
                 _check_tab_free(entry_id, term)
-                category = str(obj.get("category") or "")
-                provenance = str(obj["provenance"])
-                votes = str(obj.get("votes", ""))
+                category, provenance = obj.get("category", ""), obj.get("provenance")
+                votes = obj.get("votes", "")
+                if category is None:
+                    category = ""
+                if type(category) is not str or type(provenance) is not str or type(votes) is not str:
+                    category, provenance, votes = _json_outcome_texts(obj)
             else:
                 cols = raw.split("\t")
                 if lineno == 1 and cols[:2] == ["id", "term"]:

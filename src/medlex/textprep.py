@@ -41,10 +41,6 @@ class StopConfig:
     abbreviations: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        for name in ("stop_nouns", "stop_phrases", "abbreviations"):
-            value = getattr(self, name)
-            if not isinstance(value, frozenset):
-                object.__setattr__(self, name, frozenset(value))
         for item in self.stop_nouns | self.stop_phrases | self.abbreviations:
             if item != fold(item):
                 raise ValueError(f"stoplist entries must be folded (NFC, lowercase, NFC): {item!r}")

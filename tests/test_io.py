@@ -18,7 +18,7 @@ from medlex.errors import LintError, ParseError
 from medlex.evaluate import read_gold
 from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, ingest_resource, load_manifest
 from medlex.model import Category
-from medlex.pipeline import read_dictionary, read_outcomes
+from medlex.pipeline import read_dictionary, read_outcomes, resolve_synonyms
 from medlex.strategies import load_keyword_table, load_suffix_table
 from medlex.textprep import ingest_conllu, load_stoplist, load_wordlist
 
@@ -208,6 +208,20 @@ def outcomes_iter_with_votes(tmp, data):
     return merge_args(tmp, data, mapped), f"{mapped}:2:"
 
 
+def outcomes_false_category(tmp, data):
+    row = {"id": "e1", "term": "leukemi", "category": False, "provenance": "UNMAPPED", "votes": ""}
+    mapped = put(tmp / "m.jsonl", json.dumps(row) + "\n")
+    argv = ["eval", "sample", "--mapped", mapped, "--quota", "5", "--seed", "1"]
+    return argv, f'{mapped}:1: bad outcome row: "category" must be a JSON string, not bool'
+
+
+def outcomes_list_votes(tmp, data):
+    row = {"id": "e1", "term": "leukemi", "category": "CONDITION", "provenance": "SUFF",
+           "votes": ["SUFF:CONDITION:emi:-"]}
+    mapped = put(tmp / "m.jsonl", json.dumps(row) + "\n")
+    return merge_args(tmp, data, mapped), f'{mapped}:1: bad outcome row: "votes" must be a JSON string, not list'
+
+
 def gold_empty_term(tmp, data):
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "e1\tleukemi\tCONDITION\tITER\t\n")
     gold = put(tmp / "g.tsv", "leukemi\tCONDITION\n\tCONDITION\n")
@@ -238,6 +252,20 @@ def manifest_layout_list(tmp, data):
     manifest = put(tmp / "m.json", json.dumps([resource]))
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
     return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:"
+
+
+def manifest_text_rank(tmp, data):
+    manifest = put(tmp / "m.tsv", "A\ta.tsv\tFIXED\tTOOL\tx\tterm=0\n")
+    mapped = put(tmp / "mapped.tsv", OUTCOME_HEADER)
+    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            f"""{manifest}:1: resource A: "trust_rank" must be an integer, not 'x'""")
+
+
+def manifest_per_entry_category(tmp, data):
+    manifest = put(tmp / "m.tsv", "A\ta.tsv\tPER_ENTRY\tTOOL\t1\tterm=0,category=1\n")
+    mapped = put(tmp / "mapped.tsv", OUTCOME_HEADER)
+    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            f"{manifest}:1: resource A: PER_ENTRY mode takes no category")
 
 
 @pytest.mark.parametrize(
@@ -273,11 +301,15 @@ def manifest_layout_list(tmp, data):
         outcomes_blank_term,
         outcomes_iter_with_votes,
         outcomes_duplicate_id,
+        outcomes_false_category,
+        outcomes_list_votes,
         gold_empty_term,
         conllu_empty_form,
         manifest_layout_list,
         manifest_deep_nesting,
         manifest_integer_too_long,
+        manifest_text_rank,
+        manifest_per_entry_category,
     ],
 )
 def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys):
@@ -323,6 +355,65 @@ def test_json_integer_id_is_its_decimal_text(tmp_path):
     row = {"id": 7, "term": "a", "category": "CONDITION", "provenance": "ITER"}
     path = put(tmp_path / "m.jsonl", json.dumps(row) + "\n")
     assert read_outcomes(path)[0].entry_id == "7"
+
+
+DICT_IDS = st.sampled_from(["e1", " e1", "e2", "e2 ", " e3 ", "", " "])
+DICT_TERMS = st.sampled_from(["sykdom", " lege ", "kniv i", "", " "])
+DICT_DEFINITIONS = st.sampled_from(["", " ", "\u00a0", "\u2028", "form av sykdom", " kniv "])
+DICT_SYNONYMS = st.sampled_from([None, "", " ", "e1", " e1 ", "e2\u00a0", "e9"])
+
+
+@st.composite
+def dictionary_rows(draw):
+    """The same rows as TSV lines and as JSON-lines objects, with padded
+    ids and synonym_of values and blank definitions. A JSON row gives its
+    definition as ``definition`` or as a one-item ``definitions``, and an
+    empty one may also be absent or null, as an absent synonym_of may be."""
+    tsv, jsonl = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        entry_id, term = draw(DICT_IDS), draw(DICT_TERMS)
+        definition, synonym_of = draw(DICT_DEFINITIONS), draw(DICT_SYNONYMS)
+        tsv.append("\t".join([entry_id, term, definition] + ([] if synonym_of is None else [synonym_of])))
+        obj = {"id": entry_id, "term": term}
+        form = draw(st.sampled_from(["definition", "definitions", "absent", "null"]))
+        if form == "definitions":
+            obj["definitions"] = [definition]
+        elif form == "definition" or definition:
+            obj["definition"] = definition
+        elif form == "null":
+            obj["definition"] = None
+        if synonym_of is not None or draw(st.booleans()):
+            obj["synonym_of"] = synonym_of
+        jsonl.append(json.dumps(obj))
+    return tsv, jsonl
+
+
+def load_dictionary(path):
+    """The entries, resolved and not, or the error without the file name."""
+    try:
+        entries = read_dictionary(path)
+        return entries, resolve_synonyms(entries)
+    except ParseError as exc:
+        return str(exc).replace(path, "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dictionary_rows())
+def test_tsv_and_jsonl_dictionary_rows_load_alike(rows):
+    tsv, jsonl = rows
+    with tempfile.TemporaryDirectory() as tmp:
+        from_tsv = load_dictionary(put(Path(tmp) / "d.tsv", "".join(f"{r}\n" for r in tsv)))
+        from_jsonl = load_dictionary(put(Path(tmp) / "d.jsonl", "".join(f"{r}\n" for r in jsonl)))
+    assert from_tsv == from_jsonl
+
+
+def test_jsonl_synonym_of_is_trimmed_and_blank_definitions_dropped(tmp_path):
+    rows = [{"id": "e1", "term": "leukemi", "definitions": [" ", "sykdom i blodet"]},
+            {"id": "e2", "term": "blodkreft", "definition": "  ", "synonym_of": " e1 "}]
+    path = put(tmp_path / "d.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
+    e1, e2 = resolve_synonyms(read_dictionary(path))
+    assert [d.text for d in e1.senses] == ["sykdom i blodet"]
+    assert (e2.synonym_of, e2.senses) == ("e1", e1.senses)
 
 
 # Every character str.isspace accepts.

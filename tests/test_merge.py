@@ -839,12 +839,22 @@ MANIFEST_LAYOUTS = st.dictionaries(
 )
 
 
+MANIFEST_CHAPTERS = st.sampled_from(["K01", "k02 ", "General"])
+MANIFEST_RULES = st.lists(st.tuples(MANIFEST_CHAPTERS, MANIFEST_RULE_LABELS), max_size=3)
+
+
+def json_rules(rules):
+    return [{"chapter": chapter, "category": label} for chapter, label in rules]
+
+
 @st.composite
 def manifest_entries(draw):
-    """(TSV row, JSON object) declaring the same resource as the README
-    describes each format: the fourth TSV column is a FIXED category or
-    CHAPTERED ``chapter=CATEGORY`` rules with ``*`` the default, which the
-    JSON object gives as ``category``, or ``rules`` and ``default``."""
+    """(TSV row, JSON object, JSON-only fields) declaring the same resource
+    as the README describes each format: the fourth TSV column is a FIXED
+    or PER_ENTRY category or CHAPTERED ``chapter=CATEGORY`` rules with ``*``
+    the default, which the JSON object gives as ``category``, or ``rules``
+    and ``default``. The JSON-only fields are ones a TSV row cannot hold:
+    a CHAPTERED ``category``, or FIXED or PER_ENTRY ``rules`` or ``default``."""
     name, file, mode = draw(MANIFEST_NAMES), draw(MANIFEST_NAMES), draw(MANIFEST_MODES)
     rank, layout = draw(MANIFEST_RANKS), draw(MANIFEST_LAYOUTS)
     number = rank.strip(" -").isdigit()
@@ -852,22 +862,29 @@ def manifest_entries(draw):
     if layout or draw(st.booleans()):
         obj["layout"] = layout
     kind = mode.strip().upper().replace("-", "_")
+    extra = {}
     if kind == "CHAPTERED":
-        chapters = st.sampled_from(["K01", "k02 ", "General"])
-        rules = draw(st.lists(st.tuples(chapters, MANIFEST_RULE_LABELS), max_size=3))
+        rules = draw(MANIFEST_RULES)
         default = draw(st.one_of(st.none(), MANIFEST_RULE_LABELS))
         pairs = [f"{chapter}={label}" for chapter, label in rules]
         if default is not None:
             pairs.append(f"{draw(st.sampled_from(['*', ' * ']))}={default}")
             obj["default"] = default
         column4 = ";".join(pairs)
-        obj["rules"] = [{"chapter": chapter, "category": label} for chapter, label in rules]
+        obj["rules"] = json_rules(rules)
+        if draw(st.integers(0, 3)) == 0:
+            extra["category"] = draw(MANIFEST_LABELS)
     else:
         column4 = draw(MANIFEST_LABELS)
-        if kind == "FIXED" and column4:
+        if column4:
             obj["category"] = column4
+        if kind in ("FIXED", "PER_ENTRY") and draw(st.integers(0, 3)) == 0:
+            extra = draw(st.sampled_from([{"rules": draw(MANIFEST_RULES)},
+                                          {"default": draw(MANIFEST_RULE_LABELS)}]))
+            if "rules" in extra:
+                extra["rules"] = json_rules(extra["rules"])
     layout_text = ",".join(f"{k}={v}" for k, v in layout.items())
-    return "\t".join([name, file, mode, column4, rank, layout_text]), obj
+    return "\t".join([name, file, mode, column4, rank, layout_text]), obj, extra
 
 
 # A valid JSON manifest resource; each fault case changes one thing in it.
@@ -921,16 +938,30 @@ class TestManifest:
     @settings(max_examples=300, deadline=None)
     @given(manifest_entries())
     def test_tsv_row_and_json_object_load_alike(self, entry):
-        row, obj = entry
+        row, obj, extra = entry
         with tempfile.TemporaryDirectory() as tmp:
             from_tsv = load_one(tmp, "m.tsv", row + "\n")
             from_json = load_one(tmp, "m.json", json.dumps([obj]))
-        if isinstance(obj["trust_rank"], str):
-            # A rank that is not a number has no JSON form: a JSON string is refused first.
-            assert isinstance(from_tsv, str)
-            assert from_json == f'resource {obj["name"]}: "trust_rank" must be a JSON integer, not str'
+            with_extra = load_one(tmp, "m.json", json.dumps([{**obj, **extra}]))
+        name, rank = obj["name"], obj["trust_rank"]
+        if isinstance(rank, str):
+            # A rank that is not a number has no JSON form: a JSON string is
+            # refused first, and the TSV text is refused first too.
+            assert from_tsv == f'resource {name}: "trust_rank" must be an integer, not {rank!r}'
+            assert from_json == with_extra == f'resource {name}: "trust_rank" must be a JSON integer, not str'
+            return
+        assert from_tsv == from_json
+        mode = obj["mode"].strip().upper().replace("-", "_")
+        if mode not in ("FIXED", "PER_ENTRY", "CHAPTERED"):
+            return
+        # A field the mode does not use is refused before any value is parsed;
+        # an empty category counts as absent.
+        if {**obj, **extra}.get("category") and mode != "FIXED":
+            assert with_extra == f"resource {name}: {mode} mode takes no category"
+        elif extra.get("rules") or "default" in extra:
+            assert with_extra == f"resource {name}: {mode} mode takes no chapter rules or default"
         else:
-            assert from_tsv == from_json
+            assert with_extra == from_json
 
     @pytest.mark.parametrize(
         ("row", "obj", "message"),
@@ -956,15 +987,44 @@ class TestManifest:
                 {"mode": "CHAPTERED"},
                 "resource A: CHAPTERED mode needs chapter rules",
             ),
+            (
+                "A\ta.tsv\tPER_ENTRY\tCONDITION\t1\tterm=0,category=1",
+                {"mode": "PER_ENTRY", "category": "CONDITION"},
+                "resource A: PER_ENTRY mode takes no category",
+            ),
+            # A TSV row cannot hold the fields of the cases below.
+            (
+                None,
+                {"mode": "CHAPTERED", "category": "TOOL", "rules": [{"chapter": "K01", "category": "TOOL"}]},
+                "resource A: CHAPTERED mode takes no category",
+            ),
+            (
+                None,
+                {"mode": "FIXED", "category": "TOOL", "rules": [{"chapter": "K01", "category": "TOOL"}]},
+                "resource A: FIXED mode takes no chapter rules or default",
+            ),
+            (
+                None,
+                {"mode": "FIXED", "category": "TOOL", "default": "TOOL"},
+                "resource A: FIXED mode takes no chapter rules or default",
+            ),
+            (
+                None,
+                {"mode": "PER_ENTRY", "rules": [{"chapter": "K01", "category": "NOPE"}]},
+                "resource A: PER_ENTRY mode takes no chapter rules or default",
+            ),
         ],
-        ids=["default-exclude", "unknown-mode", "fixed-without-category", "chaptered-without-rules"],
+        ids=["default-exclude", "unknown-mode", "fixed-without-category", "chaptered-without-rules",
+             "per-entry-with-category", "chaptered-with-category", "fixed-with-rules",
+             "fixed-with-default", "per-entry-with-rules"],
     )
     def test_manifest_fault_names_resource_and_location(self, tmp_path, row, obj, message):
-        tsv = tmp_path / "m.tsv"
-        tsv.write_text("# resources\n" + row + "\n", encoding="utf-8")
-        with pytest.raises(ParseError) as got:
-            load_manifest(tsv)
-        assert str(got.value) == f"{tsv}:2: {message}"
+        if row is not None:
+            tsv = tmp_path / "m.tsv"
+            tsv.write_text("# resources\n" + row + "\n", encoding="utf-8")
+            with pytest.raises(ParseError) as got:
+                load_manifest(tsv)
+            assert str(got.value) == f"{tsv}:2: {message}"
         good = {"name": "G", "file": "g.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 0}
         json_path = tmp_path / "m.json"
         json_path.write_text(
@@ -1004,6 +1064,32 @@ class TestManifest:
         with pytest.raises(ParseError) as got:
             load_manifest(path)
         assert str(got.value) == f"{path}: resource #2: {message}"
+
+    @pytest.mark.parametrize(
+        ("rank", "layout", "message"),
+        [
+            ("x", "term=0", """resource A: "trust_rank" must be an integer, not 'x'"""),
+            ("1.5", "term=0", """resource A: "trust_rank" must be an integer, not '1.5'"""),
+            ("", "term=0", """resource A: "trust_rank" must be an integer, not ''"""),
+            ("1", "term=x", """resource A: layout column "term" must be an integer, not 'x'"""),
+            ("1", " term = 0.9 ", """resource A: layout column "term" must be an integer, not ' 0.9 '"""),
+            ("1", "term", """resource A: layout column "term" must be an integer, not ''"""),
+        ],
+        ids=["text-rank", "decimal-rank", "empty-rank", "text-column", "decimal-column", "no-column"],
+    )
+    def test_tsv_integer_fault_names_resource_and_key(self, tmp_path, rank, layout, message):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"G\tg.tsv\tFIXED\tTOOL\t0\t\nA\ta.tsv\tFIXED\tTOOL\t{rank}\t{layout}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as got:
+            load_manifest(path)
+        assert str(got.value) == f"{path}:2: {message}"
+
+    def test_tsv_integer_is_read_as_int_reads_it(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("A\ta.tsv\tFIXED\tTOOL\t 2 \tterm= 1 \nB\tb.tsv\tFIXED\tTOOL\t-3\t\n",
+                        encoding="utf-8")
+        assert [(s.trust_rank, s.layout) for s in load_manifest(path)] == [(2, {"term": 1}), (-3, {"term": 0})]
 
     def test_json_null_optional_value_is_absent(self, tmp_path):
         path = tmp_path / "m.json"

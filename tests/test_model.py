@@ -249,6 +249,11 @@ ROWS = [
         MappingStats({"TOOL": 1}, {"KW_E": 1}, 0, 1, 0),
         ("category_counts", "provenance_counts", "disagreements", "mapped", "unmapped"),
     ),
+    (
+        MappingOutcome("e1", "kniv", Category.TOOL, Provenance.KW_E,
+                       (Vote(Provenance.KW_E, Category.TOOL, "kniv"),)),
+        ("entry_id", "term", "category", "provenance", "votes"),
+    ),
 ]
 
 ROW_IDS = [type(row).__name__ for row, _ in ROWS]
@@ -283,6 +288,18 @@ class TestPlainRows:
                     if "__post_init__" not in methods:
                         unchecked.append(f"{path.name}: {node.name}")
         assert unchecked == []
+
+    def test_constructors_store_only_derived_fields(self):
+        # A constructor checks its fields and converts none of them; the
+        # readers convert. It may store only what it derives from its fields.
+        derived = {"index", "lengths", "heads", "chapter_index", "layout"}
+        src = Path(__file__).resolve().parent.parent / "src" / "medlex"
+        stored = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                    stored.append((path.name, ast.unparse(node.args[1])))
+        assert stored and {name for _, name in stored} <= {repr(name) for name in derived}, stored
 
     def test_vote_position_defaults_to_none(self):
         assert Vote(Provenance.SUFF, Category.CONDITION, "emi").position is None

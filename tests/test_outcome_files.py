@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from medlex.cli import main
 from medlex.defaults import default_function_words, default_stops
 from medlex.errors import ParseError
+from medlex.io import json_field
 from medlex.model import (
     STRATEGY_PRIORITY,
     Category,
@@ -74,8 +75,15 @@ def oracle_read(path):
                 for what, text in (("ids", entry_id), ("terms", term)):
                     if "\t" in text or "\n" in text or "\r" in text:
                         raise ValueError(f"{what} must not contain tabs or newlines")
-                cols = [entry_id, term, str(obj.get("category") or ""),
-                        str(obj["provenance"]), str(obj.get("votes", ""))]
+                # Each value must have its JSON type: category a string or
+                # null, provenance a string, votes a string; only category and
+                # votes may be absent.
+                category = json_field(obj, "category", str, optional=True) or ""
+                provenance = obj["provenance"]
+                if type(provenance) is not str:
+                    json_field(obj, "provenance", str)
+                votes = json_field(obj, "votes", str) if "votes" in obj else ""
+                cols = [entry_id, term, category, provenance, votes]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
                     continue
@@ -316,12 +324,24 @@ class TestReaderAgainstOracle:
             (".jsonl", ['{"id": "e1", "term": 5}'], '1: "term" must be a JSON string, not int'),
             (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'], "1: bad outcome row: 'provenance'"),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "UNMAPPED", "votes": null}'],
-             "1: bad outcome row: bad vote serialization: 'None'"),
+             '1: bad outcome row: "votes" must be a JSON string, not null'),
             (".tsv", ["e1\tt\tTOOL\tMULTI\tMULTI:TOOL:x:-;SUFF:TOOL:y:-"], "2: bad outcome row: 'MULTI'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:-;ITER:TOOL:y:-"], "2: bad outcome row: 'ITER'"),
             (".tsv", ["e1\tt\t\tUNMAPPED\tUNMAPPED:TOOL:x:-"], "2: bad outcome row: 'UNMAPPED'"),
             (".jsonl", ['{"id": "e1", "term": "a\\tb", "category": "TOOL", "provenance": "ITER"}'],
              "1: bad outcome row: terms must not contain tabs or newlines"),
+            # A value of another JSON type is refused, not turned into text.
+            (".jsonl", ['{"id": "e1", "term": "t", "category": false, "provenance": "UNMAPPED", "votes": ""}'],
+             '1: bad outcome row: "category" must be a JSON string, not bool'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": 0, "provenance": "UNMAPPED"}'],
+             '1: bad outcome row: "category" must be a JSON string, not int'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL", "provenance": ["ITER"]}'],
+             '1: bad outcome row: "provenance" must be a JSON string, not list'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL", "provenance": null}'],
+             '1: bad outcome row: "provenance" must be a JSON string, not null'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "CONDITION", "provenance": "SUFF", '
+                        '"votes": ["SUFF:CONDITION:te:-"]}'],
+             '1: bad outcome row: "votes" must be a JSON string, not list'),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
