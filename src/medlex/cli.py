@@ -20,10 +20,10 @@ from .evaluate import (
     format_eval_tsv,
     format_overlap_report,
     mapped_categories,
-    overlap_eval,
     parse_merge_groups,
     read_gold,
     score,
+    score_overlap,
     strategy_accuracy,
     stratified_sample,
 )
@@ -37,6 +37,7 @@ from .merge import (
     load_manifest,
     mapped_records,
     merge_lexicons,
+    resource_rows,
 )
 from .pipeline import (
     attach_tokens,
@@ -219,10 +220,11 @@ def cmd_eval_overlap(args: argparse.Namespace) -> int:
     outcomes = read_outcomes(args.mapped)
     specs = load_manifest(args.manifest)
     base_dir = Path(args.manifest).parent
-    rows = []
-    for spec in specs:
-        result = ingest_resource(spec, base_dir)
-        rows.append((spec.name, spec.category_descriptor(), overlap_eval(outcomes, result.records)))
+    categories = mapped_categories(outcomes)
+    rows = [
+        (spec.name, spec.category_descriptor(), score_overlap(categories, resource_rows(spec, base_dir)))
+        for spec in specs
+    ]
     sys.stdout.write(format_overlap_report(rows))
     return 0
 

@@ -78,24 +78,37 @@ def mapped_categories(outcomes: Iterable[MappingOutcome]) -> dict[str, Category]
 def overlap_eval(
     mapped: Iterable[MappingOutcome], resource: Iterable[SourceRecord]
 ) -> OverlapResult:
-    """Score mapped entries against one resource on shared terms.
+    """Score mapped entries against one resource's records on shared terms,
+    as ``score_overlap`` does."""
+    return score_overlap(mapped_categories(mapped), ((r.term, r.category) for r in resource))
 
-    Terms are compared in normalized lowercase form; the first record
-    wins when either side repeats a term.
+
+def score_overlap(
+    categories: Mapping[str, Category], rows: Iterable[tuple[str, Category | None]]
+) -> OverlapResult:
+    """Score the mapped entries, as ``mapped_categories`` gives them, against
+    one resource's (term, category) rows on shared terms.
+
+    Terms are compared in normalized lowercase form, each resource term
+    normalized once. Where the resource repeats a term its first row
+    decides; a row without a category (excluded by a chapter rule) never
+    counts.
     """
-    mapped_cats = mapped_categories(mapped)
-    resource_cats: dict[str, Category] = {}
-    for r in resource:
-        resource_cats.setdefault(normalize_term(r.term), r.category)
+    # Only the keys both sides have are kept.
+    shared: dict[str, Category] = {}
+    for term, category in rows:
+        if category is None:
+            continue
+        key = normalize_term(term)
+        if key in categories and key not in shared:
+            shared[key] = category
 
-    shared = sorted(set(mapped_cats) & set(resource_cats))
     per_category: dict[str, list[int]] = {}
     correct = 0
-    for term in shared:
-        label = str(resource_cats[term])
-        bucket = per_category.setdefault(label, [0, 0])
+    for key, category in shared.items():
+        bucket = per_category.setdefault(str(category), [0, 0])
         bucket[0] += 1
-        if mapped_cats[term] is resource_cats[term]:
+        if categories[key] is category:
             bucket[1] += 1
             correct += 1
     return OverlapResult(

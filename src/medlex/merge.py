@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, json_field, read_text, sniff_format, split_lines, write_text
@@ -290,12 +290,15 @@ def _tsv_int(name: str, key: str, text: str) -> int:
         raise ValueError(f"resource {name}: {key} must be an integer, not {text!r}") from None
 
 
-def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:
-    """Read one resource file into categorized records.
+def resource_rows(
+    spec: ResourceSpec, base_dir: str | Path | None = None
+) -> Iterator[tuple[str, Category | None]]:
+    """(term, category) for each data row of one resource file, in file
+    order; the category is None for a row its chapter rule excludes.
 
     FIXED stamps the spec category on every row; PER_ENTRY reads the
-    category column; CHAPTERED routes rows through the chapter rules,
-    dropping rows whose rule says exclude.
+    category column; CHAPTERED routes rows through the chapter rules. A
+    faulty row raises ParseError, with its line, when the loop reaches it.
     """
     p = Path(spec.file)
     if base_dir is not None and not p.is_absolute():
@@ -304,16 +307,12 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     term_column = spec.layout["term"]
-    name, rank = spec.name, spec.trust_rank
     category_field = _CATEGORY_COLUMN[spec.mode]
     column = None if category_field is None else spec.layout[category_field]
     # The category (None: excluded) of each distinct category or chapter
     # text. Only a success is cached, so the first row with a bad value
     # raises with its own line.
     resolved: dict[str, Category | None] = {}
-    records: list[SourceRecord] = []
-    append = records.append
-    ingested = excluded = 0
     for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
         if len(cols) < need:
@@ -325,21 +324,29 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
         term = cols[term_column].strip()
         if not term:
             raise ParseError(f"resource {spec.name}: empty term", path, lineno)
-        ingested += 1
         if column is None:
-            category = spec.category
-        else:
-            raw = cols[column]
-            try:
-                category = resolved[raw]
-            except KeyError:
-                category = resolved[raw] = _column_category(spec, raw, path, lineno)
-            if category is None:
-                excluded += 1
-                continue
-        # What SourceRecord._make does, without the Python-level __new__.
-        append(tuple.__new__(SourceRecord, (term, category, name, name, rank)))
-    return IngestResult(spec.name, tuple(records), ingested, excluded)
+            yield term, spec.category
+            continue
+        raw = cols[column]
+        try:
+            category = resolved[raw]
+        except KeyError:
+            category = resolved[raw] = _column_category(spec, raw, path, lineno)
+        yield term, category
+
+
+def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:
+    """Read one resource file into categorized records; a row its chapter
+    rule excludes is counted, not kept."""
+    name, rank = spec.name, spec.trust_rank
+    records: list[SourceRecord] = []
+    append = records.append
+    ingested = 0
+    for ingested, (term, category) in enumerate(resource_rows(spec, base_dir), start=1):
+        if category is not None:
+            # What SourceRecord._make does, without the Python-level __new__.
+            append(tuple.__new__(SourceRecord, (term, category, name, name, rank)))
+    return IngestResult(spec.name, tuple(records), ingested, ingested - len(records))
 
 
 def _column_category(spec: ResourceSpec, raw: str, path: str, lineno: int) -> Category | None:

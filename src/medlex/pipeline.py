@@ -477,7 +477,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     # have passed validate(); the checks do not depend on the id or term.
     checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
-        if not raw.strip():
+        # A TSV line with a tab is a row, even when its columns are blank.
+        if not raw.strip() and (jsonl or "\t" not in raw):
             continue
         try:
             if jsonl:

@@ -553,6 +553,35 @@ class TestCmdEval:
         assert "Multiple" in stdout  # ALOC/ICPC-2 descriptor
         assert "N/A" not in stdout.splitlines()[1]
 
+    @pytest.mark.parametrize(
+        ("mode", "rules", "layout", "content", "message"),
+        [
+            ("PER_ENTRY", "", "term=0,category=1", b"feber\tCONDITION\nkniv\n",
+             "resource R: expected at least 2 columns, got 1"),
+            ("FIXED", "CONDITION", "term=0,code=1", b"feber\tA10\n \tB20\n", "resource R: empty term"),
+            ("PER_ENTRY", "", "term=0,category=1", b"feber\tCONDITION\nkniv\tukjent\n",
+             "resource R: unknown category label: 'ukjent'"),
+            ("CHAPTERED", "General=CONDITION", "term=0,chapter=1", b"feber\tGeneral\nkniv\tUkjent\n",
+             "resource R: chapter 'Ukjent' matches no rule and the spec has no default"),
+            ("FIXED", "CONDITION", "term=0", b"feber\nkn\xffiv\n", "resource R is not UTF-8"),
+        ],
+    )
+    def test_overlap_names_a_resource_fault_as_merge_does(
+        self, capsys, tmp_path, mode, rules, layout, content, message
+    ):
+        (tmp_path / "r.tsv").write_bytes(content)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"R\tr.tsv\t{mode}\t{rules}\t1\t{layout}\n", encoding="utf-8")
+        mapped = tmp_path / "mapped.tsv"
+        mapped.write_text("id\tterm\tcategory\tprovenance\tvotes\ne1\tfeber\tCONDITION\tITER\t\n",
+                          encoding="utf-8")
+        merge = run(capsys, ["merge", "--manifest", str(manifest), "--mapped", str(mapped),
+                             "--out", str(tmp_path / "lex.tsv")])
+        overlap = run(capsys, ["eval", "overlap", "--mapped", str(mapped), "--manifest", str(manifest)])
+        assert overlap == merge == (2, "", merge[2])
+        assert merge[2].startswith(f"error: {tmp_path / 'r.tsv'}:2: {message}")
+        assert not (tmp_path / "lex.tsv").exists()
+
     def test_threads_flag_accepted_and_validated(self, capsys, tmp_path):
         dict_file = tmp_path / "d.tsv"
         dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")

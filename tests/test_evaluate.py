@@ -1,22 +1,32 @@
 from __future__ import annotations
 
+import io
 import random
+import tempfile
+import unicodedata
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medlex.cli import main
 from medlex.errors import GoldCoverageError, ParseError
 from medlex.evaluate import (
+    OverlapResult,
     _macro,
     format_eval_tsv,
+    format_overlap_report,
+    mapped_categories,
     overlap_eval,
     parse_merge_groups,
     pct1,
     ratio3,
     read_gold,
     score,
+    score_overlap,
     strategy_accuracy,
     stratified_sample,
 )
@@ -26,7 +36,9 @@ from medlex.model import (
     Category,
     MappingOutcome,
     Provenance,
+    normalize_term,
 )
+from medlex.pipeline import write_outcomes
 
 
 def outcome(entry_id, term, category, provenance=Provenance.KW_1N):
@@ -123,6 +135,100 @@ class TestOverlapEval:
         mapped = [outcome("e1", "Aspartam", Category.SUBSTANCE)]
         result = overlap_eval(mapped, [record("aspartam", Category.SUBSTANCE)])
         assert (result.overlap, result.correct) == (1, 1)
+
+
+def reference_overlap(mapped, resource):
+    """``overlap_eval`` as it was before it scored (term, category) rows:
+    both sides folded into whole dicts, first record wins on each side."""
+    mapped_cats = {}
+    for o in mapped:
+        if o.category is not None:
+            mapped_cats.setdefault(normalize_term(o.term), o.category)
+    resource_cats = {}
+    for r in resource:
+        resource_cats.setdefault(normalize_term(r.term), r.category)
+
+    shared = sorted(set(mapped_cats) & set(resource_cats))
+    per_category = {}
+    correct = 0
+    for term in shared:
+        label = str(resource_cats[term])
+        bucket = per_category.setdefault(label, [0, 0])
+        bucket[0] += 1
+        if mapped_cats[term] is resource_cats[term]:
+            bucket[1] += 1
+            correct += 1
+    return OverlapResult(
+        overlap=len(shared),
+        correct=correct,
+        per_category=tuple((k, v[0], v[1]) for k, v in sorted(per_category.items())),
+    )
+
+
+OVERLAP_WORDS = ["blåbær", "allé", "kåpe kniv", "feber"]
+OVERLAP_CATEGORIES = [Category.CONDITION, Category.TOOL, Category.PROCEDURE]
+# The chapter each category (None: excluded) is written under in a resource file.
+CHAPTER_OF = {Category.CONDITION: "c", Category.TOOL: "t", Category.PROCEDURE: "p", None: "x"}
+
+
+@st.composite
+def term_variant(draw):
+    """One of a few words in another case, NFC or NFD, padded and with its
+    inner space as one or more spaces or a no-break space; no tab, line
+    break or leading ``#``, which a resource file would read otherwise."""
+    word = draw(st.sampled_from(OVERLAP_WORDS))
+    word = unicodedata.normalize(draw(st.sampled_from(["NFC", "NFD"])), word)
+    word = draw(st.sampled_from([str.lower, str.upper, str.title]))(word)
+    word = word.replace(" ", draw(st.sampled_from([" ", "  ", "\u00a0"])))
+    pad = draw(st.sampled_from(["", " ", "\u00a0"]))
+    return pad + word + pad
+
+
+@st.composite
+def overlap_inputs(draw):
+    """(mapped outcomes, resource rows): the same term repeats on either
+    side with other categories, some outcomes are UNMAPPED and some rows
+    are excluded (category None)."""
+    categories = st.sampled_from([*OVERLAP_CATEGORIES, None])
+    outcomes = []
+    for i in range(draw(st.integers(0, 8))):
+        category = draw(categories)
+        provenance = Provenance.UNMAPPED if category is None else Provenance.ITER
+        outcomes.append(MappingOutcome(f"e{i}", draw(term_variant()), category, provenance))
+    rows = draw(st.lists(st.tuples(term_variant(), categories), max_size=10))
+    return outcomes, rows
+
+
+class TestOverlapOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(overlap_inputs())
+    def test_scorer_matches_the_whole_dict_reference(self, inputs):
+        outcomes, rows = inputs
+        records = [record(term.strip(), category) for term, category in rows if category is not None]
+        want = reference_overlap(outcomes, records)
+        assert score_overlap(mapped_categories(outcomes), rows) == want
+        assert overlap_eval(outcomes, records) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(overlap_inputs())
+    def test_eval_overlap_command_matches_the_reference(self, inputs):
+        outcomes, rows = inputs
+        records = [record(term.strip(), category) for term, category in rows if category is not None]
+        want = format_overlap_report([("R", "Multiple", reference_overlap(outcomes, records))])
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            write_outcomes(outcomes, base / "mapped.tsv")
+            lines = [f"{term}\t{CHAPTER_OF[category]}" for term, category in rows]
+            (base / "r.tsv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            (base / "m.tsv").write_text(
+                "R\tr.tsv\tCHAPTERED\tc=CONDITION;t=TOOL;p=PROCEDURE;x=EXCLUDE\t1\tterm=0,chapter=1\n",
+                encoding="utf-8",
+            )
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["eval", "overlap", "--mapped", str(base / "mapped.tsv"),
+                             "--manifest", str(base / "m.tsv")])
+        assert (code, out.getvalue()) == (0, want)
 
 
 def build_outcomes(per_provenance: int, category=Category.CONDITION):

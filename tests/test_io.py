@@ -202,6 +202,13 @@ def outcomes_blank_term(tmp, data):
     return merge_args(tmp, data, mapped), f"{mapped}:2:"
 
 
+def outcomes_blank_columns(tmp, data):
+    # Five blank columns are a row without a term, not a blank line.
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "\t \t\t\t\n")
+    argv = ["eval", "sample", "--mapped", mapped, "--quota", "5", "--seed", "1"]
+    return argv, f"{mapped}:2: bad outcome row: empty term"
+
+
 def outcomes_iter_with_votes(tmp, data):
     row = "e1\tleukemi\tCONDITION\tITER\tSUFF:CONDITION:emi:-\n"
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER + row)
@@ -299,6 +306,7 @@ def manifest_per_entry_category(tmp, data):
         outcomes_tab_in_term,
         outcomes_line_break_in_id,
         outcomes_blank_term,
+        outcomes_blank_columns,
         outcomes_iter_with_votes,
         outcomes_duplicate_id,
         outcomes_false_category,

@@ -64,7 +64,8 @@ def oracle_read(path):
     outcomes = []
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
+        # A TSV line with a tab is a row, even when its columns are blank.
+        if not raw.strip() and (use == "jsonl" or "\t" not in raw):
             continue
         try:
             if use == "jsonl":
@@ -223,7 +224,8 @@ def tsv_lines(draw):
         if kind == 0:
             cols = cols[: draw(st.integers(0, 4))] + ([] if draw(st.booleans()) else ["x", "y"])
         if kind == 1:
-            lines.append(draw(st.sampled_from(["", "   ", "id\tterm\tcategory\tprovenance\tvotes"])))
+            # A line of tabs and spaces is a row with blank columns, not a blank line.
+            lines.append(draw(st.sampled_from(["", "   ", "\t \t\t\t", " \t", "id\tterm\tcategory\tprovenance\tvotes"])))
             continue
         lines.append("\t".join(cols))
     return lines
@@ -342,6 +344,8 @@ class TestReaderAgainstOracle:
             (".jsonl", ['{"id": "e1", "term": "t", "category": "CONDITION", "provenance": "SUFF", '
                         '"votes": ["SUFF:CONDITION:te:-"]}'],
              '1: bad outcome row: "votes" must be a JSON string, not list'),
+            (".tsv", ["e1\tt\tTOOL\tITER\t", "\t \t\t\t"], "3: bad outcome row: empty term"),
+            (".tsv", [" \t"], "2: bad outcome row: expected 5 columns, got 2"),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
