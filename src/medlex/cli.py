@@ -90,10 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", parents=[common], help="map dictionary entries to categories")
     p_map.add_argument("--dict", required=True, dest="dict_file")
-    p_map.add_argument("--suffixes", help="suffix table TSV (default: shipped table)")
-    p_map.add_argument("--keywords", help="keyword table TSV (default: shipped table)")
-    p_map.add_argument("--stops", help="stoplist file (default: shipped list)")
-    p_map.add_argument("--function-words", help="function word list for the heuristic tagger")
+    p_map.add_argument(
+        "--suffixes", default=defaults.SUFFIX_TABLE, help="suffix table TSV (default: shipped table)"
+    )
+    p_map.add_argument(
+        "--keywords", default=defaults.KEYWORD_TABLE, help="keyword table TSV (default: shipped table)"
+    )
+    p_map.add_argument("--stops", default=defaults.STOPLIST, help="stoplist (default: shipped list)")
+    p_map.add_argument(
+        "--function-words",
+        default=defaults.FUNCTION_WORDS,
+        help="function word list for the heuristic tagger (default: shipped list)",
+    )
     p_map.add_argument("--conllu", help="CoNLL-U token/POS annotation keyed by sent_id")
     p_map.add_argument("--iter", type=_int_at_least(0), default=1, dest="iter_rounds")
     p_map.add_argument("--out", help="outcome file (omit to print outcomes to stdout)")
@@ -109,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--manifest", required=True)
     p_merge.add_argument("--mapped", required=True, help="outcome file produced by map")
     p_merge.add_argument("--lowercase", action="store_true")
-    p_merge.add_argument("--out", required=True)
-    p_merge.add_argument("--format", choices=("tsv", "jsonl"), dest="fmt")
+    p_merge.add_argument("--out", required=True, help="lexicon file, in the format its suffix names")
     p_merge.add_argument("--mapped-name", default=DEFAULT_MAPPED_NAME)
     p_merge.add_argument("--mapped-rank", type=int, default=DEFAULT_MAPPED_RANK)
     p_merge.set_defaults(func=cmd_merge)
@@ -160,18 +167,10 @@ def cmd_map(args: argparse.Namespace) -> int:
     # merge and eval read an outcome file in the format its suffix names.
     if args.out and args.fmt and args.fmt != sniff_format(args.out):
         raise ParseError(f"--format {args.fmt} contradicts the suffix of --out {args.out}")
-    suffixes = (
-        load_suffix_table(args.suffixes) if args.suffixes else defaults.default_suffix_table()
-    )
-    keywords = (
-        load_keyword_table(args.keywords) if args.keywords else defaults.default_keyword_table()
-    )
-    stops = load_stoplist(args.stops) if args.stops else defaults.default_stops()
-    function_words = (
-        load_wordlist(args.function_words)
-        if args.function_words
-        else defaults.default_function_words()
-    )
+    suffixes = load_suffix_table(args.suffixes)
+    keywords = load_keyword_table(args.keywords)
+    stops = load_stoplist(args.stops)
+    function_words = load_wordlist(args.function_words)
 
     problems = suffixes.lint()
     if problems:
@@ -190,7 +189,11 @@ def cmd_map(args: argparse.Namespace) -> int:
             id_map={e.id: e.id for e in entries},
             path=args.conllu,
         )
-    entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
+    try:
+        entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
+    except ParseError as exc:
+        # Only CoNLL-U tokens can fail to align with a definition.
+        raise ParseError(str(exc), args.conllu) from None
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
     entries = resolve_synonyms(entries)
@@ -211,7 +214,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     resources = [ingest_resource(spec, base_dir) for spec in specs]
     mapped = mapped_records(outcomes, args.mapped_name, args.mapped_rank)
     records, report = merge_lexicons(mapped, resources, lowercase=args.lowercase)
-    export_lexicon(records, args.out, args.fmt)
+    export_lexicon(records, args.out)
     sys.stdout.write(format_merge_report(report))
     return 0
 

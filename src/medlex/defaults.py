@@ -1,29 +1,31 @@
-"""Loaders for the tables and lists shipped with the package."""
+"""The tables and lists shipped with the package, read by the loaders
+that read a user's own."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .io import read_text, split_lines
-from .strategies import KeywordTable, SuffixTable, parse_keyword_table, parse_suffix_table
-from .textprep import StopConfig, parse_stoplist, parse_wordlist
+from .strategies import KeywordTable, SuffixTable, load_keyword_table, load_suffix_table
+from .textprep import StopConfig, load_stoplist, load_wordlist
 
-
-def _data_lines(name: str) -> list[str]:
-    return split_lines(read_text(Path(__file__).parent / "data" / name, "shipped data"))
+DATA = Path(__file__).parent / "data"
+SUFFIX_TABLE = DATA / "suffixes.tsv"
+KEYWORD_TABLE = DATA / "keywords.tsv"
+STOPLIST = DATA / "stops.txt"
+FUNCTION_WORDS = DATA / "function_words.txt"
 
 
 def default_suffix_table() -> SuffixTable:
-    return parse_suffix_table(_data_lines("suffixes.tsv"), "medlex:data/suffixes.tsv")
+    return load_suffix_table(SUFFIX_TABLE)
 
 
 def default_keyword_table() -> KeywordTable:
-    return parse_keyword_table(_data_lines("keywords.tsv"), "medlex:data/keywords.tsv")
+    return load_keyword_table(KEYWORD_TABLE)
 
 
 def default_stops() -> StopConfig:
-    return parse_stoplist(_data_lines("stops.txt"), "medlex:data/stops.txt")
+    return load_stoplist(STOPLIST)
 
 
 def default_function_words() -> frozenset[str]:
-    return parse_wordlist(_data_lines("function_words.txt"))
+    return load_wordlist(FUNCTION_WORDS)

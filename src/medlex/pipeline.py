@@ -461,7 +461,8 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
 
 def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """Outcome rows as ``write_outcomes`` writes them; every row must have
-    a term and an id no earlier row has, and pass ``MappingOutcome.validate``.
+    a term and a non-blank id no earlier row has, and pass
+    ``MappingOutcome.validate``.
 
     Votes come from K-row tables, so (category, provenance, votes) texts
     repeat across rows: each distinct one is parsed and validated once, and
@@ -502,6 +503,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
+            if not entry_id.strip():
+                raise ValueError("missing entry id")
             key = (category, provenance, votes)
             values = checked.get(key)
             if values is None:

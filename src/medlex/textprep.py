@@ -7,6 +7,7 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
@@ -38,10 +39,9 @@ class StopConfig:
 
     stop_nouns: frozenset[str] = frozenset()
     stop_phrases: frozenset[str] = frozenset()
-    abbreviations: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        for item in self.stop_nouns | self.stop_phrases | self.abbreviations:
+        for item in self.stop_nouns | self.stop_phrases:
             if item != fold(item):
                 raise ValueError(f"stoplist entries must be folded (NFC, lowercase, NFC): {item!r}")
         for phrase in self.stop_phrases:
@@ -54,13 +54,12 @@ class StopConfig:
 def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
     """Build a StopConfig from a one-item-per-line listing.
 
-    Items are classified by shape: two-token lines are noun+preposition
-    stop phrases, period-terminated tokens are abbreviations, anything
-    else is a stop noun. Lines starting with ``#`` are comments.
+    Two-token lines are noun+preposition stop phrases; any other line,
+    an abbreviation such as ``plur.`` too, is a stop noun. Lines starting
+    with ``#`` are comments.
     """
     nouns: set[str] = set()
     phrases: set[str] = set()
-    abbrevs: set[str] = set()
     for lineno, line in data_lines(lines):
         item = " ".join(fold(line).split())
         parts = item.split(" ")
@@ -70,12 +69,10 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
             raise ParseError(
                 f"stop phrases take exactly two tokens, got {item!r}", path, lineno
             )
-        elif item.endswith("."):
-            abbrevs.add(item)
         else:
             nouns.add(item)
     try:
-        return StopConfig(frozenset(nouns), frozenset(phrases), frozenset(abbrevs))
+        return StopConfig(frozenset(nouns), frozenset(phrases))
     except ValueError as exc:
         raise ParseError(str(exc), path) from None
 
@@ -87,10 +84,7 @@ def load_stoplist(path: str | Path) -> StopConfig:
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Plain word list, one item per line, ``#`` comments, folded as terms are."""
-    return parse_wordlist(split_lines(read_text(Path(path), "word list")))
-
-
-def parse_wordlist(lines: Iterable[str]) -> frozenset[str]:
+    lines = split_lines(read_text(Path(path), "word list"))
     return frozenset(fold(line).strip() for _, line in data_lines(lines))
 
 
@@ -101,7 +95,8 @@ def ingest_conllu(
 ) -> dict[str, list[Token]]:
     """Read CoNLL-U sentences into per-entry token lists.
 
-    The ``# sent_id`` comment carries the entry id; ``id_map``, when
+    A blank line ends a sentence. Its ``# sent_id`` comment, once and
+    before its first token, carries the entry id; ``id_map``, when
     given, translates sent_ids to entry ids and any sent_id missing from
     it is skipped with a warning. Multiword-token ranges (id "3-4") and
     empty nodes (id "3.1") are dropped in favor of their parts. Tokens
@@ -113,40 +108,30 @@ def ingest_conllu(
     sent_id: str | None = None
     tokens: list[Token] = []
     sent_start_line = 0
-
-    def flush() -> None:
-        nonlocal sent_id, tokens
-        if not tokens and sent_id is None:
-            return
-        if sent_id is None:
-            raise ParseError("sentence without a # sent_id comment", path, sent_start_line)
-        if sent_id in seen_ids:
-            raise ParseError(f"duplicate sent_id {sent_id!r}", path, sent_start_line)
-        seen_ids.add(sent_id)
-        entry_id = sent_id
-        if id_map is not None:
-            if sent_id not in id_map:
-                log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
-                sent_id, tokens = None, []
-                return
-            entry_id = id_map[sent_id]
-        results[entry_id] = tokens
-        sent_id, tokens = None, []
-
-    for lineno, raw in enumerate(stream, start=1):
+    # The blank line after the last line ends the last sentence.
+    for lineno, raw in enumerate(chain(stream, ("",)), start=1):
         line = raw.rstrip("\r\n")
         if not line:
-            flush()
+            if sent_id is not None:
+                if sent_id in seen_ids:
+                    raise ParseError(f"duplicate sent_id {sent_id!r}", path, sent_start_line)
+                seen_ids.add(sent_id)
+                entry_id = sent_id if id_map is None else id_map.get(sent_id)
+                if entry_id is None:
+                    log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
+                else:
+                    results[entry_id] = tokens
+            elif tokens:
+                raise ParseError("sentence without a # sent_id comment", path, sent_start_line)
+            sent_id, tokens = None, []
             continue
         if line.startswith("#"):
             m = _SENT_ID_COMMENT.match(line)
             if m:
-                if sent_id is None and not tokens:
-                    sent_start_line = lineno
-                sent_id = m.group(1)
+                if sent_id is not None or tokens:
+                    raise ParseError("# sent_id inside a sentence; a blank line ends one", path, lineno)
+                sent_id, sent_start_line = m.group(1), lineno
             continue
-        if not tokens and sent_id is None:
-            sent_start_line = lineno
         cols = line.split("\t")
         if len(cols) != 10:
             raise ParseError(
@@ -157,8 +142,9 @@ def ingest_conllu(
             continue
         if not cols[1]:
             raise ParseError("empty FORM column", path, lineno)
+        if sent_id is None and not tokens:
+            sent_start_line = lineno
         tokens.append(Token(cols[1], cols[3]))
-    flush()
     return results
 
 
@@ -218,7 +204,7 @@ def heuristic_tag(
 def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None:
     """First semantically loaded noun of a definition, folded as terms are.
 
-    Scans left to right skipping configured abbreviations, stop nouns
+    Scans left to right skipping stop nouns (abbreviations among them)
     and nouns heading a stop phrase; absence of a noun is a valid
     outcome, not an error.
     """
@@ -227,7 +213,7 @@ def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None
         if tok.upos not in NOMINAL_TAGS:
             continue
         surface = fold(tok.surface)
-        if surface in stops.abbreviations or surface in stops.stop_nouns:
+        if surface in stops.stop_nouns:
             continue
         if i + 1 < len(toks):
             pair = f"{surface} {fold(toks[i + 1].surface)}"

@@ -193,9 +193,27 @@ class TestCmdMap:
             ["map", "--dict", str(dict_file), "--conllu", str(conllu), "--out", str(out)],
         )
         assert code == 2
-        assert stderr == "error: entry e1: token 'av' does not align with text at offset 7\n"
+        assert stderr == f"error: {conllu}: entry e1: token 'av' does not align with text at offset 7\n"
         assert stdout == ""
         assert not out.exists()
+
+    def test_shipped_tables_passed_as_flags_change_nothing(self, capsys, tmp_path, data_dir):
+        data = Path(medlex.__file__).parent / "data"
+        base = ["map", "--dict", str(data_dir / "dict_50.tsv"), "--conllu", str(data_dir / "dict_50.conllu")]
+        flags = ["--suffixes", str(data / "suffixes.tsv"), "--keywords", str(data / "keywords.tsv"),
+                 "--stops", str(data / "stops.txt"), "--function-words", str(data / "function_words.txt")]
+        runs = []
+        for name, extra in (("default.tsv", []), ("flags.tsv", flags)):
+            out = tmp_path / name
+            runs.append((run(capsys, base + extra + ["--out", str(out)]), out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == 0
+
+    @pytest.mark.parametrize("option", ["--suffixes", "--keywords", "--stops", "--function-words"])
+    def test_empty_table_path_is_a_missing_file(self, capsys, data_dir, option):
+        code, stdout, stderr = run(capsys, ["map", "--dict", str(data_dir / "dict_50.tsv"), option, ""])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "cannot read " in stderr and "Traceback" not in stderr
 
     def test_format_sets_only_the_outcome_format(self, capsys, data_dir):
         code, stdout, _ = run(

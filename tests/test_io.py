@@ -209,6 +209,12 @@ def outcomes_blank_columns(tmp, data):
     return argv, f"{mapped}:2: bad outcome row: empty term"
 
 
+def outcomes_blank_id(tmp, data):
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "\tblodtrykk\t\tUNMAPPED\t\n")
+    argv = ["eval", "sample", "--mapped", mapped, "--quota", "5", "--seed", "1"]
+    return argv, f"{mapped}:2: bad outcome row: missing entry id"
+
+
 def outcomes_iter_with_votes(tmp, data):
     row = "e1\tleukemi\tCONDITION\tITER\tSUFF:CONDITION:emi:-\n"
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER + row)
@@ -239,6 +245,13 @@ def conllu_empty_form(tmp, data):
     rows = ["# sent_id = e1", "1\tsykdom" + "\t_" * 8, "2\t" + "\t_" * 8]
     conllu = put(tmp / "d.conllu", "\n".join(rows) + "\n")
     return ["map", "--dict", put(tmp / "d.tsv", GOOD_DICT), "--conllu", conllu], f"{conllu}:3:"
+
+
+def conllu_next_sentence_without_blank_line(tmp, data):
+    rows = ["# sent_id = a", "1\tblod" + "\t_" * 8, "# sent_id = b", "1\tmåling" + "\t_" * 8]
+    conllu = put(tmp / "d.conllu", "\n".join(rows) + "\n")
+    d = put(tmp / "d.tsv", "a\tblodtrykk\tblod\nb\tblodprøve\tmåling\n")
+    return ["map", "--dict", d, "--conllu", conllu], f"{conllu}:3: # sent_id inside a sentence"
 
 
 def manifest_deep_nesting(tmp, data):
@@ -307,12 +320,14 @@ def manifest_per_entry_category(tmp, data):
         outcomes_line_break_in_id,
         outcomes_blank_term,
         outcomes_blank_columns,
+        outcomes_blank_id,
         outcomes_iter_with_votes,
         outcomes_duplicate_id,
         outcomes_false_category,
         outcomes_list_votes,
         gold_empty_term,
         conllu_empty_form,
+        conllu_next_sentence_without_blank_line,
         manifest_layout_list,
         manifest_deep_nesting,
         manifest_integer_too_long,
@@ -335,6 +350,8 @@ def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys
         ["map", "--dict", "d.tsv", "--iter", "-1"],
         ["eval", "sample", "--mapped", "m.tsv", "--seed", "1", "--quota", "0"],
         ["map", "--dict", "d.tsv", "--threads", "zero"],
+        # The lexicon's format is the one its --out suffix names.
+        ["merge", "--manifest", "m.json", "--mapped", "m.tsv", "--out", "lx.tsv", "--format", "jsonl"],
     ],
 )
 def test_bad_cli_value_is_a_usage_error(argv, capsys):

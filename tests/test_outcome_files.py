@@ -94,6 +94,8 @@ def oracle_read(path):
             entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
+            if not entry_id.strip():
+                raise ValueError("missing entry id")
             outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
                                      Provenance[provenance], parse_votes(votes))
             outcome.validate()
@@ -346,6 +348,10 @@ class TestReaderAgainstOracle:
              '1: bad outcome row: "votes" must be a JSON string, not list'),
             (".tsv", ["e1\tt\tTOOL\tITER\t", "\t \t\t\t"], "3: bad outcome row: empty term"),
             (".tsv", [" \t"], "2: bad outcome row: expected 5 columns, got 2"),
+            (".tsv", ["\tblodtrykk\t\tUNMAPPED\t"], "2: bad outcome row: missing entry id"),
+            (".tsv", ["e1\tt\tTOOL\tITER\t", " \tblodtrykk\t\tUNMAPPED\t"], "3: bad outcome row: missing entry id"),
+            (".jsonl", ['{"id": "", "term": "blodtrykk", "category": null, "provenance": "UNMAPPED", "votes": ""}'],
+             "1: bad outcome row: missing entry id"),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
@@ -377,10 +383,11 @@ class TestWriterAgainstOracle:
             assert render_outcomes(outcomes, fmt) == oracle_render(outcomes, fmt)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(valid_outcomes(TAB_FREE, TAB_FREE), max_size=6, unique_by=lambda o: o.entry_id))
+    @given(st.lists(valid_outcomes(TAB_FREE.filter(str.strip), TAB_FREE), max_size=6,
+                    unique_by=lambda o: o.entry_id))
     def test_jsonl_round_trip_keeps_every_field(self, outcomes):
         # JSON escapes the other line separators and control characters, so
-        # any id and term without a tab, CR or LF survive.
+        # any non-blank id and any term without a tab, CR or LF survive.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mapped.jsonl"
             path.write_text(render_outcomes(outcomes, "jsonl"), encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import ParseError
+from medlex.io import split_lines
 from medlex.model import Definition, Entry, Token, fold
 from medlex.pipeline import attach_tokens
 from medlex.textprep import (
@@ -119,6 +120,178 @@ class TestIngestConllu:
             ingest_conllu(io.StringIO(text))
 
 
+# ingest_conllu as it was before it became one loop, kept as the reference
+# the loop must reproduce on every input it accepted: the sentence ends in
+# a nested flush(), called once more after the last line.
+_REFERENCE_SENT_ID = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
+_textprep_log = logging.getLogger("medlex.textprep")
+
+
+def reference_ingest_conllu(stream, id_map=None, path=None):
+    results = {}
+    seen_ids = set()
+    sent_id = None
+    tokens = []
+    sent_start_line = 0
+
+    def flush():
+        nonlocal sent_id, tokens
+        if not tokens and sent_id is None:
+            return
+        if sent_id is None:
+            raise ParseError("sentence without a # sent_id comment", path, sent_start_line)
+        if sent_id in seen_ids:
+            raise ParseError(f"duplicate sent_id {sent_id!r}", path, sent_start_line)
+        seen_ids.add(sent_id)
+        entry_id = sent_id
+        if id_map is not None:
+            if sent_id not in id_map:
+                _textprep_log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
+                sent_id, tokens = None, []
+                return
+            entry_id = id_map[sent_id]
+        results[entry_id] = tokens
+        sent_id, tokens = None, []
+
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if not line:
+            flush()
+            continue
+        if line.startswith("#"):
+            m = _REFERENCE_SENT_ID.match(line)
+            if m:
+                if sent_id is None and not tokens:
+                    sent_start_line = lineno
+                sent_id = m.group(1)
+            continue
+        if not tokens and sent_id is None:
+            sent_start_line = lineno
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", path, lineno)
+        token_id = cols[0]
+        if "-" in token_id or "." in token_id:
+            continue
+        if not cols[1]:
+            raise ParseError("empty FORM column", path, lineno)
+        tokens.append(Token(cols[1], cols[3]))
+    flush()
+    return results
+
+
+def _token_row(token_id: str, form: str, upos: str = "NOUN") -> str:
+    return f"{token_id}\t{form}\t_\t{upos}\t_\t_\t0\tdep\t_\t_"
+
+
+SENT_IDS = ["a", "b", "c", "d"]
+# Lines a sentence may hold anywhere: comments other than # sent_id, words,
+# multiword-token ranges and empty nodes.
+CONLLU_WORD = st.builds(
+    _token_row,
+    st.sampled_from(["1", "2", "17"]),
+    st.sampled_from(["blod", "måling", "."]),
+    st.sampled_from(["NOUN", "PROPN", "ADP", "_"]),
+)
+CONLLU_BODY_LINE = st.one_of(
+    st.sampled_from(["# text = blod og måling", "#", "# newdoc", "# sent_id =", "#sent_idx = a"]),
+    CONLLU_WORD,
+    CONLLU_WORD,
+    st.builds(_token_row, st.sampled_from(["1-2", "3-4", "1.1", "2.3"]), st.sampled_from(["kontrakt", "_"])),
+)
+CONLLU_FAULTY_LINE = st.sampled_from(["1\tblod\t_\tNOUN", _token_row("1", ""), " "])
+SENT_ID_LINE = st.builds(
+    lambda fmt, sent_id: fmt.format(sent_id),
+    st.sampled_from(["# sent_id = {}", "#sent_id={}", "#  sent_id =  {} "]),
+    st.sampled_from(SENT_IDS),
+)
+
+
+@st.composite
+def conllu_sentence(draw) -> list[str]:
+    """One block of lines with no blank line and at most one # sent_id,
+    which comes before the block's first word; it may follow comments,
+    ranges and empty nodes."""
+    body = draw(st.lists(CONLLU_BODY_LINE, max_size=5))
+    if draw(st.integers(0, 15)) == 0:
+        body.insert(draw(st.integers(0, len(body))), draw(CONLLU_FAULTY_LINE))
+    if draw(st.integers(0, 3)):
+        ids = [line.split("\t")[0] for line in body]
+        words = [i for i, tid in enumerate(ids) if tid.isdigit()]
+        at = draw(st.integers(0, words[0] if words else len(body)))
+        body.insert(at, draw(SENT_ID_LINE))
+    return body
+
+
+@st.composite
+def conllu_documents(draw) -> str:
+    gap = st.lists(st.just(""), min_size=1, max_size=3)
+    lines = draw(st.lists(st.just(""), max_size=2))
+    for sentence in draw(st.lists(conllu_sentence(), max_size=5)):
+        lines += sentence + draw(gap)
+    if lines and draw(st.booleans()):
+        # No blank line after the last sentence.
+        while lines and lines[-1] == "":
+            lines.pop()
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def ingest_outcome(ingest, lines, id_map):
+    """(result or error text, warnings) of one ingest function."""
+    handler = _Warnings()
+    _textprep_log.addHandler(handler)
+    try:
+        got = ingest(lines, id_map=id_map, path="d.conllu")
+    except ParseError as exc:
+        got = f"ParseError: {exc}"
+    finally:
+        _textprep_log.removeHandler(handler)
+    return got, handler.messages
+
+
+class TestIngestConlluAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        conllu_documents(),
+        st.one_of(st.none(), st.dictionaries(st.sampled_from(SENT_IDS), st.sampled_from(["e1", "e2", "a"]))),
+        st.booleans(),
+    )
+    def test_same_tokens_errors_and_warnings(self, text, id_map, as_stream):
+        def lines():
+            # A text stream keeps each line's terminator; the CLI passes split lines.
+            return io.StringIO(text) if as_stream else split_lines(text)
+
+        assert ingest_outcome(ingest_conllu, lines(), id_map) == ingest_outcome(
+            reference_ingest_conllu, lines(), id_map
+        )
+
+    @pytest.mark.parametrize(
+        ("rows", "line"),
+        [
+            (["# sent_id = a", "1", "# sent_id = b", "1"], 3),
+            (["1", "# sent_id = a"], 2),
+            (["1-2", "1", "2", "# sent_id = a"], 4),
+            (["# sent_id = a", "# sent_id = a", "1"], 2),
+            (["# sent_id = a", "# sent_id = b"], 2),
+        ],
+    )
+    def test_sent_id_inside_a_sentence_is_refused_at_its_line(self, rows, line):
+        lines = [_token_row(r, "blod") if r[:1].isdigit() else r for r in rows]
+        with pytest.raises(ParseError) as exc_info:
+            ingest_conllu(lines, path="d.conllu")
+        assert str(exc_info.value) == f"d.conllu:{line}: # sent_id inside a sentence; a blank line ends one"
+
+
 class TestHeuristicTag:
     def test_function_words_get_x(self):
         tokens = heuristic_tag("form av anemi", frozenset({"av"}))
@@ -213,12 +386,6 @@ class TestMemoisedTaggerEqualsOracle:
         assert tagged == [["NOUN", "X", "NOUN"], ["NOUN", "NOUN", "X"]]
 
 
-def make_stops(**kwargs) -> StopConfig:
-    base = dict(stop_nouns=frozenset(), stop_phrases=frozenset(), abbreviations=frozenset())
-    base.update(kwargs)
-    return StopConfig(**base)
-
-
 def nouns(*surfaces: str) -> list[Token]:
     return [Token(s, "NOUN") for s in surfaces]
 
@@ -226,30 +393,32 @@ def nouns(*surfaces: str) -> list[Token]:
 class TestExtractFirstNoun:
     def test_stop_phrase_skips_head_noun_only(self):
         tokens = heuristic_tag("form av anemi hos unge", frozenset({"av", "hos"}))
-        stops = make_stops(stop_phrases=frozenset({"form av"}))
+        stops = StopConfig(stop_phrases=frozenset({"form av"}))
         assert extract_first_noun(tokens, stops) == "anemi"
 
     def test_stop_noun_skipped(self):
         tokens = heuristic_tag("uttrykk for glede", frozenset({"for"}))
-        stops = make_stops(stop_nouns=frozenset({"uttrykk"}))
+        stops = StopConfig(stop_nouns=frozenset({"uttrykk"}))
         assert extract_first_noun(tokens, stops) == "glede"
 
     def test_no_noun_tokens_gives_none(self):
         tokens = [Token("av", "ADP"), Token("ved", "ADP")]
-        assert extract_first_noun(tokens, make_stops()) is None
+        assert extract_first_noun(tokens, StopConfig()) is None
 
     def test_abbreviations_skipped_regardless_of_tag(self):
+        # The stoplist lists an abbreviation as a stop noun.
         tokens = [Token("plur.", "NOUN"), Token("celler", "NOUN")]
-        stops = make_stops(abbreviations=frozenset({"plur."}))
+        stops = parse_stoplist(["plur."])
+        assert stops == StopConfig(stop_nouns=frozenset({"plur."}))
         assert extract_first_noun(tokens, stops) == "celler"
 
     def test_propn_counts_as_nominal(self):
         tokens = [Token("Akershus", "PROPN")]
-        assert extract_first_noun(tokens, make_stops()) == "akershus"
+        assert extract_first_noun(tokens, StopConfig()) == "akershus"
 
     def test_result_is_lowercased_surface(self):
         tokens = [Token("Anemi", "NOUN")]
-        assert extract_first_noun(tokens, make_stops()) == "anemi"
+        assert extract_first_noun(tokens, StopConfig()) == "anemi"
 
     @given(
         st.lists(
@@ -262,7 +431,7 @@ class TestExtractFirstNoun:
     )
     def test_result_is_an_input_nominal_surface_or_none(self, pairs):
         tokens = [Token(surface, upos) for surface, upos in pairs]
-        result = extract_first_noun(tokens, make_stops())
+        result = extract_first_noun(tokens, StopConfig())
         if result is None:
             return
         assert result in [
@@ -275,8 +444,8 @@ class TestExtractFirstNoun:
     )
     def test_adding_absent_stop_nouns_is_local(self, surfaces, absent):
         tokens = nouns(*surfaces)
-        base = make_stops()
-        extended = make_stops(stop_nouns=frozenset({absent}))
+        base = StopConfig()
+        extended = StopConfig(stop_nouns=frozenset({absent}))
         if absent in [s.lower() for s in surfaces]:
             return
         assert extract_first_noun(tokens, base) == extract_first_noun(tokens, extended)
@@ -288,8 +457,7 @@ class TestStoplistParsing:
             ["# comment", "form av", "uttrykk", "plur.", "lat.", ""]
         )
         assert config.stop_phrases == frozenset({"form av"})
-        assert config.stop_nouns == frozenset({"uttrykk"})
-        assert config.abbreviations == frozenset({"plur.", "lat."})
+        assert config.stop_nouns == frozenset({"uttrykk", "plur.", "lat."})
 
     def test_items_lowercased(self):
         config = parse_stoplist(["UTTRYKK"])
@@ -305,9 +473,11 @@ class TestStoplistParsing:
         with pytest.raises(ValueError):
             StopConfig(stop_nouns=frozenset({"Upper"}))
 
-    @pytest.mark.parametrize("field", ["stop_nouns", "stop_phrases", "abbreviations"])
-    def test_config_rejects_items_not_in_nfc(self, field):
-        item = {"stop_nouns": "måte", "stop_phrases": "måte på", "abbreviations": "må."}[field]
+    # An abbreviation is a stop noun that ends in a period.
+    @pytest.mark.parametrize("kind", ["stop_nouns", "stop_phrases", "abbreviations"])
+    def test_config_rejects_items_not_in_nfc(self, kind):
+        field, item = {"stop_nouns": ("stop_nouns", "måte"), "stop_phrases": ("stop_phrases", "måte på"),
+                       "abbreviations": ("stop_nouns", "må.")}[kind]
         nfd = unicodedata.normalize("NFD", item)
         with pytest.raises(ValueError) as exc_info:
             StopConfig(**{field: frozenset({nfd})})
