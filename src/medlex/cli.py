@@ -15,30 +15,7 @@ from pathlib import Path
 
 from . import defaults
 from .errors import GoldCoverageError, LintError, MergeConflictError, ParseError
-from .evaluate import (
-    format_eval_report,
-    format_eval_tsv,
-    format_overlap_report,
-    mapped_categories,
-    parse_merge_groups,
-    read_gold,
-    score,
-    score_overlap,
-    strategy_accuracy,
-    stratified_sample,
-)
 from .io import read_text, sniff_format, split_lines, write_text
-from .merge import (
-    DEFAULT_MAPPED_NAME,
-    DEFAULT_MAPPED_RANK,
-    export_lexicon,
-    format_merge_report,
-    ingest_resource,
-    load_manifest,
-    mapped_records,
-    merge_lexicons,
-    resource_rows,
-)
 from .pipeline import (
     attach_tokens,
     format_stats,
@@ -52,6 +29,9 @@ from .pipeline import (
 )
 from .strategies import load_keyword_table, load_suffix_table
 from .textprep import ingest_conllu, load_stoplist, load_wordlist
+
+# Each command imports merge and evaluate only when it runs them, so a
+# command does not load, or compile, what it does not use.
 
 log = logging.getLogger("medlex")
 
@@ -67,6 +47,14 @@ def _int_at_least(minimum: int):
         return value
 
     return integer
+
+
+def _path(text: str) -> str:
+    """argparse ``type=`` for a file option: any text but the empty string,
+    which names no file (``Path("")`` is the working directory)."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,22 +77,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_map = sub.add_parser("map", parents=[common], help="map dictionary entries to categories")
-    p_map.add_argument("--dict", required=True, dest="dict_file")
+    p_map.add_argument("--dict", type=_path, required=True, dest="dict_file")
     p_map.add_argument(
-        "--suffixes", default=defaults.SUFFIX_TABLE, help="suffix table TSV (default: shipped table)"
+        "--suffixes",
+        type=_path,
+        default=defaults.SUFFIX_TABLE,
+        help="suffix table TSV (default: shipped table)",
     )
     p_map.add_argument(
-        "--keywords", default=defaults.KEYWORD_TABLE, help="keyword table TSV (default: shipped table)"
+        "--keywords",
+        type=_path,
+        default=defaults.KEYWORD_TABLE,
+        help="keyword table TSV (default: shipped table)",
     )
-    p_map.add_argument("--stops", default=defaults.STOPLIST, help="stoplist (default: shipped list)")
+    p_map.add_argument(
+        "--stops", type=_path, default=defaults.STOPLIST, help="stoplist (default: shipped list)"
+    )
     p_map.add_argument(
         "--function-words",
+        type=_path,
         default=defaults.FUNCTION_WORDS,
         help="function word list for the heuristic tagger (default: shipped list)",
     )
-    p_map.add_argument("--conllu", help="CoNLL-U token/POS annotation keyed by sent_id")
+    p_map.add_argument("--conllu", type=_path, help="CoNLL-U token/POS annotation keyed by sent_id")
     p_map.add_argument("--iter", type=_int_at_least(0), default=1, dest="iter_rounds")
-    p_map.add_argument("--out", help="outcome file (omit to print outcomes to stdout)")
+    p_map.add_argument("--out", type=_path, help="outcome file (omit to print outcomes to stdout)")
     p_map.add_argument("--format", choices=("tsv", "jsonl"), dest="fmt", help="outcome format")
     p_map.add_argument(
         "--lax",
@@ -114,12 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_merge = sub.add_parser("merge", parents=[common], help="merge mapped output with resources")
-    p_merge.add_argument("--manifest", required=True)
-    p_merge.add_argument("--mapped", required=True, help="outcome file produced by map")
+    p_merge.add_argument("--manifest", type=_path, required=True)
+    p_merge.add_argument("--mapped", type=_path, required=True, help="outcome file produced by map")
     p_merge.add_argument("--lowercase", action="store_true")
-    p_merge.add_argument("--out", required=True, help="lexicon file, in the format its suffix names")
-    p_merge.add_argument("--mapped-name", default=DEFAULT_MAPPED_NAME)
-    p_merge.add_argument("--mapped-rank", type=int, default=DEFAULT_MAPPED_RANK)
+    p_merge.add_argument(
+        "--out", type=_path, required=True, help="lexicon file, in the format its suffix names"
+    )
+    # None: the defaults of merge.mapped_records.
+    p_merge.add_argument(
+        "--mapped-name",
+        help="source name of the mapped entries: not blank, no tab, CR, LF or ',', "
+        "and no resource's name",
+    )
+    p_merge.add_argument("--mapped-rank", type=int)
     p_merge.set_defaults(func=cmd_merge)
 
     p_eval = sub.add_parser("eval", help="evaluation protocols")
@@ -128,15 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlap = eval_sub.add_parser(
         "overlap", parents=[common], help="score mapped entries against resources"
     )
-    p_overlap.add_argument("--mapped", required=True)
-    p_overlap.add_argument("--manifest", required=True)
+    p_overlap.add_argument("--mapped", type=_path, required=True)
+    p_overlap.add_argument("--manifest", type=_path, required=True)
     p_overlap.set_defaults(func=cmd_eval_overlap)
 
     p_gold = eval_sub.add_parser(
         "gold", parents=[common], help="precision/recall against a gold file"
     )
-    p_gold.add_argument("--gold", required=True)
-    p_gold.add_argument("--mapped", required=True)
+    p_gold.add_argument("--gold", type=_path, required=True)
+    p_gold.add_argument("--mapped", type=_path, required=True)
     p_gold.add_argument(
         "--merge-labels",
         help="label groups to collapse, e.g. ORG+SER or ORGANIZATION+SERVICE",
@@ -147,17 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="precision denominators over all predictions, not the scored set",
     )
-    p_gold.add_argument("--matrix-out", help="write the confusion matrix as CSV")
-    p_gold.add_argument("--report-tsv", help="write the machine-readable report")
+    p_gold.add_argument("--matrix-out", type=_path, help="write the confusion matrix as CSV")
+    p_gold.add_argument("--report-tsv", type=_path, help="write the machine-readable report")
     p_gold.set_defaults(func=cmd_eval_gold)
 
     p_sample = eval_sub.add_parser(
         "sample", parents=[common], help="stratified sample for manual annotation"
     )
-    p_sample.add_argument("--mapped", required=True)
+    p_sample.add_argument("--mapped", type=_path, required=True)
     p_sample.add_argument("--quota", type=_int_at_least(1), required=True)
     p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--out", help="sample file (omit to print to stdout)")
+    p_sample.add_argument("--out", type=_path, help="sample file (omit to print to stdout)")
     p_sample.set_defaults(func=cmd_eval_sample)
 
     return parser
@@ -208,11 +212,31 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    from .merge import (
+        DEFAULT_MAPPED_NAME,
+        DEFAULT_MAPPED_RANK,
+        check_source_name,
+        export_lexicon,
+        format_merge_report,
+        ingest_resource,
+        load_manifest,
+        mapped_records,
+        merge_lexicons,
+    )
+
+    name = DEFAULT_MAPPED_NAME if args.mapped_name is None else args.mapped_name
+    rank = DEFAULT_MAPPED_RANK if args.mapped_rank is None else args.mapped_rank
+    try:
+        check_source_name(name)
+    except ValueError as exc:
+        raise ParseError(f"--mapped-name: {exc}") from None
     outcomes = read_outcomes(args.mapped)
     specs = load_manifest(args.manifest)
+    if any(spec.name == name for spec in specs):
+        raise ParseError(f"--mapped-name {name!r} is also the name of a resource", args.manifest)
     base_dir = Path(args.manifest).parent
     resources = [ingest_resource(spec, base_dir) for spec in specs]
-    mapped = mapped_records(outcomes, args.mapped_name, args.mapped_rank)
+    mapped = mapped_records(outcomes, name, rank)
     records, report = merge_lexicons(mapped, resources, lowercase=args.lowercase)
     export_lexicon(records, args.out)
     sys.stdout.write(format_merge_report(report))
@@ -220,6 +244,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_overlap(args: argparse.Namespace) -> int:
+    from .evaluate import format_overlap_report, mapped_categories, score_overlap
+    from .merge import load_manifest, resource_rows
+
     outcomes = read_outcomes(args.mapped)
     specs = load_manifest(args.manifest)
     base_dir = Path(args.manifest).parent
@@ -233,6 +260,16 @@ def cmd_eval_overlap(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_gold(args: argparse.Namespace) -> int:
+    from .evaluate import (
+        format_eval_report,
+        format_eval_tsv,
+        mapped_categories,
+        parse_merge_groups,
+        read_gold,
+        score,
+        strategy_accuracy,
+    )
+
     gold = read_gold(args.gold)
     outcomes = read_outcomes(args.mapped)
     predicted = mapped_categories(outcomes)
@@ -257,6 +294,8 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_sample(args: argparse.Namespace) -> int:
+    from .evaluate import stratified_sample
+
     outcomes = read_outcomes(args.mapped)
     ids = stratified_sample(outcomes, args.quota, args.seed)
     by_id = {o.entry_id: o for o in outcomes}

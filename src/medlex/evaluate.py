@@ -7,11 +7,10 @@ from __future__ import annotations
 import math
 import random
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GoldCoverageError, ParseError
 from .io import data_lines, read_text, split_lines
-from .merge import SourceRecord
 from .model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -20,6 +19,10 @@ from .model import (
     normalize_term,
     parse_category,
 )
+
+if TYPE_CHECKING:
+    # Only an annotation: each command imports merge only when it runs it.
+    from .merge import SourceRecord
 
 # Sampling strata: the three base strategies plus the two derived ones.
 SAMPLE_STRATA: tuple[Provenance, ...] = (

@@ -8,14 +8,13 @@ import enum
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, json_field, read_text, sniff_format, split_lines, write_text
-from .model import Category, LexiconRecord, MappingOutcome, normalize_term, parse_category
+from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .pipeline import count_table
 
 log = logging.getLogger(__name__)
@@ -48,46 +47,70 @@ class ChapterRule(NamedTuple):
     category: Category | None  # None means exclude
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
+def check_source_name(name: str) -> None:
+    """Raise ValueError unless ``name`` can name a source in the lexicon's
+    sources column, which joins names with ``,``: it must not be blank or
+    hold a tab, CR, LF or ``,``."""
+    if not name.strip():
+        raise ValueError(f"source name {name!r} is blank")
+    if any(ch in name for ch in "\t\r\n,"):
+        raise ValueError(f"source name {name!r} must not contain a tab, CR, LF or ','")
+
+
+class ResourceSpec(Frozen):
     """Declarative description of one external terminology source.
 
-    ``chapter_index`` maps each rule's trimmed, lowercased chapter to its
-    category (None: exclude); where two rules share a chapter, the first
-    wins. It is derived from ``chapter_rules`` once.
+    An empty ``layout`` stands for the mode's default: the term in column
+    0, then any category or chapter column. ``chapter_index`` maps each
+    rule's trimmed, lowercased chapter to its category (None: exclude);
+    where two rules share a chapter, the first wins. It is derived from
+    ``chapter_rules`` once; equality, hashing and repr leave it out.
     """
 
-    name: str
-    file: str
-    mode: ResourceMode
-    trust_rank: int
-    category: Category | None = None
-    chapter_rules: tuple[ChapterRule, ...] = ()
-    chapter_default: Category | None = None
-    layout: dict[str, int] = field(default_factory=dict)
-    chapter_index: dict[str, Category | None] = field(init=False, repr=False, compare=False)
+    _fields = (
+        "name", "file", "mode", "trust_rank", "category", "chapter_rules", "chapter_default", "layout"
+    )
+    __slots__ = _fields + ("chapter_index",)
 
-    def __post_init__(self) -> None:
-        if self.mode is ResourceMode.FIXED and self.category is None:
-            raise ValueError(f"resource {self.name}: FIXED mode needs a category")
-        if self.mode is ResourceMode.CHAPTERED and not self.chapter_rules:
-            raise ValueError(f"resource {self.name}: CHAPTERED mode needs chapter rules")
-        category_field = _CATEGORY_COLUMN[self.mode]
-        if not self.layout:
-            default = {"term": 0} if category_field is None else {"term": 0, category_field: 1}
-            object.__setattr__(self, "layout", default)
-        for name, column in self.layout.items():
+    def __init__(
+        self,
+        name: str,
+        file: str,
+        mode: ResourceMode,
+        trust_rank: int,
+        category: Category | None = None,
+        chapter_rules: tuple[ChapterRule, ...] = (),
+        chapter_default: Category | None = None,
+        layout: dict[str, int] | None = None,
+    ) -> None:
+        check_source_name(name)
+        if mode is ResourceMode.FIXED and category is None:
+            raise ValueError(f"resource {name}: FIXED mode needs a category")
+        if mode is ResourceMode.CHAPTERED and not chapter_rules:
+            raise ValueError(f"resource {name}: CHAPTERED mode needs chapter rules")
+        category_field = _CATEGORY_COLUMN[mode]
+        if not layout:
+            layout = {"term": 0} if category_field is None else {"term": 0, category_field: 1}
+        for column_name, column in layout.items():
             if column < 0:
-                raise ValueError(f"resource {self.name}: layout column {name}={column} is negative")
-        if "term" not in self.layout:
-            raise ValueError(f"resource {self.name}: layout must place the term column")
-        if category_field is not None and category_field not in self.layout:
+                raise ValueError(f"resource {name}: layout column {column_name}={column} is negative")
+        if "term" not in layout:
+            raise ValueError(f"resource {name}: layout must place the term column")
+        if category_field is not None and category_field not in layout:
             raise ValueError(
-                f"resource {self.name}: {self.mode.value} layout needs a {category_field} column"
+                f"resource {name}: {mode.value} layout needs a {category_field} column"
             )
         index: dict[str, Category | None] = {}
-        for rule in self.chapter_rules:
+        for rule in chapter_rules:
             index.setdefault(rule.chapter.strip().lower(), rule.category)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "trust_rank", trust_rank)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "chapter_rules", chapter_rules)
+        object.__setattr__(self, "chapter_default", chapter_default)
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "chapter_index", index)
 
     def category_descriptor(self) -> str:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import unicodedata
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -103,20 +102,59 @@ def fold(text: str) -> str:
     return unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).lower())
 
 
-@dataclass(frozen=True)
-class Token:
+class Frozen:
+    """Base of the value types whose constructor checks its arguments.
+
+    A subclass names its constructor's arguments, in order, in ``_fields``
+    and lists them in ``__slots__`` with anything it derives from them;
+    its ``__init__`` checks the arguments and stores them as given, with
+    ``object.__setattr__``. Equality, hashing and repr read ``_fields``
+    alone, as a frozen dataclass's would; assigning or deleting an
+    attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a value through its constructor.
+        return type(self), self._values()
+
+
+class Token(Frozen):
     """One token of a definition with its universal POS tag."""
 
-    surface: str
-    upos: str
+    __slots__ = _fields = ("surface", "upos")
 
-    def __post_init__(self) -> None:
-        if not self.surface:
+    def __init__(self, surface: str, upos: str) -> None:
+        if not surface:
             raise ValueError("empty token surface")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "upos", upos)
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(Frozen):
     """Definition text, optionally with token/POS annotation attached.
 
     Each token's surface must start at the next non-whitespace character
@@ -124,39 +162,45 @@ class Definition:
     separated only by whitespace (a text may end in untokenized material).
     """
 
-    text: str
-    tokens: tuple[Token, ...] | None = None
+    __slots__ = _fields = ("text", "tokens")
 
-    def __post_init__(self) -> None:
-        if self.tokens is None:
-            return
-        text, cursor = self.text, 0
-        for tok in self.tokens:
-            while cursor < len(text) and text[cursor].isspace():
-                cursor += 1
-            if not text.startswith(tok.surface, cursor):
-                raise ValueError(
-                    f"token {tok.surface!r} does not align with text at offset {cursor}"
-                )
-            cursor += len(tok.surface)
+    def __init__(self, text: str, tokens: tuple[Token, ...] | None = None) -> None:
+        if tokens is not None:
+            cursor = 0
+            for tok in tokens:
+                while cursor < len(text) and text[cursor].isspace():
+                    cursor += 1
+                if not text.startswith(tok.surface, cursor):
+                    raise ValueError(
+                        f"token {tok.surface!r} does not align with text at offset {cursor}"
+                    )
+                cursor += len(tok.surface)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "tokens", tokens)
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Frozen):
     """A dictionary headword with its senses.
 
     Synonyms are standalone entries that share a definition with the
     entry they point to via ``synonym_of``.
     """
 
-    id: str
-    term: str
-    senses: tuple[Definition, ...] = ()
-    synonym_of: str | None = None
+    __slots__ = _fields = ("id", "term", "senses", "synonym_of")
 
-    def __post_init__(self) -> None:
-        if not self.term.strip():
-            raise ValueError(f"entry {self.id}: empty term")
+    def __init__(
+        self,
+        id: str,
+        term: str,
+        senses: tuple[Definition, ...] = (),
+        synonym_of: str | None = None,
+    ) -> None:
+        if not term.strip():
+            raise ValueError(f"entry {id}: empty term")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "senses", senses)
+        object.__setattr__(self, "synonym_of", synonym_of)
 
     def first_sense(self) -> Definition | None:
         """Only the first sense is ever consulted by the mapping."""

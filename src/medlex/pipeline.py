@@ -404,23 +404,30 @@ def format_votes(votes: Iterable[Vote]) -> str:
 _VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
 
 
-def parse_votes(text: str) -> tuple[Vote, ...]:
-    votes = []
+def parse_votes(text: str, parsed: dict[str, Vote] | None = None) -> tuple[Vote, ...]:
+    """The votes ``format_votes`` wrote as ``text``. ``parsed`` maps each
+    vote's text to its Vote; a caller parsing many texts passes one dict,
+    so each distinct vote is parsed once. Only a vote that parses is kept,
+    so a bad one raises wherever it appears."""
     if not text:
         return ()
+    if parsed is None:
+        parsed = {}
+    votes = []
     for part in text.split(";"):
-        fields = part.split(":")
-        if len(fields) != 4:
-            raise ValueError(f"bad vote serialization: {part!r}")
-        strategy, category, trigger, pos = fields
-        votes.append(
-            Vote(
+        vote = parsed.get(part)
+        if vote is None:
+            fields = part.split(":")
+            if len(fields) != 4:
+                raise ValueError(f"bad vote serialization: {part!r}")
+            strategy, category, trigger, pos = fields
+            vote = parsed[part] = Vote(
                 _VOTERS[strategy],
                 parse_category(category),
                 trigger,
                 None if pos == "-" else int(pos),
             )
-        )
+        votes.append(vote)
     return tuple(votes)
 
 
@@ -466,7 +473,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
 
     Votes come from K-row tables, so (category, provenance, votes) texts
     repeat across rows: each distinct one is parsed and validated once, and
-    later rows with the same text reuse the values.
+    later rows with the same text reuse the values. Distinct votes texts
+    share most of their votes, so each distinct vote is parsed once too.
     """
     p = Path(path)
     where = str(p)
@@ -477,6 +485,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     # (category, provenance, votes) text -> their values, for texts that
     # have passed validate(); the checks do not depend on the id or term.
     checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
+    parsed_votes: dict[str, Vote] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         # A TSV line with a tab is a row, even when its columns are blank.
         if not raw.strip() and (jsonl or "\t" not in raw):
@@ -509,7 +518,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
             values = checked.get(key)
             if values is None:
                 outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
-                                         Provenance[provenance], parse_votes(votes))
+                                         Provenance[provenance], parse_votes(votes, parsed_votes))
                 outcome.validate()
                 checked[key] = (outcome.category, outcome.provenance, outcome.votes)
             else:

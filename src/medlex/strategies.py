@@ -3,13 +3,12 @@ keyword in the term, and keyword match on the definition's first noun."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
 from .io import data_lines, read_text, split_lines
-from .model import Category, Provenance, Vote, fold, parse_category
+from .model import Category, Frozen, Provenance, Vote, fold, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
 # sequences over-generating false positives.
@@ -36,8 +35,7 @@ def _lengths_longest_first(triggers: Iterable[str]) -> tuple[int, ...]:
     return tuple(sorted({len(t) for t in triggers}, reverse=True))
 
 
-@dataclass(frozen=True)
-class SuffixTable:
+class SuffixTable(Frozen):
     """Suffix -> category mapping; suffixes are stored without the
     leading dash, folded (``model.fold``), and must be unique.
 
@@ -46,12 +44,12 @@ class SuffixTable:
     and repr come from ``entries`` alone.
     """
 
-    entries: tuple[tuple[str, Category], ...]
-    index: dict[str, Category] = field(init=False, repr=False, compare=False)
-    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
+    __slots__ = _fields + ("index", "lengths")
 
-    def __post_init__(self) -> None:
-        index = _index(self.entries, "suffix")
+    def __init__(self, entries: tuple[tuple[str, Category], ...]) -> None:
+        index = _index(entries, "suffix")
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "lengths", _lengths_longest_first(index))
 
@@ -75,29 +73,30 @@ class SuffixTable:
         return warnings
 
 
-@dataclass(frozen=True)
-class KeywordTable:
+class KeywordTable(Frozen):
     """Keyword -> category mapping; keywords unique and folded (``model.fold``).
 
     ``index`` serves exact matches; ``heads`` maps the first
     ``MIN_CONTAINED_KEYWORD_LEN`` characters of each keyword long enough
     to fire by containment to the distinct lengths of the keywords that
-    start with them, longest first. Both are derived from ``entries`` once.
+    start with them, longest first. Both are derived from ``entries`` once;
+    equality, hashing and repr come from ``entries`` alone.
     """
 
-    entries: tuple[tuple[str, Category], ...]
-    index: dict[str, Category] = field(init=False, repr=False, compare=False)
-    heads: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
+    __slots__ = _fields + ("index", "heads")
 
-    def __post_init__(self) -> None:
-        index = _index(self.entries, "keyword")
-        object.__setattr__(self, "index", index)
+    def __init__(self, entries: tuple[tuple[str, Category], ...]) -> None:
+        index = _index(entries, "keyword")
         by_head: dict[str, list[str]] = {}
         for keyword in index:
             if len(keyword) >= MIN_CONTAINED_KEYWORD_LEN:
                 by_head.setdefault(keyword[:MIN_CONTAINED_KEYWORD_LEN], []).append(keyword)
-        heads = {head: _lengths_longest_first(kws) for head, kws in by_head.items()}
-        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(
+            self, "heads", {head: _lengths_longest_first(kws) for head, kws in by_head.items()}
+        )
 
     def lint(self) -> list[str]:
         short = [

@@ -6,14 +6,13 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
 from .io import data_lines, read_text, split_lines
-from .model import Token, fold
+from .model import Frozen, Token, fold
 
 log = logging.getLogger(__name__)
 
@@ -32,23 +31,25 @@ _WORD_OR_PUNCT = re.compile(r"\w[\w\u0300-\u036f]*(?:-\w[\w\u0300-\u036f]*)*|[^\
 _SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(\S+)\s*$")
 
 
-@dataclass(frozen=True)
-class StopConfig:
+class StopConfig(Frozen):
     """Filters applied before picking a definition's first noun. Items are
     compared with folded words, so each must be folded (``model.fold``)."""
 
-    stop_nouns: frozenset[str] = frozenset()
-    stop_phrases: frozenset[str] = frozenset()
+    __slots__ = _fields = ("stop_nouns", "stop_phrases")
 
-    def __post_init__(self) -> None:
-        for item in self.stop_nouns | self.stop_phrases:
+    def __init__(
+        self, stop_nouns: frozenset[str] = frozenset(), stop_phrases: frozenset[str] = frozenset()
+    ) -> None:
+        for item in stop_nouns | stop_phrases:
             if item != fold(item):
                 raise ValueError(f"stoplist entries must be folded (NFC, lowercase, NFC): {item!r}")
-        for phrase in self.stop_phrases:
+        for phrase in stop_phrases:
             if len(phrase.split()) != 2:
                 raise ValueError(
                     f"stop phrase must be exactly two tokens (noun, preposition): {phrase!r}"
                 )
+        object.__setattr__(self, "stop_nouns", stop_nouns)
+        object.__setattr__(self, "stop_phrases", stop_phrases)
 
 
 def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:

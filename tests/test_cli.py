@@ -209,12 +209,6 @@ class TestCmdMap:
         assert runs[0] == runs[1]
         assert runs[0][0][0] == 0
 
-    @pytest.mark.parametrize("option", ["--suffixes", "--keywords", "--stops", "--function-words"])
-    def test_empty_table_path_is_a_missing_file(self, capsys, data_dir, option):
-        code, stdout, stderr = run(capsys, ["map", "--dict", str(data_dir / "dict_50.tsv"), option, ""])
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: ") and "cannot read " in stderr and "Traceback" not in stderr
-
     def test_format_sets_only_the_outcome_format(self, capsys, data_dir):
         code, stdout, _ = run(
             capsys, ["map", "--dict", str(data_dir / "dict_50.tsv"), "--format", "jsonl"]
@@ -242,6 +236,63 @@ class TestCmdMap:
         assert f"--format {fmt}" in stderr and str(out) in stderr
         assert stdout == ""
         assert not out.exists()
+
+
+def file_options(data, tmp):
+    """Each command's file options, each given a file the command can read
+    or write; ``tmp`` holds ``mapped.tsv``."""
+    shipped = Path(medlex.__file__).parent / "data"
+    mapped, manifest = str(tmp / "mapped.tsv"), str(data / "manifest.json")
+    return {
+        ("map",): {
+            "--dict": str(data / "dict_50.tsv"),
+            "--suffixes": str(shipped / "suffixes.tsv"),
+            "--keywords": str(shipped / "keywords.tsv"),
+            "--stops": str(shipped / "stops.txt"),
+            "--function-words": str(shipped / "function_words.txt"),
+            "--conllu": str(data / "dict_50.conllu"),
+            "--out": str(tmp / "remapped.tsv"),
+        },
+        ("merge",): {"--manifest": manifest, "--mapped": mapped, "--out": str(tmp / "lexicon.tsv")},
+        ("eval", "overlap"): {"--mapped": mapped, "--manifest": manifest},
+        ("eval", "gold"): {
+            "--gold": str(data / "gold.tsv"),
+            "--mapped": mapped,
+            "--matrix-out": str(tmp / "matrix.csv"),
+            "--report-tsv": str(tmp / "report.tsv"),
+        },
+        ("eval", "sample"): {"--mapped": mapped, "--out": str(tmp / "sample.tsv")},
+    }
+
+
+FILE_OPTIONS = [
+    (command, option)
+    for command, options in file_options(Path("data"), Path("tmp")).items()
+    for option in options
+]
+
+
+class TestFileOptions:
+    @pytest.mark.parametrize(
+        "command, option", FILE_OPTIONS, ids=["-".join(c) + o for c, o in FILE_OPTIONS]
+    )
+    def test_empty_path_is_a_usage_error(self, capsys, tmp_path, data_dir, mapped_file, command, option):
+        # "" names no file: Path("") is the working directory.
+        options = file_options(data_dir, tmp_path)[command]
+        extra = ["--quota", "3", "--seed", "7"] if command == ("eval", "sample") else []
+        argv = [*command, *extra]
+        for name, value in options.items():
+            argv += [name, "" if name == option else value]
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert (exc_info.value.code, stdout) == (2, "")
+        assert stderr.startswith("usage:")
+        assert f"argument {option}: expected a file path, got an empty string\n" in stderr
+        assert sorted(tmp_path.iterdir()) == before
+        # With every path given, the command runs.
+        assert run(capsys, [*command, *extra, *(x for kv in options.items() for x in kv)])[0] == 0
 
 
 class TestCmdMerge:
@@ -362,6 +413,30 @@ class TestCmdMerge:
         assert (code, stdout) == (2, "")
         assert f"{manifest.parent}/{where}resource S: layout column term=-2 is negative" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("name", "message"),
+        [
+            ("", "--mapped-name: source name '' is blank"),
+            (" ", "--mapped-name: source name ' ' is blank"),
+            ("A\tB", "--mapped-name: source name 'A\\tB' must not contain a tab, CR, LF or ','"),
+            ("A\rB", "--mapped-name: source name 'A\\rB' must not contain a tab, CR, LF or ','"),
+            ("A\nB", "--mapped-name: source name 'A\\nB' must not contain a tab, CR, LF or ','"),
+            ("A,B", "--mapped-name: source name 'A,B' must not contain a tab, CR, LF or ','"),
+            ("ALOC", "manifest.json: --mapped-name 'ALOC' is also the name of a resource"),
+        ],
+        ids=["empty", "blank", "tab", "cr", "lf", "comma", "a-resource"],
+    )
+    def test_bad_mapped_name_exit_2(self, capsys, tmp_path, data_dir, mapped_file, name, message):
+        out = tmp_path / "lexicon.tsv"
+        argv = ["merge", "--manifest", str(data_dir / "manifest.json"), "--mapped", str(mapped_file),
+                "--out", str(out)]
+        code, stdout, stderr = run(capsys, [*argv, "--mapped-name", name])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.endswith(message + "\n")
+        assert not out.exists()
+        code, stdout, _ = run(capsys, [*argv, "--mapped-name", "DICT", "--mapped-rank", "0"])
+        assert code == 0 and "DICT" in stdout and "MO" not in stdout
 
     def test_equal_trust_conflict_exit_4(self, capsys, tmp_path, data_dir, mapped_file):
         code, _, stderr = run(
@@ -627,6 +702,37 @@ class TestConsoleEntryPoint:
         proc = run_module(["map", "--dict", str(dict_file)])
         assert proc.returncode == 0
         assert proc.stdout.startswith("id\tterm")
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, data_dir):
+        # Each module a command loads is also compiled at start-up when no
+        # bytecode is cached, so a command leaves out what it does not call.
+        loaded = (
+            "import json, sys\n"
+            "from medlex.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'medlex')), "
+            "file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        core = {"medlex", "medlex.cli", "medlex.defaults", "medlex.errors", "medlex.io",
+                "medlex.model", "medlex.pipeline", "medlex.strategies", "medlex.textprep"}
+        mapped, manifest = str(tmp_path / "mapped.tsv"), str(data_dir / "manifest.json")
+        commands = [
+            (["map", "--dict", str(data_dir / "dict_50.tsv"), "--conllu", str(data_dir / "dict_50.conllu"),
+              "--out", mapped], set()),
+            (["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(tmp_path / "lexicon.tsv")],
+             {"medlex.merge"}),
+            (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+             {"medlex.merge", "medlex.evaluate"}),
+            (["eval", "gold", "--gold", str(data_dir / "gold.tsv"), "--mapped", mapped], {"medlex.evaluate"}),
+            (["eval", "sample", "--mapped", mapped, "--quota", "3", "--seed", "7"], {"medlex.evaluate"}),
+        ]
+        src = str(Path(medlex.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, extra in commands:
+            proc = subprocess.run([sys.executable, "-c", loaded, *argv], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert set(json.loads(proc.stderr.splitlines()[-1])) == core | extra, argv
 
     def test_verbose_shows_keyword_lint_notes(self, tmp_path):
         dict_file = tmp_path / "d.tsv"

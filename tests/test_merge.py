@@ -1013,10 +1013,31 @@ class TestManifest:
                 {"mode": "PER_ENTRY", "rules": [{"chapter": "K01", "category": "NOPE"}]},
                 "resource A: PER_ENTRY mode takes no chapter rules or default",
             ),
+            # The lexicon's sources column joins the names of a term's sources with ",".
+            (
+                " \ta.tsv\tFIXED\tTOOL\t1\tterm=0",
+                {"name": "", "mode": "FIXED", "category": "TOOL"},
+                "source name '' is blank",
+            ),
+            (
+                "CUR,ATED\ta.tsv\tFIXED\tTOOL\t1\tterm=0",
+                {"name": "CUR,ATED", "mode": "FIXED", "category": "TOOL"},
+                "source name 'CUR,ATED' must not contain a tab, CR, LF or ','",
+            ),
+            (None, {"name": " ", "mode": "FIXED", "category": "TOOL"}, "source name ' ' is blank"),
+            *(
+                (
+                    None,
+                    {"name": f"CUR{ch}ATED", "mode": "FIXED", "category": "TOOL"},
+                    f"source name {f'CUR{ch}ATED'!r} must not contain a tab, CR, LF or ','",
+                )
+                for ch in "\t\r\n"
+            ),
         ],
         ids=["default-exclude", "unknown-mode", "fixed-without-category", "chaptered-without-rules",
              "per-entry-with-category", "chaptered-with-category", "fixed-with-rules",
-             "fixed-with-default", "per-entry-with-rules"],
+             "fixed-with-default", "per-entry-with-rules", "blank-name", "comma-in-name",
+             "space-name", "tab-in-name", "cr-in-name", "lf-in-name"],
     )
     def test_manifest_fault_names_resource_and_location(self, tmp_path, row, obj, message):
         if row is not None:

@@ -1,22 +1,35 @@
 from __future__ import annotations
 
 import ast
+import copy
+import inspect
+import pickle
 import re
 import sys
 import unicodedata
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from medlex.evaluate import CategoryScore, ConfusionMatrix, EvalReport, OverlapResult
-from medlex.merge import ChapterRule, Correction, IngestResult, MergeReport, SourceRecord
+from medlex.merge import (
+    ChapterRule,
+    Correction,
+    IngestResult,
+    MergeReport,
+    ResourceMode,
+    ResourceSpec,
+    SourceRecord,
+)
 from medlex.model import (
     ASSIGNABLE_CATEGORIES,
     Category,
     Definition,
     Entry,
+    Frozen,
     LexiconRecord,
     MappingOutcome,
     Provenance,
@@ -27,6 +40,8 @@ from medlex.model import (
     parse_category,
 )
 from medlex.pipeline import MappingStats
+from medlex.strategies import KeywordTable, SuffixTable
+from medlex.textprep import StopConfig
 
 TERM_TEXT = st.text(alphabet="abcæøå ABZ\t\n  ", min_size=0, max_size=30)
 UNICODE_SPACE = [c for c in map(chr, range(0x3001)) if re.fullmatch(r"\s", c)]
@@ -272,34 +287,107 @@ class TestPlainRows:
         with pytest.raises(AttributeError):
             row.extra = None
 
-    def test_every_dataclass_left_checks_its_fields(self):
-        # A record without checks is a NamedTuple: a dataclass would generate
-        # its code at import for nothing.
-        src = Path(__file__).resolve().parent.parent / "src" / "medlex"
-        unchecked = []
-        for path in sorted(src.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-                names = {getattr(d, "id", None) or getattr(d, "attr", None) for d in decorators}
-                if "dataclass" in names:
-                    methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-                    if "__post_init__" not in methods:
-                        unchecked.append(f"{path.name}: {node.name}")
-        assert unchecked == []
-
     def test_constructors_store_only_derived_fields(self):
         # A constructor checks its fields and converts none of them; the
-        # readers convert. It may store only what it derives from its fields.
+        # readers convert. It stores each argument as given, and besides
+        # may store only what it derives from them.
         derived = {"index", "lengths", "heads", "chapter_index", "layout"}
-        src = Path(__file__).resolve().parent.parent / "src" / "medlex"
-        stored = []
-        for path in sorted(src.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
-                    stored.append((path.name, ast.unparse(node.args[1])))
-        assert stored and {name for _, name in stored} <= {repr(name) for name in derived}, stored
+        assert {cls for cls, _ in CHECKED} == set(Frozen.__subclasses__())
+        for cls, args in CHECKED:
+            value = cls(*args)
+            for name, arg in zip(cls._fields, args):
+                assert getattr(value, name) is arg, (cls.__name__, name)
+            assert set(cls.__slots__) - set(cls._fields) <= derived, cls.__name__
 
     def test_vote_position_defaults_to_none(self):
         assert Vote(Provenance.SUFF, Category.CONDITION, "emi").position is None
+
+
+# One value of each type whose constructor checks its arguments, with every
+# argument given: none of them is converted, so each is stored as it is.
+CHECKED = [
+    (Token, ("kniv", "NOUN")),
+    (Definition, (" en kniv", (Token("en", "X"), Token("kniv", "NOUN")))),
+    (Entry, ("e1", " Kniv ", (Definition("en kniv"),), " e0")),
+    (SuffixTable, ((("emi", Category.CONDITION), ("itis", Category.CONDITION)),)),
+    (KeywordTable, ((("kniv", Category.TOOL), ("sykdom", Category.CONDITION)),)),
+    (StopConfig, (frozenset({"form", "plur."}), frozenset({"form av"}))),
+    (
+        ResourceSpec,
+        ("ICD-10", "icd.tsv", ResourceMode.CHAPTERED, 2, None,
+         (ChapterRule(" Kap I ", Category.CONDITION), ChapterRule("kap ii", None)), Category.TOOL,
+         {"term": 1, "chapter": 0}),
+    ),
+]
+CHECKED_IDS = [cls.__name__ for cls, _ in CHECKED]
+
+
+class TestCheckedValues:
+    """Each type whose constructor checks its arguments compares, hashes and
+    prints as a frozen dataclass would, over its constructor's arguments."""
+
+    @pytest.mark.parametrize("cls, args", CHECKED, ids=CHECKED_IDS)
+    def test_constructor_takes_the_fields_in_order(self, cls, args):
+        assert list(inspect.signature(cls).parameters) == list(cls._fields)
+        assert cls(*args) == cls(**dict(zip(cls._fields, args)))
+
+    @pytest.mark.parametrize("cls, args", CHECKED, ids=CHECKED_IDS)
+    def test_equality_and_repr_read_the_fields(self, cls, args):
+        a = cls(*args)
+        assert a == cls(*args) and not a != cls(*args)
+        fields = ", ".join(f"{name}={arg!r}" for name, arg in zip(cls._fields, args))
+        assert repr(a) == f"{cls.__name__}({fields})"
+        # Unlike a NamedTuple, a value equals no tuple and no value of another type.
+        assert a != args and a != tuple(getattr(a, name) for name in cls._fields)
+        assert a != SimpleNamespace(**dict(zip(cls._fields, args)))
+
+    @pytest.mark.parametrize("cls, args", CHECKED, ids=CHECKED_IDS)
+    def test_equal_values_hash_alike(self, cls, args):
+        if cls is ResourceSpec:
+            # Its layout is a dict, as a frozen dataclass's would make it unhashable.
+            with pytest.raises(TypeError):
+                hash(cls(*args))
+        else:
+            assert hash(cls(*args)) == hash(cls(*args))
+            assert len({cls(*args), cls(*args)}) == 1
+
+    def test_a_field_decides_equality(self):
+        rows = (("emi", Category.CONDITION),)
+        assert SuffixTable(rows) != KeywordTable(rows)
+        assert Token("kniv", "NOUN") != Token("kniv", "X")
+        assert Entry("e1", "kniv") != Entry("e1", "kniv", synonym_of="e0")
+        assert StopConfig() != StopConfig(frozenset({"form"}))
+
+    @pytest.mark.parametrize("cls, args", CHECKED, ids=CHECKED_IDS)
+    def test_attributes_cannot_be_set_or_deleted(self, cls, args):
+        value = cls(*args)
+        for name in cls.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == cls(*args)
+
+    @pytest.mark.parametrize("cls, args", CHECKED, ids=CHECKED_IDS)
+    def test_copy_and_pickle_rebuild_the_value(self, cls, args):
+        value = cls(*args)
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is cls and other == value
+            for name in cls.__slots__:
+                assert getattr(other, name) == getattr(value, name)
+
+    def test_no_module_imports_dataclasses(self):
+        # dataclasses imports inspect, ast and dis, and a dataclass generates
+        # its methods' code at import: every command would pay for both.
+        src = Path(__file__).resolve().parent.parent / "src" / "medlex"
+        imports = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                imports += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "dataclasses"]
+        assert imports == []

@@ -31,7 +31,6 @@ from medlex.pipeline import (
     _json_id_term,
     attach_tokens,
     map_dictionary,
-    parse_votes,
     read_dictionary,
     read_outcomes,
     render_outcomes,
@@ -42,7 +41,25 @@ from medlex.strategies import parse_keyword_table, parse_suffix_table
 
 # ---------------------------------------------------------------------------
 # Oracles: the codec as it was before each distinct (category, provenance,
-# votes) text was parsed once and rows were written without json.dumps.
+# votes) text and each distinct vote was parsed once and rows were written
+# without json.dumps.
+
+
+_VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
+
+
+def oracle_parse_votes(text):
+    votes = []
+    if not text:
+        return ()
+    for part in text.split(";"):
+        fields = part.split(":")
+        if len(fields) != 4:
+            raise ValueError(f"bad vote serialization: {part!r}")
+        strategy, category, trigger, pos = fields
+        votes.append(Vote(_VOTERS[strategy], parse_category(category), trigger,
+                          None if pos == "-" else int(pos)))
+    return tuple(votes)
 
 
 def oracle_json_object(line, path, lineno):
@@ -97,7 +114,7 @@ def oracle_read(path):
             if not entry_id.strip():
                 raise ValueError("missing entry id")
             outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
-                                     Provenance[provenance], parse_votes(votes))
+                                     Provenance[provenance], oracle_parse_votes(votes))
             outcome.validate()
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
@@ -136,6 +153,9 @@ def oracle_render(outcomes, fmt="tsv"):
     return "\n".join(lines) + "\n"
 
 
+OUTCOME_KEYS = ("id", "term", "category", "provenance", "votes")
+
+
 def fields(outcomes):
     return [(o.entry_id, o.term, o.category, o.provenance, o.votes) for o in outcomes]
 
@@ -170,20 +190,47 @@ TRIGGERS = st.one_of(st.sampled_from(["sykdom", "emi", "blå"]),
                                                     exclude_characters=":;\t\r\n"),
                              min_size=1, max_size=6))
 CATEGORIES = st.sampled_from([c for c in Category if c is not Category.OTHER])
-VOTE = st.builds(Vote, st.sampled_from(list(STRATEGY_PRIORITY)), CATEGORIES, TRIGGERS,
-                 st.one_of(st.none(), st.integers(0, 30)))
+POSITIONS = st.one_of(st.none(), st.integers(0, 30))
+VOTE = st.builds(Vote, st.sampled_from(list(STRATEGY_PRIORITY)), CATEGORIES, TRIGGERS, POSITIONS)
+
+
+# The values of each field of a vote one file's rows share.
+POOL_FIELDS = (
+    st.sampled_from(list(STRATEGY_PRIORITY)),
+    st.sampled_from([Category.TOOL, Category.CONDITION]),
+    st.sampled_from(["kniv", "emi"]),
+    st.sampled_from([None, 3]),
+)
 
 
 @st.composite
-def valid_outcomes(draw, id_text=IDS, term_text=TEXT):
-    """An outcome that passes validate(): resolved votes, ITER or UNMAPPED."""
+def vote_pool(draw):
+    """Votes for one file's rows to share: a vote and, for each of its
+    fields, the vote with that field changed, so that votes differing in
+    one field only come up in one file."""
+    first = [draw(values) for values in POOL_FIELDS]
+    pool = [Vote(*first)]
+    for i, values in enumerate(POOL_FIELDS):
+        changed = list(first)
+        changed[i] = draw(values.filter(lambda value, old=first[i]: value != old))
+        pool.append(Vote(*changed))
+    return draw(st.permutations(pool))
+
+
+@st.composite
+def valid_outcomes(draw, id_text=IDS, term_text=TEXT, pool=None):
+    """An outcome that passes validate(): resolved votes, ITER or UNMAPPED;
+    with a ``pool``, its votes come from the pool."""
     term = draw(term_text.filter(str.strip))
     kind = draw(st.sampled_from(["votes", "votes", "iter", "unmapped"]))
     if kind == "iter":
         return MappingOutcome(draw(id_text), term, draw(CATEGORIES), Provenance.ITER)
-    strategies = draw(st.lists(st.sampled_from(list(STRATEGY_PRIORITY)), unique=True, max_size=3))
-    votes = tuple(Vote(s, draw(CATEGORIES), draw(TRIGGERS), draw(st.one_of(st.none(), st.integers(0, 30))))
-                  for s in strategies)
+    if pool is None:
+        strategies = draw(st.lists(st.sampled_from(list(STRATEGY_PRIORITY)), unique=True, max_size=3))
+        votes = tuple(Vote(s, draw(CATEGORIES), draw(TRIGGERS), draw(POSITIONS)) for s in strategies)
+    else:
+        votes = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                    unique_by=lambda v: v.strategy)))
     if kind == "unmapped":
         votes = ()
     category, provenance = resolve_votes(votes)
@@ -193,26 +240,41 @@ def valid_outcomes(draw, id_text=IDS, term_text=TEXT):
 CATEGORY_TEXT = st.sampled_from(["CONDITION", "TOOL", "microorganism", "ANAT-LOC", " PERSON ",
                                  "OTHER", "", " ", "BOGUS"])
 PROVENANCE_TEXT = st.sampled_from([p.name for p in Provenance] + ["multi", "BOGUS", ""])
+BAD_PART = st.sampled_from(["KW_1N:OTHER:x:-", "SUFF:TOOL:kniv:x", "SUFF:TOOL", "SUFF:TOOL:a:b:c",
+                            "BOGUS:TOOL:kniv:-", "SUFF:BOGUS:kniv:-", "", ":::"])
 VOTE_PART = st.one_of(
     st.builds(lambda v: oracle_format_votes([v]), VOTE),
-    st.sampled_from(["SUFF:TOOL:kniv:-", "KW_E:CONDITION:sykdom:3", "KW_1N:OTHER:x:-",
-                     "SUFF:TOOL:kniv:x", "SUFF:TOOL:kniv: 4", "SUFF:TOOL", "SUFF:TOOL:a:b:c",
-                     "BOGUS:TOOL:kniv:-", "SUFF:BOGUS:kniv:-", "", ":::"]),
+    st.sampled_from(["SUFF:TOOL:kniv:-", "KW_E:CONDITION:sykdom:3", "SUFF:TOOL:kniv: 4"]),
+    BAD_PART,
 )
-VOTES_TEXT = st.builds(";".join, st.lists(VOTE_PART, max_size=3))
 
 
 @st.composite
-def row_texts(draw):
+def row_texts(draw, pool, parts):
     """(id, term, category, provenance, votes) texts of one row: mostly
-    those of a valid outcome, some drawn at random, so that validate()
-    fails for MULTI, ITER and winning-strategy mismatches."""
-    if draw(st.integers(0, 2)):
-        o = draw(valid_outcomes())
+    those of a valid outcome, half of them with votes from ``pool``, the
+    file's votes; some drawn at random, so that validate() fails for MULTI,
+    ITER and winning-strategy mismatches. A random row's votes come from
+    ``parts``, the file's vote texts, and some end in a bad vote after
+    votes that parse."""
+    kind = draw(st.integers(0, 5))
+    if kind < 4:
+        o = draw(valid_outcomes(pool=pool if kind % 2 else None))
         return [o.entry_id, o.term, str(o.category) if o.category else "", str(o.provenance),
                 oracle_format_votes(o.votes)]
+    votes = draw(st.lists(st.sampled_from(parts), max_size=3))
+    if kind == 5:
+        votes.append(draw(BAD_PART))
     return [draw(IDS), draw(st.one_of(TEXT, st.sampled_from(["", " ", "\u2028"]))), draw(CATEGORY_TEXT),
-            draw(PROVENANCE_TEXT), draw(VOTES_TEXT)]
+            draw(PROVENANCE_TEXT), ";".join(votes)]
+
+
+@st.composite
+def file_votes(draw):
+    """The pool of votes one file's rows share, and their texts with a few
+    other vote texts, some bad."""
+    pool = draw(vote_pool())
+    return pool, [oracle_format_votes([v]) for v in pool] + draw(st.lists(VOTE_PART, max_size=2))
 
 
 @st.composite
@@ -220,9 +282,10 @@ def tsv_lines(draw):
     lines = []
     if draw(st.booleans()):
         lines.append("id\tterm\tcategory\tprovenance\tvotes")
+    pool, parts = draw(file_votes())
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 9))
-        cols = draw(row_texts())
+        cols = draw(row_texts(pool, parts))
         if kind == 0:
             cols = cols[: draw(st.integers(0, 4))] + ([] if draw(st.booleans()) else ["x", "y"])
         if kind == 1:
@@ -236,9 +299,10 @@ def tsv_lines(draw):
 @st.composite
 def jsonl_lines(draw):
     lines = []
+    pool, parts = draw(file_votes())
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 9))
-        entry_id, term, category, provenance, votes = draw(row_texts())
+        entry_id, term, category, provenance, votes = draw(row_texts(pool, parts))
         obj = {"id": entry_id, "term": term, "category": category or None,
                "provenance": provenance, "votes": votes}
         if kind == 0:
@@ -288,6 +352,27 @@ class TestReaderAgainstOracle:
     @given(jsonl_lines(), st.sampled_from(["\n", "\r\n"]))
     def test_jsonl(self, lines, end):
         write_and_compare(".jsonl", lines, end)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["tsv", "jsonl"]))
+    def test_rows_sharing_votes(self, data, fmt):
+        # Valid rows whose votes come from one small pool, each pool vote
+        # alone and others next to each other, so that each vote text comes
+        # up again; some files end in a row with a bad vote after votes
+        # that parse.
+        pool, parts = data.draw(file_votes())
+        alone = [MappingOutcome("", "t", v.category, v.strategy, (v,)) for v in pool]
+        outcomes = alone + data.draw(st.lists(valid_outcomes(IDS, TAB_FREE, pool=pool), max_size=6))
+        outcomes = [o._replace(entry_id=f"e{i}") for i, o in enumerate(data.draw(st.permutations(outcomes)))]
+        lines = oracle_render(outcomes, fmt).split("\n")[:-1]
+        bad = data.draw(st.booleans())
+        if bad:
+            votes = ";".join([*data.draw(st.lists(st.sampled_from(parts), max_size=2)), data.draw(BAD_PART)])
+            row = ["bad", "t", "TOOL", "SUFF", votes]
+            lines.append("\t".join(row) if fmt == "tsv" else json.dumps(dict(zip(OUTCOME_KEYS, row))))
+        got = write_and_compare(f".{fmt}", lines, "\n")
+        if not bad:
+            assert got == fields(outcomes)
 
     @pytest.mark.parametrize(
         ("suffix", "lines", "error"),
@@ -352,6 +437,12 @@ class TestReaderAgainstOracle:
             (".tsv", ["e1\tt\tTOOL\tITER\t", " \tblodtrykk\t\tUNMAPPED\t"], "3: bad outcome row: missing entry id"),
             (".jsonl", ['{"id": "", "term": "blodtrykk", "category": null, "provenance": "UNMAPPED", "votes": ""}'],
              "1: bad outcome row: missing entry id"),
+            # A bad vote after one that parsed in an earlier row.
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-",
+                      "e2\tt\tTOOL\tMULTI\tSUFF:TOOL:kniv:-;KW_E:TOOL:kniv:x"],
+             "3: bad outcome row: invalid literal for int() with base 10: 'x'"),
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-;BOGUS:TOOL:kniv:-",
+                      "e2\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-"], "2: bad outcome row: 'BOGUS'"),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):

@@ -391,3 +391,13 @@ class TestOutcomeIO:
         from medlex.pipeline import format_votes
 
         assert parse_votes(format_votes(votes)) == votes
+
+    def test_parse_votes_keeps_only_votes_that_parse(self):
+        parsed = {}
+        good = Vote(Provenance.SUFF, Category.TOOL, "kniv", None)
+        assert parse_votes("SUFF:TOOL:kniv:-", parsed) == (good,)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad vote serialization: 'SUFF:TOOL'"):
+                parse_votes("SUFF:TOOL:kniv:-;SUFF:TOOL", parsed)
+        assert parsed == {"SUFF:TOOL:kniv:-": good}
+        assert parse_votes("SUFF:TOOL:kniv:-;KW_E:TOOL:kniv:3", parsed)[0] is parsed["SUFF:TOOL:kniv:-"]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import unicodedata
 
 import pytest
@@ -162,8 +161,15 @@ class TestIndexedEqualsOracle:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == f"KeywordTable(entries={rows!r})"
         assert a != KeywordTable(rows[:1])
-        derived = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(KeywordTable)}
-        assert derived["index"] == derived["heads"] == (False, False, False)
+        # The derived fields are no constructor arguments, and cannot be set.
+        with pytest.raises(TypeError):
+            KeywordTable(rows, a.index)
+        with pytest.raises(TypeError):
+            KeywordTable(rows, heads=a.heads)
+        for name in ("index", "heads"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, {})
+        assert a.index == dict(rows)
 
 
 class TestSuffixVote:
