@@ -13,25 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
-from . import defaults
-from .errors import GoldCoverageError, LintError, MergeConflictError, ParseError
-from .io import read_text, sniff_format, split_lines, write_text
-from .pipeline import (
-    attach_tokens,
-    format_stats,
-    map_dictionary,
-    mapping_stats,
-    read_dictionary,
-    read_outcomes,
-    render_outcomes,
-    resolve_synonyms,
-    write_outcomes,
-)
-from .strategies import load_keyword_table, load_suffix_table
-from .textprep import ingest_conllu, load_stoplist, load_wordlist
+from .errors import LintError, MedlexError, ParseError
+from .io import read_text, sniff_format, split_lines, write_text, write_texts
+from .outcomes import read_outcomes, render_outcomes, write_outcomes
 
-# Each command imports merge and evaluate only when it runs them, so a
-# command does not load, or compile, what it does not use.
+# A command imports its stage's modules (map's pipeline, strategies, textprep
+# and defaults; merge; evaluate) when it runs, so it loads only what it uses.
 
 log = logging.getLogger("medlex")
 
@@ -78,25 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_map = sub.add_parser("map", parents=[common], help="map dictionary entries to categories")
     p_map.add_argument("--dict", type=_path, required=True, dest="dict_file")
-    p_map.add_argument(
-        "--suffixes",
-        type=_path,
-        default=defaults.SUFFIX_TABLE,
-        help="suffix table TSV (default: shipped table)",
-    )
-    p_map.add_argument(
-        "--keywords",
-        type=_path,
-        default=defaults.KEYWORD_TABLE,
-        help="keyword table TSV (default: shipped table)",
-    )
-    p_map.add_argument(
-        "--stops", type=_path, default=defaults.STOPLIST, help="stoplist (default: shipped list)"
-    )
+    # None: the shipped file, which cmd_map names.
+    p_map.add_argument("--suffixes", type=_path, help="suffix table TSV (default: shipped table)")
+    p_map.add_argument("--keywords", type=_path, help="keyword table TSV (default: shipped table)")
+    p_map.add_argument("--stops", type=_path, help="stoplist (default: shipped list)")
     p_map.add_argument(
         "--function-words",
         type=_path,
-        default=defaults.FUNCTION_WORDS,
         help="function word list for the heuristic tagger (default: shipped list)",
     )
     p_map.add_argument("--conllu", type=_path, help="CoNLL-U token/POS annotation keyed by sent_id")
@@ -168,13 +143,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    from . import defaults
+    from .pipeline import (
+        attach_tokens,
+        format_stats,
+        map_dictionary,
+        mapping_stats,
+        read_dictionary,
+        resolve_synonyms,
+    )
+    from .strategies import load_keyword_table, load_suffix_table
+    from .textprep import ingest_conllu, load_stoplist, load_wordlist
+
     # merge and eval read an outcome file in the format its suffix names.
     if args.out and args.fmt and args.fmt != sniff_format(args.out):
         raise ParseError(f"--format {args.fmt} contradicts the suffix of --out {args.out}")
-    suffixes = load_suffix_table(args.suffixes)
-    keywords = load_keyword_table(args.keywords)
-    stops = load_stoplist(args.stops)
-    function_words = load_wordlist(args.function_words)
+    suffixes = load_suffix_table(args.suffixes or defaults.SUFFIX_TABLE)
+    keywords = load_keyword_table(args.keywords or defaults.KEYWORD_TABLE)
+    stops = load_stoplist(args.stops or defaults.STOPLIST)
+    function_words = load_wordlist(args.function_words or defaults.FUNCTION_WORDS)
 
     problems = suffixes.lint()
     if problems:
@@ -285,11 +272,12 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
         global_precision=args.global_precision,
     )
     acc = strategy_accuracy(gold, outcomes)
-    sys.stdout.write(format_eval_report(report, acc))
-    if args.matrix_out:
-        write_text(args.matrix_out, matrix.to_csv())
-    if args.report_tsv:
-        write_text(args.report_tsv, format_eval_tsv(report))
+    # Render every output, write the files, then print: a run that fails
+    # prints nothing and changes no file.
+    printed = format_eval_report(report, acc)
+    files = [(args.matrix_out, matrix.to_csv()), (args.report_tsv, format_eval_tsv(report))]
+    write_texts([(path, text) for path, text in files if path])
+    sys.stdout.write(printed)
     return 0
 
 
@@ -325,18 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LintError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 3
-    except MergeConflictError as exc:
-        print(f"merge conflict: {exc}", file=sys.stderr)
-        return 4
-    except GoldCoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except MedlexError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

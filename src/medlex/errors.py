@@ -1,10 +1,13 @@
-"""Exception types mapped onto distinct CLI exit codes."""
+"""Exception types, each with the CLI exit code and message prefix it ends in."""
 
 from __future__ import annotations
 
 
 class MedlexError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI prints ``prefix: message``
+    to stderr and exits with ``exit_code``."""
+
+    exit_code, prefix = 2, "error"
 
 
 class ParseError(MedlexError):
@@ -22,6 +25,8 @@ class ParseError(MedlexError):
 class LintError(MedlexError):
     """Configuration table failed a lint check."""
 
+    exit_code, prefix = 3, "lint error"
+
 
 class MergeConflictError(MedlexError):
     """Different sources with equal trust rank disagree on a term's category.
@@ -31,6 +36,7 @@ class MergeConflictError(MedlexError):
     """
 
     MAX_LISTED = 20
+    exit_code, prefix = 4, "merge conflict"
 
     def __init__(self, conflicts: list[tuple[str, str, str, str, str]]):
         self.conflicts = conflicts
@@ -49,6 +55,8 @@ class MergeConflictError(MedlexError):
 
 class GoldCoverageError(MedlexError):
     """A gold term has no prediction to score against."""
+
+    exit_code = 5
 
     def __init__(self, term: str):
         self.term = term

@@ -1,7 +1,7 @@
 """File input and output: the only module that opens, reads or writes a
 file. Every input is read whole by ``read_text``; unreadable input becomes
 a ParseError naming the file, and text that is not UTF-8 one naming the
-file and line. Outputs are written by ``write_text``."""
+file and line. Outputs are written by ``write_texts``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 import os
 import stat
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -114,30 +114,44 @@ def json_field(
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8, replacing a regular file only once all of
-    it is written: a failed write leaves any old file as it was and no
-    partial one. A symlink is written through, an existing file keeps its
-    mode and a new one gets the mode a plain ``open`` would give it. A
-    target that is not a regular file, such as a device or a pipe, is
-    written directly."""
-    old = os.stat(path) if os.path.exists(path) else None
-    if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    target = Path(os.path.realpath(path))
-    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    """Write ``text`` as UTF-8 to ``path``, as ``write_texts`` does."""
+    write_texts([(path, text)])
+
+
+def write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
+    """Write each (path, text) as UTF-8, replacing a regular file only once
+    every file is written: each is staged in a temp file beside its target
+    first, so a target that cannot be written leaves every old file as it
+    was and no partial one. A symlink is written through, an existing file
+    keeps its mode and a new one gets the mode a plain ``open`` would give
+    it. A target that is not a regular file, such as a device or a pipe,
+    is written directly once every regular file is staged."""
+    staged: list[tuple[Path, Path]] = []
+    direct = []
     try:
-        # O_EXCL with mode 0o666 lets the umask decide a new file's mode.
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            if old is not None:
-                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
-            fh.write(text)
-        os.replace(tmp, target)
+        for path, text in files:
+            old = os.stat(path) if os.path.exists(path) else None
+            if old is not None and not stat.S_ISREG(old.st_mode):
+                direct.append((path, text))
+                continue
+            target = Path(os.path.realpath(path))
+            tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+            try:
+                # O_EXCL with mode 0o666 lets the umask decide a new file's mode.
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            staged.append((tmp, target))
+            with open(fd, "w", encoding="utf-8") as fh:
+                if old is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+                fh.write(text)
+        for path, text in direct:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for tmp, target in staged:
+            os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise

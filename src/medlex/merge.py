@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import MergeConflictError, ParseError
 from .io import data_lines, json_field, read_text, sniff_format, split_lines, write_text
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
-from .pipeline import count_table
+from .outcomes import count_table
 
 log = logging.getLogger(__name__)
 
@@ -168,14 +168,9 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
     """
     p = Path(path)
     text = read_text(p, "manifest")
-    if p.suffix.lower() == ".json":
-        specs = _manifest_from_json(text, str(p))
-    else:
-        specs = _manifest_from_tsv(text, str(p))
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate resource names in manifest", str(p))
-    return specs
+    if sniff_format(p) == "jsonl":
+        return _manifest_from_json(text, str(p))
+    return _manifest_from_tsv(text, str(p))
 
 
 def _mode(name: str, text: str) -> ResourceMode:
@@ -194,20 +189,32 @@ def _spec(
     category: str | None,
     rules: list[tuple[str, str]],
     layout: dict[str, int],
+    names: set[str],
 ) -> ResourceSpec:
     """The resource one manifest entry declares, in either format; ``rules``
-    are (chapter, label) pairs, the default as chapter ``*``. A category
-    (other than empty) or rules that the mode does not use are refused. A
-    fault raises ValueError, to which the format's reader adds where the
-    entry is."""
+    are (chapter, label) pairs, the default as chapter ``*``, and ``names``
+    those of the entries before it, to which this one's is added. A
+    category (other than empty) or rules that the mode does not use are
+    refused. A fault raises ValueError, to which the format's reader adds
+    where the entry is."""
+    if name in names:
+        raise ValueError(f"resource {name}: duplicate resource name")
+    names.add(name)
     if category and mode is not ResourceMode.FIXED:
         raise ValueError(f"resource {name}: {mode.value} mode takes no category")
     if rules and mode is not ResourceMode.CHAPTERED:
         raise ValueError(f"resource {name}: {mode.value} mode takes no chapter rules or default")
+
+    def category_of(label: str) -> Category:
+        try:
+            return parse_category(label)
+        except ValueError as exc:
+            raise ValueError(f"resource {name}: {exc}") from None
+
     chapter_rules: list[ChapterRule] = []
     default: Category | None = None
     for chapter, label in rules:
-        routed = None if label.strip().upper() == EXCLUDE else parse_category(label)
+        routed = None if label.strip().upper() == EXCLUDE else category_of(label)
         if chapter.strip() == "*":
             if routed is None:
                 raise ValueError(f"resource {name}: default rule cannot exclude")
@@ -219,7 +226,7 @@ def _spec(
         file=file,
         mode=mode,
         trust_rank=trust_rank,
-        category=parse_category(category) if category else None,
+        category=category_of(category) if category else None,
         chapter_rules=tuple(chapter_rules),
         chapter_default=default,
         layout=layout,
@@ -235,15 +242,16 @@ def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
     if not isinstance(data, list):
         raise ParseError("manifest must be a JSON list of resources", path)
     specs = []
+    names: set[str] = set()
     for i, obj in enumerate(data, start=1):
         try:
-            specs.append(_json_spec(obj))
+            specs.append(_json_spec(obj, names))
         except ValueError as exc:
             raise ParseError(f"resource #{i}: {exc}", path) from None
     return specs
 
 
-def _json_spec(obj: object) -> ResourceSpec:
+def _json_spec(obj: object, names: set[str]) -> ResourceSpec:
     """The resource one JSON manifest object declares. Each value must have
     its JSON type; an optional one (``category``, ``rules``, ``default``,
     ``layout``) may be null or absent."""
@@ -265,11 +273,12 @@ def _json_spec(obj: object) -> ResourceSpec:
         raise ValueError(f"resource {name}: {exc}") from None
     if default is not None:
         rules.append(("*", default))
-    return _spec(name, file, _mode(name, mode), trust_rank, category, rules, layout)
+    return _spec(name, file, _mode(name, mode), trust_rank, category, rules, layout, names)
 
 
 def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
     specs = []
+    names: set[str] = set()
     for lineno, line in data_lines(split_lines(text)):
         cols = line.split("\t")
         if len(cols) != 6:
@@ -297,7 +306,7 @@ def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
                     chapter, _, label = pair.partition("=")
                     rules.append((chapter, label))
             category = None if mode is ResourceMode.CHAPTERED else cat_or_rules
-            spec = _spec(name, file.strip(), mode, trust_rank, category, rules, layout)
+            spec = _spec(name, file.strip(), mode, trust_rank, category, rules, layout, names)
         except ValueError as exc:
             raise ParseError(str(exc), path, lineno) from None
         specs.append(spec)

@@ -1,0 +1,202 @@
+"""The outcome file that ``map`` writes and ``merge`` and ``eval`` read:
+its TSV and JSON-lines codec, with the vote text, and the frequency table
+that the ``map`` and ``merge`` reports print."""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring
+from pathlib import Path
+from typing import Iterable
+
+from .errors import ParseError
+from .io import json_field, json_object, read_text, sniff_format, split_lines, write_text
+from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
+
+OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
+
+
+def format_votes(votes: Iterable[Vote]) -> str:
+    # _value_ is the label str() gives, read without calling the enum's
+    # Python-level __str__ (as in merge.render_lexicon).
+    return ";".join(
+        [
+            f"{strategy._value_}:{category._value_}:{trigger}:"
+            f"{'-' if position is None else position}"
+            for strategy, category, trigger, position in votes
+        ]
+    )
+
+
+# The label of each strategy that votes; a KeyError names any other text.
+_VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
+
+
+def parse_votes(text: str, parsed: dict[str, Vote] | None = None) -> tuple[Vote, ...]:
+    """The votes ``format_votes`` wrote as ``text``. ``parsed`` maps each
+    vote's text to its Vote; a caller parsing many texts passes one dict,
+    so each distinct vote is parsed once. Only a vote that parses is kept,
+    so a bad one raises wherever it appears."""
+    if not text:
+        return ()
+    if parsed is None:
+        parsed = {}
+    votes = []
+    for part in text.split(";"):
+        vote = parsed.get(part)
+        if vote is None:
+            fields = part.split(":")
+            if len(fields) != 4:
+                raise ValueError(f"bad vote serialization: {part!r}")
+            strategy, category, trigger, pos = fields
+            voter, category = _VOTERS[strategy], parse_category(category)
+            # format_votes writes a position as "-" or ASCII digits, nothing
+            # else int() reads ("1_0", " 7", "-3", "\u0663").
+            if pos != "-" and not (pos.isascii() and pos.isdigit()):
+                raise ValueError(f"bad vote serialization: {part!r}")
+            vote = parsed[part] = Vote(voter, category, trigger, None if pos == "-" else int(pos))
+        votes.append(vote)
+    return tuple(votes)
+
+
+def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str:
+    if fmt == "jsonl":
+        # The bytes json.dumps(row, ensure_ascii=False) writes for the row
+        # {"id", "term", "category", "provenance", "votes"}: the same string
+        # encoder, key order and separators, without building a dict per row.
+        # Labels are ASCII identifiers, which the encoder leaves as they are.
+        enc = encode_basestring
+        lines = []
+        for o in outcomes:
+            category = "null" if o.category is None else f'"{o.category._value_}"'
+            lines.append(
+                f'{{"id": {enc(o.entry_id)}, "term": {enc(o.term)}, "category": {category}, '
+                f'"provenance": "{o.provenance._value_}", "votes": {enc(format_votes(o.votes))}}}'
+            )
+    else:
+        lines = ["\t".join(OUTCOME_HEADER)]
+        for o in outcomes:
+            lines.append(
+                "\t".join(
+                    (
+                        o.entry_id,
+                        o.term,
+                        "" if o.category is None else o.category._value_,
+                        o.provenance._value_,
+                        format_votes(o.votes),
+                    )
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: str | None = None) -> None:
+    write_text(path, render_outcomes(outcomes, sniff_format(path, fmt)))
+
+
+def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
+    """A JSON-lines row's ``id`` and ``term``: strings, except that an
+    integer ``id`` is read as its decimal text."""
+    try:
+        entry_id = json_field(obj, "id", str, int)
+        return str(entry_id), json_field(obj, "term", str)
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
+
+
+def _json_outcome_texts(obj: dict) -> tuple[str, str, str]:
+    """A JSON-lines outcome row's category (a string, null or absent: ""
+    when none), provenance (a string) and votes (a string or absent). A
+    missing provenance raises KeyError, as ``obj["provenance"]`` would."""
+    category = json_field(obj, "category", str, optional=True) or ""
+    if "provenance" not in obj:
+        raise KeyError("provenance")
+    provenance = json_field(obj, "provenance", str)
+    votes = json_field(obj, "votes", str) if "votes" in obj else ""
+    return category, provenance, votes
+
+
+def _check_tab_free(entry_id: str, term: str) -> None:
+    """Outcome rows are tab-separated lines holding the id and the term."""
+    if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
+        raise ValueError("ids must not contain tabs or newlines")
+    if "\t" in term or "\n" in term or "\r" in term:
+        raise ValueError("terms must not contain tabs or newlines")
+
+
+def read_outcomes(path: str | Path) -> list[MappingOutcome]:
+    """Outcome rows as ``write_outcomes`` writes them; every row must have
+    a term and a non-blank id no earlier row has, and pass
+    ``MappingOutcome.validate``.
+
+    Votes come from K-row tables, so (category, provenance, votes) texts
+    repeat across rows: each distinct one is parsed and validated once, and
+    later rows with the same text reuse the values. Distinct votes texts
+    share most of their votes, so each distinct vote is parsed once too.
+    """
+    p = Path(path)
+    where = str(p)
+    text = read_text(p, "outcomes")
+    jsonl = sniff_format(p) == "jsonl"
+    outcomes = []
+    seen: set[str] = set()
+    # (category, provenance, votes) text -> their values, for texts that
+    # have passed validate(); the checks do not depend on the id or term.
+    checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
+    parsed_votes: dict[str, Vote] = {}
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        # A TSV line with a tab is a row, even when its columns are blank.
+        if not raw.strip() and (jsonl or "\t" not in raw):
+            continue
+        try:
+            if jsonl:
+                obj = json_object(raw, where, lineno)
+                entry_id, term = obj.get("id"), obj.get("term")
+                if type(entry_id) is not str or type(term) is not str:
+                    entry_id, term = _json_id_term(obj, where, lineno)
+                _check_tab_free(entry_id, term)
+                category, provenance = obj.get("category", ""), obj.get("provenance")
+                votes = obj.get("votes", "")
+                if category is None:
+                    category = ""
+                if type(category) is not str or type(provenance) is not str or type(votes) is not str:
+                    category, provenance, votes = _json_outcome_texts(obj)
+            else:
+                cols = raw.split("\t")
+                if lineno == 1 and cols[:2] == ["id", "term"]:
+                    continue
+                if len(cols) != 5:
+                    raise ValueError(f"expected 5 columns, got {len(cols)}")
+                entry_id, term, category, provenance, votes = cols
+            if not term.strip():
+                raise ValueError("empty term")
+            if not entry_id.strip():
+                raise ValueError("missing entry id")
+            key = (category, provenance, votes)
+            values = checked.get(key)
+            if values is None:
+                outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
+                                         Provenance[provenance], parse_votes(votes, parsed_votes))
+                outcome.validate()
+                checked[key] = (outcome.category, outcome.provenance, outcome.votes)
+            else:
+                outcome = MappingOutcome(entry_id, term, *values)
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad outcome row: {exc}", where, lineno) from None
+        if entry_id in seen:
+            raise ParseError(f"duplicate entry id {entry_id!r}", where, lineno)
+        seen.add(entry_id)
+        outcomes.append(outcome)
+    return outcomes
+
+
+def count_table(title: str, counts: dict[str, int], footer: list[tuple[str, int]]) -> list[str]:
+    """The lines of a frequency table: most frequent first, ties by name,
+    then the ``footer`` rows, in one column as wide as its longest name."""
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    width = max([len(title)] + [len(k) for k, _ in rows] + [len(k) for k, _ in footer])
+    lines = [f"{title.ljust(width)}  entries"]
+    for name, n in rows:
+        lines.append(f"{name.ljust(width)}  {n}")
+    for name, n in footer:
+        lines.append(f"{name.ljust(width)}  {n}")
+    return lines

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import medlex
 from medlex import cli
 from medlex.cli import main
-from medlex.pipeline import read_outcomes
+from medlex.outcomes import read_outcomes
 
 MAP_BASE = ["map", "--dict"]
 
@@ -565,6 +566,22 @@ class TestCmdEval:
         report = (tmp_path / "report.tsv").read_text(encoding="utf-8")
         assert report.startswith("label\ttp\tpred_n")
 
+    def test_gold_with_an_unwritable_output_prints_and_writes_nothing(
+        self, capsys, tmp_path, data_dir, mapped_file
+    ):
+        matrix, old = tmp_path / "matrix.csv", tmp_path / "old.csv"
+        old.write_text("old\n", encoding="utf-8")
+        argv = ["eval", "gold", "--gold", str(data_dir / "gold.tsv"), "--mapped", str(mapped_file)]
+        for out in (matrix, old):
+            code, stdout, stderr = run(
+                capsys, [*argv, "--matrix-out", str(out), "--report-tsv", str(tmp_path / "nodir" / "r.tsv")]
+            )
+            assert (code, stdout) == (2, "")
+            assert stderr == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir' / 'r.tsv'}'\n"
+        assert not matrix.exists()
+        assert old.read_text(encoding="utf-8") == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["mapped.tsv", "old.csv"]
+
     def test_gold_merge_labels_raise_accuracy(self, capsys, data_dir, mapped_file):
         base_code, base_out, _ = run(
             capsys,
@@ -714,12 +731,13 @@ class TestConsoleEntryPoint:
             "file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
-        core = {"medlex", "medlex.cli", "medlex.defaults", "medlex.errors", "medlex.io",
-                "medlex.model", "medlex.pipeline", "medlex.strategies", "medlex.textprep"}
+        core = {"medlex", "medlex.cli", "medlex.errors", "medlex.io", "medlex.model", "medlex.outcomes"}
+        # merge and eval read the outcome file and load none of these.
+        map_only = {"medlex.defaults", "medlex.pipeline", "medlex.strategies", "medlex.textprep"}
         mapped, manifest = str(tmp_path / "mapped.tsv"), str(data_dir / "manifest.json")
         commands = [
             (["map", "--dict", str(data_dir / "dict_50.tsv"), "--conllu", str(data_dir / "dict_50.conllu"),
-              "--out", mapped], set()),
+              "--out", mapped], map_only),
             (["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(tmp_path / "lexicon.tsv")],
              {"medlex.merge"}),
             (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
@@ -733,6 +751,40 @@ class TestConsoleEntryPoint:
             proc = subprocess.run([sys.executable, "-c", loaded, *argv], capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert set(json.loads(proc.stderr.splitlines()[-1])) == core | extra, argv
+
+    def test_no_stage_module_imports_another(self):
+        # Stages meet only in the files they pass on (the outcome file, the
+        # manifest), so each loads without the others. An import under
+        # TYPE_CHECKING serves annotations alone and loads nothing.
+        stages = {"pipeline", "merge", "evaluate"}
+        package = Path(medlex.__file__).parent
+
+        def imported(tree):
+            """The medlex modules ``tree`` imports at run time."""
+            skipped = {
+                id(inner)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+                for stmt in node.body
+                for inner in ast.walk(stmt)
+            }
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    if node.level == 1:
+                        module = f"medlex.{module}" if module else "medlex"
+                    if module == "medlex":
+                        yield from (alias.name for alias in node.names)
+                    elif module.startswith("medlex."):
+                        yield module.split(".")[1]
+                elif isinstance(node, ast.Import):
+                    yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("medlex."))
+
+        for stage in sorted(stages):
+            tree = ast.parse((package / f"{stage}.py").read_text(encoding="utf-8"))
+            assert set(imported(tree)) & stages - {stage} == set(), stage
 
     def test_verbose_shows_keyword_lint_notes(self, tmp_path):
         dict_file = tmp_path / "d.tsv"

@@ -38,7 +38,7 @@ from medlex.model import (
     Provenance,
     normalize_term,
 )
-from medlex.pipeline import write_outcomes
+from medlex.outcomes import write_outcomes
 
 
 def outcome(entry_id, term, category, provenance=Provenance.KW_1N):

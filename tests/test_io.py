@@ -18,7 +18,8 @@ from medlex.errors import LintError, ParseError
 from medlex.evaluate import read_gold
 from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, ingest_resource, load_manifest
 from medlex.model import Category
-from medlex.pipeline import read_dictionary, read_outcomes, resolve_synonyms
+from medlex.outcomes import read_outcomes
+from medlex.pipeline import read_dictionary, resolve_synonyms
 from medlex.strategies import load_keyword_table, load_suffix_table
 from medlex.textprep import ingest_conllu, load_stoplist, load_wordlist
 
@@ -529,6 +530,16 @@ class TestWriteText:
         assert path.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["out.tsv"]
 
+    def test_files_are_written_all_or_none(self, tmp_path):
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        first.write_text("old\n", encoding="utf-8")
+        with pytest.raises(FileNotFoundError):
+            io.write_texts([(first, "ny\n"), (second, "ny\n"), (tmp_path / "absent" / "third.tsv", "ny\n")])
+        assert first.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["first.tsv"]
+        io.write_texts([(first, "ny\n"), (second, "to\n")])
+        assert (first.read_text(encoding="utf-8"), second.read_text(encoding="utf-8")) == ("ny\n", "to\n")
+
     def test_cli_output_into_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "absent" / "out.tsv"
         code = main(["map", "--dict", put(tmp_path / "d.tsv", GOOD_DICT), "--out", str(out)])
@@ -604,9 +615,9 @@ def test_readers_raise_only_parse_or_lint_errors(content):
 
 
 # io.py reads every input in read_text and writes every output in
-# write_text; reading package data through importlib.resources is the one
+# write_texts; reading package data through importlib.resources is the one
 # exception outside it.
-ALLOWED = {("io.py", "read_text"), ("io.py", "write_text")}
+ALLOWED = {("io.py", "read_text"), ("io.py", "write_texts")}
 FILE_METHODS = {"open", "fdopen", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 

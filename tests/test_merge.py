@@ -931,6 +931,27 @@ class TestManifest:
         with pytest.raises(ParseError, match="duplicate"):
             load_manifest(path)
 
+    def test_duplicate_name_is_reported_where_it_appears(self, tmp_path):
+        rows = ["A\ta.tsv\tFIXED\tTOOL\t1\tterm=0", "B\tb.tsv\tFIXED\tTOOL\t2\tterm=0",
+                "A\tc.tsv\tFIXED\tTOOL\t3\tterm=0"]
+        tsv, json_path = tmp_path / "m.tsv", tmp_path / "m.json"
+        tsv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        keys = ("name", "file", "mode", "category", "trust_rank")
+        objs = [dict(zip(keys, row.split("\t"))) for row in rows]
+        json_path.write_text(json.dumps([{**o, "trust_rank": int(o["trust_rank"])} for o in objs]),
+                             encoding="utf-8")
+        for path, where in ((tsv, f"{tsv}:3"), (json_path, f"{json_path}: resource #3")):
+            with pytest.raises(ParseError) as got:
+                load_manifest(path)
+            assert str(got.value) == f"{where}: resource A: duplicate resource name"
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".ndjson", ".JSON"])
+    def test_every_json_suffix_reads_a_json_manifest(self, data_dir, tmp_path, suffix):
+        # One sniffer decides the format of every input from its suffix.
+        path = tmp_path / f"manifest{suffix}"
+        path.write_bytes((data_dir / "manifest.json").read_bytes())
+        assert load_manifest(path) == load_manifest(data_dir / "manifest.json")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "missing.json")
@@ -981,6 +1002,16 @@ class TestManifest:
                 "A\ta.tsv\tFIXED\t\t1\tterm=0",
                 {"mode": "FIXED"},
                 "resource A: FIXED mode needs a category",
+            ),
+            (
+                "A\ta.tsv\tFIXED\tXYZ\t1\tterm=0",
+                {"mode": "FIXED", "category": "XYZ"},
+                "resource A: unknown category label: 'XYZ'",
+            ),
+            (
+                "A\ta.tsv\tCHAPTERED\tK01=XYZ\t1\tterm=0,chapter=1",
+                {"mode": "CHAPTERED", "rules": [{"chapter": "K01", "category": "XYZ"}]},
+                "resource A: unknown category label: 'XYZ'",
             ),
             (
                 "A\ta.tsv\tCHAPTERED\t\t1\tterm=0,chapter=1",
@@ -1034,7 +1065,8 @@ class TestManifest:
                 for ch in "\t\r\n"
             ),
         ],
-        ids=["default-exclude", "unknown-mode", "fixed-without-category", "chaptered-without-rules",
+        ids=["default-exclude", "unknown-mode", "fixed-without-category", "unknown-label",
+             "unknown-rule-label", "chaptered-without-rules",
              "per-entry-with-category", "chaptered-with-category", "fixed-with-rules",
              "fixed-with-default", "per-entry-with-rules", "blank-name", "comma-in-name",
              "space-name", "tab-in-name", "cr-in-name", "lf-in-name"],

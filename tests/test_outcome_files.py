@@ -27,16 +27,8 @@ from medlex.model import (
     normalize_term,
     parse_category,
 )
-from medlex.pipeline import (
-    _json_id_term,
-    attach_tokens,
-    map_dictionary,
-    read_dictionary,
-    read_outcomes,
-    render_outcomes,
-    resolve_synonyms,
-    resolve_votes,
-)
+from medlex.outcomes import _json_id_term, read_outcomes, render_outcomes
+from medlex.pipeline import attach_tokens, map_dictionary, read_dictionary, resolve_synonyms, resolve_votes
 from medlex.strategies import parse_keyword_table, parse_suffix_table
 
 # ---------------------------------------------------------------------------
@@ -57,8 +49,10 @@ def oracle_parse_votes(text):
         if len(fields) != 4:
             raise ValueError(f"bad vote serialization: {part!r}")
         strategy, category, trigger, pos = fields
-        votes.append(Vote(_VOTERS[strategy], parse_category(category), trigger,
-                          None if pos == "-" else int(pos)))
+        voter, category = _VOTERS[strategy], parse_category(category)
+        if pos != "-" and (not pos or any(ch not in "0123456789" for ch in pos)):
+            raise ValueError(f"bad vote serialization: {part!r}")
+        votes.append(Vote(voter, category, trigger, None if pos == "-" else int(pos)))
     return tuple(votes)
 
 
@@ -241,7 +235,8 @@ CATEGORY_TEXT = st.sampled_from(["CONDITION", "TOOL", "microorganism", "ANAT-LOC
                                  "OTHER", "", " ", "BOGUS"])
 PROVENANCE_TEXT = st.sampled_from([p.name for p in Provenance] + ["multi", "BOGUS", ""])
 BAD_PART = st.sampled_from(["KW_1N:OTHER:x:-", "SUFF:TOOL:kniv:x", "SUFF:TOOL", "SUFF:TOOL:a:b:c",
-                            "BOGUS:TOOL:kniv:-", "SUFF:BOGUS:kniv:-", "", ":::"])
+                            "BOGUS:TOOL:kniv:-", "SUFF:BOGUS:kniv:-", "", ":::", "SUFF:TOOL:kniv:1_0",
+                            "SUFF:TOOL:kniv:-3", "SUFF:TOOL:kniv:\u0663", "SUFF:TOOL:kniv:}-"])
 VOTE_PART = st.one_of(
     st.builds(lambda v: oracle_format_votes([v]), VOTE),
     st.sampled_from(["SUFF:TOOL:kniv:-", "KW_E:CONDITION:sykdom:3", "SUFF:TOOL:kniv: 4"]),
@@ -382,7 +377,7 @@ class TestReaderAgainstOracle:
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x"],
              "2: bad outcome row: bad vote serialization: 'SUFF:TOOL:x'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:y"],
-             "2: bad outcome row: invalid literal for int() with base 10: 'y'"),
+             "2: bad outcome row: bad vote serialization: 'SUFF:TOOL:x:y'"),
             (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-"],
              "2: bad outcome row: e1: MULTI needs at least two votes"),
             (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-;KW_E:SERVICE:y:1"],
@@ -440,7 +435,7 @@ class TestReaderAgainstOracle:
             # A bad vote after one that parsed in an earlier row.
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-",
                       "e2\tt\tTOOL\tMULTI\tSUFF:TOOL:kniv:-;KW_E:TOOL:kniv:x"],
-             "3: bad outcome row: invalid literal for int() with base 10: 'x'"),
+             "3: bad outcome row: bad vote serialization: 'KW_E:TOOL:kniv:x'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-;BOGUS:TOOL:kniv:-",
                       "e2\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-"], "2: bad outcome row: 'BOGUS'"),
         ],

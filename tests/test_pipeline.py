@@ -13,17 +13,14 @@ from medlex.model import (
     Provenance,
     Vote,
 )
+from medlex.outcomes import format_votes, parse_votes, read_outcomes, render_outcomes, write_outcomes
 from medlex.pipeline import (
     attach_tokens,
     map_dictionary,
     mapping_stats,
-    parse_votes,
     read_dictionary,
-    read_outcomes,
-    render_outcomes,
     resolve_synonyms,
     resolve_votes,
-    write_outcomes,
 )
 from medlex.strategies import KeywordTable, SuffixTable
 from medlex.textprep import StopConfig
@@ -388,8 +385,6 @@ class TestOutcomeIO:
             Vote(Provenance.KW_E, Category.SERVICE, "tjeneste", 9),
             Vote(Provenance.SUFF, Category.CONDITION, "emi", None),
         )
-        from medlex.pipeline import format_votes
-
         assert parse_votes(format_votes(votes)) == votes
 
     def test_parse_votes_keeps_only_votes_that_parse(self):
@@ -401,3 +396,12 @@ class TestOutcomeIO:
                 parse_votes("SUFF:TOOL:kniv:-;SUFF:TOOL", parsed)
         assert parsed == {"SUFF:TOOL:kniv:-": good}
         assert parse_votes("SUFF:TOOL:kniv:-;KW_E:TOOL:kniv:3", parsed)[0] is parsed["SUFF:TOOL:kniv:-"]
+
+    @pytest.mark.parametrize("pos", ["1_0", " 7", "7 ", "-3", "+3", "\u0663", "\u00b2", "}-", "", "--"])
+    def test_vote_position_is_a_dash_or_ascii_digits(self, pos):
+        # format_votes writes nothing else, though int() reads several of these.
+        part = f"SUFF:TOOL:kniv:{pos}"
+        with pytest.raises(ValueError) as info:
+            parse_votes(part)
+        assert str(info.value) == f"bad vote serialization: {part!r}"
+        assert parse_votes("SUFF:TOOL:kniv:007") == (Vote(Provenance.SUFF, Category.TOOL, "kniv", 7),)
