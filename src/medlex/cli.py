@@ -257,13 +257,13 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
         strategy_accuracy,
     )
 
+    try:
+        groups = None if args.merge_labels is None else parse_merge_groups(args.merge_labels)
+    except ValueError as exc:
+        raise ParseError(f"--merge-labels: {exc}") from None
     gold = read_gold(args.gold)
     outcomes = read_outcomes(args.mapped)
     predicted = mapped_categories(outcomes)
-    try:
-        groups = parse_merge_groups(args.merge_labels) if args.merge_labels else None
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
     report, matrix = score(
         gold,
         predicted,

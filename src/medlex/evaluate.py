@@ -155,15 +155,12 @@ def stratified_sample(
             strata[o.provenance].append(o.entry_id)
         for p in SAMPLE_STRATA:
             rng.shuffle(strata[p])
+        # Members outnumber the quota, so each round picks at least one.
         picked: list[str] = []
         while len(picked) < quota_per_category:
-            progressed = False
             for p in SAMPLE_STRATA:
                 if strata[p] and len(picked) < quota_per_category:
                     picked.append(strata[p].pop())
-                    progressed = True
-            if not progressed:
-                break
         sample.extend(picked)
     return sample
 
@@ -222,17 +219,20 @@ class EvalReport(NamedTuple):
 def _merge_label_map(
     merge_groups: Sequence[tuple[str, frozenset[Category]]] | None,
 ) -> dict[Category, str]:
+    """Each category's label: its own, or its group's. Raises ValueError unless every
+    group holds two or more categories, none OTHER, and no two groups share one."""
     mapping: dict[Category, str] = {c: str(c) for c in Category}
-    if merge_groups:
-        seen: set[Category] = set()
-        for group_label, members in merge_groups:
-            for member in members:
-                if member is Category.OTHER:
-                    raise ValueError("OTHER cannot be merged into a group")
-                if member in seen:
-                    raise ValueError(f"category {member} appears in two merge groups")
-                seen.add(member)
-                mapping[member] = group_label
+    seen: set[Category] = set()
+    for group_label, members in merge_groups or ():
+        if len(members) < 2:
+            raise ValueError(f"merge group needs at least two distinct categories: {group_label!r}")
+        for member in members:
+            if member is Category.OTHER:
+                raise ValueError("OTHER cannot be merged into a group")
+            if member in seen:
+                raise ValueError(f"category {member} appears in two merge groups")
+            seen.add(member)
+            mapping[member] = group_label
     return mapping
 
 
@@ -362,18 +362,15 @@ def parse_merge_groups(
 ) -> list[tuple[str, frozenset[Category]]]:
     """Parse ``--merge-labels`` values like ``ORG+SER`` or
     ``ORGANIZATION+SERVICE,ANAT-LOC+PHYSIOLOGY``; components may be
-    unambiguous prefixes of category names."""
+    unambiguous prefixes of category names. Groups are checked as ``score`` checks them."""
     groups = []
     for group_text in spec.split(","):
         group_text = group_text.strip()
-        if not group_text:
-            continue
         members = frozenset(
             _resolve_category(part.strip()) for part in group_text.split("+")
         )
-        if len(members) < 2:
-            raise ValueError(f"merge group needs at least two distinct categories: {group_text!r}")
         groups.append((group_text, members))
+    _merge_label_map(groups)
     return groups
 
 

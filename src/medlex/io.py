@@ -125,16 +125,23 @@ def write_texts(files: Sequence[tuple[str | Path, str]]) -> None:
     was and no partial one. A symlink is written through, an existing file
     keeps its mode and a new one gets the mode a plain ``open`` would give
     it. A target that is not a regular file, such as a device or a pipe,
-    is written directly once every regular file is staged."""
-    staged: list[tuple[Path, Path]] = []
+    is written directly once every regular file is staged. Two regular
+    targets that resolve to one file are refused (ParseError) before any
+    file is staged."""
+    regular: dict[Path, tuple[str | Path, os.stat_result | None, str]] = {}
     direct = []
+    for path, text in files:
+        old = os.stat(path) if os.path.exists(path) else None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            direct.append((path, text))
+            continue
+        target = Path(os.path.realpath(path))
+        if target in regular:
+            raise ParseError(f"two outputs name one file: {regular[target][0]} and {path}")
+        regular[target] = (path, old, text)
+    staged: list[tuple[Path, Path]] = []
     try:
-        for path, text in files:
-            old = os.stat(path) if os.path.exists(path) else None
-            if old is not None and not stat.S_ISREG(old.st_mode):
-                direct.append((path, text))
-                continue
-            target = Path(os.path.realpath(path))
+        for target, (path, old, text) in regular.items():
             tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
             try:
                 # O_EXCL with mode 0o666 lets the umask decide a new file's mode.

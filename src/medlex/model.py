@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import unicodedata
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class Category(enum.Enum):
@@ -221,9 +221,35 @@ class Vote(NamedTuple):
     position: int | None = None
 
 
+def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
+    """Resolve per-strategy votes into one category with provenance.
+
+    Unanimous multi-strategy agreement becomes MULTI; any disagreement
+    falls back to the highest-priority voter (SUFF > KW_E > KW_1N). Two
+    votes from one strategy, or a vote from a provenance that does not
+    vote, raise ValueError.
+    """
+    # Enum members hash in Python, so the checks compare them by identity.
+    strategies = [v.strategy for v in votes]
+    for strategy in strategies:
+        if strategy not in STRATEGY_PRIORITY:
+            raise ValueError(f"{strategy} is not a voting strategy")
+        if strategies.count(strategy) > 1:
+            raise ValueError("more than one vote from the same strategy")
+    for strategy in STRATEGY_PRIORITY:
+        if strategy in strategies:
+            winner = votes[strategies.index(strategy)]
+            break
+    else:
+        return None, Provenance.UNMAPPED
+    if len(votes) > 1 and all(v.category is winner.category for v in votes):
+        return winner.category, Provenance.MULTI
+    return winner.category, winner.strategy
+
+
 class MappingOutcome(NamedTuple):
     """Resolved category with provenance for one entry. Building one checks
-    nothing; ``validate`` checks the provenance rules."""
+    nothing; ``validate`` checks that ``map`` could have written it."""
 
     entry_id: str
     term: str
@@ -232,25 +258,21 @@ class MappingOutcome(NamedTuple):
     votes: tuple[Vote, ...] = ()
 
     def validate(self) -> None:
-        """Check the provenance/vote consistency rules; raise on violation."""
-        if (self.category is None) != (self.provenance is Provenance.UNMAPPED):
+        """Raise ValueError naming the entry id unless ``map`` could write this outcome:
+        an ITER one has a category and no votes, any other what its votes resolve to."""
+        if self.provenance is Provenance.ITER:
+            if self.category is None or self.votes:
+                raise ValueError(f"{self.entry_id}: an ITER outcome has a category and no votes")
+            return
+        try:
+            resolved = resolve_votes(self.votes)
+        except ValueError as exc:
+            raise ValueError(f"{self.entry_id}: {exc}") from None
+        if resolved != (self.category, self.provenance):
             raise ValueError(
-                f"{self.entry_id}: category must be absent iff provenance is UNMAPPED"
+                f"{self.entry_id}: votes resolve to {resolved[0] or '(none)'} {resolved[1]}, "
+                f"not {self.category or '(none)'} {self.provenance}"
             )
-        if self.provenance is Provenance.MULTI:
-            if len(self.votes) < 2:
-                raise ValueError(f"{self.entry_id}: MULTI needs at least two votes")
-            if any(v.category is not self.category for v in self.votes):
-                raise ValueError(f"{self.entry_id}: MULTI votes must all agree")
-        if self.provenance in STRATEGY_PRIORITY:
-            match = [v for v in self.votes if v.strategy is self.provenance]
-            if not match or match[0].category is not self.category:
-                raise ValueError(
-                    f"{self.entry_id}: winning strategy {self.provenance} missing from votes "
-                    "or category mismatch"
-                )
-        if self.provenance is Provenance.ITER and self.votes:
-            raise ValueError(f"{self.entry_id}: ITER outcomes carry no votes")
 
 
 class LexiconRecord(NamedTuple):

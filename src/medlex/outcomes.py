@@ -103,16 +103,15 @@ def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
         raise ParseError(str(exc), path, lineno) from None
 
 
-def _json_outcome_texts(obj: dict) -> tuple[str, str, str]:
-    """A JSON-lines outcome row's category (a string, null or absent: ""
-    when none), provenance (a string) and votes (a string or absent). A
-    missing provenance raises KeyError, as ``obj["provenance"]`` would."""
-    category = json_field(obj, "category", str, optional=True) or ""
+def _refuse_outcome_texts(obj: dict) -> None:
+    """Raise for a JSON-lines outcome row with a category, provenance or
+    votes of the wrong type: a ValueError naming the first such key, or a
+    KeyError for a missing provenance, as ``obj["provenance"]`` would."""
+    json_field(obj, "category", str, optional=True)
     if "provenance" not in obj:
         raise KeyError("provenance")
-    provenance = json_field(obj, "provenance", str)
-    votes = json_field(obj, "votes", str) if "votes" in obj else ""
-    return category, provenance, votes
+    json_field(obj, "provenance", str)
+    json_field(obj, "votes", str)
 
 
 def _check_tab_free(entry_id: str, term: str) -> None:
@@ -159,7 +158,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 if category is None:
                     category = ""
                 if type(category) is not str or type(provenance) is not str or type(votes) is not str:
-                    category, provenance, votes = _json_outcome_texts(obj)
+                    _refuse_outcome_texts(obj)
             else:
                 cols = raw.split("\t")
                 if lineno == 1 and cols[:2] == ["id", "term"]:

@@ -1,7 +1,7 @@
 """Orchestration: runs the voting strategies over a dictionary, resolves
 votes with the fixed precedence and applies the iterative second pass.
 The outcome file it writes is ``outcomes``'s; ``read_outcomes`` and
-``write_outcomes`` are re-exported here."""
+``write_outcomes`` are re-exported here, as is ``model.resolve_votes``."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import ParseError
 from .io import json_field, json_object, read_text, sniff_format, split_lines
 from .model import (
-    STRATEGY_PRIORITY,
     Category,
     Definition,
     Entry,
@@ -21,36 +20,13 @@ from .model import (
     Token,
     Vote,
     normalize_term,
+    resolve_votes,
 )
 from .outcomes import _check_tab_free, _json_id_term, count_table, read_outcomes, write_outcomes
 from .strategies import KeywordTable, SuffixTable, kw_entry_vote, kw_firstnoun_vote, suffix_vote
 from .textprep import StopConfig, extract_first_noun, heuristic_tag
 
 log = logging.getLogger(__name__)
-
-
-def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
-    """Resolve per-strategy votes into one category with provenance.
-
-    Unanimous multi-strategy agreement becomes MULTI; any disagreement
-    falls back to the highest-priority voter (SUFF > KW_E > KW_1N). Two
-    votes from one strategy, or a vote from a provenance that does not
-    vote, raise ValueError.
-    """
-    by_strategy = {v.strategy: v for v in votes}
-    if len(by_strategy) != len(votes):
-        raise ValueError("more than one vote from the same strategy")
-    for strategy in by_strategy:
-        if strategy not in STRATEGY_PRIORITY:
-            raise ValueError(f"{strategy} is not a voting strategy")
-    if not votes:
-        return None, Provenance.UNMAPPED
-    if len(votes) == 1:
-        return votes[0].category, votes[0].strategy
-    if len({v.category for v in votes}) == 1:
-        return votes[0].category, Provenance.MULTI
-    winner = next(by_strategy[s] for s in STRATEGY_PRIORITY if s in by_strategy)
-    return winner.category, winner.strategy
 
 
 def entry_votes(
@@ -159,9 +135,6 @@ def map_dictionary(
             "of each (listed at INFO level, -v)",
             len(warned),
         )
-
-    for outcome in outcomes:
-        outcome.validate()
     return outcomes
 
 

@@ -129,6 +129,20 @@ class TestCmdMap:
         assert code == 3 and stdout == ""
         assert stderr == f"lint error: {table}: duplicate keyword 'blåsebelg'\n"
 
+    @pytest.mark.parametrize(
+        ("option", "row", "message"),
+        [("--suffixes", "-\tCONDITION", "empty suffix"), ("--keywords", "\tTOOL", "empty keyword")],
+        ids=["suffix", "keyword"],
+    )
+    def test_empty_trigger_exit_2(self, capsys, tmp_path, option, row, message):
+        table = tmp_path / "table.tsv"
+        table.write_text(f"feber\tCONDITION\n{row}\n", encoding="utf-8")
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text("e1\tleukemi\tsykdom\n", encoding="utf-8")
+        code, stdout, stderr = run(capsys, ["map", "--dict", str(dict_file), option, str(table)])
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {table}:2: {message}\n"
+
     @pytest.mark.parametrize("text_form, list_form", [("NFD", "NFC"), ("NFC", "NFD")])
     def test_definitions_and_lists_fold_like_terms(self, capsys, tmp_path, text_form, list_form):
         def write(name, text, form):
@@ -416,6 +430,28 @@ class TestCmdMerge:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        ("name", "text", "where"),
+        [
+            ("m.tsv", "S\tres.tsv\tPER_ENTRY\t\t2\tterm=0\n", "m.tsv:1: "),
+            ("m.json", '[{"name": "S", "file": "res.tsv", "mode": "PER_ENTRY", "trust_rank": 2,'
+                       ' "layout": {"term": 0}}]', "m.json: resource #1: "),
+        ],
+        ids=["tsv", "json"],
+    )
+    def test_per_entry_layout_without_category_exit_2(self, capsys, tmp_path, mapped_file, name, text, where):
+        (tmp_path / "res.tsv").write_text("feber\tCONDITION\n", encoding="utf-8")
+        manifest = tmp_path / name
+        manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.tsv"
+        code, stdout, stderr = run(
+            capsys,
+            ["merge", "--manifest", str(manifest), "--mapped", str(mapped_file), "--out", str(out)],
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {manifest.parent}/{where}resource S: PER_ENTRY layout needs a category column\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         ("name", "message"),
         [
             ("", "--mapped-name: source name '' is blank"),
@@ -614,6 +650,41 @@ class TestCmdEval:
         assert "accuracy excl OTHER  93.8%" in merged_out
         assert "ORG+SER" in merged_out
 
+    @pytest.mark.parametrize(
+        ("labels", "message"),
+        [
+            ("ORG+SER,ORG+TOOL", "category ORGANIZATION appears in two merge groups"),
+            ("ORG+SER,", "category '' is unknown or ambiguous"),
+            ("", "category '' is unknown or ambiguous"),
+            ("SER+SERVICE", "merge group needs at least two distinct categories: 'SER+SERVICE'"),
+            ("P+SER", "category 'P' is unknown or ambiguous"),
+        ],
+        ids=["overlapping", "empty-group", "empty", "one-category", "ambiguous"],
+    )
+    def test_gold_bad_merge_labels_exit_2(self, capsys, tmp_path, data_dir, mapped_file, labels, message):
+        matrix = tmp_path / "matrix.csv"
+        code, stdout, stderr = run(
+            capsys,
+            ["eval", "gold", "--gold", str(data_dir / "gold.tsv"), "--mapped", str(mapped_file),
+             "--merge-labels", labels, "--matrix-out", str(matrix)],
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: --merge-labels: {message}\n"
+        assert not matrix.exists()
+
+    @pytest.mark.parametrize("second", ["X", "./X", "../out/X"])
+    def test_gold_outputs_naming_one_file_exit_2(self, capsys, tmp_path, data_dir, mapped_file, monkeypatch, second):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path / "out")
+        argv = ["eval", "gold", "--gold", str(data_dir / "gold.tsv"), "--mapped", str(mapped_file)]
+        code, stdout, stderr = run(capsys, [*argv, "--matrix-out", "X", "--report-tsv", second])
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: two outputs name one file: X and {second}\n"
+        assert os.listdir(tmp_path / "out") == []
+        # Targets that are not regular files may repeat.
+        code, stdout, _ = run(capsys, [*argv, "--matrix-out", os.devnull, "--report-tsv", os.devnull])
+        assert code == 0 and "accuracy" in stdout
+
     def test_gold_term_without_prediction_exit_5(self, capsys, tmp_path, mapped_file):
         gold = tmp_path / "gold.tsv"
         gold.write_text("finnes ikke\tCONDITION\n", encoding="utf-8")
@@ -644,6 +715,34 @@ class TestCmdEval:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            (("e1", "TOOL", "KW_E", "SUFF:CONDITION:x:-;KW_E:TOOL:y:1"),
+             "e1: votes resolve to CONDITION SUFF, not TOOL KW_E"),
+            (("e2", "", "UNMAPPED", "SUFF:TOOL:x:-"), "e2: votes resolve to TOOL SUFF, not (none) UNMAPPED"),
+            (("e3", "TOOL", "MULTI", "SUFF:TOOL:x:-;SUFF:TOOL:y:-"),
+             "e3: more than one vote from the same strategy"),
+        ],
+        ids=["outvoted", "unmapped-with-votes", "one-strategy-twice"],
+    )
+    def test_sample_refuses_a_row_map_cannot_write(self, capsys, tmp_path, row, message, fmt):
+        # The row would be sampled if the reader accepted it.
+        rows = [("e0", "TOOL", "ITER", ""), row]
+        mapped = tmp_path / f"mapped.{fmt}"
+        if fmt == "tsv":
+            lines = [f"{i}\tterm {i}\t{c}\t{p}\t{v}" for i, c, p, v in rows]
+        else:
+            lines = [json.dumps({"id": i, "term": f"term {i}", "category": c or None, "provenance": p,
+                                 "votes": v}) for i, c, p, v in rows]
+        mapped.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, ["eval", "sample", "--mapped", str(mapped), "--quota", "5", "--seed", "1"]
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {mapped}:2: bad outcome row: {message}\n"
 
     def test_overlap_report_shape(self, capsys, data_dir, mapped_file):
         code, stdout, _ = run(

@@ -502,3 +502,9 @@ class TestMergeGroups:
     def test_single_member_group_rejected(self):
         with pytest.raises(ValueError):
             parse_merge_groups("SER+SERVICE")
+
+    def test_score_checks_the_groups_it_is_given(self):
+        with pytest.raises(ValueError, match="OTHER cannot be merged"):
+            score({}, {}, merge_groups=[("X", frozenset({Category.OTHER, Category.TOOL}))])
+        with pytest.raises(ValueError, match="appears in two merge groups"):
+            score({}, {}, merge_groups=parse_merge_groups("ORG+SER") * 2)

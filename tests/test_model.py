@@ -34,6 +34,7 @@ from medlex.model import (
     MappingOutcome,
     Provenance,
     Token,
+    STRATEGY_PRIORITY,
     Vote,
     fold,
     normalize_term,
@@ -230,6 +231,52 @@ class TestMappingOutcomeInvariants:
             MappingOutcome(
                 "e", "t", Category.CONDITION, Provenance.ITER, (_vote(),)
             ).validate()
+
+    def test_iter_has_a_category(self):
+        with pytest.raises(ValueError, match="^e: an ITER outcome has a category and no votes$"):
+            MappingOutcome("e", "t", None, Provenance.ITER).validate()
+
+
+def map_could_write(category, provenance, votes):
+    """The outcome rule stated case by case: an ITER outcome has a category
+    and no votes; no votes mean UNMAPPED; two or more agreeing votes mean
+    MULTI; otherwise the vote of the earliest strategy in SUFF, KW_E, KW_1N
+    gives the category and names the provenance. Votes must come from
+    distinct voting strategies."""
+    if provenance is Provenance.ITER:
+        return category is not None and not votes
+    strategies = [v.strategy for v in votes]
+    if len(set(strategies)) < len(strategies) or not set(strategies) <= set(STRATEGY_PRIORITY):
+        return False
+    if not votes:
+        return (category, provenance) == (None, Provenance.UNMAPPED)
+    if len(votes) > 1 and all(v.category is votes[0].category for v in votes):
+        return (category, provenance) == (votes[0].category, Provenance.MULTI)
+    first = min(votes, key=lambda v: STRATEGY_PRIORITY.index(v.strategy))
+    return (category, provenance) == (first.category, first.strategy)
+
+
+# Mostly voting strategies and two categories, so that duplicate strategies,
+# agreement and disagreement all come up often.
+DRAWN_VOTE = st.builds(
+    Vote,
+    st.sampled_from(list(STRATEGY_PRIORITY) * 3 + [Provenance.MULTI, Provenance.ITER]),
+    st.sampled_from([Category.CONDITION, Category.TOOL]),
+    st.just("x"),
+)
+
+
+@given(st.lists(DRAWN_VOTE, max_size=4))
+def test_validate_is_the_rule_map_applies(votes):
+    votes = tuple(votes)
+    for category in (None, Category.CONDITION, Category.TOOL, Category.PROCEDURE):
+        for provenance in Provenance:
+            outcome = MappingOutcome("e7", "t", category, provenance, votes)
+            if map_could_write(category, provenance, votes):
+                outcome.validate()
+            else:
+                with pytest.raises(ValueError, match="^e7: "):
+                    outcome.validate()
 
 
 # The plain row types, each built positionally, with its fields in order.

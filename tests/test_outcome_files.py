@@ -379,20 +379,20 @@ class TestReaderAgainstOracle:
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:y"],
              "2: bad outcome row: bad vote serialization: 'SUFF:TOOL:x:y'"),
             (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-"],
-             "2: bad outcome row: e1: MULTI needs at least two votes"),
+             "2: bad outcome row: e1: votes resolve to TOOL SUFF, not TOOL MULTI"),
             (".tsv", ["e1\tt\tTOOL\tMULTI\tSUFF:TOOL:x:-;KW_E:SERVICE:y:1"],
-             "2: bad outcome row: e1: MULTI votes must all agree"),
+             "2: bad outcome row: e1: votes resolve to TOOL SUFF, not TOOL MULTI"),
             (".tsv", ["e1\tt\tTOOL\tITER\tSUFF:TOOL:x:-"],
-             "2: bad outcome row: e1: ITER outcomes carry no votes"),
+             "2: bad outcome row: e1: an ITER outcome has a category and no votes"),
             (".tsv", ["e1\tt\tTOOL\tKW_E\tSUFF:TOOL:x:-"],
-             "2: bad outcome row: e1: winning strategy KW_E missing from votes or category mismatch"),
+             "2: bad outcome row: e1: votes resolve to TOOL SUFF, not TOOL KW_E"),
             (".tsv", ["e1\tt\t\tSUFF\tSUFF:TOOL:x:-"],
-             "2: bad outcome row: e1: category must be absent iff provenance is UNMAPPED"),
+             "2: bad outcome row: e1: votes resolve to TOOL SUFF, not (none) SUFF"),
             (".tsv", ["e1\t \tTOOL\tITER\t"], "2: bad outcome row: empty term"),
             (".tsv", ["e1\tt\tTOOL\tITER"], "2: bad outcome row: expected 5 columns, got 4"),
             (".tsv", ["e1\tt\tTOOL\tITER\t", "e1\tu\tTOOL\tITER\t"], "3: duplicate entry id 'e1'"),
             (".tsv", ["e1\tt\tTOOL\tITER\t", "e2\tu\tTOOL\tITER\t", "e2\tu\tTOOL\tMULTI\t"],
-             "4: bad outcome row: e2: MULTI needs at least two votes"),
+             "4: bad outcome row: e2: votes resolve to (none) UNMAPPED, not TOOL MULTI"),
             (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL", "provenance": "ITER"}',
                         '{"id": "e2", "term": "t"'], "2: bad JSON: Expecting ',' delimiter"),
             (".jsonl", ['{"id": "e1",', '"term": "t", "provenance": "ITER", "category": "TOOL"}'],
