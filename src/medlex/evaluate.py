@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -34,20 +35,28 @@ SAMPLE_STRATA: tuple[Provenance, ...] = (
 )
 
 
-def pct1(num: int, den: int) -> str:
-    """Percentage with one decimal, exact integer arithmetic, half-up."""
+def _fixed(num: int, den: int, places: int) -> str:
+    """num/den with ``places`` decimals, exact integer arithmetic, half-up."""
     if den <= 0:
         raise ValueError("denominator must be positive")
-    tenths = (2000 * num + den) // (2 * den)
-    return f"{tenths // 10}.{tenths % 10}"
+    scale = 10**places
+    units = (2 * scale * num + den) // (2 * den)
+    return f"{units // scale}.{units % scale:0{places}d}"
+
+
+def pct1(num: int, den: int) -> str:
+    """Percentage with one decimal, half-up."""
+    return _fixed(100 * num, den, 1)
 
 
 def ratio3(num: int, den: int) -> str:
-    """Ratio with three decimals, exact integer arithmetic, half-up."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    thousandths = (2000 * num + den) // (2 * den)
-    return f"{thousandths // 1000}.{thousandths % 1000:03d}"
+    """Ratio with three decimals, half-up."""
+    return _fixed(num, den, 3)
+
+
+def _ratio(num: int, den: int, empty: str = "N/A") -> str:
+    """``ratio3``, or ``empty`` when there is nothing to divide by."""
+    return empty if den == 0 else ratio3(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +114,12 @@ def score_overlap(
         key = normalize_term(term)
         if key in categories and key not in shared:
             shared[key] = category
-
-    per_category: dict[str, list[int]] = {}
-    correct = 0
-    for key, category in shared.items():
-        bucket = per_category.setdefault(str(category), [0, 0])
-        bucket[0] += 1
-        if categories[key] is category:
-            bucket[1] += 1
-            correct += 1
+    # Gold scoring with the resource as the gold side.
+    report, _ = score(shared, categories)
     return OverlapResult(
-        overlap=len(shared),
-        correct=correct,
-        per_category=tuple((k, v[0], v[1]) for k, v in sorted(per_category.items())),
+        overlap=report.scored_n,
+        correct=report.accuracy_incl_other[0],
+        per_category=tuple((s.label, s.gold_n, s.tp) for s in report.per_category if s.gold_n),
     )
 
 
@@ -255,57 +257,35 @@ def score(
         if term not in predicted:
             raise GoldCoverageError(term)
     label_of = _merge_label_map(merge_groups)
-
-    matches_all = sum(
-        1 for t, g in gold.items() if g is not Category.OTHER
-        and label_of[g] == label_of[predicted[t]]
-    )
-    total_all = len(gold)
-    total_non_other = sum(1 for g in gold.values() if g is not Category.OTHER)
-
-    scored = {
-        t: g for t, g in gold.items() if not (exclude_other and g is Category.OTHER)
-    }
-
-    labels: list[str] = []
-    for c in ASSIGNABLE_CATEGORIES:
-        if label_of[c] not in labels:
-            labels.append(label_of[c])
-    labels.sort()
-    if not exclude_other and any(g is Category.OTHER for g in scored.values()):
-        labels.append(str(Category.OTHER))
+    other = str(Category.OTHER)
+    has_other = not exclude_other and Category.OTHER in gold.values()
+    labels = sorted({label_of[c] for c in ASSIGNABLE_CATEGORIES})
+    if has_other:
+        labels.append(other)
     index = {label: i for i, label in enumerate(labels)}
+    scored = gold
+    if exclude_other:
+        scored = {t: g for t, g in gold.items() if g is not Category.OTHER}
 
     grid = [[0] * len(labels) for _ in labels]
-    for term in sorted(scored):
-        g = label_of[scored[term]]
-        p = label_of[predicted[term]]
-        grid[index[g]][index[p]] += 1
+    for term, g in scored.items():
+        grid[index[label_of[g]]][index[label_of[predicted[term]]]] += 1
     matrix = ConfusionMatrix(tuple(labels), tuple(tuple(row) for row in grid))
-
+    tp = [grid[i][i] for i in range(len(labels))]
+    gold_n, pred_n = matrix.row_sums(), matrix.col_sums()
     if global_precision:
-        pred_counts: dict[str, int] = {label: 0 for label in labels}
-        for term in predicted:
-            label = label_of[predicted[term]]
-            if label in index:
-                pred_counts[label] += 1
-    else:
-        pred_counts = {label: matrix.col_sums()[i] for label, i in index.items()}
+        everywhere = Counter(label_of[c] for c in predicted.values())
+        pred_n = tuple(everywhere[label] for label in labels)
 
-    per_category = tuple(
-        CategoryScore(
-            label=label,
-            tp=grid[i][i],
-            pred_n=pred_counts[label],
-            gold_n=matrix.row_sums()[i],
-        )
-        for label, i in index.items()
-    )
+    # Every non-OTHER gold term is scored, in a row of its own label; a gold
+    # OTHER term, scored or not, never matches.
+    assignable = len(labels) - has_other
+    matches = sum(tp[:assignable])
     report = EvalReport(
-        per_category=per_category,
+        per_category=tuple(map(CategoryScore, labels, tp, pred_n, gold_n)),
         scored_n=len(scored),
-        accuracy_incl_other=(matches_all, total_all),
-        accuracy_excl_other=(matches_all, total_non_other),
+        accuracy_incl_other=(matches, len(gold)),
+        accuracy_excl_other=(matches, sum(gold_n[:assignable])),
     )
     return report, matrix
 
@@ -393,32 +373,19 @@ def format_eval_report(
     width = max([len("category"), len("total (micro)"), len("total (macro)")] + [len(s.label) for s in rows])
     lines = [f"{'category'.ljust(width)}  precision  recall  gold_n"]
     for s in rows:
-        precision = "N/A" if s.pred_n == 0 else ratio3(s.tp, s.pred_n)
-        recall = "N/A" if s.gold_n == 0 else ratio3(s.tp, s.gold_n)
         lines.append(
-            f"{s.label.ljust(width)}  {precision.rjust(9)}  {recall.rjust(6)}  {s.gold_n}"
+            f"{s.label.ljust(width)}  {_ratio(s.tp, s.pred_n):>9}  {_ratio(s.tp, s.gold_n):>6}  {s.gold_n}"
         )
-    mp_num, mp_den = report.micro_precision
-    mr_num, mr_den = report.micro_recall
-    micro_p = "N/A" if mp_den == 0 else ratio3(mp_num, mp_den)
-    micro_r = "N/A" if mr_den == 0 else ratio3(mr_num, mr_den)
-    lines.append(f"{'total (micro)'.ljust(width)}  {micro_p.rjust(9)}  {micro_r.rjust(6)}  {report.scored_n}")
-    macro_p = [s for s in rows if s.pred_n > 0]
-    macro_r = [s for s in rows if s.gold_n > 0]
-    macro_p_s = "N/A" if not macro_p else _macro(list((s.tp, s.pred_n) for s in macro_p))
-    macro_r_s = "N/A" if not macro_r else _macro(list((s.tp, s.gold_n) for s in macro_r))
-    lines.append(f"{'total (macro)'.ljust(width)}  {macro_p_s.rjust(9)}  {macro_r_s.rjust(6)}")
-    inc_num, inc_den = report.accuracy_incl_other
-    exc_num, exc_den = report.accuracy_excl_other
+    micro_p, micro_r = _ratio(*report.micro_precision), _ratio(*report.micro_recall)
+    lines.append(f"{'total (micro)'.ljust(width)}  {micro_p:>9}  {micro_r:>6}  {report.scored_n}")
+    macro_p = [(s.tp, s.pred_n) for s in rows if s.pred_n > 0]
+    macro_r = [(s.tp, s.gold_n) for s in rows if s.gold_n > 0]
+    macro_p_s = _macro(macro_p) if macro_p else "N/A"
+    macro_r_s = _macro(macro_r) if macro_r else "N/A"
+    lines.append(f"{'total (macro)'.ljust(width)}  {macro_p_s:>9}  {macro_r_s:>6}")
     lines.append("")
-    lines.append(
-        "accuracy incl OTHER  "
-        + ("N/A" if inc_den == 0 else pct1(inc_num, inc_den) + "%")
-    )
-    lines.append(
-        "accuracy excl OTHER  "
-        + ("N/A" if exc_den == 0 else pct1(exc_num, exc_den) + "%")
-    )
+    for which, (num, den) in (("incl", report.accuracy_incl_other), ("excl", report.accuracy_excl_other)):
+        lines.append(f"accuracy {which} OTHER  " + ("N/A" if den == 0 else pct1(num, den) + "%"))
     if strategy_acc:
         lines.append("")
         lines.append("strategy  correct  total  accuracy")
@@ -441,8 +408,7 @@ def _macro(pairs: list[tuple[int, int]]) -> str:
 def format_eval_tsv(report: EvalReport) -> str:
     lines = ["label\ttp\tpred_n\tgold_n\tprecision\trecall"]
     for s in sorted(report.per_category, key=lambda s: s.label):
-        precision = "" if s.pred_n == 0 else ratio3(s.tp, s.pred_n)
-        recall = "" if s.gold_n == 0 else ratio3(s.tp, s.gold_n)
+        precision, recall = _ratio(s.tp, s.pred_n, ""), _ratio(s.tp, s.gold_n, "")
         lines.append(f"{s.label}\t{s.tp}\t{s.pred_n}\t{s.gold_n}\t{precision}\t{recall}")
     return "\n".join(lines) + "\n"
 
@@ -451,7 +417,7 @@ def format_overlap_report(
     rows: Sequence[tuple[str, str, OverlapResult]]
 ) -> str:
     """Rows of (resource name, category descriptor, result)."""
-    width = max([len("resource")] + [len(name) for name, _, _ in rows]) if rows else len("resource")
+    width = max([len("resource")] + [len(name) for name, _, _ in rows])
     lines = [f"{'resource'.ljust(width)}  overlap  correct(%)  category"]
     for name, descriptor, result in rows:
         percent = result.percent_correct

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
-from .io import data_lines, json_field, read_text, sniff_format, split_lines, write_text
+from .io import data_lines, json_field, json_object, read_text, sniff_format, split_lines, write_text
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -159,7 +159,8 @@ class MergeReport(NamedTuple):
 
 
 def load_manifest(path: str | Path) -> list[ResourceSpec]:
-    """Resource manifest, JSON (list of objects) or TSV.
+    """Resource manifest: JSON (a list of objects, or one object per line)
+    or TSV.
 
     TSV columns: name, file, mode, category-or-rules (empty for
     PER_ENTRY), trust_rank, layout. Rules use ``chapter=CATEGORY`` pairs
@@ -234,15 +235,22 @@ def _spec(
 
 
 def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
+    """A JSON list of resource objects, whose faults name ``resource #N``,
+    or one object per data line (JSON lines), whose faults name the line."""
+    specs = []
+    names: set[str] = set()
+    if not text.lstrip().startswith("["):
+        for lineno, line in data_lines(split_lines(text)):
+            try:
+                specs.append(_json_spec(json_object(line, path, lineno), names))
+            except ValueError as exc:
+                raise ParseError(str(exc), path, lineno) from None
+        return specs
     try:
         data = json.loads(text)
     # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON manifest: {exc}", path) from None
-    if not isinstance(data, list):
-        raise ParseError("manifest must be a JSON list of resources", path)
-    specs = []
-    names: set[str] = set()
     for i, obj in enumerate(data, start=1):
         try:
             specs.append(_json_spec(obj, names))
@@ -589,10 +597,9 @@ def render_lexicon(records: Sequence[LexiconRecord], fmt: str = "tsv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_lexicon(
-    records: Sequence[LexiconRecord], path: str | Path, fmt: str | None = None
-) -> None:
-    """Write the merged lexicon as TSV (default) or JSON-lines, with a
-    stable ordering; callers pass records already sorted by merge."""
-    write_text(path, render_lexicon(records, sniff_format(path, fmt)))
+def export_lexicon(records: Sequence[LexiconRecord], path: str | Path) -> None:
+    """Write the merged lexicon as TSV, or as JSON-lines when the path's
+    suffix says so, with a stable ordering; callers pass records already
+    sorted by merge."""
+    write_text(path, render_lexicon(records, sniff_format(path)))
 

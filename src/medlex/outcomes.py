@@ -93,14 +93,11 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
     write_text(path, render_outcomes(outcomes, sniff_format(path, fmt)))
 
 
-def _json_id_term(obj: dict, path: str, lineno: int) -> tuple[str, str]:
+def _json_id_term(obj: dict) -> tuple[str, str]:
     """A JSON-lines row's ``id`` and ``term``: strings, except that an
-    integer ``id`` is read as its decimal text."""
-    try:
-        entry_id = json_field(obj, "id", str, int)
-        return str(entry_id), json_field(obj, "term", str)
-    except ValueError as exc:
-        raise ParseError(str(exc), path, lineno) from None
+    integer ``id`` is read as its decimal text. A value of another type
+    raises ValueError."""
+    return str(json_field(obj, "id", str, int)), json_field(obj, "term", str)
 
 
 def _refuse_outcome_texts(obj: dict) -> None:
@@ -151,7 +148,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 obj = json_object(raw, where, lineno)
                 entry_id, term = obj.get("id"), obj.get("term")
                 if type(entry_id) is not str or type(term) is not str:
-                    entry_id, term = _json_id_term(obj, where, lineno)
+                    entry_id, term = _json_id_term(obj)
                 _check_tab_free(entry_id, term)
                 category, provenance = obj.get("category", ""), obj.get("provenance")
                 votes = obj.get("votes", "")

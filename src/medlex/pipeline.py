@@ -216,7 +216,7 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
         try:
             if use == "jsonl":
                 obj = json_object(raw, where, lineno)
-                entry_id, term = _json_id_term(obj, where, lineno)
+                entry_id, term = _json_id_term(obj)
                 if "definitions" in obj:
                     defs = json_field(obj, "definitions", list, items=str)
                 else:

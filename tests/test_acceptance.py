@@ -305,7 +305,7 @@ def test_metrics_against_oracle():
         report, matrix = score(
             gold, predicted, merge_groups=merge_groups, exclude_other=exclude
         )
-        tp, pred_n, gold_n, scored = score_oracle(
+        tp, pred_n, gold_n, scored, matches = score_oracle(
             gold, predicted, groups=merge_groups, exclude_other=exclude
         )
         for s in report.per_category:
@@ -313,6 +313,7 @@ def test_metrics_against_oracle():
             assert s.pred_n == pred_n.get(s.label, 0)
             assert s.gold_n == gold_n.get(s.label, 0)
         assert report.scored_n == scored
+        assert report.accuracy_incl_other == (matches, len(gold))
 
         # confusion-matrix row/column sums reconcile, exact
         assert sum(matrix.row_sums()) == scored

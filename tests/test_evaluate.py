@@ -289,8 +289,10 @@ class TestStratifiedSample:
             stratified_sample([], 0, seed=1)
 
 
-def score_oracle(gold, predicted, groups=None, exclude_other=False):
-    """Brute-force recount: label translation then plain counting."""
+def score_oracle(gold, predicted, groups=None, exclude_other=False, global_precision=False):
+    """Brute-force recount: label translation then plain counting. Returns
+    per-label tp, pred_n and gold_n, the number of scored terms, and the
+    number of non-OTHER gold terms whose label the prediction matches."""
 
     def label(category):
         if groups:
@@ -307,10 +309,14 @@ def score_oracle(gold, predicted, groups=None, exclude_other=False):
     pred_n: dict[str, int] = {}
     for t, g in scored.items():
         gold_n[label(g)] = gold_n.get(label(g), 0) + 1
-        pred_n[label(predicted[t])] = pred_n.get(label(predicted[t]), 0) + 1
         if label(g) == label(predicted[t]):
             tp[label(g)] = tp.get(label(g), 0) + 1
-    return tp, pred_n, gold_n, len(scored)
+    for t in predicted if global_precision else scored:
+        pred_n[label(predicted[t])] = pred_n.get(label(predicted[t]), 0) + 1
+    matches = sum(
+        1 for t, g in gold.items() if g is not Category.OTHER and label(g) == label(predicted[t])
+    )
+    return tp, pred_n, gold_n, len(scored), matches
 
 
 GOLD3 = {"a": Category.CONDITION, "b": Category.CONDITION, "c": Category.PHYSIOLOGY}
@@ -341,7 +347,7 @@ class TestScore:
 
     def test_small_example_matches_oracle(self):
         report, matrix = score(GOLD3, PRED3)
-        tp, pred_n, gold_n, scored = score_oracle(GOLD3, PRED3)
+        tp, pred_n, gold_n, scored, _ = score_oracle(GOLD3, PRED3)
         for s in report.per_category:
             assert s.tp == tp.get(s.label, 0)
             assert s.pred_n == pred_n.get(s.label, 0)
@@ -421,18 +427,32 @@ class TestScore:
             n = rng.randint(1, 15)
             terms = [f"t{i}" for i in range(n)]
             gold = {t: rng.choice(labels + [Category.OTHER]) for t in terms}
-            predicted = {t: rng.choice(labels) for t in terms}
+            # Terms outside the gold set count only in a global precision.
+            extra = [f"x{i}" for i in range(rng.randint(0, 5))]
+            predicted = {t: rng.choice(labels) for t in terms + extra}
             exclude = rng.random() < 0.5
-            report, matrix = score(gold, predicted, exclude_other=exclude)
-            tp, pred_n, gold_n, scored = score_oracle(
-                gold, predicted, exclude_other=exclude
+            global_precision = rng.random() < 0.5
+            # Up to three disjoint groups of two or three categories.
+            pool = rng.sample(labels, len(labels))
+            groups = []
+            for _ in range(rng.randint(0, 3)):
+                members = frozenset(pool.pop() for _ in range(rng.randint(2, 3)))
+                groups.append(("+".join(sorted(map(str, members))), members))
+            report, matrix = score(gold, predicted, merge_groups=groups or None,
+                                   exclude_other=exclude, global_precision=global_precision)
+            tp, pred_n, gold_n, scored, matches = score_oracle(
+                gold, predicted, groups, exclude_other=exclude, global_precision=global_precision
             )
+            assert {s.label for s in report.per_category} >= set(gold_n) | set(pred_n)
             for s in report.per_category:
                 assert s.tp == tp.get(s.label, 0)
                 assert s.pred_n == pred_n.get(s.label, 0)
                 assert s.gold_n == gold_n.get(s.label, 0)
             assert report.scored_n == scored
             assert sum(matrix.row_sums()) == scored
+            non_other = sum(1 for g in gold.values() if g is not Category.OTHER)
+            assert report.accuracy_incl_other == (matches, len(gold))
+            assert report.accuracy_excl_other == (matches, non_other)
 
 
 class TestStrategyAccuracy:

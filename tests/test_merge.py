@@ -952,6 +952,33 @@ class TestManifest:
         path.write_bytes((data_dir / "manifest.json").read_bytes())
         assert load_manifest(path) == load_manifest(data_dir / "manifest.json")
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".ndjson", ".json"])
+    def test_one_object_per_line_reads_as_the_json_list(self, data_dir, tmp_path, suffix):
+        # A blank line and a comment line are not resources, as in a TSV manifest.
+        path = tmp_path / f"manifest{suffix}"
+        path.write_text("# resources\n\n" + (data_dir / "manifest.jsonl").read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        want = load_manifest(data_dir / "manifest.json")
+        assert load_manifest(data_dir / "manifest.jsonl") == want
+        assert load_manifest(path) == want
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            (json.dumps({**JSON_A, "trust_rank": "1"}), 'resource A: "trust_rank" must be a JSON integer, not str'),
+            (json.dumps({**JSON_A, "name": "G"}), "resource G: duplicate resource name"),
+            ('["A"]', "expected a JSON object, got list"),
+            (json.dumps(JSON_A)[:-1], "bad JSON: Expecting ',' delimiter"),
+        ],
+        ids=["text-rank", "duplicate-name", "list-row", "cut-row"],
+    )
+    def test_json_lines_fault_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**JSON_A, "name": "G"}) + "\n\n# next\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as got:
+            load_manifest(path)
+        assert str(got.value).startswith(f"{path}:4: {message}")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(tmp_path / "missing.json")

@@ -81,7 +81,7 @@ def oracle_read(path):
         try:
             if use == "jsonl":
                 obj = oracle_json_object(raw, str(p), lineno)
-                entry_id, term = _json_id_term(obj, str(p), lineno)
+                entry_id, term = _json_id_term(obj)
                 # As in a dictionary: the TSV outcome and lexicon rows hold
                 # both, so they are checked before any other field is read.
                 for what, text in (("ids", entry_id), ("terms", term)):
@@ -404,8 +404,10 @@ class TestReaderAgainstOracle:
             (".jsonl", ['\ufeff{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}'],
              "1: bad JSON: Unexpected UTF-8 BOM"),
             (".jsonl", ["[1]"], "1: expected a JSON object, got list"),
-            (".jsonl", ['{"id": null, "term": "t"}'], '1: "id" must be a JSON string or integer, not null'),
-            (".jsonl", ['{"id": "e1", "term": 5}'], '1: "term" must be a JSON string, not int'),
+            (".jsonl", ['{"id": null, "term": "t"}'],
+             '1: bad outcome row: "id" must be a JSON string or integer, not null'),
+            (".jsonl", ['{"id": "e1", "term": 5}'],
+             '1: bad outcome row: "term" must be a JSON string, not int'),
             (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'], "1: bad outcome row: 'provenance'"),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "UNMAPPED", "votes": null}'],
              '1: bad outcome row: "votes" must be a JSON string, not null'),
