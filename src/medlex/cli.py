@@ -187,7 +187,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise ParseError(str(exc), args.conllu) from None
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
-    entries = resolve_synonyms(entries)
+    try:
+        entries = resolve_synonyms(entries)
+    except ParseError as exc:
+        raise ParseError(str(exc), args.dict_file) from None
     outcomes = map_dictionary(entries, suffixes, keywords, stops, args.iter_rounds)
 
     if args.out:

@@ -160,165 +160,72 @@ class MergeReport(NamedTuple):
 
 def load_manifest(path: str | Path) -> list[ResourceSpec]:
     """Resource manifest: JSON (a list of objects, or one object per line)
-    or TSV.
+    or TSV. A JSON list's faults name ``resource #N``, the others' the line.
 
-    TSV columns: name, file, mode, category-or-rules (empty for
-    PER_ENTRY), trust_rank, layout. Rules use ``chapter=CATEGORY`` pairs
-    joined by ``;`` with ``*`` for the default; layout uses ``field=column``
-    pairs joined by ``,``.
+    A TSV row is read as the JSON object it stands for (``_tsv_object``),
+    so both formats load, check and word their faults alike. Its columns:
+    name, file, mode, category-or-rules (empty for PER_ENTRY), trust_rank,
+    layout. Rules use ``chapter=CATEGORY`` pairs joined by ``;`` with ``*``
+    for the default; layout uses ``field=column`` pairs joined by ``,``.
     """
     p = Path(path)
+    where = str(p)
     text = read_text(p, "manifest")
-    if sniff_format(p) == "jsonl":
-        return _manifest_from_json(text, str(p))
-    return _manifest_from_tsv(text, str(p))
-
-
-def _mode(name: str, text: str) -> ResourceMode:
-    """The mode a manifest names; case, ``-`` and ``_`` do not matter."""
-    try:
-        return ResourceMode[text.strip().upper().replace("-", "_")]
-    except KeyError:
-        raise ValueError(f"resource {name}: unknown mode {text.strip()!r}") from None
-
-
-def _spec(
-    name: str,
-    file: str,
-    mode: ResourceMode,
-    trust_rank: int,
-    category: str | None,
-    rules: list[tuple[str, str]],
-    layout: dict[str, int],
-    names: set[str],
-) -> ResourceSpec:
-    """The resource one manifest entry declares, in either format; ``rules``
-    are (chapter, label) pairs, the default as chapter ``*``, and ``names``
-    those of the entries before it, to which this one's is added. A
-    category (other than empty) or rules that the mode does not use are
-    refused. A fault raises ValueError, to which the format's reader adds
-    where the entry is."""
-    if name in names:
-        raise ValueError(f"resource {name}: duplicate resource name")
-    names.add(name)
-    if category and mode is not ResourceMode.FIXED:
-        raise ValueError(f"resource {name}: {mode.value} mode takes no category")
-    if rules and mode is not ResourceMode.CHAPTERED:
-        raise ValueError(f"resource {name}: {mode.value} mode takes no chapter rules or default")
-
-    def category_of(label: str) -> Category:
-        try:
-            return parse_category(label)
-        except ValueError as exc:
-            raise ValueError(f"resource {name}: {exc}") from None
-
-    chapter_rules: list[ChapterRule] = []
-    default: Category | None = None
-    for chapter, label in rules:
-        routed = None if label.strip().upper() == EXCLUDE else category_of(label)
-        if chapter.strip() == "*":
-            if routed is None:
-                raise ValueError(f"resource {name}: default rule cannot exclude")
-            default = routed
-        else:
-            chapter_rules.append(ChapterRule(chapter, routed))
-    return ResourceSpec(
-        name=name,
-        file=file,
-        mode=mode,
-        trust_rank=trust_rank,
-        category=category_of(category) if category else None,
-        chapter_rules=tuple(chapter_rules),
-        chapter_default=default,
-        layout=layout,
-    )
-
-
-def _manifest_from_json(text: str, path: str) -> list[ResourceSpec]:
-    """A JSON list of resource objects, whose faults name ``resource #N``,
-    or one object per data line (JSON lines), whose faults name the line."""
+    jsonl = sniff_format(p) == "jsonl"
     specs = []
     names: set[str] = set()
-    if not text.lstrip().startswith("["):
-        for lineno, line in data_lines(split_lines(text)):
+    if jsonl and text.lstrip().startswith("["):
+        try:
+            data = json.loads(text)
+        # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"bad JSON manifest: {exc}", where) from None
+        for i, obj in enumerate(data, start=1):
             try:
-                specs.append(_json_spec(json_object(line, path, lineno), names))
+                specs.append(_spec(obj, names))
             except ValueError as exc:
-                raise ParseError(str(exc), path, lineno) from None
+                raise ParseError(f"resource #{i}: {exc}", where) from None
         return specs
-    try:
-        data = json.loads(text)
-    # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON manifest: {exc}", path) from None
-    for i, obj in enumerate(data, start=1):
-        try:
-            specs.append(_json_spec(obj, names))
-        except ValueError as exc:
-            raise ParseError(f"resource #{i}: {exc}", path) from None
-    return specs
-
-
-def _json_spec(obj: object, names: set[str]) -> ResourceSpec:
-    """The resource one JSON manifest object declares. Each value must have
-    its JSON type; an optional one (``category``, ``rules``, ``default``,
-    ``layout``) may be null or absent."""
-    if type(obj) is not dict:
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    name = json_field(obj, "name", str)
-    try:
-        file = json_field(obj, "file", str)
-        mode = json_field(obj, "mode", str)
-        trust_rank = json_field(obj, "trust_rank", int)
-        category = json_field(obj, "category", str, optional=True)
-        rules = [
-            (json_field(rule, "chapter", str), json_field(rule, "category", str))
-            for rule in json_field(obj, "rules", list, optional=True, items=dict) or ()
-        ]
-        default = json_field(obj, "default", str, optional=True)
-        layout = json_field(obj, "layout", dict, optional=True, items=int) or {}
-    except ValueError as exc:
-        raise ValueError(f"resource {name}: {exc}") from None
-    if default is not None:
-        rules.append(("*", default))
-    return _spec(name, file, _mode(name, mode), trust_rank, category, rules, layout, names)
-
-
-def _manifest_from_tsv(text: str, path: str) -> list[ResourceSpec]:
-    specs = []
-    names: set[str] = set()
     for lineno, line in data_lines(split_lines(text)):
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise ParseError(
-                f"expected name<TAB>file<TAB>mode<TAB>category-or-rules<TAB>trust_rank"
-                f"<TAB>layout, got {len(cols)} columns",
-                path,
-                lineno,
-            )
-        name, file, mode_s, cat_or_rules, rank_s, layout_s = cols
-        name = name.strip()
         try:
-            # In the order the JSON reader checks the same fields.
-            trust_rank = _tsv_int(name, '"trust_rank"', rank_s)
-            layout = {}
-            for pair in layout_s.split(","):
-                if pair.strip():
-                    k, _, v = pair.partition("=")
-                    layout[k.strip()] = _tsv_int(name, f'layout column "{k.strip()}"', v)
-            mode = _mode(name, mode_s)
-            rules = []
-            # An empty column 4 gives no rules, which ResourceSpec refuses.
-            if mode is ResourceMode.CHAPTERED and cat_or_rules.strip():
-                for pair in cat_or_rules.split(";"):
-                    chapter, _, label = pair.partition("=")
-                    rules.append((chapter, label))
-            category = None if mode is ResourceMode.CHAPTERED else cat_or_rules
-            spec = _spec(name, file.strip(), mode, trust_rank, category, rules, layout, names)
+            specs.append(_spec(json_object(line, where, lineno) if jsonl else _tsv_object(line), names))
         except ValueError as exc:
-            raise ParseError(str(exc), path, lineno) from None
-        specs.append(spec)
+            raise ParseError(str(exc), where, lineno) from None
     return specs
+
+
+def _mode(text: str) -> ResourceMode | None:
+    """The mode a manifest names, or None; case, ``-`` and ``_`` do not matter."""
+    return ResourceMode.__members__.get(text.strip().upper().replace("-", "_"))
+
+
+def _tsv_object(line: str) -> dict[str, object]:
+    """The JSON manifest object a TSV manifest row stands for. Column 4 is
+    a CHAPTERED resource's ``rules``, the default as chapter ``*``, and any
+    other resource's ``category``."""
+    cols = line.split("\t")
+    if len(cols) != 6:
+        raise ValueError(
+            f"expected name<TAB>file<TAB>mode<TAB>category-or-rules<TAB>trust_rank"
+            f"<TAB>layout, got {len(cols)} columns"
+        )
+    name, file, mode, cat_or_rules, rank, layout_text = cols
+    name = name.strip()
+    obj: dict[str, object] = {"name": name, "file": file.strip(), "mode": mode,
+                              "trust_rank": _tsv_int(name, '"trust_rank"', rank)}
+    layout = obj["layout"] = {}
+    for pair in layout_text.split(","):
+        if pair.strip():
+            k, _, v = pair.partition("=")
+            layout[k.strip()] = _tsv_int(name, f'layout column "{k.strip()}"', v)
+    if _mode(mode) is ResourceMode.CHAPTERED:
+        # An empty column gives no rules, which ResourceSpec refuses.
+        pairs = cat_or_rules.split(";") if cat_or_rules.strip() else []
+        obj["rules"] = [{"chapter": chapter, "category": label}
+                        for chapter, _, label in (pair.partition("=") for pair in pairs)]
+    else:
+        obj["category"] = cat_or_rules
+    return obj
 
 
 def _tsv_int(name: str, key: str, text: str) -> int:
@@ -330,6 +237,56 @@ def _tsv_int(name: str, key: str, text: str) -> int:
         raise ValueError(f"resource {name}: {key} must be an integer, not {text!r}") from None
 
 
+def _spec(obj: object, names: set[str]) -> ResourceSpec:
+    """The resource one manifest object declares; ``names`` are those of
+    the entries before it, to which this one's is added. Each value must
+    have its JSON type; an optional one (``category``, ``rules``,
+    ``default``, ``layout``) may be null or absent, and a category (other
+    than empty) or rules that the mode does not use are refused. A fault
+    raises ValueError, to which the reader adds where the entry is."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    name = json_field(obj, "name", str)
+    try:
+        file = json_field(obj, "file", str)
+        mode_text = json_field(obj, "mode", str)
+        trust_rank = json_field(obj, "trust_rank", int)
+        category = json_field(obj, "category", str, optional=True)
+        rules = [
+            (json_field(rule, "chapter", str), json_field(rule, "category", str))
+            for rule in json_field(obj, "rules", list, optional=True, items=dict) or ()
+        ]
+        default = json_field(obj, "default", str, optional=True)
+        layout = json_field(obj, "layout", dict, optional=True, items=int) or {}
+        if default is not None:
+            rules.append(("*", default))
+        mode = _mode(mode_text)
+        if mode is None:
+            raise ValueError(f"unknown mode {mode_text.strip()!r}")
+        if name in names:
+            raise ValueError("duplicate resource name")
+        names.add(name)
+        if category and mode is not ResourceMode.FIXED:
+            raise ValueError(f"{mode.value} mode takes no category")
+        if rules and mode is not ResourceMode.CHAPTERED:
+            raise ValueError(f"{mode.value} mode takes no chapter rules or default")
+        chapter_rules: list[ChapterRule] = []
+        chapter_default: Category | None = None
+        for chapter, label in rules:
+            routed = None if label.strip().upper() == EXCLUDE else parse_category(label)
+            if chapter.strip() != "*":
+                chapter_rules.append(ChapterRule(chapter, routed))
+            elif routed is None:
+                raise ValueError("default rule cannot exclude")
+            else:
+                chapter_default = routed
+        fixed = parse_category(category) if category else None
+    except ValueError as exc:
+        raise ValueError(f"resource {name}: {exc}") from None
+    return ResourceSpec(name, file, mode, trust_rank, category=fixed, chapter_rules=tuple(chapter_rules),
+                        chapter_default=chapter_default, layout=layout)
+
+
 def resource_rows(
     spec: ResourceSpec, base_dir: str | Path | None = None
 ) -> Iterator[tuple[str, Category | None]]:
@@ -338,41 +295,42 @@ def resource_rows(
 
     FIXED stamps the spec category on every row; PER_ENTRY reads the
     category column; CHAPTERED routes rows through the chapter rules. A
-    faulty row raises ParseError, with its line, when the loop reaches it.
+    faulty row raises ParseError when the loop reaches it, naming the
+    resource, the file and the row's line.
     """
     p = Path(spec.file)
     if base_dir is not None and not p.is_absolute():
         p = Path(base_dir) / p
-    path = str(p)
     text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     term_column = spec.layout["term"]
     category_field = _CATEGORY_COLUMN[spec.mode]
     column = None if category_field is None else spec.layout[category_field]
+    chaptered = spec.mode is ResourceMode.CHAPTERED
     # The category (None: excluded) of each distinct category or chapter
     # text. Only a success is cached, so the first row with a bad value
     # raises with its own line.
     resolved: dict[str, Category | None] = {}
-    for lineno, line in data_lines(split_lines(text)):
-        cols = line.split("\t")
-        if len(cols) < need:
-            raise ParseError(
-                f"resource {spec.name}: expected at least {need} columns, got {len(cols)}",
-                path,
-                lineno,
-            )
-        term = cols[term_column].strip()
-        if not term:
-            raise ParseError(f"resource {spec.name}: empty term", path, lineno)
-        if column is None:
-            yield term, spec.category
-            continue
-        raw = cols[column]
-        try:
-            category = resolved[raw]
-        except KeyError:
-            category = resolved[raw] = _column_category(spec, raw, path, lineno)
-        yield term, category
+    lineno = 0
+    try:
+        for lineno, line in data_lines(split_lines(text)):
+            cols = line.split("\t")
+            if len(cols) < need:
+                raise ValueError(f"expected at least {need} columns, got {len(cols)}")
+            term = cols[term_column].strip()
+            if not term:
+                raise ValueError("empty term")
+            if column is None:
+                yield term, spec.category
+                continue
+            raw = cols[column]
+            try:
+                category = resolved[raw]
+            except KeyError:
+                category = resolved[raw] = _route_chapter(spec, raw) if chaptered else parse_category(raw)
+            yield term, category
+    except ValueError as exc:
+        raise ParseError(f"resource {spec.name}: {exc}", str(p), lineno) from None
 
 
 def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:
@@ -389,28 +347,13 @@ def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> I
     return IngestResult(spec.name, tuple(records), ingested, ingested - len(records))
 
 
-def _column_category(spec: ResourceSpec, raw: str, path: str, lineno: int) -> Category | None:
-    """The category a PER_ENTRY category or CHAPTERED chapter text gives."""
-    if spec.mode is ResourceMode.CHAPTERED:
-        return _route_chapter(spec, raw, path, lineno)
-    try:
-        return parse_category(raw)
-    except ValueError as exc:
-        raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
-
-
-def _route_chapter(
-    spec: ResourceSpec, chapter: str, path: str, lineno: int
-) -> Category | None:
+def _route_chapter(spec: ResourceSpec, chapter: str) -> Category | None:
+    """The category a CHAPTERED row's chapter text routes to (None:
+    excluded); a chapter no rule names, with no default, raises ValueError."""
     key = chapter.strip().lower()
     category = spec.chapter_index.get(key, spec.chapter_default)
     if category is None and key not in spec.chapter_index:
-        raise ParseError(
-            f"resource {spec.name}: chapter {chapter!r} matches no rule and "
-            "the spec has no default",
-            path,
-            lineno,
-        )
+        raise ValueError(f"chapter {chapter!r} matches no rule and the spec has no default")
     return category
 
 

@@ -27,7 +27,7 @@ def format_votes(votes: Iterable[Vote]) -> str:
     )
 
 
-# The label of each strategy that votes; a KeyError names any other text.
+# The label of each strategy that votes; a vote naming any other is refused.
 _VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
 
 
@@ -45,7 +45,7 @@ def parse_votes(text: str, parsed: dict[str, Vote] | None = None) -> tuple[Vote,
         vote = parsed.get(part)
         if vote is None:
             fields = part.split(":")
-            if len(fields) != 4:
+            if len(fields) != 4 or fields[0] not in _VOTERS:
                 raise ValueError(f"bad vote serialization: {part!r}")
             strategy, category, trigger, pos = fields
             voter, category = _VOTERS[strategy], parse_category(category)
@@ -101,14 +101,20 @@ def _json_id_term(obj: dict) -> tuple[str, str]:
 
 
 def _refuse_outcome_texts(obj: dict) -> None:
-    """Raise for a JSON-lines outcome row with a category, provenance or
-    votes of the wrong type: a ValueError naming the first such key, or a
-    KeyError for a missing provenance, as ``obj["provenance"]`` would."""
+    """Raise a ValueError naming the first of a JSON-lines outcome row's
+    category, provenance and votes that is missing where it must not be or
+    of the wrong type."""
     json_field(obj, "category", str, optional=True)
-    if "provenance" not in obj:
-        raise KeyError("provenance")
     json_field(obj, "provenance", str)
     json_field(obj, "votes", str)
+
+
+def _provenance(text: str) -> Provenance:
+    """The provenance a row names; any other text raises ValueError."""
+    try:
+        return Provenance[text]
+    except KeyError:
+        raise ValueError(f"unknown provenance {text!r}") from None
 
 
 def _check_tab_free(entry_id: str, term: str) -> None:
@@ -171,12 +177,12 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
             values = checked.get(key)
             if values is None:
                 outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
-                                         Provenance[provenance], parse_votes(votes, parsed_votes))
+                                         _provenance(provenance), parse_votes(votes, parsed_votes))
                 outcome.validate()
                 checked[key] = (outcome.category, outcome.provenance, outcome.votes)
             else:
                 outcome = MappingOutcome(entry_id, term, *values)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad outcome row: {exc}", where, lineno) from None
         if entry_id in seen:
             raise ParseError(f"duplicate entry id {entry_id!r}", where, lineno)

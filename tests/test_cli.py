@@ -212,6 +212,23 @@ class TestCmdMap:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            (["e1\tleukemi\tsykdom i blodet", "e2\tblodkreft\t\te6"],
+             "entry e2: synonym_of points to unknown id 'e6'"),
+            (["e1\tleukemi\t\te2", "e2\tblodkreft\t\te1"], "entry e1: synonym chain loops"),
+        ],
+        ids=["unknown-target", "loop"],
+    )
+    def test_synonym_fault_names_the_dictionary(self, capsys, tmp_path, rows, message):
+        dict_file = tmp_path / "d.tsv"
+        dict_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        code, stdout, stderr = run(capsys, ["map", "--dict", str(dict_file), "--out", str(out)])
+        assert (code, stdout, stderr) == (2, "", f"error: {dict_file}: {message}\n")
+        assert not out.exists()
+
     def test_shipped_tables_passed_as_flags_change_nothing(self, capsys, tmp_path, data_dir):
         data = Path(medlex.__file__).parent / "data"
         base = ["map", "--dict", str(data_dir / "dict_50.tsv"), "--conllu", str(data_dir / "dict_50.conllu")]

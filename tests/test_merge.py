@@ -27,7 +27,7 @@ from medlex.merge import (
     merge_lexicons,
     render_lexicon,
 )
-from medlex.merge import _route_chapter as route_chapter
+from medlex.merge import _route_chapter
 from medlex.model import (
     Category,
     LexiconRecord,
@@ -666,6 +666,14 @@ CHAPTERS = st.builds(
 )
 
 
+def route_chapter(spec, chapter, path, lineno):
+    """The chapter router, with the location resource_rows gives its fault."""
+    try:
+        return _route_chapter(spec, chapter)
+    except ValueError as exc:
+        raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
+
+
 def linear_route(spec, chapter):
     for rule in spec.chapter_rules:
         if chapter.strip().lower() == rule.chapter.strip().lower():
@@ -1106,13 +1114,14 @@ class TestManifest:
                 load_manifest(tsv)
             assert str(got.value) == f"{tsv}:2: {message}"
         good = {"name": "G", "file": "g.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 0}
-        json_path = tmp_path / "m.json"
-        json_path.write_text(
-            json.dumps([good, {"name": "A", "file": "a.tsv", "trust_rank": 1, **obj}]), encoding="utf-8"
-        )
-        with pytest.raises(ParseError) as got:
-            load_manifest(json_path)
-        assert str(got.value) == f"{json_path}: resource #2: {message}"
+        objs = [good, {"name": "A", "file": "a.tsv", "trust_rank": 1, **obj}]
+        json_path, jsonl_path = tmp_path / "m.json", tmp_path / "m.jsonl"
+        json_path.write_text(json.dumps(objs), encoding="utf-8")
+        jsonl_path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+        for path, where in ((json_path, f"{json_path}: resource #2"), (jsonl_path, f"{jsonl_path}:2")):
+            with pytest.raises(ParseError) as got:
+                load_manifest(path)
+            assert str(got.value) == f"{where}: {message}"
 
     @pytest.mark.parametrize(
         ("resource", "message"),

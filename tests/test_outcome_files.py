@@ -46,7 +46,7 @@ def oracle_parse_votes(text):
         return ()
     for part in text.split(";"):
         fields = part.split(":")
-        if len(fields) != 4:
+        if len(fields) != 4 or fields[0] not in _VOTERS:
             raise ValueError(f"bad vote serialization: {part!r}")
         strategy, category, trigger, pos = fields
         voter, category = _VOTERS[strategy], parse_category(category)
@@ -91,9 +91,7 @@ def oracle_read(path):
                 # null, provenance a string, votes a string; only category and
                 # votes may be absent.
                 category = json_field(obj, "category", str, optional=True) or ""
-                provenance = obj["provenance"]
-                if type(provenance) is not str:
-                    json_field(obj, "provenance", str)
+                provenance = json_field(obj, "provenance", str)
                 votes = json_field(obj, "votes", str) if "votes" in obj else ""
                 cols = [entry_id, term, category, provenance, votes]
             else:
@@ -107,10 +105,12 @@ def oracle_read(path):
                 raise ValueError("empty term")
             if not entry_id.strip():
                 raise ValueError("missing entry id")
-            outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
-                                     Provenance[provenance], oracle_parse_votes(votes))
+            category = parse_category(category) if category else None
+            if provenance not in Provenance.__members__:
+                raise ValueError(f"unknown provenance {provenance!r}")
+            outcome = MappingOutcome(entry_id, term, category, Provenance[provenance], oracle_parse_votes(votes))
             outcome.validate()
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
         if entry_id in seen:
             raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
@@ -373,7 +373,7 @@ class TestReaderAgainstOracle:
         ("suffix", "lines", "error"),
         [
             (".tsv", ["e1\tt\tBOGUS\tKW_E\t"], "2: bad outcome row: unknown category label: 'BOGUS'"),
-            (".tsv", ["e1\tt\tTOOL\tBOGUS\t"], "2: bad outcome row: 'BOGUS'"),
+            (".tsv", ["e1\tt\tTOOL\tBOGUS\t"], "2: bad outcome row: unknown provenance 'BOGUS'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x"],
              "2: bad outcome row: bad vote serialization: 'SUFF:TOOL:x'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:y"],
@@ -408,12 +408,16 @@ class TestReaderAgainstOracle:
              '1: bad outcome row: "id" must be a JSON string or integer, not null'),
             (".jsonl", ['{"id": "e1", "term": 5}'],
              '1: bad outcome row: "term" must be a JSON string, not int'),
-            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'], "1: bad outcome row: 'provenance'"),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL"}'],
+             '1: bad outcome row: "provenance" is missing'),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "UNMAPPED", "votes": null}'],
              '1: bad outcome row: "votes" must be a JSON string, not null'),
-            (".tsv", ["e1\tt\tTOOL\tMULTI\tMULTI:TOOL:x:-;SUFF:TOOL:y:-"], "2: bad outcome row: 'MULTI'"),
-            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:-;ITER:TOOL:y:-"], "2: bad outcome row: 'ITER'"),
-            (".tsv", ["e1\tt\t\tUNMAPPED\tUNMAPPED:TOOL:x:-"], "2: bad outcome row: 'UNMAPPED'"),
+            (".tsv", ["e1\tt\tTOOL\tMULTI\tMULTI:TOOL:x:-;SUFF:TOOL:y:-"],
+             "2: bad outcome row: bad vote serialization: 'MULTI:TOOL:x:-'"),
+            (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:x:-;ITER:TOOL:y:-"],
+             "2: bad outcome row: bad vote serialization: 'ITER:TOOL:y:-'"),
+            (".tsv", ["e1\tt\t\tUNMAPPED\tUNMAPPED:TOOL:x:-"],
+             "2: bad outcome row: bad vote serialization: 'UNMAPPED:TOOL:x:-'"),
             (".jsonl", ['{"id": "e1", "term": "a\\tb", "category": "TOOL", "provenance": "ITER"}'],
              "1: bad outcome row: terms must not contain tabs or newlines"),
             # A value of another JSON type is refused, not turned into text.
@@ -439,7 +443,8 @@ class TestReaderAgainstOracle:
                       "e2\tt\tTOOL\tMULTI\tSUFF:TOOL:kniv:-;KW_E:TOOL:kniv:x"],
              "3: bad outcome row: bad vote serialization: 'KW_E:TOOL:kniv:x'"),
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-;BOGUS:TOOL:kniv:-",
-                      "e2\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-"], "2: bad outcome row: 'BOGUS'"),
+                      "e2\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-"],
+             "2: bad outcome row: bad vote serialization: 'BOGUS:TOOL:kniv:-'"),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
