@@ -180,17 +180,10 @@ def cmd_map(args: argparse.Namespace) -> int:
             id_map={e.id: e.id for e in entries},
             path=args.conllu,
         )
-    try:
-        entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
-    except ParseError as exc:
-        # Only CoNLL-U tokens can fail to align with a definition.
-        raise ParseError(str(exc), args.conllu) from None
+    entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
-    try:
-        entries = resolve_synonyms(entries)
-    except ParseError as exc:
-        raise ParseError(str(exc), args.dict_file) from None
+    entries = resolve_synonyms(entries)
     outcomes = map_dictionary(entries, suffixes, keywords, stops, args.iter_rounds)
 
     if args.out:
@@ -251,6 +244,7 @@ def cmd_eval_overlap(args: argparse.Namespace) -> int:
 
 def cmd_eval_gold(args: argparse.Namespace) -> int:
     from .evaluate import (
+        check_coverage,
         format_eval_report,
         format_eval_tsv,
         mapped_categories,
@@ -267,6 +261,7 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
     gold = read_gold(args.gold)
     outcomes = read_outcomes(args.mapped)
     predicted = mapped_categories(outcomes)
+    check_coverage(gold, predicted, args.gold, args.mapped)
     report, matrix = score(
         gold,
         predicted,

@@ -54,10 +54,12 @@ class MergeConflictError(MedlexError):
 
 
 class GoldCoverageError(MedlexError):
-    """A gold term has no prediction to score against."""
+    """Gold terms without a prediction to score against, in gold order; the
+    message names the gold and outcome files when they are given."""
 
     exit_code = 5
 
-    def __init__(self, term: str):
-        self.term = term
-        super().__init__(f"gold term not present in predictions: {term!r}")
+    def __init__(self, terms: list[str], gold: str | None = None, mapped: str | None = None):
+        self.terms = terms
+        where = "no prediction" if gold is None else f"{gold}: no prediction in {mapped}"
+        super().__init__(f"{where} for {len(terms)} gold term(s), the first {terms[0]!r}")

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GoldCoverageError, ParseError
-from .io import data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text, split_lines
 from .model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -238,6 +238,14 @@ def _merge_label_map(
     return mapping
 
 
+def check_coverage(gold: Mapping[str, Category], predicted: Mapping[str, Category], *files: str) -> None:
+    """Raise GoldCoverageError unless every gold term is in ``predicted``;
+    ``files``, when given, are the gold file and the outcome file."""
+    missing = [term for term in gold if term not in predicted]
+    if missing:
+        raise GoldCoverageError(missing, *files)
+
+
 def score(
     gold: Mapping[str, Category],
     predicted: Mapping[str, Category],
@@ -253,9 +261,7 @@ def score(
     axes. Precision denominators are restricted to the scored terms
     unless ``global_precision`` asks for the whole predicted map.
     """
-    for term in gold:
-        if term not in predicted:
-            raise GoldCoverageError(term)
+    check_coverage(gold, predicted)
     label_of = _merge_label_map(merge_groups)
     other = str(Category.OTHER)
     has_other = not exclude_other and Category.OTHER in gold.values()
@@ -322,18 +328,20 @@ def read_gold(path: str | Path) -> dict[str, Category]:
     p = Path(path)
     text = read_text(p, "gold file")
     gold: dict[str, Category] = {}
-    for lineno, line in data_lines(split_lines(text)):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"expected term<TAB>CATEGORY, got {len(cols)} columns", str(p), lineno)
-        try:
+    lineno, cols = 0, []
+    try:
+        for lineno, line in data_lines(split_lines(text)):
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise column_count_error("2", len(cols))
             term = normalize_term(cols[0])
             category = parse_category(cols[1], allow_other=True)
-        except ValueError as exc:
-            raise ParseError(f"term {cols[0]!r}: {exc}", str(p), lineno) from None
-        if term in gold and gold[term] is not category:
-            raise ParseError(f"term {cols[0]!r} labeled twice with different categories", str(p), lineno)
-        gold[term] = category
+            if gold.setdefault(term, category) is not category:
+                raise ValueError("labeled twice with different categories")
+    except ValueError as exc:
+        # A row of two columns names its term.
+        named = f"term {cols[0]!r}: " if len(cols) == 2 else ""
+        raise ParseError(f"{named}{exc}", str(p), lineno) from None
     return gold
 
 

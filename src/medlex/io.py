@@ -1,7 +1,10 @@
 """File input and output: the only module that opens, reads or writes a
 file. Every input is read whole by ``read_text``; unreadable input becomes
 a ParseError naming the file, and text that is not UTF-8 one naming the
-file and line. Outputs are written by ``write_texts``."""
+file and line. Outputs are written by ``write_texts``. A reader's check on
+a row raises ValueError (``json_object``, ``json_field`` and
+``column_count_error`` word the shared ones), and its one ``except`` adds
+the file and line."""
 
 from __future__ import annotations
 
@@ -34,9 +37,8 @@ def read_text(path: str | Path, what: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The readers number lines with split_lines; the prefix is valid.
-        prefix = exc.object[: exc.start].decode("utf-8")
-        line = len(split_lines(prefix + "x"))
+        # The prefix before the bad byte is valid UTF-8.
+        line = line_at(exc.object[: exc.start].decode("utf-8"))
         raise ParseError(f"{what} is not UTF-8: {exc.reason}", str(path), line) from None
 
 
@@ -45,6 +47,19 @@ def split_lines(text: str) -> list[str]:
     also breaks at U+2028, U+0085 and more, which a JSON string or term may hold."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def line_at(prefix: str) -> int:
+    """The number, as ``split_lines`` counts, of the line on which the text
+    that follows ``prefix`` begins."""
+    return len(split_lines(prefix + "x"))
+
+
+def column_count_error(expected: str, got: int) -> ValueError:
+    """The fault of a TSV row with ``got`` tab-separated columns where its
+    reader wants ``expected`` ("2", "3 or 4", "at least 3"). Built only once
+    a count is wrong, so a reader's row loop makes no call for it."""
+    return ValueError(f"expected {expected} tab-separated columns, got {got}")
 
 
 def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -57,8 +72,9 @@ def data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
-    """One JSON-lines row, which must be a JSON object."""
+def json_object(line: str) -> dict[str, Any]:
+    """One JSON-lines row, which must be a JSON object; anything else raises
+    a ValueError, to which the reader adds the file and line."""
     # The usual row, one object with nothing around it, goes straight to the
     # scanner json.loads ends in. Any other line goes through json.loads,
     # which also allows surrounding whitespace and words the errors.
@@ -73,9 +89,9 @@ def json_object(line: str, path: str | None, lineno: int) -> dict[str, Any]:
         obj = json.loads(line)
     # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}", path, lineno) from None
+        raise ValueError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path, lineno)
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
-from .io import data_lines, json_field, json_object, read_text, sniff_format, split_lines, write_text
+from .io import (column_count_error, data_lines, json_field, json_object, line_at, read_text, sniff_format,
+                 split_lines, write_text)
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -160,7 +161,8 @@ class MergeReport(NamedTuple):
 
 def load_manifest(path: str | Path) -> list[ResourceSpec]:
     """Resource manifest: JSON (a list of objects, or one object per line)
-    or TSV. A JSON list's faults name ``resource #N``, the others' the line.
+    or TSV. A fault names its line, except that a JSON list's resource
+    faults name ``resource #N``.
 
     A TSV row is read as the JSON object it stands for (``_tsv_object``),
     so both formats load, check and word their faults alike. Its columns:
@@ -179,7 +181,13 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
             data = json.loads(text)
         # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
         except (ValueError, RecursionError) as exc:
-            raise ParseError(f"bad JSON manifest: {exc}", where) from None
+            # A syntax error names its line, or at the end of the text the
+            # last line that is not blank; a fault without a position (nested
+            # too deep, an integer too long) names the line the list begins on.
+            # Python's own "line L column C" counts LF only, so it is left out.
+            pos = getattr(exc, "pos", len(text) - len(text.lstrip()))
+            at = line_at(text[:pos] if pos < len(text) else text.rstrip())
+            raise ParseError(f"bad JSON manifest: {getattr(exc, 'msg', exc)}", where, at) from None
         for i, obj in enumerate(data, start=1):
             try:
                 specs.append(_spec(obj, names))
@@ -188,7 +196,7 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
         return specs
     for lineno, line in data_lines(split_lines(text)):
         try:
-            specs.append(_spec(json_object(line, where, lineno) if jsonl else _tsv_object(line), names))
+            specs.append(_spec(json_object(line) if jsonl else _tsv_object(line), names))
         except ValueError as exc:
             raise ParseError(str(exc), where, lineno) from None
     return specs
@@ -205,10 +213,7 @@ def _tsv_object(line: str) -> dict[str, object]:
     other resource's ``category``."""
     cols = line.split("\t")
     if len(cols) != 6:
-        raise ValueError(
-            f"expected name<TAB>file<TAB>mode<TAB>category-or-rules<TAB>trust_rank"
-            f"<TAB>layout, got {len(cols)} columns"
-        )
+        raise column_count_error("6", len(cols))
     name, file, mode, cat_or_rules, rank, layout_text = cols
     name = name.strip()
     obj: dict[str, object] = {"name": name, "file": file.strip(), "mode": mode,
@@ -316,7 +321,7 @@ def resource_rows(
         for lineno, line in data_lines(split_lines(text)):
             cols = line.split("\t")
             if len(cols) < need:
-                raise ValueError(f"expected at least {need} columns, got {len(cols)}")
+                raise column_count_error(f"at least {need}", len(cols))
             term = cols[term_column].strip()
             if not term:
                 raise ValueError("empty term")

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError
-from .io import json_field, json_object, read_text, sniff_format, split_lines, write_text
+from .io import column_count_error, json_field, json_object, read_text, sniff_format, split_lines, write_text
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -100,15 +100,6 @@ def _json_id_term(obj: dict) -> tuple[str, str]:
     return str(json_field(obj, "id", str, int)), json_field(obj, "term", str)
 
 
-def _refuse_outcome_texts(obj: dict) -> None:
-    """Raise a ValueError naming the first of a JSON-lines outcome row's
-    category, provenance and votes that is missing where it must not be or
-    of the wrong type."""
-    json_field(obj, "category", str, optional=True)
-    json_field(obj, "provenance", str)
-    json_field(obj, "votes", str)
-
-
 def _provenance(text: str) -> Provenance:
     """The provenance a row names; any other text raises ValueError."""
     try:
@@ -151,7 +142,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
             continue
         try:
             if jsonl:
-                obj = json_object(raw, where, lineno)
+                obj = json_object(raw)
                 entry_id, term = obj.get("id"), obj.get("term")
                 if type(entry_id) is not str or type(term) is not str:
                     entry_id, term = _json_id_term(obj)
@@ -161,13 +152,16 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 if category is None:
                     category = ""
                 if type(category) is not str or type(provenance) is not str or type(votes) is not str:
-                    _refuse_outcome_texts(obj)
+                    # Name the first that is missing where it must not be or of the wrong type.
+                    json_field(obj, "category", str, optional=True)
+                    json_field(obj, "provenance", str)
+                    json_field(obj, "votes", str)
             else:
                 cols = raw.split("\t")
                 if lineno == 1 and cols[:2] == ["id", "term"]:
                     continue
                 if len(cols) != 5:
-                    raise ValueError(f"expected 5 columns, got {len(cols)}")
+                    raise column_count_error("5", len(cols))
                 entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
@@ -182,10 +176,10 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                 checked[key] = (outcome.category, outcome.provenance, outcome.votes)
             else:
                 outcome = MappingOutcome(entry_id, term, *values)
+            if entry_id in seen:
+                raise ValueError(f"duplicate entry id {entry_id!r}")
         except ValueError as exc:
             raise ParseError(f"bad outcome row: {exc}", where, lineno) from None
-        if entry_id in seen:
-            raise ParseError(f"duplicate entry id {entry_id!r}", where, lineno)
         seen.add(entry_id)
         outcomes.append(outcome)
     return outcomes

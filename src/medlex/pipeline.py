@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
-from .io import json_field, json_object, read_text, sniff_format, split_lines
+from .io import column_count_error, json_field, json_object, read_text, sniff_format, split_lines
 from .model import (
     Category,
     Definition,
@@ -24,7 +24,7 @@ from .model import (
 )
 from .outcomes import _check_tab_free, _json_id_term, count_table, read_outcomes, write_outcomes
 from .strategies import KeywordTable, SuffixTable, kw_entry_vote, kw_firstnoun_vote, suffix_vote
-from .textprep import StopConfig, extract_first_noun, heuristic_tag
+from .textprep import Sentences, StopConfig, extract_first_noun, heuristic_tag
 
 log = logging.getLogger(__name__)
 
@@ -202,20 +202,24 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
 
     Both formats follow one rule: the id, term and ``synonym_of`` are
     trimmed, an empty ``synonym_of`` is none, and a definition that is
-    blank after trimming is dropped (its text is kept as written)."""
+    blank after trimming is dropped (its text is kept as written). A
+    synonym that ``resolve_synonyms`` could not resolve is refused at its
+    own row."""
     p = Path(path)
-    where = str(p)
     text = read_text(p, "dictionary")
     entries: list[Entry] = []
-    seen: set[str] = set()
-    use = sniff_format(p, fmt)
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        # A TSV line with a tab is a row, even when its columns are blank.
-        if not raw.strip() and (use == "jsonl" or "\t" not in raw):
-            continue
-        try:
-            if use == "jsonl":
-                obj = json_object(raw, where, lineno)
+    by_id: dict[str, Entry] = {}
+    # (line, entry) of each entry that takes its senses from a synonym_of.
+    synonyms: list[tuple[int, Entry]] = []
+    jsonl = sniff_format(p, fmt) == "jsonl"
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(split_lines(text), start=1):
+            # A TSV line with a tab is a row, even when its columns are blank.
+            if not raw.strip() and (jsonl or "\t" not in raw):
+                continue
+            if jsonl:
+                obj = json_object(raw)
                 entry_id, term = _json_id_term(obj)
                 if "definitions" in obj:
                     defs = json_field(obj, "definitions", list, items=str)
@@ -226,39 +230,41 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
             else:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
-                    raise ValueError(
-                        "expected id<TAB>term<TAB>definition[<TAB>synonym_of], got "
-                        f"{len(cols)} columns"
-                    )
+                    raise column_count_error("3 or 4", len(cols))
                 entry_id, term, defs = cols[0], cols[1], [cols[2]]
                 synonym_of = cols[3] if len(cols) == 4 else ""
             entry_id = entry_id.strip()
             if not entry_id:
                 raise ValueError("missing entry id")
-            if entry_id in seen:
+            if entry_id in by_id:
                 raise ValueError(f"duplicate entry id {entry_id!r}")
-            seen.add(entry_id)
             _check_tab_free(entry_id, term)
             if not term.strip():
                 raise ValueError("empty term")
-        except ValueError as exc:
-            raise ParseError(str(exc), where, lineno) from None
-        senses = tuple(Definition(d) for d in defs if d.strip())
-        entries.append(Entry(entry_id, term.strip(), senses, synonym_of.strip() or None))
+            senses = tuple(Definition(d) for d in defs if d.strip())
+            entry = by_id[entry_id] = Entry(entry_id, term.strip(), senses, synonym_of.strip() or None)
+            entries.append(entry)
+            if entry.synonym_of is not None and not senses:
+                synonyms.append((lineno, entry))
+        for lineno, entry in synonyms:
+            _synonym_senses(entry, by_id)
+    except ValueError as exc:
+        raise ParseError(str(exc), str(p), lineno) from None
     return entries
 
 
 def attach_tokens(
     entries: Sequence[Entry],
-    conllu_tokens: Mapping[str, list[Token]] | None = None,
+    conllu_tokens: Sentences | None = None,
     function_words: frozenset[str] | None = None,
 ) -> tuple[list[Entry], bool]:
     """Attach tokens to each entry's first sense.
 
-    CoNLL-U tokens win when present for an entry (their surfaces must
-    spell out the definition text, see ``Definition``); otherwise the
-    heuristic tagger fills in when a function-word list is supplied.
-    Returns the new entries and whether any heuristic tagging happened.
+    CoNLL-U tokens from ``ingest_conllu`` win when present for an entry
+    (their surfaces must spell out the definition text, see ``Definition``,
+    or a ParseError names the sentence); otherwise the heuristic tagger
+    fills in when a function-word list is supplied. Returns the new entries
+    and whether any heuristic tagging happened.
     """
     out: list[Entry] = []
     heuristic_used = False
@@ -273,7 +279,9 @@ def attach_tokens(
             try:
                 tagged = Definition(sense.text, tuple(conllu_tokens[entry.id]))
             except ValueError as exc:
-                raise ParseError(f"entry {entry.id}: {exc}") from None
+                raise ParseError(
+                    f"entry {entry.id}: {exc}", conllu_tokens.path, conllu_tokens.lines[entry.id]
+                ) from None
         elif function_words is not None:
             tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words, memo)))
             heuristic_used = True
@@ -285,10 +293,30 @@ def attach_tokens(
     return out, heuristic_used
 
 
+def _synonym_senses(entry: Entry, by_id: Mapping[str, Entry]) -> tuple[Definition, ...]:
+    """The senses a definition-less synonym takes: those of the first entry
+    along its ``synonym_of`` chain that has senses or no ``synonym_of``.
+    An unknown id or a loop raises ValueError."""
+    target_id = entry.synonym_of
+    visited = {entry.id}
+    while True:
+        target = by_id.get(target_id)
+        if target is None:
+            raise ValueError(f"entry {entry.id}: synonym_of points to unknown id {target_id!r}")
+        if target.id in visited:
+            raise ValueError(f"entry {entry.id}: synonym chain loops")
+        visited.add(target.id)
+        if target.senses or target.synonym_of is None:
+            return target.senses
+        target_id = target.synonym_of
+
+
 def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
     """Give definition-less synonym entries their target's senses.
 
-    Synonyms remain standalone entries; only the senses are shared.
+    Synonyms remain standalone entries; only the senses are shared. An
+    unknown target or a loop raises ParseError (``read_dictionary``
+    refuses both at the synonym's row).
     """
     by_id = {e.id: e for e in entries}
     out: list[Entry] = []
@@ -296,21 +324,9 @@ def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
         if entry.synonym_of is None or entry.senses:
             out.append(entry)
             continue
-        target_id = entry.synonym_of
-        visited = {entry.id}
-        senses: tuple[Definition, ...] = ()
-        while True:
-            target = by_id.get(target_id)
-            if target is None:
-                raise ParseError(
-                    f"entry {entry.id}: synonym_of points to unknown id {target_id!r}"
-                )
-            if target.id in visited:
-                raise ParseError(f"entry {entry.id}: synonym chain loops")
-            visited.add(target.id)
-            if target.senses or target.synonym_of is None:
-                senses = target.senses
-                break
-            target_id = target.synonym_of
+        try:
+            senses = _synonym_senses(entry, by_id)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         out.append(Entry(entry.id, entry.term, senses, entry.synonym_of))
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
-from .io import data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text, split_lines
 from .model import Category, Frozen, Provenance, Vote, fold, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
@@ -108,53 +108,44 @@ class KeywordTable(Frozen):
         return short
 
 
-def _parse_table_rows(
-    lines: Iterable[str], path: str | None
-) -> list[tuple[str, Category, int]]:
+def _parse_table(
+    lines: Iterable[str], path: str | None, table: type, kind: str
+) -> SuffixTable | KeywordTable:
+    """A two-column ``kind`` table of (trigger, category) rows; a suffix's
+    leading ``-`` is decorative and stripped."""
     rows = []
-    for lineno, line in data_lines(lines):
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise ParseError(
-                f"expected trigger<TAB>CATEGORY, got {len(cols)} columns", path, lineno
-            )
-        # Folded as terms are, so an NFD trigger still matches.
-        trigger = fold(cols[0]).strip()
-        # A vote is written as strategy:category:trigger:position, joined by ";".
-        if ":" in trigger or ";" in trigger:
-            raise ParseError(f"trigger {trigger!r} must not contain ':' or ';'", path, lineno)
-        try:
+    lineno = 0
+    try:
+        for lineno, line in data_lines(lines):
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise column_count_error("2", len(cols))
+            # Folded as terms are, so an NFD trigger still matches.
+            trigger = fold(cols[0]).strip()
+            # A vote is written as strategy:category:trigger:position, joined by ";".
+            if ":" in trigger or ";" in trigger:
+                raise ValueError(f"trigger {trigger!r} must not contain ':' or ';'")
             category = parse_category(cols[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), path, lineno) from None
-        rows.append((trigger, category, lineno))
-    return rows
+            if kind == "suffix":
+                trigger = trigger.lstrip("-")
+            if not trigger:
+                raise ValueError(f"empty {kind}")
+            rows.append((trigger, category))
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
+    try:
+        return table(tuple(rows))
+    except ValueError as exc:
+        raise LintError(f"{path or kind + ' table'}: {exc}") from None
 
 
 def parse_suffix_table(lines: Iterable[str], path: str | None = None) -> SuffixTable:
     """Two-column TSV; a leading ``-`` on suffixes is decorative and stripped."""
-    entries = []
-    for trigger, category, lineno in _parse_table_rows(lines, path):
-        suffix = trigger.lstrip("-")
-        if not suffix:
-            raise ParseError("empty suffix", path, lineno)
-        entries.append((suffix, category))
-    try:
-        return SuffixTable(tuple(entries))
-    except ValueError as exc:
-        raise LintError(f"{path or 'suffix table'}: {exc}") from None
+    return _parse_table(lines, path, SuffixTable, "suffix")
 
 
 def parse_keyword_table(lines: Iterable[str], path: str | None = None) -> KeywordTable:
-    entries = []
-    for trigger, category, lineno in _parse_table_rows(lines, path):
-        if not trigger:
-            raise ParseError("empty keyword", path, lineno)
-        entries.append((trigger, category))
-    try:
-        return KeywordTable(tuple(entries))
-    except ValueError as exc:
-        raise LintError(f"{path or 'keyword table'}: {exc}") from None
+    return _parse_table(lines, path, KeywordTable, "keyword")
 
 
 def load_suffix_table(path: str | Path) -> SuffixTable:

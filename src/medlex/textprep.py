@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
-from .io import data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text, split_lines
 from .model import Frozen, Token, fold
 
 log = logging.getLogger(__name__)
@@ -61,21 +61,18 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
     """
     nouns: set[str] = set()
     phrases: set[str] = set()
-    for lineno, line in data_lines(lines):
-        item = " ".join(fold(line).split())
-        parts = item.split(" ")
-        if len(parts) == 2:
-            phrases.add(item)
-        elif len(parts) > 2:
-            raise ParseError(
-                f"stop phrases take exactly two tokens, got {item!r}", path, lineno
-            )
-        else:
-            nouns.add(item)
+    lineno = 0
     try:
-        return StopConfig(frozenset(nouns), frozenset(phrases))
+        for lineno, line in data_lines(lines):
+            item = " ".join(fold(line).split())
+            parts = item.split(" ")
+            if len(parts) > 2:
+                raise ValueError(f"stop phrases take exactly two tokens, got {item!r}")
+            (phrases if len(parts) == 2 else nouns).add(item)
     except ValueError as exc:
-        raise ParseError(str(exc), path) from None
+        raise ParseError(str(exc), path, lineno) from None
+    # fold is idempotent, so every item is folded and StopConfig takes them all.
+    return StopConfig(frozenset(nouns), frozenset(phrases))
 
 
 def load_stoplist(path: str | Path) -> StopConfig:
@@ -89,11 +86,21 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     return frozenset(fold(line).strip() for _, line in data_lines(lines))
 
 
+class Sentences(dict):
+    """``ingest_conllu``'s tokens of each entry id, with their file (``path``)
+    and the line of each entry's ``# sent_id`` (``lines``), so that a fault
+    found when the tokens meet the entry's definition names its place."""
+
+    def __init__(self, path: str | None = None) -> None:
+        super().__init__()
+        self.path, self.lines = path, {}
+
+
 def ingest_conllu(
     stream: TextIO | Iterable[str],
     id_map: Mapping[str, str] | None = None,
     path: str | None = None,
-) -> dict[str, list[Token]]:
+) -> Sentences:
     """Read CoNLL-U sentences into per-entry token lists.
 
     A blank line ends a sentence. Its ``# sent_id`` comment, once and
@@ -103,49 +110,55 @@ def ingest_conllu(
     empty nodes (id "3.1") are dropped in favor of their parts. Tokens
     carry only FORM and UPOS; attaching them to a definition checks that
     the FORMs spell out its text in order (see ``model.Definition``).
+    A faulty line raises ParseError naming it; a fault of a whole
+    sentence names the sentence's first line.
     """
-    results: dict[str, list[Token]] = {}
+    results = Sentences(path)
     seen_ids: set[str] = set()
     sent_id: str | None = None
     tokens: list[Token] = []
-    sent_start_line = 0
-    # The blank line after the last line ends the last sentence.
-    for lineno, raw in enumerate(chain(stream, ("",)), start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            if sent_id is not None:
-                if sent_id in seen_ids:
-                    raise ParseError(f"duplicate sent_id {sent_id!r}", path, sent_start_line)
-                seen_ids.add(sent_id)
-                entry_id = sent_id if id_map is None else id_map.get(sent_id)
-                if entry_id is None:
-                    log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
-                else:
-                    results[entry_id] = tokens
-            elif tokens:
-                raise ParseError("sentence without a # sent_id comment", path, sent_start_line)
-            sent_id, tokens = None, []
-            continue
-        if line.startswith("#"):
-            m = _SENT_ID_COMMENT.match(line)
-            if m:
-                if sent_id is not None or tokens:
-                    raise ParseError("# sent_id inside a sentence; a blank line ends one", path, lineno)
-                sent_id, sent_start_line = m.group(1), lineno
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ParseError(
-                f"expected 10 tab-separated columns, got {len(cols)}", path, lineno
-            )
-        token_id = cols[0]
-        if "-" in token_id or "." in token_id:
-            continue
-        if not cols[1]:
-            raise ParseError("empty FORM column", path, lineno)
-        if sent_id is None and not tokens:
-            sent_start_line = lineno
-        tokens.append(Token(cols[1], cols[3]))
+    sent_start_line = lineno = 0
+    try:
+        # The blank line after the last line ends the last sentence.
+        for lineno, raw in enumerate(chain(stream, ("",)), start=1):
+            line = raw.rstrip("\r\n")
+            if not line:
+                # A fault of the sentence names its first line.
+                lineno = sent_start_line
+                if sent_id is not None:
+                    if sent_id in seen_ids:
+                        raise ValueError(f"duplicate sent_id {sent_id!r}")
+                    seen_ids.add(sent_id)
+                    entry_id = sent_id if id_map is None else id_map.get(sent_id)
+                    if entry_id is None:
+                        log.warning("sent_id %r matches no entry; sentence skipped", sent_id)
+                    else:
+                        results[entry_id] = tokens
+                        results.lines[entry_id] = sent_start_line
+                elif tokens:
+                    raise ValueError("sentence without a # sent_id comment")
+                sent_id, tokens = None, []
+                continue
+            if line.startswith("#"):
+                m = _SENT_ID_COMMENT.match(line)
+                if m:
+                    if sent_id is not None or tokens:
+                        raise ValueError("# sent_id inside a sentence; a blank line ends one")
+                    sent_id, sent_start_line = m.group(1), lineno
+                continue
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise column_count_error("10", len(cols))
+            token_id = cols[0]
+            if "-" in token_id or "." in token_id:
+                continue
+            if not cols[1]:
+                raise ValueError("empty FORM column")
+            if sent_id is None and not tokens:
+                sent_start_line = lineno
+            tokens.append(Token(cols[1], cols[3]))
+    except ValueError as exc:
+        raise ParseError(str(exc), path, lineno) from None
     return results
 
 

@@ -208,7 +208,8 @@ class TestCmdMap:
             ["map", "--dict", str(dict_file), "--conllu", str(conllu), "--out", str(out)],
         )
         assert code == 2
-        assert stderr == f"error: {conllu}: entry e1: token 'av' does not align with text at offset 7\n"
+        # The sentence is named by its # sent_id line.
+        assert stderr == f"error: {conllu}:1: entry e1: token 'av' does not align with text at offset 7\n"
         assert stdout == ""
         assert not out.exists()
 
@@ -216,8 +217,8 @@ class TestCmdMap:
         ("rows", "message"),
         [
             (["e1\tleukemi\tsykdom i blodet", "e2\tblodkreft\t\te6"],
-             "entry e2: synonym_of points to unknown id 'e6'"),
-            (["e1\tleukemi\t\te2", "e2\tblodkreft\t\te1"], "entry e1: synonym chain loops"),
+             "2: entry e2: synonym_of points to unknown id 'e6'"),
+            (["e1\tleukemi\t\te2", "e2\tblodkreft\t\te1"], "1: entry e1: synonym chain loops"),
         ],
         ids=["unknown-target", "loop"],
     )
@@ -226,7 +227,8 @@ class TestCmdMap:
         dict_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "out.tsv"
         code, stdout, stderr = run(capsys, ["map", "--dict", str(dict_file), "--out", str(out)])
-        assert (code, stdout, stderr) == (2, "", f"error: {dict_file}: {message}\n")
+        # The synonym's own row is named.
+        assert (code, stdout, stderr) == (2, "", f"error: {dict_file}:{message}\n")
         assert not out.exists()
 
     def test_shipped_tables_passed_as_flags_change_nothing(self, capsys, tmp_path, data_dir):
@@ -710,7 +712,9 @@ class TestCmdEval:
             ["eval", "gold", "--gold", str(gold), "--mapped", str(mapped_file)],
         )
         assert code == 5
-        assert "finnes ikke" in stderr
+        assert stderr == (
+            f"error: {gold}: no prediction in {mapped_file} for 1 gold term(s), the first 'finnes ikke'\n"
+        )
 
     def test_sample_deterministic_bytes(self, capsys, tmp_path, mapped_file):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
@@ -783,7 +787,7 @@ class TestCmdEval:
         ("mode", "rules", "layout", "content", "message"),
         [
             ("PER_ENTRY", "", "term=0,category=1", b"feber\tCONDITION\nkniv\n",
-             "resource R: expected at least 2 columns, got 1"),
+             "resource R: expected at least 2 tab-separated columns, got 1"),
             ("FIXED", "CONDITION", "term=0,code=1", b"feber\tA10\n \tB20\n", "resource R: empty term"),
             ("PER_ENTRY", "", "term=0,category=1", b"feber\tCONDITION\nkniv\tukjent\n",
              "resource R: unknown category label: 'ukjent'"),

@@ -17,6 +17,7 @@ from medlex.errors import GoldCoverageError, ParseError
 from medlex.evaluate import (
     OverlapResult,
     _macro,
+    check_coverage,
     format_eval_tsv,
     format_overlap_report,
     mapped_categories,
@@ -417,8 +418,17 @@ class TestScore:
         assert cond_glob.pred_n == 3
 
     def test_missing_prediction_names_term(self):
-        with pytest.raises(GoldCoverageError, match="borte"):
+        with pytest.raises(GoldCoverageError) as got:
             score({"borte": Category.CONDITION}, {})
+        assert str(got.value) == "no prediction for 1 gold term(s), the first 'borte'"
+        # With the files: both are named, with every missing term counted
+        # and the first in gold order shown.
+        gold = {"a": Category.CONDITION, "borte": Category.TOOL, "vekk": Category.OTHER}
+        with pytest.raises(GoldCoverageError) as got:
+            check_coverage(gold, {"a": Category.CONDITION, "z": Category.TOOL}, "g.tsv", "m.tsv")
+        assert str(got.value) == "g.tsv: no prediction in m.tsv for 2 gold term(s), the first 'borte'"
+        assert (got.value.terms, got.value.exit_code) == (["borte", "vekk"], 5)
+        check_coverage(gold, dict.fromkeys(gold, Category.TOOL), "g.tsv", "m.tsv")
 
     def test_random_pairs_match_oracle(self):
         rng = random.Random(20240817)

@@ -1,13 +1,16 @@
-"""Every reader, fuzzed: each ``tests/data`` fixture, and both outcome
-formats, with one line inserted, deleted, truncated or duplicated or one
-bad byte added, fed to the command that reads it. The run must end in an
-exit code from README's table, never in a traceback; a failed run prints
-nothing to stdout, and a refused input is named in the message."""
+"""Every reader, fuzzed: each ``tests/data`` fixture, both outcome
+formats and the four shipped map tables, with one line inserted,
+deleted, truncated or duplicated or one bad byte added, fed to the
+command that reads it. The run must end in an exit code from README's
+table, never in a traceback; a failed run prints nothing to stdout, and
+a refused input is named in the message with the line at fault."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -16,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medlex
 from medlex.cli import main
 from medlex.outcomes import render_outcomes
 
 DATA = Path(__file__).parent / "data"
+SHIPPED = Path(medlex.__file__).parent / "data"
 RESOURCES = ["aloc.tsv", "famhist.tsv", "fest.tsv", "icd10.tsv", "icpc2.tsv", "labv.tsv", "proc.tsv"]
 
 
@@ -37,6 +42,10 @@ COMMANDS = {
        for name in ("dict_50.tsv", "dict_50.jsonl")},
     "dict_50.conllu": lambda d: ["map", "--dict", str(d / "dict_50.tsv"), "--conllu", str(d / "dict_50.conllu"),
                                  "--out", str(d / "out.tsv")],
+    **{name: (lambda d, name=name, option=option: ["map", "--dict", str(d / "dict_50.tsv"), option, str(d / name),
+                                                   "--out", str(d / "out.tsv")])
+       for name, option in (("suffixes.tsv", "--suffixes"), ("keywords.tsv", "--keywords"),
+                            ("stops.txt", "--stops"), ("function_words.txt", "--function-words"))},
     "gold.tsv": lambda d: ["eval", "gold", "--gold", str(d / "gold.tsv"), "--mapped", str(d / "mapped.tsv")],
     **{name: (lambda d, name=name: ["eval", "sample", "--mapped", str(d / name), "--quota", "3", "--seed", "7"])
        for name in ("mapped.tsv", "mapped.jsonl")},
@@ -71,9 +80,10 @@ def mutations(draw, data: bytes) -> bytes:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory, fixture_outcomes) -> Path:
     """A directory holding every input the commands read: the data files,
-    and the fixture dictionary's outcomes in both formats."""
+    the shipped map tables, and the fixture dictionary's outcomes in both
+    formats."""
     d = tmp_path_factory.mktemp("inputs")
-    for path in DATA.iterdir():
+    for path in [*DATA.iterdir(), *SHIPPED.iterdir()]:
         shutil.copy(path, d)
     for fmt in ("tsv", "jsonl"):
         (d / f"mapped.{fmt}").write_text(render_outcomes(fixture_outcomes, fmt), encoding="utf-8")
@@ -100,6 +110,17 @@ def test_a_mutated_input_ends_in_a_documented_exit(inputs, data):
     if code != 0:
         assert stdout == ""
     if code == 2:
-        # A mutated manifest can also fail at a file it names: one that is
-        # now missing, or a resource whose rows no longer fit its spec.
-        assert str(d / name) in stderr or name.startswith("manifest") and str(d) in stderr, stderr
+        # Warnings may come first; the error is the last line.
+        error = stderr.splitlines()[-1]
+        at = re.match(rf"error: {re.escape(str(d / name))}:(\d+): ", error)
+        if at:
+            assert 1 <= int(at.group(1)) <= len(mutated.splitlines()), stderr
+        else:
+            # A JSON-list manifest names a resource by its number. A mutated
+            # manifest can also fail at a file it names: one that is now
+            # missing, or a resource whose rows no longer fit its spec.
+            assert name.startswith("manifest"), stderr
+            if error.startswith(f"error: {d / name}:"):
+                assert error.startswith(f"error: {d / name}: resource #"), stderr
+            else:
+                assert error.startswith(f"error: {d}{os.sep}"), stderr

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -158,7 +159,7 @@ def outcomes_duplicate_id(tmp, data):
     rows = ["e1\tkniv\tTOOL\tITER\t", "e2\tsag\tTOOL\tITER\t", "e1\tkniv\tTOOL\tITER\t"]
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER + "\n".join(rows) + "\n")
     argv = ["eval", "sample", "--mapped", mapped, "--quota", "5", "--seed", "1"]
-    return argv, f"{mapped}:4: duplicate entry id 'e1'"
+    return argv, f"{mapped}:4: bad outcome row: duplicate entry id 'e1'"
 
 
 def merge_args(tmp, data, mapped):
@@ -255,16 +256,52 @@ def conllu_next_sentence_without_blank_line(tmp, data):
     return ["map", "--dict", d, "--conllu", conllu], f"{conllu}:3: # sent_id inside a sentence"
 
 
+def conllu_tokens_not_aligned(tmp, data):
+    # A sentence that does not spell out its definition is named by its # sent_id line.
+    rows = ["# sent_id = e0", "1\tfeber" + "\t_" * 8, "", "# sent_id = e1", "1\tblod" + "\t_" * 8]
+    conllu = put(tmp / "d.conllu", "\n".join(rows) + "\n")
+    d = put(tmp / "d.tsv", "e0\tfeber\tfeber\n" + GOOD_DICT)
+    return ["map", "--dict", d, "--conllu", conllu], f"{conllu}:4: entry e1: token 'blod' does not align"
+
+
+def dictionary_unknown_synonym(tmp, data):
+    d = put(tmp / "d.tsv", GOOD_DICT + "e2\tblodkreft\t\te3\ne3\tkreft\t\te9\n")
+    # The first synonym whose chain fails is named.
+    return ["map", "--dict", d], f"{d}:2: entry e2: synonym_of points to unknown id 'e9'"
+
+
+def dictionary_synonym_loop(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e1", "term": "a", "synonym_of": "e2"}\n\n'
+            '{"id": "e2", "term": "b", "synonym_of": "e1"}\n')
+    return ["map", "--dict", d], f"{d}:1: entry e1: synonym chain loops"
+
+
+def manifest_json_syntax_error(tmp, data):
+    rows = ['[{"name": "A", "file": "a.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 1},',
+            ' {"name": "B", "file": "b.tsv", "mode": "FIXED" "category": "TOOL", "trust_rank": 2}]']
+    manifest = put(tmp / "m.json", "\r\n".join(rows) + "\r\n")
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
+    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            f"{manifest}:2: bad JSON manifest: Expecting ',' delimiter")
+
+
+def manifest_unfinished_list(tmp, data):
+    # A list the text ends inside is named at its last line that is not blank.
+    manifest = put(tmp / "m.json", '[\n{"name": "A"}\n\n')
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
+    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:2: bad JSON manifest"
+
+
 def manifest_deep_nesting(tmp, data):
     manifest = put(tmp / "m.json", "[" * 100_000)
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
-    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:"
+    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:1:"
 
 
 def manifest_integer_too_long(tmp, data):
-    manifest = put(tmp / "m.json", '[{"trust_rank": ' + "1" * 5000 + "}]")
+    manifest = put(tmp / "m.json", '\n[{"trust_rank": ' + "1" * 5000 + "}]")
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
-    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:"
+    return ["eval", "overlap", "--mapped", mapped, "--manifest", manifest], f"{manifest}:2:"
 
 
 def manifest_layout_list(tmp, data):
@@ -329,6 +366,11 @@ def manifest_per_entry_category(tmp, data):
         gold_empty_term,
         conllu_empty_form,
         conllu_next_sentence_without_blank_line,
+        conllu_tokens_not_aligned,
+        dictionary_unknown_synonym,
+        dictionary_synonym_loop,
+        manifest_json_syntax_error,
+        manifest_unfinished_list,
         manifest_layout_list,
         manifest_deep_nesting,
         manifest_integer_too_long,
@@ -343,6 +385,40 @@ def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys
     assert code == 2
     assert where in err
     assert "Traceback" not in err
+
+
+# For each reader that counts a TSV row's columns: the file it reads, a
+# first row with the wrong count, the count it wants, and the command.
+COLUMN_READERS = {
+    "dictionary": ("d.tsv", "e1\tleukemi", "3 or 4", ["map", "--dict", "{file}"]),
+    "suffix table": ("s.tsv", "-emi\tCONDITION\tx", "2", ["map", "--dict", "{dict}", "--suffixes", "{file}"]),
+    "keyword table": ("k.tsv", "sykdom", "2", ["map", "--dict", "{dict}", "--keywords", "{file}"]),
+    "CoNLL-U": ("d.conllu", "1\tsykdom\t_\tNOUN", "10", ["map", "--dict", "{dict}", "--conllu", "{file}"]),
+    "outcomes": ("o.tsv", "e1\tleukemi\tCONDITION\tITER", "5",
+                 ["eval", "sample", "--mapped", "{file}", "--quota", "1", "--seed", "1"]),
+    "gold": ("g.tsv", "leukemi\tCONDITION\tx", "2", ["eval", "gold", "--gold", "{file}", "--mapped", "{mapped}"]),
+    "manifest": ("m.tsv", "R\tr.tsv\tFIXED\tTOOL\t1", "6",
+                 ["eval", "overlap", "--mapped", "{mapped}", "--manifest", "{file}"]),
+    "resource": ("r.tsv", "feber", "at least 2", ["eval", "overlap", "--mapped", "{mapped}", "--manifest", "{manifest}"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COLUMN_READERS))
+def test_a_wrong_column_count_is_refused_in_one_wording(reader, tmp_path, capsys):
+    name, row, expected, argv = COLUMN_READERS[reader]
+    paths = {
+        "file": put(tmp_path / name, row + "\n"),
+        "dict": put(tmp_path / "dict.tsv", GOOD_DICT),
+        "mapped": put(tmp_path / "mapped.tsv", OUTCOME_HEADER + "e1\tleukemi\tCONDITION\tITER\t\n"),
+        "manifest": put(tmp_path / "manifest.tsv", "R\tr.tsv\tPER_ENTRY\t\t1\tterm=0,category=1\n"),
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    # A resource row's fault names the resource, an outcome row's says so.
+    got = len(row.split("\t"))
+    wording = f"expected {expected} tab-separated columns, got {got}"
+    assert re.fullmatch(rf"error: {re.escape(paths['file'])}:1: (resource R: |bad outcome row: )?{wording}\n", err), err
 
 
 @pytest.mark.parametrize(

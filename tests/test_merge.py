@@ -172,7 +172,7 @@ def reference_ingest(spec, base_dir):
         cols = line.split("\t")
         if len(cols) < need:
             raise ParseError(
-                f"resource {spec.name}: expected at least {need} columns, got {len(cols)}",
+                f"resource {spec.name}: expected at least {need} tab-separated columns, got {len(cols)}",
                 path,
                 lineno,
             )

@@ -56,13 +56,13 @@ def oracle_parse_votes(text):
     return tuple(votes)
 
 
-def oracle_json_object(line, path, lineno):
+def oracle_json_object(line):
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}", path, lineno) from None
+        raise ValueError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ParseError(f"expected a JSON object, got {type(obj).__name__}", path, lineno)
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -80,7 +80,7 @@ def oracle_read(path):
             continue
         try:
             if use == "jsonl":
-                obj = oracle_json_object(raw, str(p), lineno)
+                obj = oracle_json_object(raw)
                 entry_id, term = _json_id_term(obj)
                 # As in a dictionary: the TSV outcome and lexicon rows hold
                 # both, so they are checked before any other field is read.
@@ -99,7 +99,7 @@ def oracle_read(path):
                     continue
                 cols = raw.split("\t")
                 if len(cols) != 5:
-                    raise ValueError(f"expected 5 columns, got {len(cols)}")
+                    raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
             entry_id, term, category, provenance, votes = cols
             if not term.strip():
                 raise ValueError("empty term")
@@ -110,10 +110,10 @@ def oracle_read(path):
                 raise ValueError(f"unknown provenance {provenance!r}")
             outcome = MappingOutcome(entry_id, term, category, Provenance[provenance], oracle_parse_votes(votes))
             outcome.validate()
+            if entry_id in seen:
+                raise ValueError(f"duplicate entry id {entry_id!r}")
         except ValueError as exc:
             raise ParseError(f"bad outcome row: {exc}", str(p), lineno) from None
-        if entry_id in seen:
-            raise ParseError(f"duplicate entry id {entry_id!r}", str(p), lineno)
         seen.add(entry_id)
         outcomes.append(outcome)
     return outcomes
@@ -389,21 +389,21 @@ class TestReaderAgainstOracle:
             (".tsv", ["e1\tt\t\tSUFF\tSUFF:TOOL:x:-"],
              "2: bad outcome row: e1: votes resolve to TOOL SUFF, not (none) SUFF"),
             (".tsv", ["e1\t \tTOOL\tITER\t"], "2: bad outcome row: empty term"),
-            (".tsv", ["e1\tt\tTOOL\tITER"], "2: bad outcome row: expected 5 columns, got 4"),
-            (".tsv", ["e1\tt\tTOOL\tITER\t", "e1\tu\tTOOL\tITER\t"], "3: duplicate entry id 'e1'"),
+            (".tsv", ["e1\tt\tTOOL\tITER"], "2: bad outcome row: expected 5 tab-separated columns, got 4"),
+            (".tsv", ["e1\tt\tTOOL\tITER\t", "e1\tu\tTOOL\tITER\t"], "3: bad outcome row: duplicate entry id 'e1'"),
             (".tsv", ["e1\tt\tTOOL\tITER\t", "e2\tu\tTOOL\tITER\t", "e2\tu\tTOOL\tMULTI\t"],
              "4: bad outcome row: e2: votes resolve to (none) UNMAPPED, not TOOL MULTI"),
             (".jsonl", ['{"id": "e1", "term": "t", "category": "TOOL", "provenance": "ITER"}',
-                        '{"id": "e2", "term": "t"'], "2: bad JSON: Expecting ',' delimiter"),
+                        '{"id": "e2", "term": "t"'], "2: bad outcome row: bad JSON: Expecting ',' delimiter"),
             (".jsonl", ['{"id": "e1",', '"term": "t", "provenance": "ITER", "category": "TOOL"}'],
-             "1: bad JSON: Expecting property name enclosed in double quotes"),
+             "1: bad outcome row: bad JSON: Expecting property name enclosed in double quotes"),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"} x'],
-             "1: bad JSON: Extra data"),
+             "1: bad outcome row: bad JSON: Extra data"),
             (".jsonl", ['{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}{}'],
-             "1: bad JSON: Extra data"),
+             "1: bad outcome row: bad JSON: Extra data"),
             (".jsonl", ['\ufeff{"id": "e1", "term": "t", "provenance": "ITER", "category": "TOOL"}'],
-             "1: bad JSON: Unexpected UTF-8 BOM"),
-            (".jsonl", ["[1]"], "1: expected a JSON object, got list"),
+             "1: bad outcome row: bad JSON: Unexpected UTF-8 BOM"),
+            (".jsonl", ["[1]"], "1: bad outcome row: expected a JSON object, got list"),
             (".jsonl", ['{"id": null, "term": "t"}'],
              '1: bad outcome row: "id" must be a JSON string or integer, not null'),
             (".jsonl", ['{"id": "e1", "term": 5}'],
@@ -433,7 +433,7 @@ class TestReaderAgainstOracle:
                         '"votes": ["SUFF:CONDITION:te:-"]}'],
              '1: bad outcome row: "votes" must be a JSON string, not list'),
             (".tsv", ["e1\tt\tTOOL\tITER\t", "\t \t\t\t"], "3: bad outcome row: empty term"),
-            (".tsv", [" \t"], "2: bad outcome row: expected 5 columns, got 2"),
+            (".tsv", [" \t"], "2: bad outcome row: expected 5 tab-separated columns, got 2"),
             (".tsv", ["\tblodtrykk\t\tUNMAPPED\t"], "2: bad outcome row: missing entry id"),
             (".tsv", ["e1\tt\tTOOL\tITER\t", " \tblodtrykk\t\tUNMAPPED\t"], "3: bad outcome row: missing entry id"),
             (".jsonl", ['{"id": "", "term": "blodtrykk", "category": null, "provenance": "UNMAPPED", "votes": ""}'],
