@@ -214,9 +214,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ParseError(f"--mapped-name: {exc}") from None
     outcomes = read_outcomes(args.mapped)
-    specs = load_manifest(args.manifest)
-    if any(spec.name == name for spec in specs):
-        raise ParseError(f"--mapped-name {name!r} is also the name of a resource", args.manifest)
+    specs = load_manifest(args.manifest, name)
     base_dir = Path(args.manifest).parent
     resources = [ingest_resource(spec, base_dir) for spec in specs]
     mapped = mapped_records(outcomes, name, rank)

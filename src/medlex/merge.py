@@ -159,10 +159,11 @@ class MergeReport(NamedTuple):
     total: int
 
 
-def load_manifest(path: str | Path) -> list[ResourceSpec]:
+def load_manifest(path: str | Path, mapped_name: str | None = None) -> list[ResourceSpec]:
     """Resource manifest: JSON (a list of objects, or one object per line)
     or TSV. A fault names its line, except that a JSON list's resource
-    faults name ``resource #N``.
+    faults name ``resource #N``. A resource may not take the name of
+    another, nor ``mapped_name``, the source name of the mapped entries.
 
     A TSV row is read as the JSON object it stands for (``_tsv_object``),
     so both formats load, check and word their faults alike. Its columns:
@@ -175,7 +176,8 @@ def load_manifest(path: str | Path) -> list[ResourceSpec]:
     text = read_text(p, "manifest")
     jsonl = sniff_format(p) == "jsonl"
     specs = []
-    names: set[str] = set()
+    # Each name taken -> the fault of a resource that takes it again.
+    names = {} if mapped_name is None else {mapped_name: "name is also the --mapped-name"}
     if jsonl and text.lstrip().startswith("["):
         try:
             data = json.loads(text)
@@ -242,9 +244,10 @@ def _tsv_int(name: str, key: str, text: str) -> int:
         raise ValueError(f"resource {name}: {key} must be an integer, not {text!r}") from None
 
 
-def _spec(obj: object, names: set[str]) -> ResourceSpec:
-    """The resource one manifest object declares; ``names`` are those of
-    the entries before it, to which this one's is added. Each value must
+def _spec(obj: object, names: dict[str, str]) -> ResourceSpec:
+    """The resource one manifest object declares; ``names`` maps each name
+    taken before it to the fault of taking it again, and this one's is
+    added. Each value must
     have its JSON type; an optional one (``category``, ``rules``,
     ``default``, ``layout``) may be null or absent, and a category (other
     than empty) or rules that the mode does not use are refused. A fault
@@ -269,8 +272,8 @@ def _spec(obj: object, names: set[str]) -> ResourceSpec:
         if mode is None:
             raise ValueError(f"unknown mode {mode_text.strip()!r}")
         if name in names:
-            raise ValueError("duplicate resource name")
-        names.add(name)
+            raise ValueError(names[name])
+        names[name] = "duplicate resource name"
         if category and mode is not ResourceMode.FIXED:
             raise ValueError(f"{mode.value} mode takes no category")
         if rules and mode is not ResourceMode.CHAPTERED:

@@ -166,15 +166,21 @@ class Definition(Frozen):
 
     def __init__(self, text: str, tokens: tuple[Token, ...] | None = None) -> None:
         if tokens is not None:
-            cursor = 0
-            for tok in tokens:
-                while cursor < len(text) and text[cursor].isspace():
-                    cursor += 1
-                if not text.startswith(tok.surface, cursor):
-                    raise ValueError(
-                        f"token {tok.surface!r} does not align with text at offset {cursor}"
-                    )
-                cursor += len(tok.surface)
+            surfaces = [tok.surface for tok in tokens]
+            joined = " ".join(surfaces)
+            # The usual text spells its tokens out one space apart. When it
+            # starts with them so joined, and each surface is non-empty and
+            # free of whitespace, the loop below would accept them: skip it.
+            if not (text.startswith(joined) and joined.split() == surfaces):
+                cursor = 0
+                for surface in surfaces:
+                    while cursor < len(text) and text[cursor].isspace():
+                        cursor += 1
+                    if not text.startswith(surface, cursor):
+                        raise ValueError(
+                            f"token {surface!r} does not align with text at offset {cursor}"
+                        )
+                    cursor += len(surface)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "tokens", tokens)
 
@@ -229,6 +235,13 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
     votes from one strategy, or a vote from a provenance that does not
     vote, raise ValueError.
     """
+    # Most entries get no vote or one; such a vote needs no other check.
+    if not votes:
+        return None, Provenance.UNMAPPED
+    if len(votes) == 1:
+        strategy = votes[0].strategy
+        if strategy is Provenance.SUFF or strategy is Provenance.KW_E or strategy is Provenance.KW_1N:
+            return votes[0].category, strategy
     # Enum members hash in Python, so the checks compare them by identity.
     strategies = [v.strategy for v in votes]
     for strategy in strategies:

@@ -34,10 +34,17 @@ def entry_votes(
     first_noun: str | None,
     suffixes: SuffixTable,
     keywords: KeywordTable,
+    memo: dict[str | None, Vote | None] | None = None,
 ) -> list[Vote]:
     """All strategy votes for one entry, in priority order; ``term`` is the
     entry's term as ``normalize_term`` gives it, and ``first_noun`` the first
-    noun of its definition, if any."""
+    noun of its definition, if any.
+
+    ``memo`` maps first nouns to their KW-1N vote; a caller voting on many
+    entries passes one dict, used with one ``keywords`` only, so each
+    distinct first noun is voted on once."""
+    if memo is None:
+        memo = {}
     votes = []
     vote = suffix_vote(term, suffixes)
     if vote is not None:
@@ -45,17 +52,20 @@ def entry_votes(
     vote = kw_entry_vote(term, keywords)
     if vote is not None:
         votes.append(vote)
-    vote = kw_firstnoun_vote(first_noun, keywords)
+    if first_noun in memo:
+        vote = memo[first_noun]
+    else:
+        vote = memo[first_noun] = kw_firstnoun_vote(first_noun, keywords)
     if vote is not None:
         votes.append(vote)
     return votes
 
 
-def _first_noun(entry: Entry, stops: StopConfig) -> str | None:
+def _first_noun(entry: Entry, stops: StopConfig, folded: dict[str, str]) -> str | None:
     sense = entry.first_sense()
     if sense is None or sense.tokens is None:
         return None
-    return extract_first_noun(sense.tokens, stops)
+    return extract_first_noun(sense.tokens, stops, folded)
 
 
 def map_dictionary(
@@ -83,12 +93,18 @@ def map_dictionary(
 
     outcomes: list[MappingOutcome] = []
     terms = [normalize_term(entry.term) for entry in entries]
-    first_nouns = [_first_noun(entry, stops) for entry in entries]
+    # Definitions share most of their words, so each distinct surface is
+    # folded once and each distinct first noun voted on once.
+    folded: dict[str, str] = {}
+    first_nouns = [_first_noun(entry, stops, folded) for entry in entries]
+    kw_1n: dict[str | None, Vote | None] = {}
+    new_outcome = tuple.__new__
     for entry, term, first_noun in zip(entries, terms, first_nouns):
-        votes = entry_votes(term, first_noun, suffixes, keywords)
+        votes = entry_votes(term, first_noun, suffixes, keywords, kw_1n)
         category, provenance = resolve_votes(votes)
+        # The tuple MappingOutcome(...) builds, without its Python-level __new__.
         outcomes.append(
-            MappingOutcome(entry.id, entry.term, category, provenance, tuple(votes))
+            new_outcome(MappingOutcome, (entry.id, entry.term, category, provenance, tuple(votes)))
         )
 
     # (position, ITER key) of each entry left unmapped by pass 0 that has a
@@ -157,19 +173,22 @@ def mapping_stats(outcomes: Iterable[MappingOutcome]) -> MappingStats:
     provenance_counts: dict[str, int] = {}
     disagreements = 0
     mapped = unmapped = 0
+    # _value_ is the label str() gives, read without calling the enum's
+    # Python-level __str__ (as in outcomes.format_votes).
     for outcome in outcomes:
-        provenance_counts[str(outcome.provenance)] = (
-            provenance_counts.get(str(outcome.provenance), 0) + 1
-        )
+        label = outcome.provenance._value_
+        provenance_counts[label] = provenance_counts.get(label, 0) + 1
         if outcome.category is None:
             unmapped += 1
         else:
             mapped += 1
-            category_counts[str(outcome.category)] = (
-                category_counts.get(str(outcome.category), 0) + 1
-            )
-        if len({v.category for v in outcome.votes}) > 1:
-            disagreements += 1
+            label = outcome.category._value_
+            category_counts[label] = category_counts.get(label, 0) + 1
+        votes = outcome.votes
+        if len(votes) > 1:
+            first = votes[0].category
+            if any(v.category is not first for v in votes):
+                disagreements += 1
     return MappingStats(category_counts, provenance_counts, disagreements, mapped, unmapped)
 
 
@@ -220,13 +239,20 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
                 continue
             if jsonl:
                 obj = json_object(raw)
-                entry_id, term = _json_id_term(obj)
-                if "definitions" in obj:
-                    defs = json_field(obj, "definitions", list, items=str)
-                else:
-                    defs = [json_field(obj, "definition", str, optional=True) or ""]
-                synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
-                synonym_of = "" if synonym_of is None else str(synonym_of)
+                entry_id, term = obj.get("id"), obj.get("term")
+                defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
+                # The usual row has only strings; any other goes through
+                # json_field, which names the first value that is missing or
+                # of the wrong type.
+                if (type(entry_id) is not str or type(term) is not str or type(defs[0]) is not str
+                        or type(synonym_of) is not str or "definitions" in obj):
+                    entry_id, term = _json_id_term(obj)
+                    if "definitions" in obj:
+                        defs = json_field(obj, "definitions", list, items=str)
+                    else:
+                        defs = [json_field(obj, "definition", str, optional=True) or ""]
+                    synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
+                    synonym_of = "" if synonym_of is None else str(synonym_of)
             else:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
@@ -238,11 +264,14 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
                 raise ValueError("missing entry id")
             if entry_id in by_id:
                 raise ValueError(f"duplicate entry id {entry_id!r}")
-            _check_tab_free(entry_id, term)
-            if not term.strip():
+            # A TSV column, cut at tabs from one line, holds no tab or line break.
+            if jsonl:
+                _check_tab_free(entry_id, term)
+            term = term.strip()
+            if not term:
                 raise ValueError("empty term")
             senses = tuple(Definition(d) for d in defs if d.strip())
-            entry = by_id[entry_id] = Entry(entry_id, term.strip(), senses, synonym_of.strip() or None)
+            entry = by_id[entry_id] = Entry(entry_id, term, senses, synonym_of.strip() or None)
             entries.append(entry)
             if entry.synonym_of is not None and not senses:
                 synonyms.append((lineno, entry))

@@ -111,9 +111,12 @@ def ingest_conllu(
     carry only FORM and UPOS; attaching them to a definition checks that
     the FORMs spell out its text in order (see ``model.Definition``).
     A faulty line raises ParseError naming it; a fault of a whole
-    sentence names the sentence's first line.
+    sentence names the sentence's first line. Equal (FORM, UPOS) pairs
+    share one ``Token`` object.
     """
     results = Sentences(path)
+    # (FORM, UPOS) -> its Token: definitions reuse a small vocabulary.
+    shared: dict[tuple[str, str], Token] = {}
     seen_ids: set[str] = set()
     sent_id: str | None = None
     tokens: list[Token] = []
@@ -140,7 +143,7 @@ def ingest_conllu(
                 sent_id, tokens = None, []
                 continue
             if line.startswith("#"):
-                m = _SENT_ID_COMMENT.match(line)
+                m = _SENT_ID_COMMENT.match(line) if "sent_id" in line else None
                 if m:
                     if sent_id is not None or tokens:
                         raise ValueError("# sent_id inside a sentence; a blank line ends one")
@@ -156,7 +159,11 @@ def ingest_conllu(
                 raise ValueError("empty FORM column")
             if sent_id is None and not tokens:
                 sent_start_line = lineno
-            tokens.append(Token(cols[1], cols[3]))
+            key = (cols[1], cols[3])
+            token = shared.get(key)
+            if token is None:
+                token = shared[key] = Token(*key)
+            tokens.append(token)
     except ValueError as exc:
         raise ParseError(str(exc), path, lineno) from None
     return results
@@ -215,23 +222,35 @@ def heuristic_tag(
     return tokens
 
 
-def extract_first_noun(tokens: Iterable[Token], stops: StopConfig) -> str | None:
+def extract_first_noun(
+    tokens: Iterable[Token], stops: StopConfig, folded: dict[str, str] | None = None
+) -> str | None:
     """First semantically loaded noun of a definition, folded as terms are.
 
     Scans left to right skipping stop nouns (abbreviations among them)
     and nouns heading a stop phrase; absence of a noun is a valid
     outcome, not an error.
+
+    ``folded`` maps surfaces to their ``fold``; a caller scanning many
+    definitions passes one dict, so each distinct surface is folded once.
     """
+    if folded is None:
+        folded = {}
     toks = list(tokens)
     for i, tok in enumerate(toks):
         if tok.upos not in NOMINAL_TAGS:
             continue
-        surface = fold(tok.surface)
+        surface = folded.get(tok.surface)
+        if surface is None:
+            surface = folded[tok.surface] = fold(tok.surface)
         if surface in stops.stop_nouns:
             continue
         if i + 1 < len(toks):
-            pair = f"{surface} {fold(toks[i + 1].surface)}"
-            if pair in stops.stop_phrases:
+            following = toks[i + 1].surface
+            after = folded.get(following)
+            if after is None:
+                after = folded[following] = fold(following)
+            if f"{surface} {after}" in stops.stop_phrases:
                 continue
         return surface
     return None

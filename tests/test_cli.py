@@ -479,7 +479,7 @@ class TestCmdMerge:
             ("A\rB", "--mapped-name: source name 'A\\rB' must not contain a tab, CR, LF or ','"),
             ("A\nB", "--mapped-name: source name 'A\\nB' must not contain a tab, CR, LF or ','"),
             ("A,B", "--mapped-name: source name 'A,B' must not contain a tab, CR, LF or ','"),
-            ("ALOC", "manifest.json: --mapped-name 'ALOC' is also the name of a resource"),
+            ("ALOC", "manifest.json: resource #1: resource ALOC: name is also the --mapped-name"),
         ],
         ids=["empty", "blank", "tab", "cr", "lf", "comma", "a-resource"],
     )

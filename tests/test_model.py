@@ -11,7 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.evaluate import CategoryScore, ConfusionMatrix, EvalReport, OverlapResult
@@ -180,6 +180,68 @@ class TestDefinitionTokenAlignment:
     def test_misaligned_surface_rejected(self):
         with pytest.raises(ValueError, match="does not align with text at offset 0"):
             Definition("noe annet", (Token("sykdom", "NOUN"),))
+
+    def test_surface_starting_with_a_space_never_aligns(self):
+        # " i" is what the text starts with, but a surface begins at the
+        # first non-whitespace character.
+        with pytest.raises(ValueError, match="^token ' i' does not align with text at offset 1$"):
+            Definition(" i", (Token(" i", "ADP"),))
+        tokens = (Token("sykdom", "NOUN"), Token(" i", "ADP"))
+        with pytest.raises(ValueError, match="^token ' i' does not align with text at offset 7$"):
+            Definition("sykdom i blodet", tokens)
+
+    def test_tab_separated_text_accepted(self):
+        tokens = (Token("sykdom", "NOUN"), Token("i", "ADP"), Token("blodet", "NOUN"))
+        assert Definition("sykdom\ti\t blodet", tokens).tokens == tokens
+
+    def test_punctuation_written_against_the_word(self):
+        Definition("sykdom.", (Token("sykdom", "NOUN"), Token(".", "PUNCT")))
+        with pytest.raises(ValueError, match="^token 'sykdom.' does not align with text at offset 0$"):
+            Definition("sykdom .", (Token("sykdom.", "NOUN"),))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_what_the_cursor_loop_accepts(self, data):
+        surfaces = data.draw(st.lists(st.text(ALIGN_CHARS, min_size=1, max_size=4), max_size=5))
+        # Half the runs are the single space the usual text has.
+        seps = data.draw(st.lists(st.one_of(st.just(" "), st.text(ALIGN_SPACES, max_size=2)),
+                                  min_size=len(surfaces) + 1, max_size=len(surfaces) + 1))
+        text = seps[0] + "".join(s + sep for s, sep in zip(surfaces, seps[1:]))
+        kind = data.draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+        if kind != "none":
+            i = data.draw(st.integers(0, len(text)))
+            ch = data.draw(st.sampled_from(ALIGN_CHARS))
+            if kind == "delete":
+                text = text[:i] + text[i + 1 :]
+            else:
+                text = text[:i] + ch + text[i + (kind == "replace") :]
+        tokens = tuple(Token(s, "NOUN") for s in surfaces)
+        expected = cursor_loop(text, surfaces)
+        if expected is None:
+            assert Definition(text, tokens).tokens == tokens
+        else:
+            with pytest.raises(ValueError) as exc_info:
+                Definition(text, tokens)
+            assert str(exc_info.value) == expected
+
+
+# Letters, the period and four kinds of whitespace: a space, a tab, U+00A0
+# and U+2028, each of which str.isspace and str.split treat as whitespace.
+ALIGN_SPACES = " \t\u00a0\u2028"
+ALIGN_CHARS = "ab." + ALIGN_SPACES
+
+
+def cursor_loop(text, surfaces):
+    """Definition's alignment check as it was before its single-space fast
+    path, kept as the reference: the message it raises, or None."""
+    cursor = 0
+    for surface in surfaces:
+        while cursor < len(text) and text[cursor].isspace():
+            cursor += 1
+        if not text.startswith(surface, cursor):
+            return f"token {surface!r} does not align with text at offset {cursor}"
+        cursor += len(surface)
+    return None
 
 
 def _vote(strategy=Provenance.SUFF, category=Category.CONDITION):

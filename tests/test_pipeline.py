@@ -4,18 +4,24 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medlex.errors import ParseError
 from medlex.model import (
     Category,
     Definition,
     Entry,
+    MappingOutcome,
     Provenance,
+    Token,
     Vote,
+    normalize_term,
 )
 from medlex.outcomes import format_votes, parse_votes, read_outcomes, render_outcomes, write_outcomes
 from medlex.pipeline import (
     attach_tokens,
+    entry_votes,
     map_dictionary,
     mapping_stats,
     read_dictionary,
@@ -23,7 +29,7 @@ from medlex.pipeline import (
     resolve_votes,
 )
 from medlex.strategies import KeywordTable, SuffixTable
-from medlex.textprep import StopConfig
+from medlex.textprep import StopConfig, extract_first_noun
 
 EMPTY_STOPS = StopConfig()
 
@@ -225,6 +231,106 @@ class TestMapDictionary:
                 assert o.category is winner.category
 
 
+# Small vocabularies, so that terms, surfaces and first nouns repeat across
+# entries: terms that draw a suffix vote, a contained keyword or none, and
+# tokens among which are stop nouns, a stop phrase, keywords in three cases,
+# an NFD word and words that are also terms (ITER chains).
+MEMO_SUFFIXES = SuffixTable((("oma", Category.CONDITION), ("logi", Category.DISCIPLINE)))
+MEMO_KEYWORDS = KeywordTable((("sykdom", Category.CONDITION), ("behandling", Category.PROCEDURE),
+                              ("lege", Category.PERSON), ("svulst", Category.CONDITION)))
+MEMO_STOPS = StopConfig(frozenset({"form", "lat."}), frozenset({"type av"}))
+MEMO_TERMS = ["leverkoma", "hudsykdom", "nevrologi", "kreft", "blodkreft", "Kreft", "svulstoma",
+              "behandlingslogi", "noe", "lege"]
+MEMO_TOKENS = [("sykdom", "NOUN"), ("Sykdom", "NOUN"), ("SYKDOM", "PROPN"), ("behandling", "NOUN"),
+               ("i", "ADP"), ("av", "ADP"), ("type", "NOUN"), ("form", "NOUN"), ("lat.", "NOUN"),
+               ("kreft", "NOUN"), ("blodkreft", "NOUN"), ("noe", "NOUN"), ("leverkoma", "NOUN"),
+               ("hudsvulst", "NOUN"), ("nevrologi", "NOUN"), ("lege", "PROPN"), ("W\u030a", "NOUN"),
+               ("stor", "ADJ")]
+
+
+@st.composite
+def memo_entries(draw):
+    """Entries with no sense, a sense without tokens, or tokens drawn from
+    MEMO_TOKENS, each a fresh Token or one shared with other entries."""
+    shared = {pair: Token(*pair) for pair in MEMO_TOKENS}
+    entries = []
+    for i in range(draw(st.integers(0, 25))):
+        term = draw(st.sampled_from(MEMO_TERMS))
+        kind = draw(st.sampled_from(["tokens", "tokens", "tokens", "untagged", "none"]))
+        senses = ()
+        if kind != "none":
+            pairs = draw(st.lists(st.sampled_from(MEMO_TOKENS), max_size=4))
+            text = " ".join(surface for surface, _ in pairs)
+            tokens = tuple(shared[p] if draw(st.booleans()) else Token(*p) for p in pairs)
+            senses = (Definition(text, tokens if kind == "tokens" else None),)
+        entries.append(Entry(f"e{i}", term, senses))
+    return entries
+
+
+def reference_mapping(entries, suffixes, keywords, stops, iter_rounds):
+    """map_dictionary restated entry by entry with no memo: extract_first_noun,
+    entry_votes and resolve_votes for each entry, then the ITER rounds."""
+    outcomes, keys = [], []
+    for e in entries:
+        sense = e.first_sense()
+        noun = None if sense is None or sense.tokens is None else extract_first_noun(sense.tokens, stops)
+        votes = entry_votes(normalize_term(e.term), noun, suffixes, keywords)
+        outcomes.append(MappingOutcome(e.id, e.term, *resolve_votes(votes), tuple(votes)))
+        keys.append(None if noun is None else normalize_term(noun))
+    for _ in range(iter_rounds):
+        index = {}
+        for e, o in zip(entries, outcomes):
+            if o.category is not None:
+                index.setdefault(normalize_term(e.term), o.category)
+        assigned = [
+            MappingOutcome(o.entry_id, o.term, index[key], Provenance.ITER)
+            if o.category is None and key in index else o
+            for o, key in zip(outcomes, keys)
+        ]
+        if assigned == outcomes:
+            break
+        outcomes = assigned
+    return outcomes
+
+
+def recount(outcomes):
+    """mapping_stats's counts by str() of each label, and disagreement as
+    more than one distinct category among an outcome's votes."""
+    by_category: dict[str, int] = {}
+    by_provenance: dict[str, int] = {}
+    disagreements = 0
+    for o in outcomes:
+        by_provenance[str(o.provenance)] = by_provenance.get(str(o.provenance), 0) + 1
+        if o.category is not None:
+            by_category[str(o.category)] = by_category.get(str(o.category), 0) + 1
+        if len({v.category for v in o.votes}) > 1:
+            disagreements += 1
+    return by_category, by_provenance, disagreements
+
+
+class TestMemoizedMapping:
+    @settings(max_examples=300, deadline=None)
+    @given(memo_entries(), st.integers(0, 3))
+    def test_map_dictionary_equals_the_per_entry_reference(self, entries, iter_rounds):
+        outcomes = map_dictionary(entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, iter_rounds)
+        assert outcomes == reference_mapping(entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, iter_rounds)
+        assert all(type(o) is MappingOutcome for o in outcomes)
+        stats = mapping_stats(outcomes)
+        assert (stats.category_counts, stats.provenance_counts, stats.disagreements) == recount(outcomes)
+
+    def test_the_vocabulary_reaches_every_provenance(self):
+        shared = {pair: Token(*pair) for pair in MEMO_TOKENS}
+        entries = [Entry(f"e{i}", term, (Definition(noun, (shared[(noun, "NOUN")],)),))
+                   for i, (term, noun) in enumerate([
+                       ("leverkoma", "sykdom"), ("leverkoma", "behandling"), ("hudsykdom", "noe"),
+                       ("noe", "kreft"), ("kreft", "blodkreft"), ("blodkreft", "leverkoma")])]
+        outcomes = map_dictionary(entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, 3)
+        assert [o.provenance for o in outcomes] == [
+            Provenance.MULTI, Provenance.SUFF, Provenance.KW_E, Provenance.ITER, Provenance.ITER,
+            Provenance.ITER]
+        assert outcomes == reference_mapping(entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, 3)
+
+
 class TestMappingStats:
     def test_simple_counts(self):
         outcomes = map_dictionary(
@@ -249,15 +355,7 @@ class TestMappingStats:
 
     def test_fixture_counts_match_brute_force_recount(self, fixture_outcomes):
         stats = mapping_stats(fixture_outcomes)
-        by_category: dict[str, int] = {}
-        by_provenance: dict[str, int] = {}
-        disagreements = 0
-        for o in fixture_outcomes:
-            by_provenance[str(o.provenance)] = by_provenance.get(str(o.provenance), 0) + 1
-            if o.category is not None:
-                by_category[str(o.category)] = by_category.get(str(o.category), 0) + 1
-            if len({v.category for v in o.votes}) > 1:
-                disagreements += 1
+        by_category, by_provenance, disagreements = recount(fixture_outcomes)
         assert stats.category_counts == by_category
         assert stats.provenance_counts == by_provenance
         assert stats.disagreements == disagreements == 2

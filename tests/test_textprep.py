@@ -72,6 +72,19 @@ class TestIngestConllu:
             ("sykdom", "NOUN"),
         ]
 
+    def test_equal_pairs_share_one_token(self):
+        text = conllu_text(
+            ("e1", [("sykdom", "NOUN"), ("i", "ADP"), ("sykdom", "NOUN")]),
+            ("e2", [("i", "ADP"), ("sykdom", "NOUN"), ("sykdom", "PROPN"), ("Sykdom", "NOUN")]),
+        )
+        result = ingest_conllu(io.StringIO(text))
+        (a, i, b), (j, c, proper, upper) = result["e1"], result["e2"]
+        assert a is b is c and i is j
+        assert len({id(t) for t in (a, i, proper, upper)}) == 4
+        assert type(result["e1"]) is list
+        # Each call has its own tokens.
+        assert ingest_conllu(io.StringIO(text))["e1"][0] is not a
+
     def test_empty_stream_gives_empty_map(self):
         assert ingest_conllu(io.StringIO("")) == {}
 
