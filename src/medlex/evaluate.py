@@ -140,11 +140,11 @@ def stratified_sample(
     if quota_per_category < 1:
         raise ValueError("quota must be >= 1")
     rng = random.Random(seed)
+    # _value_ is the label str() gives, without the enum's Python-level __str__ and __hash__.
     by_category: dict[str, list[MappingOutcome]] = {}
     for o in outcomes:
-        if o.category is None:
-            continue
-        by_category.setdefault(str(o.category), []).append(o)
+        if o.category is not None:
+            by_category.setdefault(o.category._value_, []).append(o)
 
     sample: list[str] = []
     for label in sorted(by_category):
@@ -152,17 +152,17 @@ def stratified_sample(
         if len(members) <= quota_per_category:
             sample.extend(o.entry_id for o in members)
             continue
-        strata: dict[Provenance, list[str]] = {p: [] for p in SAMPLE_STRATA}
+        strata: dict[str, list[str]] = {p._value_: [] for p in SAMPLE_STRATA}
         for o in members:
-            strata[o.provenance].append(o.entry_id)
-        for p in SAMPLE_STRATA:
-            rng.shuffle(strata[p])
+            strata[o.provenance._value_].append(o.entry_id)
+        for stratum in strata.values():
+            rng.shuffle(stratum)
         # Members outnumber the quota, so each round picks at least one.
         picked: list[str] = []
         while len(picked) < quota_per_category:
-            for p in SAMPLE_STRATA:
-                if strata[p] and len(picked) < quota_per_category:
-                    picked.append(strata[p].pop())
+            for stratum in strata.values():
+                if stratum and len(picked) < quota_per_category:
+                    picked.append(stratum.pop())
         sample.extend(picked)
     return sample
 
@@ -330,7 +330,7 @@ def read_gold(path: str | Path) -> dict[str, Category]:
     gold: dict[str, Category] = {}
     lineno, cols = 0, []
     try:
-        for lineno, line in data_lines(split_lines(text)):
+        for lineno, line in data_lines(split_lines(text), tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) != 2:
                 raise column_count_error("2", len(cols))

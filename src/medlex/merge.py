@@ -196,7 +196,7 @@ def load_manifest(path: str | Path, mapped_name: str | None = None) -> list[Reso
             except ValueError as exc:
                 raise ParseError(f"resource #{i}: {exc}", where) from None
         return specs
-    for lineno, line in data_lines(split_lines(text)):
+    for lineno, line in data_lines(split_lines(text), tsv=not jsonl, comments=True):
         try:
             specs.append(_spec(json_object(line) if jsonl else _tsv_object(line), names))
         except ValueError as exc:
@@ -321,7 +321,7 @@ def resource_rows(
     resolved: dict[str, Category | None] = {}
     lineno = 0
     try:
-        for lineno, line in data_lines(split_lines(text)):
+        for lineno, line in data_lines(split_lines(text), tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) < need:
                 raise column_count_error(f"at least {need}", len(cols))

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import ParseError
-from .io import column_count_error, json_field, json_object, read_text, sniff_format, split_lines, write_text
+from .io import (column_count_error, data_lines, json_field, json_object, read_text, sniff_format, split_lines,
+                 write_text)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -93,11 +94,29 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
     write_text(path, render_outcomes(outcomes, sniff_format(path, fmt)))
 
 
-def _json_id_term(obj: dict) -> tuple[str, str]:
-    """A JSON-lines row's ``id`` and ``term``: strings, except that an
-    integer ``id`` is read as its decimal text. A value of another type
-    raises ValueError."""
-    return str(json_field(obj, "id", str, int)), json_field(obj, "term", str)
+def id_and_term(row: dict[str, Any] | list[str]) -> tuple[str, str]:
+    """The id and term, as written, of a dictionary or outcome row: a
+    JSON-lines object or a TSV row's columns. Checked in this order, each
+    fault a ValueError: a JSON id must be a string or an integer (read as
+    its decimal text) and a term a string, neither may hold a tab, CR or
+    LF (a TSV column holds none), and the term, then the id, must not be
+    blank."""
+    if type(row) is dict:
+        entry_id, term = row.get("id"), row.get("term")
+        if type(entry_id) is not str or type(term) is not str:
+            entry_id, term = str(json_field(row, "id", str, int)), json_field(row, "term", str)
+        # The outcome file holds both in tab-separated lines.
+        if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
+            raise ValueError("ids must not contain tabs or newlines")
+        if "\t" in term or "\n" in term or "\r" in term:
+            raise ValueError("terms must not contain tabs or newlines")
+    else:
+        entry_id, term = row[0], row[1]
+    if not term.strip():
+        raise ValueError("empty term")
+    if not entry_id.strip():
+        raise ValueError("missing entry id")
+    return entry_id, term
 
 
 def _provenance(text: str) -> Provenance:
@@ -106,14 +125,6 @@ def _provenance(text: str) -> Provenance:
         return Provenance[text]
     except KeyError:
         raise ValueError(f"unknown provenance {text!r}") from None
-
-
-def _check_tab_free(entry_id: str, term: str) -> None:
-    """Outcome rows are tab-separated lines holding the id and the term."""
-    if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
-        raise ValueError("ids must not contain tabs or newlines")
-    if "\t" in term or "\n" in term or "\r" in term:
-        raise ValueError("terms must not contain tabs or newlines")
 
 
 def read_outcomes(path: str | Path) -> list[MappingOutcome]:
@@ -136,17 +147,11 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     # have passed validate(); the checks do not depend on the id or term.
     checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
     parsed_votes: dict[str, Vote] = {}
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        # A TSV line with a tab is a row, even when its columns are blank.
-        if not raw.strip() and (jsonl or "\t" not in raw):
-            continue
+    for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
         try:
             if jsonl:
                 obj = json_object(raw)
-                entry_id, term = obj.get("id"), obj.get("term")
-                if type(entry_id) is not str or type(term) is not str:
-                    entry_id, term = _json_id_term(obj)
-                _check_tab_free(entry_id, term)
+                entry_id, term = id_and_term(obj)
                 category, provenance = obj.get("category", ""), obj.get("provenance")
                 votes = obj.get("votes", "")
                 if category is None:
@@ -162,11 +167,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                     continue
                 if len(cols) != 5:
                     raise column_count_error("5", len(cols))
-                entry_id, term, category, provenance, votes = cols
-            if not term.strip():
-                raise ValueError("empty term")
-            if not entry_id.strip():
-                raise ValueError("missing entry id")
+                entry_id, term = id_and_term(cols)
+                category, provenance, votes = cols[2:]
             key = (category, provenance, votes)
             values = checked.get(key)
             if values is None:

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
-from .io import column_count_error, json_field, json_object, read_text, sniff_format, split_lines
+from .io import column_count_error, data_lines, json_field, json_object, read_text, sniff_format, split_lines
 from .model import (
     Category,
     Definition,
@@ -22,7 +22,7 @@ from .model import (
     normalize_term,
     resolve_votes,
 )
-from .outcomes import _check_tab_free, _json_id_term, count_table, read_outcomes, write_outcomes
+from .outcomes import count_table, id_and_term, read_outcomes, write_outcomes
 from .strategies import KeywordTable, SuffixTable, kw_entry_vote, kw_firstnoun_vote, suffix_vote
 from .textprep import Sentences, StopConfig, extract_first_noun, heuristic_tag
 
@@ -233,20 +233,14 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
     jsonl = sniff_format(p, fmt) == "jsonl"
     lineno = 0
     try:
-        for lineno, raw in enumerate(split_lines(text), start=1):
-            # A TSV line with a tab is a row, even when its columns are blank.
-            if not raw.strip() and (jsonl or "\t" not in raw):
-                continue
+        for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
             if jsonl:
                 obj = json_object(raw)
-                entry_id, term = obj.get("id"), obj.get("term")
+                entry_id, term = id_and_term(obj)
                 defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
                 # The usual row has only strings; any other goes through
-                # json_field, which names the first value that is missing or
-                # of the wrong type.
-                if (type(entry_id) is not str or type(term) is not str or type(defs[0]) is not str
-                        or type(synonym_of) is not str or "definitions" in obj):
-                    entry_id, term = _json_id_term(obj)
+                # json_field, which names the first value of the wrong type.
+                if type(defs[0]) is not str or type(synonym_of) is not str or "definitions" in obj:
                     if "definitions" in obj:
                         defs = json_field(obj, "definitions", list, items=str)
                     else:
@@ -257,19 +251,11 @@ def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
                     raise column_count_error("3 or 4", len(cols))
-                entry_id, term, defs = cols[0], cols[1], [cols[2]]
-                synonym_of = cols[3] if len(cols) == 4 else ""
-            entry_id = entry_id.strip()
-            if not entry_id:
-                raise ValueError("missing entry id")
+                entry_id, term = id_and_term(cols)
+                defs, synonym_of = [cols[2]], cols[3] if len(cols) == 4 else ""
+            entry_id, term = entry_id.strip(), term.strip()
             if entry_id in by_id:
                 raise ValueError(f"duplicate entry id {entry_id!r}")
-            # A TSV column, cut at tabs from one line, holds no tab or line break.
-            if jsonl:
-                _check_tab_free(entry_id, term)
-            term = term.strip()
-            if not term:
-                raise ValueError("empty term")
             senses = tuple(Definition(d) for d in defs if d.strip())
             entry = by_id[entry_id] = Entry(entry_id, term, senses, synonym_of.strip() or None)
             entries.append(entry)

@@ -116,7 +116,7 @@ def _parse_table(
     rows = []
     lineno = 0
     try:
-        for lineno, line in data_lines(lines):
+        for lineno, line in data_lines(lines, tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) != 2:
                 raise column_count_error("2", len(cols))

@@ -63,7 +63,7 @@ def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
     phrases: set[str] = set()
     lineno = 0
     try:
-        for lineno, line in data_lines(lines):
+        for lineno, line in data_lines(lines, tsv=False, comments=True):
             item = " ".join(fold(line).split())
             parts = item.split(" ")
             if len(parts) > 2:
@@ -83,7 +83,7 @@ def load_stoplist(path: str | Path) -> StopConfig:
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Plain word list, one item per line, ``#`` comments, folded as terms are."""
     lines = split_lines(read_text(Path(path), "word list"))
-    return frozenset(fold(line).strip() for _, line in data_lines(lines))
+    return frozenset(fold(line).strip() for _, line in data_lines(lines, tsv=False, comments=True))
 
 
 class Sentences(dict):

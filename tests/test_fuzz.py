@@ -1,7 +1,8 @@
 """Every reader, fuzzed: each ``tests/data`` fixture, both outcome
 formats and the four shipped map tables, with one line inserted,
-deleted, truncated or duplicated or one bad byte added, fed to the
-command that reads it. The run must end in an exit code from README's
+deleted, truncated, duplicated, made a row of blank columns or given a
+``#`` at the start of a column after the first, or one bad byte added,
+fed to the command that reads it. The run must end in an exit code from README's
 table, never in a traceback; a failed run prints nothing to stdout, and
 a refused input is named in the message with the line at fault."""
 
@@ -58,11 +59,13 @@ BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
 
 @st.composite
 def mutations(draw, data: bytes) -> bytes:
-    """``data`` with one line inserted, deleted, truncated or duplicated, or
-    one byte sequence that is not UTF-8 inserted."""
+    """``data`` with one line inserted, deleted, truncated, duplicated, made
+    a row of blank columns or given a ``#`` at the start of a column after
+    the first, or one byte sequence that is not UTF-8 inserted."""
     lines = data.splitlines(keepends=True)
     i = draw(st.integers(0, len(lines) - 1))
-    op = draw(st.sampled_from(["insert", "delete", "truncate", "duplicate", "bad byte"]))
+    op = draw(st.sampled_from(["insert", "delete", "truncate", "duplicate", "blank columns", "hash column",
+                               "bad byte"]))
     if op == "insert":
         lines.insert(draw(st.integers(0, len(lines))), draw(LINES).encode("utf-8") + b"\n")
     elif op == "delete":
@@ -71,6 +74,13 @@ def mutations(draw, data: bytes) -> bytes:
         lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 2, 0)))] + b"\n"
     elif op == "duplicate":
         lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif op == "blank columns":
+        lines[i] = b"\t".join(b" " for _ in lines[i].rstrip(b"\r\n").split(b"\t")) + b"\n"
+    elif op == "hash column":
+        tabs = [at for at, byte in enumerate(lines[i]) if byte == ord("\t")]
+        if tabs:
+            at = draw(st.sampled_from(tabs)) + 1
+            lines[i] = lines[i][:at] + b"#" + lines[i][at:]
     else:
         at = draw(st.integers(0, len(data)))
         return data[:at] + draw(BAD_BYTES) + data[at:]

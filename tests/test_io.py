@@ -143,6 +143,23 @@ def dictionary_id_with_line_break(tmp, data):
     return ["map", "--dict", d], f"{d}:1: ids must not contain tabs or newlines"
 
 
+def dictionary_blank_columns(tmp, data):
+    # The term is checked before the id.
+    d = put(tmp / "d.tsv", GOOD_DICT + " \t \t \n")
+    return ["map", "--dict", d], f"{d}:2: empty term"
+
+
+def dictionary_id_ending_in_tab(tmp, data):
+    # Refused before the id is trimmed, as a term ending in a tab is.
+    d = put(tmp / "d.jsonl", '{"id": "e1\\t", "term": "kniv"}\n')
+    return ["map", "--dict", d], f"{d}:1: ids must not contain tabs or newlines"
+
+
+def dictionary_term_ending_in_tab(tmp, data):
+    d = put(tmp / "d.jsonl", '{"id": "e1", "term": "kniv\\t"}\n')
+    return ["map", "--dict", d], f"{d}:1: terms must not contain tabs or newlines"
+
+
 def keyword_with_colon(tmp, data):
     kw = put(tmp / "kw.tsv", "# keywords\nab:cde\tTOOL\n")
     d = put(tmp / "d.tsv", "e1\tkniv\tab:cde\n")
@@ -349,6 +366,9 @@ def manifest_per_entry_category(tmp, data):
         dictionary_integer_too_long,
         dictionary_id_with_tab,
         dictionary_id_with_line_break,
+        dictionary_blank_columns,
+        dictionary_id_ending_in_tab,
+        dictionary_term_ending_in_tab,
         keyword_with_colon,
         suffix_with_semicolon,
         outcomes_string_line,
@@ -419,6 +439,63 @@ def test_a_wrong_column_count_is_refused_in_one_wording(reader, tmp_path, capsys
     got = len(row.split("\t"))
     wording = f"expected {expected} tab-separated columns, got {got}"
     assert re.fullmatch(rf"error: {re.escape(paths['file'])}:1: (resource R: |bad outcome row: )?{wording}\n", err), err
+
+
+# For each TSV reader that takes comments: the file it reads, a good first
+# row, and the command. A second row of blank columns is a row, refused at
+# its line (the dictionary's and the outcome file's are cases above).
+BLANK_ROW_READERS = {
+    "FIXED resource": ("r.tsv", "C1\tkniv", ["merge", "--manifest", "{fixed}", "--mapped", "{mapped}",
+                                             "--out", "{lexicon}"]),
+    "PER_ENTRY resource": ("r.tsv", "C1\tkniv\tTOOL", ["merge", "--manifest", "{per_entry}", "--mapped", "{mapped}",
+                                                      "--out", "{lexicon}"]),
+    "gold": ("g.tsv", "leukemi\tCONDITION", ["eval", "gold", "--gold", "{file}", "--mapped", "{mapped}"]),
+    "suffix table": ("s.tsv", "-emi\tCONDITION", ["map", "--dict", "{dict}", "--suffixes", "{file}"]),
+    "keyword table": ("k.tsv", "kniv\tTOOL", ["map", "--dict", "{dict}", "--keywords", "{file}"]),
+    "manifest": ("m.tsv", "R\tr.tsv\tFIXED\tTOOL\t1\tterm=0",
+                 ["eval", "overlap", "--mapped", "{mapped}", "--manifest", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BLANK_ROW_READERS))
+def test_a_row_of_blank_columns_exits_2_at_its_line(reader, tmp_path, capsys):
+    name, row, argv = BLANK_ROW_READERS[reader]
+    blank = "\t".join(" " for _ in row.split("\t"))
+    paths = {
+        "file": put(tmp_path / name, f"{row}\n{blank}\n"),
+        "dict": put(tmp_path / "dict.tsv", GOOD_DICT),
+        "mapped": put(tmp_path / "mapped.tsv", OUTCOME_HEADER + "e1\tleukemi\tCONDITION\tITER\t\n"),
+        "fixed": put(tmp_path / "fixed.tsv", "R\tr.tsv\tFIXED\tTOOL\t1\tterm=1,code=0\n"),
+        "per_entry": put(tmp_path / "per_entry.tsv", "R\tr.tsv\tPER_ENTRY\t\t1\tterm=1,category=2\n"),
+        "lexicon": str(tmp_path / "lexicon.tsv"),
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {paths['file']}:2: "), err
+    assert not (tmp_path / "lexicon.tsv").exists()
+
+
+def test_a_hash_after_an_empty_first_column_is_a_row(tmp_path, capsys):
+    manifest = put(tmp_path / "m.tsv", "R\tr.tsv\tPER_ENTRY\t\t1\tterm=1,category=2\n")
+    put(tmp_path / "r.tsv", "C1\tkniv\tTOOL\n\t#5-HT\tSUBSTANCE\n#C2\tsag\tTOOL\nC3\tsaks\tTOOL\n")
+    mapped = put(tmp_path / "mapped.tsv", OUTCOME_HEADER)
+    lexicon = tmp_path / "lexicon.tsv"
+    assert main(["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(lexicon)]) == 0
+    assert re.search(r"^R +3 +3 +0$", capsys.readouterr().out, re.M)
+    terms = [line.split("\t")[0] for line in lexicon.read_text(encoding="utf-8").splitlines()[1:]]
+    assert terms == ["#5-HT", "kniv", "saks"]
+
+
+@pytest.mark.parametrize("load", [load_keyword_table, load_suffix_table])
+def test_a_table_row_whose_first_column_begins_with_a_hash_is_a_comment(load, tmp_path):
+    table = load(put(tmp_path / "t.tsv", "#kniv\tTOOL\n  #sag\tTOOL\nsaks\tTOOL\n"))
+    assert [trigger for trigger, _ in table.entries] == ["saks"]
+
+
+def test_a_dictionary_takes_no_comments(tmp_path):
+    path = put(tmp_path / "d.tsv", "#e1\tkniv\tverktøy\n# e2\tsag\tverktøy\n")
+    assert [(e.id, e.term) for e in read_dictionary(path)] == [("#e1", "kniv"), ("# e2", "sag")]
 
 
 @pytest.mark.parametrize(
@@ -533,15 +610,23 @@ class TestLineBreaks:
     def test_split_lines_agrees_with_splitlines_on_cr_and_lf(self, text):
         assert io.split_lines(text) == text.splitlines()
 
-    @given(st.lists(st.text(alphabet=st.sampled_from(SPACES + "#ab\r\n"), max_size=8), max_size=8))
-    def test_data_lines_matches_the_strip_form(self, lines):
+    @given(st.lists(st.text(alphabet=st.sampled_from("\t\t#ab\r\n" + SPACES), max_size=8), max_size=8),
+           st.booleans(), st.booleans())
+    def test_data_lines_matches_a_brute_force_reference(self, lines, tsv, comments):
         def reference(lines):
             for lineno, raw in enumerate(lines, start=1):
                 line = raw.rstrip("\r\n")
-                if line.strip() and not line.lstrip().startswith("#"):
-                    yield lineno, line
+                if tsv and "\t" in line:
+                    first_column = line.split("\t")[0]
+                    comment = comments and first_column.strip().startswith("#")
+                    if not comment:
+                        yield lineno, line
+                else:
+                    text = line.strip()
+                    if text and not (comments and text.startswith("#")):
+                        yield lineno, line
 
-        assert list(io.data_lines(lines)) == list(reference(lines))
+        assert list(io.data_lines(lines, tsv=tsv, comments=comments)) == list(reference(lines))
 
     def test_unicode_line_breaks_stay_inside_a_jsonl_row(self, tmp_path, data_dir, capsys):
         row = {"id": "e1", "term": "akutt\u2028leuk\x85emi", "definition": "sykdom\u2028i\x85blodet"}

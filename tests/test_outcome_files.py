@@ -27,7 +27,7 @@ from medlex.model import (
     normalize_term,
     parse_category,
 )
-from medlex.outcomes import _json_id_term, read_outcomes, render_outcomes
+from medlex.outcomes import read_outcomes, render_outcomes
 from medlex.pipeline import attach_tokens, map_dictionary, read_dictionary, resolve_synonyms, resolve_votes
 from medlex.strategies import parse_keyword_table, parse_suffix_table
 
@@ -81,30 +81,32 @@ def oracle_read(path):
         try:
             if use == "jsonl":
                 obj = oracle_json_object(raw)
-                entry_id, term = _json_id_term(obj)
+                entry_id, term = str(json_field(obj, "id", str, int)), json_field(obj, "term", str)
                 # As in a dictionary: the TSV outcome and lexicon rows hold
                 # both, so they are checked before any other field is read.
                 for what, text in (("ids", entry_id), ("terms", term)):
                     if "\t" in text or "\n" in text or "\r" in text:
                         raise ValueError(f"{what} must not contain tabs or newlines")
-                # Each value must have its JSON type: category a string or
-                # null, provenance a string, votes a string; only category and
-                # votes may be absent.
-                category = json_field(obj, "category", str, optional=True) or ""
-                provenance = json_field(obj, "provenance", str)
-                votes = json_field(obj, "votes", str) if "votes" in obj else ""
-                cols = [entry_id, term, category, provenance, votes]
             else:
                 if lineno == 1 and raw.split("\t")[:2] == ["id", "term"]:
                     continue
                 cols = raw.split("\t")
                 if len(cols) != 5:
                     raise ValueError(f"expected 5 tab-separated columns, got {len(cols)}")
-            entry_id, term, category, provenance, votes = cols
+                entry_id, term = cols[:2]
             if not term.strip():
                 raise ValueError("empty term")
             if not entry_id.strip():
                 raise ValueError("missing entry id")
+            if use == "jsonl":
+                # Each value must have its JSON type: category a string or
+                # null, provenance a string, votes a string; only category and
+                # votes may be absent.
+                category = json_field(obj, "category", str, optional=True) or ""
+                provenance = json_field(obj, "provenance", str)
+                votes = json_field(obj, "votes", str) if "votes" in obj else ""
+            else:
+                category, provenance, votes = cols[2:]
             category = parse_category(category) if category else None
             if provenance not in Provenance.__members__:
                 raise ValueError(f"unknown provenance {provenance!r}")
