@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument(
         "--out", type=_path, required=True, help="lexicon file, in the format its suffix names"
     )
-    # None: the defaults of merge.mapped_records.
+    # None: the defaults of merge.mapped_source.
     p_merge.add_argument(
         "--mapped-name",
         help="source name of the mapped entries: not blank, no tab, CR, LF or ',', "
@@ -201,10 +201,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
         check_source_name,
         export_lexicon,
         format_merge_report,
-        ingest_resource,
         load_manifest,
-        mapped_records,
-        merge_lexicons,
+        mapped_source,
+        merge_sources,
+        resource_source,
     )
 
     name = DEFAULT_MAPPED_NAME if args.mapped_name is None else args.mapped_name
@@ -216,10 +216,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
     outcomes = read_outcomes(args.mapped)
     specs = load_manifest(args.manifest, name)
     base_dir = Path(args.manifest).parent
-    resources = [ingest_resource(spec, base_dir) for spec in specs]
-    mapped = mapped_records(outcomes, name, rank)
-    records, report = merge_lexicons(mapped, resources, lowercase=args.lowercase)
-    export_lexicon(records, args.out)
+    resources = (resource_source(spec, base_dir) for spec in specs)
+    rows, report = merge_sources(mapped_source(outcomes, name, rank), resources, args.lowercase)
+    export_lexicon(rows, args.out)
     sys.stdout.write(format_merge_report(report))
     return 0
 

@@ -8,7 +8,8 @@ import enum
 import json
 import logging
 from collections import Counter
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -218,6 +219,7 @@ def _tsv_object(line: str) -> dict[str, object]:
         raise column_count_error("6", len(cols))
     name, file, mode, cat_or_rules, rank, layout_text = cols
     name = name.strip()
+    check_source_name(name)  # first, as in _spec
     obj: dict[str, object] = {"name": name, "file": file.strip(), "mode": mode,
                               "trust_rank": _tsv_int(name, '"trust_rank"', rank)}
     layout = obj["layout"] = {}
@@ -247,14 +249,15 @@ def _tsv_int(name: str, key: str, text: str) -> int:
 def _spec(obj: object, names: dict[str, str]) -> ResourceSpec:
     """The resource one manifest object declares; ``names`` maps each name
     taken before it to the fault of taking it again, and this one's is
-    added. Each value must
-    have its JSON type; an optional one (``category``, ``rules``,
+    added. The name is checked first, as every later fault names it. Each
+    value must have its JSON type; an optional one (``category``, ``rules``,
     ``default``, ``layout``) may be null or absent, and a category (other
     than empty) or rules that the mode does not use are refused. A fault
     raises ValueError, to which the reader adds where the entry is."""
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     name = json_field(obj, "name", str)
+    check_source_name(name)
     try:
         file = json_field(obj, "file", str)
         mode_text = json_field(obj, "mode", str)
@@ -365,22 +368,140 @@ def _route_chapter(spec: ResourceSpec, chapter: str) -> Category | None:
     return category
 
 
+# A source for ``merge_sources``: its name, its trust rank and its rows,
+# (term, category, provenance) in order; a row whose category is None is
+# counted as excluded.
+Source = tuple[str, int, Iterable[tuple[str, Category | None, str]]]
+
+
+def resource_source(spec: ResourceSpec, base_dir: str | Path | None = None) -> Source:
+    """One resource as a source for ``merge_sources``, its file read when
+    the merge reaches it; a row's provenance is the resource's name."""
+    name = spec.name
+    return name, spec.trust_rank, ((term, category, name) for term, category in resource_rows(spec, base_dir))
+
+
+def mapped_source(
+    outcomes: Iterable[MappingOutcome],
+    name: str = DEFAULT_MAPPED_NAME,
+    trust_rank: int = DEFAULT_MAPPED_RANK,
+) -> Source:
+    """Mapped dictionary outcomes as a source for ``merge_sources``; an
+    unmapped entry is counted as excluded."""
+    # _value_ is the label str() gives, read without the enum's Python-level __str__.
+    return name, trust_rank, ((o.term, o.category, o.provenance._value_) for o in outcomes)
+
+
 def mapped_records(
     outcomes: Iterable[MappingOutcome],
     name: str = DEFAULT_MAPPED_NAME,
     trust_rank: int = DEFAULT_MAPPED_RANK,
 ) -> IngestResult:
-    """Mapped dictionary outcomes as a mergeable source; unmapped entries
-    are counted as excluded."""
+    """Mapped dictionary outcomes as records, as ``mapped_source`` reads
+    them; unmapped entries are counted as excluded."""
     records = []
-    ingested = excluded = 0
-    for o in outcomes:
-        ingested += 1
-        if o.category is None:
-            excluded += 1
-            continue
-        records.append(SourceRecord(o.term, o.category, name, str(o.provenance), trust_rank))
-    return IngestResult(name, tuple(records), ingested, excluded)
+    ingested = 0
+    for ingested, (term, category, provenance) in enumerate(mapped_source(outcomes)[2], start=1):
+        if category is not None:
+            records.append(SourceRecord(term, category, name, provenance, trust_rank))
+    return IngestResult(name, tuple(records), ingested, ingested - len(records))
+
+
+def merge_sources(
+    mapped: Source | None,
+    resources: Iterable[Source],
+    lowercase: bool = True,
+) -> tuple[list[tuple[str, str, str, str]], MergeReport]:
+    """Merge the sources, the mapped one first, into the lexicon's rows,
+    one per normalized term, sorted by it. A row is a plain tuple of the
+    four columns ``LexiconRecord`` names.
+
+    Within a term's group of rows the category of the lowest trust rank
+    wins; a mapped-dictionary category overridden by a more trusted
+    resource is logged as a correction. At the lowest rank each source
+    counts once, by its earliest row (a later row that disagrees with it
+    is dropped with a warning); disagreements between different sources
+    at that rank are refused. Each source's name must pass
+    ``check_source_name`` and differ from the others' (ValueError).
+
+    A term's row is built at its first row; a term met again gets its
+    rows as records, and only those groups are resolved.
+    """
+    sources = resources if mapped is None else chain([mapped], resources)
+    mapped_name = None if mapped is None else mapped[0]
+    lexicon: dict[str, tuple[str, str, str, str]] = {}
+    setdefault = lexicon.setdefault
+    # The rows of each key met more than once, in source and row order.
+    more: dict[str, list[SourceRecord]] = {}
+    ranks: dict[str, int] = {}
+    # The one string for each combination of sources (a lone name is one).
+    combinations: dict[str, str] = {}
+    resource_counts = []
+    for name, rank, rows in sources:
+        check_source_name(name)
+        if name in ranks:
+            raise ValueError(f"source name {name!r} is given twice")
+        ranks[name] = rank
+        combinations[name] = name
+        ingested = excluded = 0
+        for ingested, (term, category, provenance) in enumerate(rows, start=1):
+            if category is None:
+                excluded += 1
+                continue
+            key = normalize_term(term, lowercase)
+            row = (term, category._value_, name, provenance)
+            first = setdefault(key, row)
+            if first is not row:
+                # What SourceRecord._make does, without the Python-level __new__.
+                record = tuple.__new__(SourceRecord, (term, category, name, provenance, rank))
+                group = more.get(key)
+                if group is None:
+                    # The first row, rebuilt; a label is its member's name.
+                    term0, label0, name0, provenance0 = first
+                    more[key] = [SourceRecord(term0, Category[label0], name0, provenance0, ranks[name0]), record]
+                else:
+                    group.append(record)
+        resource_counts.append((name, ingested, ingested - excluded, excluded))
+
+    conflicts: list[tuple[str, str, str, str, str]] = []
+    corrections: list[Correction] = []
+    combination_counts: dict[str, int] = {}  # of two or more sources
+    for key in sorted(more):
+        group = more[key]
+        winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
+        rank, category = winner.trust_rank, winner.category
+        if any(r.category is not category and r.trust_rank == rank for r in group):
+            conflicts += _equal_rank_conflicts(key, group, winner)
+        sources_column = ",".join(sorted({r.source for r in group}))
+        sources_column = combinations.setdefault(sources_column, sources_column)
+        if "," in sources_column:
+            combination_counts[sources_column] = combination_counts.get(sources_column, 0) + 1
+        if mapped_name is not None and winner.source != mapped_name:
+            for r in group:
+                if r.source == mapped_name and r.category is not category:
+                    corrections.append(Correction(r.term, r.category, category, winner.source))
+                    break
+        lexicon[key] = (winner.term, category._value_, sources_column, winner.provenance)
+
+    if conflicts:
+        raise MergeConflictError(conflicts)
+
+    pair_counts: dict[tuple[str, str], int] = {}
+    for sources_column, n in combination_counts.items():
+        combination = sources_column.split(",")
+        for i, a in enumerate(combination):
+            for b in combination[i + 1 :]:
+                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
+
+    rows = [lexicon[key] for key in sorted(lexicon)]
+    report = MergeReport(
+        resource_counts=tuple(resource_counts),
+        overlap_pairs=tuple((a, b, n) for (a, b), n in sorted(pair_counts.items())),
+        corrections=tuple(corrections),
+        category_counts=dict(Counter(map(itemgetter(1), rows))),
+        total=len(rows),
+    )
+    return rows, report
 
 
 def merge_lexicons(
@@ -388,97 +509,18 @@ def merge_lexicons(
     resources: Sequence[IngestResult],
     lowercase: bool = True,
 ) -> tuple[list[LexiconRecord], MergeReport]:
-    """Merge all sources into one deduplicated lexicon.
+    """``merge_sources`` over ingested records, its rows as records: each
+    result is a source at the rank its records carry, counted as it was
+    ingested."""
 
-    Groups records by normalized term. Within a group the category of
-    the lowest trust rank wins; a mapped-dictionary category overridden
-    by a more trusted resource is logged as a correction. At the lowest
-    rank each source counts once, by its earliest row (a later row that
-    disagrees with it is dropped with a warning); disagreements between
-    different sources at that rank are refused.
-    """
-    sources = ([mapped] if mapped is not None else []) + list(resources)
-    mapped_name = mapped.name if mapped is not None else None
+    def source(result: IngestResult) -> Source:
+        rank = result.records[0].trust_rank if result.records else 0  # no rows, no rank used
+        return result.name, rank, [(r.term, r.category, r.provenance) for r in result.records]
 
-    # The first record of each key; a key seen again gets its whole group,
-    # in source and row order, in ``more``. Most keys are seen once.
-    firsts: dict[str, SourceRecord] = {}
-    more: dict[str, list[SourceRecord]] = {}
-    for result in sources:
-        for record in result.records:
-            key = normalize_term(record.term, lowercase)
-            first = firsts.get(key)
-            if first is None:
-                firsts[key] = record
-            else:
-                group = more.get(key)
-                if group is None:
-                    more[key] = [first, record]
-                else:
-                    group.append(record)
-
-    conflicts: list[tuple[str, str, str, str, str]] = []
-    corrections: list[Correction] = []
-    records: list[LexiconRecord] = []
-    append = records.append
-    # One frozenset per distinct combination of sources, shared by every
-    # record with that combination (``single`` finds a one-source set by the
-    # source's name); the combinations of two or more sources are counted
-    # and expanded into overlap pairs once, after the loop.
-    single: dict[str, frozenset[str]] = {}
-    shared: dict[frozenset[str], frozenset[str]] = {}
-    combination_counts: dict[frozenset[str], int] = {}
-
-    for key in sorted(firsts):
-        group = more.get(key)
-        if group is None:
-            term, category, source, provenance, _ = firsts[key]
-            group_sources = single.get(source)
-            if group_sources is None:
-                combination = frozenset((source,))
-                group_sources = single[source] = shared.setdefault(combination, combination)
-            # What LexiconRecord._make does, without the Python-level __new__.
-            append(tuple.__new__(LexiconRecord, (term, category, group_sources, provenance)))
-            continue
-        winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
-        rank, category = winner.trust_rank, winner.category
-        if any(r.category is not category and r.trust_rank == rank for r in group):
-            conflicts += _equal_rank_conflicts(key, group, winner)
-        combination = frozenset([r.source for r in group])
-        group_sources = shared.setdefault(combination, combination)
-        if len(group_sources) > 1:
-            combination_counts[group_sources] = combination_counts.get(group_sources, 0) + 1
-        if mapped_name is not None and winner.source != mapped_name:
-            for r in group:
-                if r.source == mapped_name and r.category is not category:
-                    corrections.append(Correction(r.term, r.category, category, winner.source))
-                    break
-        append(LexiconRecord(winner.term, category, group_sources, winner.provenance))
-
-    if conflicts:
-        raise MergeConflictError(conflicts)
-
-    pair_counts: dict[tuple[str, str], int] = {}
-    for combination, n in combination_counts.items():
-        names = sorted(combination)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                pair_counts[(a, b)] = pair_counts.get((a, b), 0) + n
-
-    report = MergeReport(
-        resource_counts=tuple(
-            (res.name, res.ingested, res.kept, res.excluded) for res in sources
-        ),
-        overlap_pairs=tuple(
-            (a, b, n) for (a, b), n in sorted(pair_counts.items())
-        ),
-        corrections=tuple(corrections),
-        # _value_ is the label str() gives, read without calling the enum's
-        # Python-level __str__ or __hash__ (as in render_lexicon).
-        category_counts=dict(Counter(r.category._value_ for r in records)),
-        total=len(records),
-    )
-    return records, report
+    rows, report = merge_sources(None if mapped is None else source(mapped), map(source, resources), lowercase)
+    results = ([mapped] if mapped is not None else []) + list(resources)
+    counts = tuple((r.name, r.ingested, r.kept, r.excluded) for r in results)
+    return list(map(LexiconRecord._make, rows)), report._replace(resource_counts=counts)
 
 
 def _equal_rank_conflicts(
@@ -531,26 +573,22 @@ def format_merge_report(report: MergeReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_lexicon(records: Sequence[LexiconRecord], fmt: str = "tsv") -> str:
-    # Records share their sources sets, so each distinct set is sorted once.
-    sorted_sources: dict[frozenset[str], list[str]] = {}
-    lines = [] if fmt == "jsonl" else ["term\tcategory\tsources\tprovenance"]
-    for term, category, sources, provenance in records:
-        names = sorted_sources.get(sources)
-        if names is None:
-            names = sorted_sources[sources] = sorted(sources)
-        if fmt == "jsonl":
-            row = {"term": term, "category": category._value_, "sources": names,
-                   "provenance": provenance}
-            lines.append(json.dumps(row, ensure_ascii=False))
-        else:
-            lines.append("\t".join((term, category._value_, ",".join(names), provenance)))
+def render_lexicon(records: Sequence[tuple[str, str, str, str]], fmt: str = "tsv") -> str:
+    """The lexicon's text from its rows (or records): TSV with a header,
+    or one JSON object per row, whose ``sources`` lists the names the row
+    joins with ``,``."""
+    if fmt == "jsonl":
+        lines = [
+            json.dumps({"term": term, "category": category, "sources": sources.split(","),
+                        "provenance": provenance}, ensure_ascii=False)
+            for term, category, sources, provenance in records
+        ]
+    else:
+        lines = ["term\tcategory\tsources\tprovenance", *map("\t".join, records)]
     return "\n".join(lines) + "\n"
 
 
-def export_lexicon(records: Sequence[LexiconRecord], path: str | Path) -> None:
+def export_lexicon(records: Sequence[tuple[str, str, str, str]], path: str | Path) -> None:
     """Write the merged lexicon as TSV, or as JSON-lines when the path's
-    suffix says so, with a stable ordering; callers pass records already
-    sorted by merge."""
+    suffix says so, in the order of ``records``."""
     write_text(path, render_lexicon(records, sniff_format(path)))
-

@@ -289,9 +289,11 @@ class MappingOutcome(NamedTuple):
 
 
 class LexiconRecord(NamedTuple):
-    """One merged, deduplicated row of the final lexicon."""
+    """One merged, deduplicated row of the lexicon, as its file holds it:
+    the category's label, and the sorted names of the row's sources joined
+    by ``,`` (a source name holds no ``,``)."""
 
     term: str
-    category: Category
-    sources: frozenset[str]
+    category: str
+    sources: str
     provenance: str

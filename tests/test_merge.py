@@ -5,13 +5,16 @@ import logging
 import re
 import tempfile
 import unicodedata
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlex.errors import MergeConflictError, ParseError
+from medlex.cli import main
+from medlex.errors import MedlexError, MergeConflictError, ParseError
 from medlex.io import read_text, split_lines
 from medlex.merge import (
     ChapterRule,
@@ -21,10 +24,12 @@ from medlex.merge import (
     ResourceSpec,
     SourceRecord,
     export_lexicon,
+    format_merge_report,
     ingest_resource,
     load_manifest,
     mapped_records,
     merge_lexicons,
+    merge_sources,
     render_lexicon,
 )
 from medlex.merge import _route_chapter
@@ -37,6 +42,7 @@ from medlex.model import (
     normalize_term,
     parse_category,
 )
+from medlex.outcomes import read_outcomes, write_outcomes
 
 
 def fixed_spec(tmp_path, rows, name="RES", category="SUBSTANCE", rank=1):
@@ -206,7 +212,8 @@ def variant(words, pads=("", " ", "\u00a0")):
     )
 
 
-RESOURCE_TERMS = st.one_of(variant(["feber", "blå kors", "Ærlig sak"]), st.sampled_from([" ", ""]))
+GOOD_RESOURCE_TERMS = variant(["feber", "blå kors", "Ærlig sak"])
+RESOURCE_TERMS = st.one_of(GOOD_RESOURCE_TERMS, st.sampled_from([" ", ""]))
 GOOD_LABELS = variant(["CONDITION", "ANAT_LOC", "anat-loc", "MICROORGANISM", "Procedure"])
 # A bad value often starts like a good one, as a cache keyed on less than
 # the whole text would confuse them.
@@ -217,8 +224,9 @@ NOISE_LINES = st.sampled_from(["", "   ", "\u00a0", "# note", "  # indented\tnot
 
 
 @st.composite
-def resource_files(draw):
-    """(manifest TSV line, resource file text) for one resource of any mode."""
+def resource_files(draw, faults=True):
+    """(manifest TSV line, resource file text) for one resource of any mode;
+    without ``faults``, no row is blank or has a bad value."""
     mode = draw(st.sampled_from(["FIXED", "PER_ENTRY", "CHAPTERED"]))
     columns = draw(st.permutations([0, 1, 2]))
     term_column, value_column, code_column = columns
@@ -245,13 +253,13 @@ def resource_files(draw):
 
     def row(value):
         cols = ["A10"] * (need + draw(st.integers(0, 1)))
-        cols[term_column] = draw(RESOURCE_TERMS)
+        cols[term_column] = draw(RESOURCE_TERMS if faults else GOOD_RESOURCE_TERMS)
         if mode != "FIXED":
             cols[value_column] = value
         return "\t".join(cols)
 
     lines = [row(draw(good)) for _ in range(draw(st.integers(1, 12)))]
-    if draw(st.booleans()):
+    if faults and draw(st.booleans()):
         lines.insert(draw(st.integers(1, len(lines))), row(draw(bad)))
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(draw(st.integers(0, len(lines))), draw(NOISE_LINES))
@@ -289,15 +297,15 @@ class TestMergeLexicons:
         icd = result_of(source("leukemi", Category.CONDITION, "ICD-10", 2), name="ICD-10")
         records, report = merge_lexicons(mo, [icd])
         assert len(records) == 1
-        assert records[0].sources == frozenset({"MO", "ICD-10"})
-        assert records[0].category is Category.CONDITION
+        assert records[0].sources == "ICD-10,MO"
+        assert records[0].category == "CONDITION"
         assert report.corrections == ()
 
     def test_trusted_resource_overrides_and_logs_correction(self):
         mo = result_of(source("forbrenning", Category.PHYSIOLOGY, "MO", 100), name="MO")
         icpc = result_of(source("forbrenning", Category.CONDITION, "ICPC-2", 3), name="ICPC-2")
         records, report = merge_lexicons(mo, [icpc])
-        assert records[0].category is Category.CONDITION
+        assert records[0].category == "CONDITION"
         assert len(report.corrections) == 1
         c = report.corrections[0]
         assert (c.term, c.old_category, c.new_category, c.resource) == (
@@ -324,7 +332,7 @@ class TestMergeLexicons:
             source("\u1e98x", Category.SUBSTANCE),
         )
         lower, _ = merge_lexicons(None, [res], lowercase=True)
-        assert [(r.term, r.sources) for r in lower] == [("W\u030ax", frozenset({"RES"}))]
+        assert [(r.term, r.sources) for r in lower] == [("W\u030ax", "RES")]
         cased, _ = merge_lexicons(None, [res], lowercase=False)
         assert len(cased) == 2
 
@@ -394,9 +402,7 @@ class TestWithinSourceDisagreement:
             MappingOutcome("e2", "kjerne", Category.TOOL, Provenance.ITER),
         ]
         records, report = merge_lexicons(mapped_records(outcomes), [])
-        assert [(r.term, r.category, r.sources) for r in records] == [
-            ("kjerne", Category.ANAT_LOC, frozenset({"MO"}))
-        ]
+        assert [(r.term, r.category, r.sources) for r in records] == [("kjerne", "ANAT_LOC", "MO")]
         assert report.corrections == ()
         assert merge_warnings(caplog) == [
             "term 'kjerne' has both ANAT_LOC and TOOL in MO; merge uses the earliest"
@@ -409,7 +415,7 @@ class TestWithinSourceDisagreement:
         ]
         icd = result_of(source("kjerne", Category.TOOL, "ICD-10", 2), name="ICD-10")
         records, report = merge_lexicons(mapped_records(outcomes), [icd])
-        assert records[0].category is Category.TOOL
+        assert records[0].category == "TOOL"
         assert report.corrections == (
             Correction("kjerne", Category.ANAT_LOC, Category.TOOL, "ICD-10"),
         )
@@ -424,7 +430,7 @@ class TestWithinSourceDisagreement:
         assert len(cased) == 2
         assert merge_warnings(caplog) == []
         lower, report = merge_lexicons(None, [res], lowercase=True)
-        assert [(r.term, r.category) for r in lower] == [("Aspartam", Category.SUBSTANCE)]
+        assert [(r.term, r.category) for r in lower] == [("Aspartam", "SUBSTANCE")]
         assert report.category_counts == {"SUBSTANCE": 1}
         assert merge_warnings(caplog) == [
             "term 'aspartam' has both SUBSTANCE and TOOL in RES; merge uses the earliest"
@@ -452,9 +458,7 @@ class TestWithinSourceDisagreement:
         )
         b = result_of(source("x", Category.CONDITION, "B", 1), name="B")
         records, report = merge_lexicons(None, [a, b])
-        assert [(r.category, r.sources) for r in records] == [
-            (Category.CONDITION, frozenset({"A", "B"}))
-        ]
+        assert [(r.category, r.sources) for r in records] == [("CONDITION", "A,B")]
         assert report.overlap_pairs == (("A", "B", 1),)
         assert len(merge_warnings(caplog)) == 1
 
@@ -514,8 +518,8 @@ def reference_merge(mapped, resources, lowercase=True):
         records.append(
             LexiconRecord(
                 term=winner.term,
-                category=winner.category,
-                sources=frozenset(group_sources),
+                category=str(winner.category),
+                sources=",".join(sorted(group_sources)),
                 provenance=winner.provenance,
             )
         )
@@ -539,8 +543,8 @@ def reference_render(records, fmt):
             json.dumps(
                 {
                     "term": r.term,
-                    "category": str(r.category),
-                    "sources": sorted(r.sources),
+                    "category": r.category,
+                    "sources": sorted(r.sources.split(",")),
                     "provenance": r.provenance,
                 },
                 ensure_ascii=False,
@@ -549,7 +553,7 @@ def reference_render(records, fmt):
         ]
     else:
         lines = ["term\tcategory\tsources\tprovenance"] + [
-            "\t".join((r.term, str(r.category), ",".join(sorted(r.sources)), r.provenance))
+            "\t".join((r.term, r.category, ",".join(sorted(r.sources.split(","))), r.provenance))
             for r in records
         ]
     return "\n".join(lines) + "\n"
@@ -607,7 +611,38 @@ def merge_inputs(draw, terms=TERMS, max_rows=8):
     return mapped, resources, draw(st.booleans())
 
 
-def check_against_reference(mapped, resources, lowercase):
+# The provenance of every mapped outcome that has a category.
+MAPPED_PROVENANCES = st.sampled_from([str(p) for p in Provenance if p is not Provenance.UNMAPPED])
+
+
+@st.composite
+def source_inputs(draw):
+    """Sources as ``merge_sources`` takes them, with excluded rows (no
+    category) among the rest, and the lowercase flag."""
+
+    def rows(provenance):
+        pairs = draw(st.lists(st.tuples(TERMS, st.one_of(st.none(), CATEGORIES)), max_size=8))
+        return [(t, c, "UNMAPPED" if c is None else provenance()) for t, c in pairs]
+
+    mapped = None
+    if draw(st.booleans()):
+        mapped = ("MO", draw(st.sampled_from([1, 2, 100])), rows(lambda: draw(MAPPED_PROVENANCES)))
+    names = draw(st.lists(st.sampled_from("ABCD"), max_size=4, unique=True))
+    resources = [(name, draw(st.integers(1, 3)), rows(lambda: name)) for name in names]
+    return mapped, resources, draw(st.booleans())
+
+
+def as_result(source):
+    """A ``merge_sources`` source as the ``IngestResult`` of its rows."""
+    name, rank, rows = source
+    records = tuple(SourceRecord(t, c, name, p, rank) for t, c, p in rows if c is not None)
+    return IngestResult(name, records, len(rows), len(rows) - len(records))
+
+
+def check_against_reference(merge, mapped, resources, lowercase):
+    """Check ``merge()``, a merge of the ``IngestResult``s ``mapped`` and
+    ``resources``, against ``reference_merge``: its rows, report and
+    warnings, or its refusal. Returns the rows, or None if refused."""
     captured = _Captured()
     logger = logging.getLogger("medlex.merge")
     logger.addHandler(captured)
@@ -617,18 +652,17 @@ def check_against_reference(mapped, resources, lowercase):
     try:
         if conflicts:
             with pytest.raises(MergeConflictError) as refused:
-                merge_lexicons(mapped, resources, lowercase)
+                merge()
             assert refused.value.conflicts == conflicts
         else:
-            records, report = merge_lexicons(mapped, resources, lowercase)
+            records, report = merge()
     finally:
         logger.removeHandler(captured)
     assert captured.dropped == dropped
     if conflicts:
-        return
+        return None
     assert records == want_records
-    assert all(type(r) is LexiconRecord for r in records)
-    assert [normalize_term(r.term, lowercase) for r in records] == want_keys
+    assert [normalize_term(r[0], lowercase) for r in records] == want_keys
     got_report = (
         report.resource_counts,
         report.overlap_pairs,
@@ -640,22 +674,149 @@ def check_against_reference(mapped, resources, lowercase):
     assert list(report.category_counts.items()) == list(want_report[3].items())
     for fmt in ("tsv", "jsonl"):
         assert render_lexicon(records, fmt) == reference_render(want_records, fmt)
-    # Records with the same combination of sources share one frozenset.
+    # Rows with the same combination of sources share one sources string.
     shared = {}
     for r in records:
-        assert shared.setdefault(r.sources, r.sources) is r.sources
+        assert shared.setdefault(r[2], r[2]) is r[2]
+    return records
+
+
+def check_lexicons_against_reference(mapped, resources, lowercase):
+    records = check_against_reference(
+        lambda: merge_lexicons(mapped, resources, lowercase), mapped, resources, lowercase
+    )
+    assert records is None or all(type(r) is LexiconRecord for r in records)
 
 
 class TestMergeOracle:
     @settings(max_examples=200, deadline=None)
     @given(merge_inputs())
     def test_merge_matches_reference(self, inputs):
-        check_against_reference(*inputs)
+        check_lexicons_against_reference(*inputs)
 
     @settings(max_examples=200, deadline=None)
     @given(merge_inputs(terms=MOSTLY_SINGLE_TERMS, max_rows=30))
     def test_merge_of_mostly_single_keys_matches_reference(self, inputs):
-        check_against_reference(*inputs)
+        check_lexicons_against_reference(*inputs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(source_inputs())
+    def test_merge_sources_matches_reference(self, inputs):
+        mapped, resources, lowercase = inputs
+        # The resources are an iterator, as the command streams them.
+        rows = check_against_reference(
+            lambda: merge_sources(mapped, iter(resources), lowercase),
+            None if mapped is None else as_result(mapped),
+            [as_result(r) for r in resources],
+            lowercase,
+        )
+        assert rows is None or all(type(r) is tuple and list(map(type, r)) == [str] * 4 for r in rows)
+
+    def test_merge_sources_counts_excluded_rows(self):
+        rows, report = merge_sources(
+            ("MO", 100, [("x", None, "UNMAPPED"), ("x", Category.TOOL, "KW_1N")]),
+            [("A", 1, [("y", None, "A")])],
+        )
+        assert rows == [("x", "TOOL", "MO", "KW_1N")]
+        assert report.resource_counts == (("MO", 2, 1, 1), ("A", 1, 0, 1))
+
+    @pytest.mark.parametrize(
+        ("names", "message"),
+        [
+            (["A", "A"], "source name 'A' is given twice"),
+            (["A,B"], "source name 'A,B' must not contain a tab, CR, LF or ','"),
+            ([" "], "source name ' ' is blank"),
+        ],
+    )
+    def test_merge_sources_refuses_a_name_the_sources_column_cannot_hold(self, names, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            merge_sources(None, [(name, 1, []) for name in names])
+
+
+OUTCOME_KINDS = st.sampled_from([str(p) for p in Provenance])
+
+
+def outcome(i, term, kind, category):
+    """An outcome ``map`` could write, with the provenance ``kind``."""
+    provenance = Provenance[kind]
+    if provenance is Provenance.UNMAPPED:
+        return MappingOutcome(f"e{i}", term, None, provenance)
+    if provenance is Provenance.ITER:
+        return MappingOutcome(f"e{i}", term, category, provenance)
+    strategies = [Provenance.SUFF, Provenance.KW_E] if provenance is Provenance.MULTI else [provenance]
+    votes = tuple(Vote(strategy, category, "x") for strategy in strategies)
+    return MappingOutcome(f"e{i}", term, category, provenance, votes)
+
+
+@st.composite
+def merge_jobs(draw):
+    """(manifest, resource files, outcomes, mapped rank, lowercase) for a
+    ``merge`` run: up to three resources of any mode, whose rows may be
+    excluded and, now and then, faulty, at ranks that may tie with each
+    other and with the mapped entries."""
+    manifest, files = [], {}
+    for name in draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3, unique=True)):
+        line, text = draw(resource_files(faults=draw(st.integers(0, 9)) == 0))
+        cols = line.split("\t")
+        cols[0], cols[1], cols[4] = name, f"{name.lower()}.tsv", str(draw(st.integers(1, 3)))
+        manifest.append("\t".join(cols))
+        files[cols[1]] = text
+    drawn = draw(st.lists(st.tuples(variant(["feber", "blå kors", "Ærlig sak"], pads=("",)), OUTCOME_KINDS,
+                                    CATEGORIES), max_size=8))
+    outcomes = [outcome(i, *row) for i, row in enumerate(drawn)]
+    return "".join(manifest), files, outcomes, draw(st.sampled_from([1, 2, 100])), draw(st.booleans())
+
+
+class TestCommandMatchesAdapters:
+    """``merge`` streams rows into ``merge_sources``; the record path
+    (``ingest_resource``, ``mapped_records``, ``merge_lexicons``,
+    ``export_lexicon``) must write the same lexicon and report, or fail
+    with the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(merge_jobs(), st.sampled_from(["tsv", "jsonl"]))
+    def test_command_and_adapters_write_the_same_bytes(self, job, mapped_format):
+        manifest_text, files, outcomes, mapped_rank, lowercase = job
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            manifest = base / "m.tsv"
+            manifest.write_text(manifest_text, encoding="utf-8")
+            for name, text in files.items():
+                (base / name).write_bytes(text.encode("utf-8"))
+            mapped = base / f"mapped.{mapped_format}"
+            write_outcomes(outcomes, mapped)
+            for suffix in ("tsv", "jsonl"):
+                out = base / f"x.{suffix}"
+                argv = ["merge", "--manifest", str(manifest), "--mapped", str(mapped), "--out", str(out),
+                        "--mapped-rank", str(mapped_rank)] + ["--lowercase"] * lowercase
+                command_warnings, adapter_warnings = _Captured(), _Captured()
+                logger = logging.getLogger("medlex.merge")
+                logger.addHandler(command_warnings)
+                try:
+                    with redirect_stdout(StringIO()) as stdout, redirect_stderr(StringIO()) as stderr:
+                        code = main(argv)
+                finally:
+                    logger.removeHandler(command_warnings)
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                logger.addHandler(adapter_warnings)
+                try:
+                    specs = load_manifest(manifest, "MO")
+                    resources = [ingest_resource(spec, base) for spec in specs]
+                    records, report = merge_lexicons(
+                        mapped_records(read_outcomes(mapped), "MO", mapped_rank), resources, lowercase
+                    )
+                    export_lexicon(records, out)
+                except MedlexError as exc:
+                    assert (code, stdout.getvalue(), written) == (exc.exit_code, "", None)
+                    assert stderr.getvalue().endswith(f"{exc.prefix}: {exc}\n")
+                    continue
+                finally:
+                    logger.removeHandler(adapter_warnings)
+                assert command_warnings.dropped == adapter_warnings.dropped
+                assert code == 0
+                assert stdout.getvalue() == format_merge_report(report)
+                assert written == out.read_bytes()
 
 
 CHAPTERS = st.builds(
@@ -764,7 +925,7 @@ class TestFixtureMerge:
             for rec in res.records:
                 key = normalize_term(rec.term, True)
                 assert key in by_key
-                assert rec.source in by_key[key].sources
+                assert rec.source in by_key[key].sources.split(",")
 
     def test_trust_dominance(self, merged, fixture_outcomes):
         (records, _), resources = merged
@@ -779,7 +940,7 @@ class TestFixtureMerge:
             best = min(r.trust_rank for r in group)
             for rec in group:
                 if rec.trust_rank < best or (
-                    rec.trust_rank == best and rec.category is not out.category
+                    rec.trust_rank == best and str(rec.category) != out.category
                 ):
                     pytest.fail(f"trust dominance violated for {key}")
 
@@ -1091,6 +1252,22 @@ class TestManifest:
                 "source name 'CUR,ATED' must not contain a tab, CR, LF or ','",
             ),
             (None, {"name": " ", "mode": "FIXED", "category": "TOOL"}, "source name ' ' is blank"),
+            # The name is checked before the rank and the layout, which name it.
+            (
+                " \t \t \t \t \t ",
+                {"name": "", "file": " ", "mode": " ", "trust_rank": " ", "layout": " "},
+                "source name '' is blank",
+            ),
+            (
+                " \tr.tsv\tFIXED\tTOOL\tx\tterm=0",
+                {"name": "", "mode": "FIXED", "category": "TOOL", "trust_rank": "x"},
+                "source name '' is blank",
+            ),
+            (
+                "\tr.tsv\tFIXED\tTOOL\t1\tterm=x",
+                {"name": "", "mode": "FIXED", "category": "TOOL", "layout": {"term": "x"}},
+                "source name '' is blank",
+            ),
             *(
                 (
                     None,
@@ -1104,7 +1281,8 @@ class TestManifest:
              "unknown-rule-label", "chaptered-without-rules",
              "per-entry-with-category", "chaptered-with-category", "fixed-with-rules",
              "fixed-with-default", "per-entry-with-rules", "blank-name", "comma-in-name",
-             "space-name", "tab-in-name", "cr-in-name", "lf-in-name"],
+             "space-name", "blank-columns", "blank-name-bad-rank", "blank-name-bad-layout",
+             "tab-in-name", "cr-in-name", "lf-in-name"],
     )
     def test_manifest_fault_names_resource_and_location(self, tmp_path, row, obj, message):
         if row is not None:

@@ -349,7 +349,7 @@ ROWS = [
         ("term", "category", "source", "provenance", "trust_rank"),
     ),
     (
-        LexiconRecord("kniv", Category.TOOL, frozenset({"MO"}), "KW_E"),
+        LexiconRecord("kniv", "TOOL", "ATC,MO", "KW_E"),
         ("term", "category", "sources", "provenance"),
     ),
     (
