@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import LintError, MedlexError, ParseError
-from .io import read_text, sniff_format, split_lines, write_text, write_texts
+from .io import check_outputs, read_text, sniff_format, split_lines, write_text, write_texts
 from .outcomes import read_outcomes, render_outcomes, write_outcomes
 
 # A command imports its stage's modules (map's pipeline, strategies, textprep
@@ -158,10 +158,15 @@ def cmd_map(args: argparse.Namespace) -> int:
     # merge and eval read an outcome file in the format its suffix names.
     if args.out and args.fmt and args.fmt != sniff_format(args.out):
         raise ParseError(f"--format {args.fmt} contradicts the suffix of --out {args.out}")
-    suffixes = load_suffix_table(args.suffixes or defaults.SUFFIX_TABLE)
-    keywords = load_keyword_table(args.keywords or defaults.KEYWORD_TABLE)
-    stops = load_stoplist(args.stops or defaults.STOPLIST)
-    function_words = load_wordlist(args.function_words or defaults.FUNCTION_WORDS)
+    suffix_file = args.suffixes or defaults.SUFFIX_TABLE
+    keyword_file = args.keywords or defaults.KEYWORD_TABLE
+    stop_file = args.stops or defaults.STOPLIST
+    word_file = args.function_words or defaults.FUNCTION_WORDS
+    check_outputs([args.out], [args.dict_file, args.conllu, suffix_file, keyword_file, stop_file, word_file])
+    suffixes = load_suffix_table(suffix_file)
+    keywords = load_keyword_table(keyword_file)
+    stops = load_stoplist(stop_file)
+    function_words = load_wordlist(word_file)
 
     problems = suffixes.lint()
     if problems:
@@ -204,6 +209,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
         load_manifest,
         mapped_source,
         merge_sources,
+        resource_path,
         resource_source,
     )
 
@@ -216,6 +222,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
     outcomes = read_outcomes(args.mapped)
     specs = load_manifest(args.manifest, name)
     base_dir = Path(args.manifest).parent
+    check_outputs([args.out], [args.mapped, args.manifest, *(resource_path(spec, base_dir) for spec in specs)])
     resources = (resource_source(spec, base_dir) for spec in specs)
     rows, report = merge_sources(mapped_source(outcomes, name, rank), resources, args.lowercase)
     export_lexicon(rows, args.out)
@@ -255,6 +262,7 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
         groups = None if args.merge_labels is None else parse_merge_groups(args.merge_labels)
     except ValueError as exc:
         raise ParseError(f"--merge-labels: {exc}") from None
+    check_outputs([args.matrix_out, args.report_tsv], [args.gold, args.mapped])
     gold = read_gold(args.gold)
     outcomes = read_outcomes(args.mapped)
     predicted = mapped_categories(outcomes)
@@ -279,6 +287,7 @@ def cmd_eval_gold(args: argparse.Namespace) -> int:
 def cmd_eval_sample(args: argparse.Namespace) -> int:
     from .evaluate import stratified_sample
 
+    check_outputs([args.out], [args.mapped])
     outcomes = read_outcomes(args.mapped)
     ids = stratified_sample(outcomes, args.quota, args.seed)
     by_id = {o.entry_id: o for o in outcomes}

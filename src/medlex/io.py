@@ -1,16 +1,19 @@
-"""File input and output: the only module that opens, reads or writes a
-file. Every input is read whole by ``read_text``; unreadable input becomes
-a ParseError naming the file, and text that is not UTF-8 one naming the
-file and line. Outputs are written by ``write_texts``. A reader's check on
-a row raises ValueError (``json_object``, ``json_field`` and
-``column_count_error`` word the shared ones), and its one ``except`` adds
-the file and line."""
+"""File input and output, and JSON: the only module that opens, reads or
+writes a file, and the only one that encodes or decodes JSON. Every input
+is read whole by ``read_text``; unreadable input becomes a ParseError
+naming the file, and text that is not UTF-8 one naming the file and line.
+Outputs are written by ``write_texts``, JSON lines rendered by
+``json_lines``. A reader's check on a row raises ValueError
+(``json_object``, ``json_field`` and ``column_count_error`` word the
+shared ones), and its one ``except`` adds the file and line."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import stat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -18,6 +21,9 @@ from .errors import ParseError
 
 # The scanner json.loads uses, with its default settings.
 _scan_value = json.JSONDecoder().scan_once
+
+# A str as JSON text, as json.dumps(..., ensure_ascii=False) writes it.
+json_string = encode_basestring
 
 
 def sniff_format(path: str | Path, fmt: str | None = None) -> str:
@@ -28,14 +34,16 @@ def sniff_format(path: str | Path, fmt: str | None = None) -> str:
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The whole of a UTF-8 text input; ``what`` names it in errors."""
+    """The whole of a UTF-8 text input, without a leading byte-order mark;
+    ``what`` names it in errors."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what}: {exc}", str(path)) from exc
     try:
-        return data.decode("utf-8")
+        # utf-8-sig: UTF-8, less one byte-order mark at the start.
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # The prefix before the bad byte is valid UTF-8.
         line = line_at(exc.object[: exc.start].decode("utf-8"))
@@ -81,26 +89,85 @@ def data_lines(lines: Iterable[str], *, tsv: bool, comments: bool) -> Iterator[t
 
 
 def json_object(line: str) -> dict[str, Any]:
-    """One JSON-lines row, which must be a JSON object; anything else raises
-    a ValueError, to which the reader adds the file and line."""
+    """One JSON-lines row, which must be a JSON object whose strings are
+    text (no lone surrogate); anything else raises a ValueError, to which
+    the reader adds the file and line."""
     # The usual row, one object with nothing around it, goes straight to the
     # scanner json.loads ends in. Any other line goes through json.loads,
     # which also allows surrounding whitespace and words the errors.
+    obj, end = None, -1
     if line.startswith("{"):
         try:
             obj, end = _scan_value(line, 0)
         except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end == len(line):
-            return obj
+            pass
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    # Only a \u escape can spell a surrogate: UTF-8 text holds none.
+    if "\\u" in line:
+        surrogate = _lone_surrogate(line)
+        if surrogate:
+            raise ValueError(f"bad JSON: lone surrogate {surrogate}")
+    return obj
+
+
+def json_document(text: str, where: str, what: str) -> Any:
+    """The JSON value the whole of ``text`` holds, such as a manifest that
+    is one JSON list. A fault raises ParseError ``bad JSON {what}: ...``
+    naming ``where`` and a line: a syntax error names its own line, or at
+    the end of the text the last line that is not blank; a fault without a
+    position (nested too deep, an integer too long) names the line the
+    value begins on; a lone surrogate names the line of its string."""
     try:
-        obj = json.loads(line)
+        value = json.loads(text)
     # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"bad JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    return obj
+        # Python's own "line L column C" counts LF only, so it is left out.
+        pos = getattr(exc, "pos", len(text) - len(text.lstrip()))
+        at = line_at(text[:pos] if pos < len(text) else text.rstrip())
+        raise ParseError(f"bad JSON {what}: {getattr(exc, 'msg', exc)}", where, at) from None
+    if "\\u" in text:
+        for lineno, line in enumerate(split_lines(text), start=1):
+            surrogate = _lone_surrogate(line)
+            if surrogate:
+                raise ParseError(f"bad JSON {what}: lone surrogate {surrogate}", where, lineno)
+    return value
+
+
+# A JSON string as written, quotes included. A string holds no line break,
+# so on a line of valid JSON each match is one whole string.
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _lone_surrogate(line: str) -> str | None:
+    """The first lone surrogate a JSON string on ``line`` (valid JSON)
+    decodes to, as its escape (``\\ud800``), or None. ``json.loads`` reads
+    such an escape, but the code point is not a character: UTF-8 cannot
+    encode it, so it could not be written or printed."""
+    for literal in _JSON_STRING.findall(line):
+        if "\\u" in literal:
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                return f"\\u{ord(exc.object[exc.start]):04x}"
+    return None
+
+
+def json_lines(keys: Sequence[str], rows: Iterable[tuple[str, ...]]) -> str:
+    """One line for each row: the JSON object that maps each of ``keys``, in
+    order, to the row's value at its place. A value is JSON text already
+    (``json_string`` encodes a str), so a line is what
+    ``json.dumps(obj, ensure_ascii=False)`` writes for the object. No rows
+    give empty text."""
+    template = "{" + ", ".join(json_string(key).replace("%", "%%") + ": %s" for key in keys) + "}"
+    text = "\n".join(map(template.__mod__, rows))
+    return text + "\n" if text else ""
 
 
 # The JSON name of each type a value of a JSON-lines row or manifest may need.
@@ -135,6 +202,22 @@ def json_field(
         raise ValueError(f'"{key}" is missing')
     want = " or ".join(_JSON_NAMES[t] for t in types)
     raise ValueError(f'"{key}" must be a JSON {want}, not {_json_type(value)}')
+
+
+def check_outputs(outputs: Iterable[str | Path | None], inputs: Iterable[str | Path | None]) -> None:
+    """Refuse (ParseError) an output that names an input, before anything
+    is written: by the rule ``write_texts`` applies to two outputs, a
+    regular file both name once each path is resolved. None stands for an
+    option not given."""
+    read = {}
+    for path in inputs:
+        if path is not None and os.path.isfile(path):
+            read.setdefault(os.path.realpath(path), path)
+    for path in outputs:
+        if path is not None and os.path.isfile(path):
+            source = read.get(os.path.realpath(path))
+            if source is not None:
+                raise ParseError(f"an output and an input name one file: {path} and {source}")
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -5,7 +5,6 @@ overlap-based automatic correction of mapped categories."""
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from collections import Counter
 from itertools import chain
@@ -14,8 +13,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
-from .io import (column_count_error, data_lines, json_field, json_object, line_at, read_text, sniff_format,
-                 split_lines, write_text)
+from .io import (column_count_error, data_lines, json_document, json_field, json_lines, json_object, json_string,
+                 read_text, sniff_format, split_lines, write_text)
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -122,6 +121,10 @@ class ResourceSpec(Frozen):
         return "Multiple"
 
 
+# The lexicon file's columns, and the keys of its JSON lines.
+LEXICON_HEADER = LexiconRecord._fields
+
+
 class SourceRecord(NamedTuple):
     """One categorized term with its origin and trust."""
 
@@ -180,18 +183,7 @@ def load_manifest(path: str | Path, mapped_name: str | None = None) -> list[Reso
     # Each name taken -> the fault of a resource that takes it again.
     names = {} if mapped_name is None else {mapped_name: "name is also the --mapped-name"}
     if jsonl and text.lstrip().startswith("["):
-        try:
-            data = json.loads(text)
-        # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
-        except (ValueError, RecursionError) as exc:
-            # A syntax error names its line, or at the end of the text the
-            # last line that is not blank; a fault without a position (nested
-            # too deep, an integer too long) names the line the list begins on.
-            # Python's own "line L column C" counts LF only, so it is left out.
-            pos = getattr(exc, "pos", len(text) - len(text.lstrip()))
-            at = line_at(text[:pos] if pos < len(text) else text.rstrip())
-            raise ParseError(f"bad JSON manifest: {getattr(exc, 'msg', exc)}", where, at) from None
-        for i, obj in enumerate(data, start=1):
+        for i, obj in enumerate(json_document(text, where, "manifest"), start=1):
             try:
                 specs.append(_spec(obj, names))
             except ValueError as exc:
@@ -298,6 +290,12 @@ def _spec(obj: object, names: dict[str, str]) -> ResourceSpec:
                         chapter_default=chapter_default, layout=layout)
 
 
+def resource_path(spec: ResourceSpec, base_dir: str | Path | None = None) -> Path:
+    """The file of a resource: ``spec.file``, under ``base_dir`` unless it is absolute."""
+    p = Path(spec.file)
+    return p if base_dir is None or p.is_absolute() else Path(base_dir) / p
+
+
 def resource_rows(
     spec: ResourceSpec, base_dir: str | Path | None = None
 ) -> Iterator[tuple[str, Category | None]]:
@@ -309,9 +307,7 @@ def resource_rows(
     faulty row raises ParseError when the loop reaches it, naming the
     resource, the file and the row's line.
     """
-    p = Path(spec.file)
-    if base_dir is not None and not p.is_absolute():
-        p = Path(base_dir) / p
+    p = resource_path(spec, base_dir)
     text = read_text(p, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     term_column = spec.layout["term"]
@@ -575,17 +571,20 @@ def format_merge_report(report: MergeReport) -> str:
 
 def render_lexicon(records: Sequence[tuple[str, str, str, str]], fmt: str = "tsv") -> str:
     """The lexicon's text from its rows (or records): TSV with a header,
-    or one JSON object per row, whose ``sources`` lists the names the row
-    joins with ``,``."""
-    if fmt == "jsonl":
-        lines = [
-            json.dumps({"term": term, "category": category, "sources": sources.split(","),
-                        "provenance": provenance}, ensure_ascii=False)
-            for term, category, sources, provenance in records
-        ]
-    else:
-        lines = ["term\tcategory\tsources\tprovenance", *map("\t".join, records)]
-    return "\n".join(lines) + "\n"
+    or one JSON object per row, with the header's keys, whose ``sources``
+    lists the names the row joins with ``,``; no rows give empty JSON
+    lines."""
+    if fmt != "jsonl":
+        return "\n".join(["\t".join(LEXICON_HEADER), *map("\t".join, records)]) + "\n"
+    enc = json_string
+    # Rows with one combination of sources share its string: each distinct
+    # one is encoded once, as a JSON list.
+    lists = {sources: "[" + ", ".join(map(enc, sources.split(","))) + "]" for sources in {r[2] for r in records}}
+    return json_lines(
+        LEXICON_HEADER,
+        ((enc(term), enc(category), lists[sources], enc(provenance))
+         for term, category, sources, provenance in records),
+    )
 
 
 def export_lexicon(records: Sequence[tuple[str, str, str, str]], path: str | Path) -> None:

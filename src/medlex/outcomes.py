@@ -4,13 +4,12 @@ that the ``map`` and ``merge`` reports print."""
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import ParseError
-from .io import (column_count_error, data_lines, json_field, json_object, read_text, sniff_format, split_lines,
-                 write_text)
+from .io import (column_count_error, data_lines, json_field, json_lines, json_object, json_string, read_text,
+                 sniff_format, split_lines, write_text)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -18,7 +17,7 @@ OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
 
 def format_votes(votes: Iterable[Vote]) -> str:
     # _value_ is the label str() gives, read without calling the enum's
-    # Python-level __str__ (as in merge.render_lexicon).
+    # Python-level __str__ (as in merge.mapped_source).
     return ";".join(
         [
             f"{strategy._value_}:{category._value_}:{trigger}:"
@@ -60,33 +59,31 @@ def parse_votes(text: str, parsed: dict[str, Vote] | None = None) -> tuple[Vote,
 
 
 def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str:
+    """The outcome file's text: TSV with a header, or one JSON object per
+    outcome, with the header's keys; no outcomes give empty JSON lines."""
     if fmt == "jsonl":
-        # The bytes json.dumps(row, ensure_ascii=False) writes for the row
-        # {"id", "term", "category", "provenance", "votes"}: the same string
-        # encoder, key order and separators, without building a dict per row.
-        # Labels are ASCII identifiers, which the encoder leaves as they are.
-        enc = encode_basestring
-        lines = []
-        for o in outcomes:
-            category = "null" if o.category is None else f'"{o.category._value_}"'
-            lines.append(
-                f'{{"id": {enc(o.entry_id)}, "term": {enc(o.term)}, "category": {category}, '
-                f'"provenance": "{o.provenance._value_}", "votes": {enc(format_votes(o.votes))}}}'
-            )
-    else:
-        lines = ["\t".join(OUTCOME_HEADER)]
-        for o in outcomes:
-            lines.append(
-                "\t".join(
-                    (
-                        o.entry_id,
-                        o.term,
-                        "" if o.category is None else o.category._value_,
-                        o.provenance._value_,
-                        format_votes(o.votes),
-                    )
+        enc = json_string
+        return json_lines(
+            OUTCOME_HEADER,
+            (
+                (enc(o.entry_id), enc(o.term), "null" if o.category is None else enc(o.category._value_),
+                 enc(o.provenance._value_), enc(format_votes(o.votes)))
+                for o in outcomes
+            ),
+        )
+    lines = ["\t".join(OUTCOME_HEADER)]
+    for o in outcomes:
+        lines.append(
+            "\t".join(
+                (
+                    o.entry_id,
+                    o.term,
+                    "" if o.category is None else o.category._value_,
+                    o.provenance._value_,
+                    format_votes(o.votes),
                 )
             )
+        )
     return "\n".join(lines) + "\n"
 
 

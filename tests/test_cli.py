@@ -329,6 +329,53 @@ class TestFileOptions:
         assert run(capsys, [*command, *extra, *(x for kv in options.items() for x in kv)])[0] == 0
 
 
+# Each command with an output, and an input that output names: the
+# command's arguments, the output's and the input's text as given, both
+# relative to a working directory holding copies of tests/data and a
+# mapped.tsv.
+OUTPUT_NAMES_INPUT = {
+    "map --dict": (["map", "--dict", "dict_50.tsv", "--out", "./dict_50.tsv"], "./dict_50.tsv", "dict_50.tsv"),
+    "map --conllu": (["map", "--dict", "dict_50.tsv", "--conllu", "dict_50.conllu", "--out", "link.conllu"],
+                     "link.conllu", "dict_50.conllu"),
+    "map --keywords": (["map", "--dict", "dict_50.tsv", "--keywords", "kw.tsv", "--out", "sub/../kw.tsv"],
+                       "sub/../kw.tsv", "kw.tsv"),
+    "merge --mapped": (["merge", "--manifest", "manifest.tsv", "--mapped", "mapped.tsv", "--out", "mapped.tsv"],
+                       "mapped.tsv", "mapped.tsv"),
+    "merge --manifest": (["merge", "--manifest", "manifest.json", "--mapped", "mapped.tsv", "--out", "manifest.json"],
+                         "manifest.json", "manifest.json"),
+    "merge resource": (["merge", "--manifest", "manifest.tsv", "--mapped", "mapped.tsv", "--out", "./icd10.tsv"],
+                       "./icd10.tsv", "icd10.tsv"),
+    "eval gold --gold": (["eval", "gold", "--gold", "gold.tsv", "--mapped", "mapped.tsv", "--matrix-out", "gold.tsv"],
+                         "gold.tsv", "gold.tsv"),
+    "eval gold --mapped": (["eval", "gold", "--gold", "gold.tsv", "--mapped", "mapped.tsv", "--matrix-out", "m.csv",
+                            "--report-tsv", "mapped.tsv"], "mapped.tsv", "mapped.tsv"),
+    "eval sample --mapped": (["eval", "sample", "--mapped", "mapped.tsv", "--quota", "3", "--seed", "7",
+                              "--out", "mapped.tsv"], "mapped.tsv", "mapped.tsv"),
+}
+
+
+class TestOutputNamingAnInput:
+    @pytest.mark.parametrize("case", sorted(OUTPUT_NAMES_INPUT))
+    def test_is_refused_before_anything_is_written(self, case, capsys, tmp_path, data_dir, monkeypatch):
+        for path in data_dir.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "kw.tsv").write_text("sykdom\tCONDITION\n", encoding="utf-8")
+        (tmp_path / "link.conllu").symlink_to("dict_50.conllu")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, ["map", "--dict", "dict_50.tsv", "--out", "mapped.tsv"])[0] == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        argv, output, source = OUTPUT_NAMES_INPUT[case]
+        code, stdout, stderr = run(capsys, argv)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: an output and an input name one file: {output} and {source}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+    def test_outputs_that_are_not_regular_files_may_name_inputs(self, capsys):
+        code, stdout, _ = run(capsys, ["map", "--dict", os.devnull, "--out", os.devnull])
+        assert code == 0 and "total" in stdout
+
+
 class TestCmdMerge:
     def test_merges_and_reports(self, capsys, tmp_path, data_dir, mapped_file):
         out = tmp_path / "lexicon.tsv"

@@ -17,9 +17,9 @@ from medlex import io
 from medlex.cli import main
 from medlex.errors import LintError, ParseError
 from medlex.evaluate import read_gold
-from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, ingest_resource, load_manifest
+from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, ingest_resource, load_manifest, resource_rows
 from medlex.model import Category
-from medlex.outcomes import read_outcomes
+from medlex.outcomes import read_outcomes, render_outcomes
 from medlex.pipeline import read_dictionary, resolve_synonyms
 from medlex.strategies import load_keyword_table, load_suffix_table
 from medlex.textprep import ingest_conllu, load_stoplist, load_wordlist
@@ -27,6 +27,7 @@ from medlex.textprep import ingest_conllu, load_stoplist, load_wordlist
 SRC = Path(__file__).resolve().parent.parent / "src" / "medlex"
 
 GOOD_DICT = "e1\tleukemi\tsykdom i blodet\n"
+GOOD_JSON_ROW = '{"id": "e1", "term": "leukemi", "definition": "sykdom i blodet"}\n'
 OUTCOME_HEADER = "id\tterm\tcategory\tprovenance\tvotes\n"
 
 
@@ -42,6 +43,12 @@ def put(path: Path, content: str | bytes) -> str:
 def latin1_dictionary(tmp, data):
     d = put(tmp / "d.tsv", GOOD_DICT.encode() + "e2\tfeber\tsykdom i bl\xf8det\n".encode("latin-1"))
     return ["map", "--dict", d], f"{d}:2:"
+
+
+def latin1_dictionary_after_byte_order_mark(tmp, data):
+    # The mark a reader drops leaves the line numbers as they are.
+    d = put(tmp / "d.tsv", b"\xef\xbb\xbf" + GOOD_DICT.encode() + "e2\tfeber\tbl\xf8d\n".encode("latin-1"))
+    return ["map", "--dict", d], f"{d}:2: dictionary is not UTF-8"
 
 
 def latin1_dictionary_cr_endings(tmp, data):
@@ -343,10 +350,41 @@ def manifest_per_entry_category(tmp, data):
             f"{manifest}:1: resource A: PER_ENTRY mode takes no category")
 
 
+# A JSON \u escape that decodes to a lone surrogate reads, but no UTF-8
+# text holds it: each JSON reader refuses it at its line.
+def dictionary_lone_surrogate(tmp, data):
+    d = put(tmp / "d.jsonl", GOOD_JSON_ROW + '{"id": "e2", "term": "kniv\\ud800", "definition": "et redskap"}\n')
+    return ["map", "--dict", d, "--out", str(tmp / "o.tsv")], f"{d}:2: bad JSON: lone surrogate \\ud800"
+
+
+def outcomes_lone_surrogate(tmp, data):
+    mapped = put(tmp / "m.jsonl", '{"id": "e1", "term": "t\\uDC00", "category": "TOOL", "provenance": "ITER"}\n')
+    return (["eval", "sample", "--mapped", mapped, "--quota", "1", "--seed", "1"],
+            f"{mapped}:1: bad outcome row: bad JSON: lone surrogate \\udc00")
+
+
+def manifest_json_lone_surrogate(tmp, data):
+    rows = ['[{"name": "A", "file": "a.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 1},',
+            ' {"name": "B\\ud800", "file": "b.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 2}]']
+    manifest = put(tmp / "m.json", "\n".join(rows) + "\n")
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
+    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            f"{manifest}:2: bad JSON manifest: lone surrogate \\ud800")
+
+
+def manifest_jsonl_lone_surrogate(tmp, data):
+    row = '{"name": "A\\ud800", "file": "a.tsv", "mode": "FIXED", "category": "TOOL", "trust_rank": 1}'
+    manifest = put(tmp / "m.jsonl", "# resources\n" + row + "\n")
+    mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
+    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+            f"{manifest}:2: bad JSON: lone surrogate \\ud800")
+
+
 @pytest.mark.parametrize(
     "case",
     [
         latin1_dictionary,
+        latin1_dictionary_after_byte_order_mark,
         latin1_dictionary_cr_endings,
         latin1_dictionary_after_line_separator,
         dictionary_cr_endings_bad_row,
@@ -396,6 +434,10 @@ def manifest_per_entry_category(tmp, data):
         manifest_integer_too_long,
         manifest_text_rank,
         manifest_per_entry_category,
+        dictionary_lone_surrogate,
+        outcomes_lone_surrogate,
+        manifest_json_lone_surrogate,
+        manifest_jsonl_lone_surrogate,
     ],
 )
 def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys):
@@ -806,3 +848,84 @@ def test_only_io_module_touches_files():
         if (path.name, scope) not in ALLOWED
     ]
     assert offenders == []
+
+
+class TestJsonCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(
+        ["\\", "u", "d", "8", '"', "\ud800", "\udfff", "\U0001f600"])), max_size=8), min_size=1, max_size=3),
+           st.booleans())
+    def test_a_row_is_refused_exactly_when_a_string_holds_a_surrogate(self, texts, ascii_only):
+        # UTF-8 text holds no surrogate, so one comes only as a \u escape. A
+        # pair of escapes stands for one character, and an escaped backslash
+        # before a "u" for itself.
+        obj = {f"k{i}\\u": text for i, text in enumerate(texts)}
+        line = re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m.group()):04x}",
+                      json.dumps(obj, ensure_ascii=ascii_only))
+        # What the line decodes to: a high surrogate before a low one is a pair.
+        obj = {key: text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+               for key, text in obj.items()}
+        surrogates = [ch for text in obj.values() for ch in text if 0xD800 <= ord(ch) <= 0xDFFF]
+        if surrogates:
+            with pytest.raises(ValueError, match=rf"^bad JSON: lone surrogate \\u{ord(surrogates[0]):04x}$"):
+                io.json_object(line)
+            with pytest.raises(ParseError, match=r"^m\.json:1: bad JSON manifest: lone surrogate"):
+                io.json_document(f"[{line}]", "m.json", "manifest")
+        else:
+            assert io.json_object(line) == obj
+            assert io.json_document(f"[\n{line}]", "m.json", "manifest") == [obj]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True),
+           st.lists(st.lists(st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=6),
+                             min_size=4, max_size=4), max_size=4))
+    def test_json_lines_writes_what_json_dumps_writes(self, keys, rows):
+        rows = [row[: len(keys)] for row in rows]
+        got = io.json_lines(keys, (tuple(map(io.json_string, row)) for row in rows))
+        assert got == "".join(json.dumps(dict(zip(keys, row)), ensure_ascii=False) + "\n" for row in rows)
+
+    def test_no_rows_are_empty_text(self, tmp_path):
+        assert io.json_lines(("id", "term"), []) == ""
+        assert main(["map", "--dict", put(tmp_path / "d.tsv", ""), "--out", str(tmp_path / "o.jsonl")]) == 0
+        assert (tmp_path / "o.jsonl").read_bytes() == b""
+        assert read_outcomes(tmp_path / "o.jsonl") == []
+
+
+def _bom_copy(path: Path, tmp: Path) -> Path:
+    copy = tmp / path.name
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+DATA = Path(__file__).resolve().parent / "data"
+SHIPPED = SRC / "data"
+# Each reader with a valid input whose first line is a row (or a comment).
+BOM_READERS = {
+    "TSV dictionary": (read_dictionary, DATA / "dict_50.tsv"),
+    "JSON-lines dictionary": (read_dictionary, DATA / "dict_50.jsonl"),
+    "gold file": (read_gold, DATA / "gold.tsv"),
+    "TSV manifest": (load_manifest, DATA / "manifest.tsv"),
+    "JSON manifest": (load_manifest, DATA / "manifest.json"),
+    "JSON-lines manifest": (load_manifest, DATA / "manifest.jsonl"),
+    "suffix table": (load_suffix_table, SHIPPED / "suffixes.tsv"),
+    "keyword table": (load_keyword_table, SHIPPED / "keywords.tsv"),
+    "stoplist": (load_stoplist, SHIPPED / "stops.txt"),
+    "function words": (load_wordlist, SHIPPED / "function_words.txt"),
+    "CoNLL-U": (_conllu, DATA / "dict_50.conllu"),
+    "resource": (lambda path: list(resource_rows(ResourceSpec("R", str(path), ResourceMode.FIXED, 1,
+                                                              category=Category.TOOL))), DATA / "icd10.tsv"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_READERS))
+def test_a_byte_order_mark_is_not_data(reader, tmp_path):
+    read, path = BOM_READERS[reader]
+    assert read(_bom_copy(path, tmp_path)) == read(path)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_a_byte_order_mark_is_not_outcome_data(fmt, tmp_path, fixture_outcomes):
+    path = tmp_path / f"mapped.{fmt}"
+    path.write_text(render_outcomes(fixture_outcomes, fmt), encoding="utf-8")
+    (tmp_path / "bom").mkdir()
+    assert read_outcomes(_bom_copy(path, tmp_path / "bom")) == read_outcomes(path) == fixture_outcomes

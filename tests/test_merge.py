@@ -551,6 +551,9 @@ def reference_render(records, fmt):
             )
             for r in records
         ]
+        # No rows give an empty file, not one blank line.
+        if not lines:
+            return ""
     else:
         lines = ["term\tcategory\tsources\tprovenance"] + [
             "\t".join((r.term, r.category, ",".join(sorted(r.sources.split(","))), r.provenance))
