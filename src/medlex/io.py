@@ -15,7 +15,7 @@ import re
 import stat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
@@ -53,7 +53,9 @@ def read_text(path: str | Path, what: str) -> str:
 def split_lines(text: str) -> list[str]:
     """The lines of ``text``, broken only at CR LF, CR and LF: ``str.splitlines``
     also breaks at U+2028, U+0085 and more, which a JSON string or term may hold."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 
@@ -159,15 +161,45 @@ def _lone_surrogate(line: str) -> str | None:
     return None
 
 
+# The separators json.dumps writes by default: between items, and after a key.
+_ITEM_SEPARATOR, _KEY_SEPARATOR = ", ", ": "
+
+
 def json_lines(keys: Sequence[str], rows: Iterable[tuple[str, ...]]) -> str:
     """One line for each row: the JSON object that maps each of ``keys``, in
     order, to the row's value at its place. A value is JSON text already
     (``json_string`` encodes a str), so a line is what
     ``json.dumps(obj, ensure_ascii=False)`` writes for the object. No rows
     give empty text."""
-    template = "{" + ", ".join(json_string(key).replace("%", "%%") + ": %s" for key in keys) + "}"
+    template = "{" + _ITEM_SEPARATOR.join(json_string(key).replace("%", "%%") + _KEY_SEPARATOR + "%s"
+                                          for key in keys) + "}"
     text = "\n".join(map(template.__mod__, rows))
     return text + "\n" if text else ""
+
+
+# A value as ``json_line_values`` matches it: null, or a JSON string whose
+# text is the string itself, with no quote, backslash or control character.
+_PLAIN_VALUE = r'(?:"([^"\\\x00-\x1f]*)"|null)'
+
+
+def json_line_values(keys: Sequence[str]) -> Callable[[str], tuple[str | None, ...] | None]:
+    """The reading side of ``json_lines``: a function that, for a line that
+    is exactly what ``json_lines`` writes for ``keys``, each value ``null``
+    or a JSON string without ``"``, ``\\`` or U+0000-U+001F, returns the
+    values in key order (None for null), and else None. Such a string's
+    JSON text is the string itself, so the values are what ``json.loads``
+    gives, and hold no lone surrogate. Any other line, such as one with an
+    escape, other spacing or other keys, is for ``json_object``. The
+    pattern is compiled here, not at import."""
+    pattern = "\\{" + re.escape(_ITEM_SEPARATOR).join(
+        re.escape(json_string(key) + _KEY_SEPARATOR) + _PLAIN_VALUE for key in keys) + "\\}"
+    match = re.compile(pattern).fullmatch
+
+    def values(line: str) -> tuple[str | None, ...] | None:
+        found = match(line)
+        return None if found is None else found.groups()
+
+    return values
 
 
 # The JSON name of each type a value of a JSON-lines row or manifest may need.

@@ -4,11 +4,12 @@ that the ``map`` and ``merge`` reports print."""
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import ParseError
-from .io import (column_count_error, data_lines, json_field, json_lines, json_object, json_string, read_text,
+from .io import (column_count_error, json_field, json_line_values, json_lines, json_object, json_string, read_text,
                  sniff_format, split_lines, write_text)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
@@ -129,6 +130,12 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     a term and a non-blank id no earlier row has, and pass
     ``MappingOutcome.validate``.
 
+    A JSON-lines row in the writer's form, with a string id, term,
+    provenance and votes, is read by one match (``json_line_values``); it
+    holds no tab, CR or LF, so only the blank term and id are checked
+    there. Any other row is decoded and checked as ``id_and_term`` and
+    ``json_field`` say, in the same order and with the same messages.
+
     Votes come from K-row tables, so (category, provenance, votes) texts
     repeat across rows: each distinct one is parsed and validated once, and
     later rows with the same text reuse the values. Distinct votes texts
@@ -136,52 +143,84 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """
     p = Path(path)
     where = str(p)
-    text = read_text(p, "outcomes")
+    lines = split_lines(read_text(p, "outcomes"))
     jsonl = sniff_format(p) == "jsonl"
-    outcomes = []
+    # Only a JSON-lines read compiles the writer-form pattern.
+    writer_form = json_line_values(OUTCOME_HEADER) if jsonl else None
+    # Line 1 of a TSV file is the header when it begins with id and term,
+    # whatever its column count.
+    skip = 1 if not jsonl and lines and lines[0].split("\t", 2)[:2] == ["id", "term"] else 0
+    outcomes: list[MappingOutcome] = []
+    append = outcomes.append
     seen: set[str] = set()
     # (category, provenance, votes) text -> their values, for texts that
     # have passed validate(); the checks do not depend on the id or term.
     checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
     parsed_votes: dict[str, Vote] = {}
-    for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
+    new = tuple.__new__
+    for lineno, line in enumerate(islice(lines, skip, None), start=1 + skip):
         try:
             if jsonl:
-                obj = json_object(raw)
-                entry_id, term = id_and_term(obj)
-                category, provenance = obj.get("category", ""), obj.get("provenance")
-                votes = obj.get("votes", "")
-                if category is None:
+                row = writer_form(line)
+                if row is not None:
+                    entry_id, term, category, provenance, votes = row
+                    if entry_id is None or term is None or provenance is None or votes is None:
+                        row = None
+                if row is None:
+                    # A blank line is no row; any other takes the decoder.
+                    if not line.strip():
+                        continue
+                    entry_id, term, category, provenance, votes = _json_row(line)
+                elif category is None:
                     category = ""
-                if type(category) is not str or type(provenance) is not str or type(votes) is not str:
-                    # Name the first that is missing where it must not be or of the wrong type.
-                    json_field(obj, "category", str, optional=True)
-                    json_field(obj, "provenance", str)
-                    json_field(obj, "votes", str)
             else:
-                cols = raw.split("\t")
-                if lineno == 1 and cols[:2] == ["id", "term"]:
-                    continue
+                # A line that holds a tab is a row, even of blank columns.
+                cols = line.split("\t")
                 if len(cols) != 5:
+                    if len(cols) == 1 and not line.strip():
+                        continue
                     raise column_count_error("5", len(cols))
-                entry_id, term = id_and_term(cols)
-                category, provenance, votes = cols[2:]
+                entry_id, term, category, provenance, votes = cols
+            # As id_and_term checks them; neither format's row here holds a tab, CR or LF.
+            if not term.strip():
+                raise ValueError("empty term")
+            if not entry_id.strip():
+                raise ValueError("missing entry id")
             key = (category, provenance, votes)
             values = checked.get(key)
             if values is None:
                 outcome = MappingOutcome(entry_id, term, parse_category(category) if category else None,
                                          _provenance(provenance), parse_votes(votes, parsed_votes))
                 outcome.validate()
-                checked[key] = (outcome.category, outcome.provenance, outcome.votes)
+                checked[key] = outcome[2:]
             else:
-                outcome = MappingOutcome(entry_id, term, *values)
+                # What MappingOutcome._make does, without the Python-level __new__.
+                outcome = new(MappingOutcome, (entry_id, term) + values)
             if entry_id in seen:
                 raise ValueError(f"duplicate entry id {entry_id!r}")
         except ValueError as exc:
             raise ParseError(f"bad outcome row: {exc}", where, lineno) from None
         seen.add(entry_id)
-        outcomes.append(outcome)
+        append(outcome)
     return outcomes
+
+
+def _json_row(line: str) -> tuple[str, str, str, str, str]:
+    """The id, term, category ("" for null or absent), provenance and votes
+    ("" when absent) of a JSON-lines outcome row not in the writer's form,
+    checked in order as ``id_and_term`` and ``json_field`` check them."""
+    obj = json_object(line)
+    entry_id, term = id_and_term(obj)
+    category, provenance = obj.get("category", ""), obj.get("provenance")
+    votes = obj.get("votes", "")
+    if category is None:
+        category = ""
+    if type(category) is not str or type(provenance) is not str or type(votes) is not str:
+        # Name the first that is missing where it must not be or of the wrong type.
+        json_field(obj, "category", str, optional=True)
+        json_field(obj, "provenance", str)
+        json_field(obj, "votes", str)
+    return entry_id, term, category, provenance, votes
 
 
 def count_table(title: str, counts: dict[str, int], footer: list[tuple[str, int]]) -> list[str]:

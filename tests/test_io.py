@@ -850,6 +850,21 @@ def test_only_io_module_touches_files():
     assert offenders == []
 
 
+# Keys and values for a JSON-lines row: JSON's escaped characters, other
+# separators of lines and words, non-BMP text and blanks.
+LINE_KEYS = ["id", "term", "votes", 'q"', "\\", "%s", "nøkkel", "a b"]
+LINE_VALUES = st.one_of(
+    st.none(),
+    st.text(alphabet=st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\t", "\u2028", "\x85", "\x7f", "\U0001f600", " ", "/", ","])), max_size=6),
+)
+
+
+def _plain(text):
+    """Whether ``text`` is its own JSON string text: no quote, backslash or control character."""
+    return not re.search('["\\\\\x00-\x1f]', text)
+
+
 class TestJsonCodec:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(
@@ -883,6 +898,66 @@ class TestJsonCodec:
         rows = [row[: len(keys)] for row in rows]
         got = io.json_lines(keys, (tuple(map(io.json_string, row)) for row in rows))
         assert got == "".join(json.dumps(dict(zip(keys, row)), ensure_ascii=False) + "\n" for row in rows)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_json_line_values_returns_what_json_loads_gives(self, data):
+        # A line from the writer's keys and values, with at most one detail
+        # changed: key order, separators, ASCII escapes, strings left
+        # unescaped, a number, a repeated key, a missing or extra key, or
+        # text around the object.
+        keys = data.draw(st.lists(st.sampled_from(LINE_KEYS), min_size=1, max_size=5, unique=True))
+        values = [data.draw(LINE_VALUES) for _ in keys]
+        items = list(zip(keys, values))
+        change = data.draw(st.sampled_from(["none", "none", "order", "separators", "ascii", "integer",
+                                            "repeat", "missing", "extra", "around", "raw"]))
+        separators = (", ", ": ")
+        if change == "order":
+            items = data.draw(st.permutations(items))
+        elif change == "separators":
+            separators = data.draw(st.sampled_from([(",", ": "), (", ", ":"), (",", ":"), (" , ", ": ")]))
+        elif change == "integer":
+            items[data.draw(st.integers(0, len(items) - 1))] = (keys[0], data.draw(st.integers(-10, 10)))
+        elif change == "missing" and len(items) > 1:
+            del items[data.draw(st.integers(0, len(items) - 1))]
+        elif change == "extra":
+            items.insert(data.draw(st.integers(0, len(items))), ("extra", data.draw(LINE_VALUES)))
+        ascii_only = change == "ascii"
+
+        def encode(value):
+            # "raw": each string as it is, its quotes, backslashes and control
+            # characters unescaped.
+            if change == "raw" and type(value) is str:
+                return f'"{value}"'
+            return json.dumps(value, ensure_ascii=ascii_only)
+
+        line = "{" + separators[0].join(
+            json.dumps(key, ensure_ascii=ascii_only) + separators[1] + encode(value) for key, value in items) + "}"
+        if change == "repeat":
+            key = data.draw(st.sampled_from(keys))
+            line = line[:-1] + f", {json.dumps(key, ensure_ascii=False)}: {json.dumps(data.draw(LINE_VALUES))}}}"
+        elif change == "around":
+            before, after = data.draw(st.sampled_from([(" ", ""), ("", " "), ("", "x"), ("\t", ""), ("", "{}")]))
+            line = before + line + after
+        got = io.json_line_values(keys)(line)
+        if got is not None:
+            # json.loads raises for a raw control character in a string.
+            obj = json.loads(line)
+            assert list(obj) == keys and tuple(obj.values()) == got
+        # What json_lines writes from plain strings and nulls is matched.
+        writer_form = io.json_lines(keys, [tuple("null" if v is None else io.json_string(v) for v in values)])
+        if line + "\n" == writer_form and all(v is None or _plain(v) for v in values):
+            assert got == tuple(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(LINE_VALUES, min_size=3, max_size=3), max_size=4))
+    def test_json_line_values_reads_a_plain_line_json_lines_writes(self, rows):
+        keys = ("id", 'q"', "\\%s")
+        text = io.json_lines(keys, (tuple("null" if v is None else io.json_string(v) for v in row) for row in rows))
+        values = io.json_line_values(keys)
+        for line, row in zip(io.split_lines(text), rows):
+            plain = all(v is None or _plain(v) for v in row)
+            assert values(line) == (tuple(row) if plain else None)
 
     def test_no_rows_are_empty_text(self, tmp_path):
         assert io.json_lines(("id", "term"), []) == ""

@@ -10,7 +10,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medlex.cli import main
@@ -164,16 +164,21 @@ class TestIngestResource:
 
 def reference_ingest(spec, base_dir):
     """``ingest_resource`` as it was before it resolved each distinct
-    category or chapter text once: every row parses its own, and lines
-    are filtered with the strip form."""
+    category or chapter text once: every row parses its own. Lines are
+    filtered by the documented rule, written out here: a line with a tab
+    is a row unless its first column begins with ``#`` after leading
+    blanks; a line without one is a row unless it is blank or begins with
+    ``#`` after leading blanks."""
     path = str(base_dir / spec.file)
     text = read_text(path, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
     records = []
     ingested = excluded = 0
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for lineno, line in enumerate(split_lines(text), start=1):
+        if "\t" in line:
+            if line.split("\t")[0].lstrip().startswith("#"):
+                continue
+        elif not line.strip() or line.lstrip().startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) < need:
@@ -269,9 +274,15 @@ def resource_files(draw, faults=True):
     return f"R\tres.tsv\t{mode}\t{rules_text}\t1\t{layout_text}\n", text
 
 
+# A TSV row of blank columns is a row, refused with ``empty term`` at its line.
+BLANK_COLUMNS_MANIFEST = "R\tres.tsv\tPER_ENTRY\t\t1\tterm=0,category=1\n"
+
+
 class TestIngestOracle:
     @settings(max_examples=300, deadline=None)
     @given(resource_files())
+    @example((BLANK_COLUMNS_MANIFEST, "feber\tcondition\n \t\nfeber\tcondition\nfeber\tcondition\n"))
+    @example((BLANK_COLUMNS_MANIFEST, "feber\tcondition\n \t\nfeber\tcondition\n \tcondition\n"))
     def test_ingest_matches_per_row_reference(self, files):
         manifest_line, text = files
         with tempfile.TemporaryDirectory() as tmp:

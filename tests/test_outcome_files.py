@@ -282,7 +282,8 @@ def file_votes(draw):
 def tsv_lines(draw):
     lines = []
     if draw(st.booleans()):
-        lines.append("id\tterm\tcategory\tprovenance\tvotes")
+        # A header on line 1 is skipped whatever its column count.
+        lines.append("\t".join(OUTCOME_KEYS[: draw(st.integers(2, 5))]))
     pool, parts = draw(file_votes())
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.integers(0, 9))
@@ -302,7 +303,7 @@ def jsonl_lines(draw):
     lines = []
     pool, parts = draw(file_votes())
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 9))
+        kind = draw(st.integers(0, 11))
         entry_id, term, category, provenance, votes = draw(row_texts(pool, parts))
         obj = {"id": entry_id, "term": term, "category": category or None,
                "provenance": provenance, "votes": votes}
@@ -320,6 +321,20 @@ def jsonl_lines(draw):
         if kind == 3:
             items = draw(st.permutations(items))
         line = json.dumps(dict(items), ensure_ascii=draw(st.booleans()))
+        if kind == 7:
+            # The writer's form but for one detail: the row is decoded, not
+            # matched, and reads as the oracle reads it.
+            line = draw(st.sampled_from([
+                json.dumps(obj, separators=(",", ":")),
+                json.dumps(obj, separators=(", ", ":")),
+                json.dumps(obj, ensure_ascii=False).replace('", "', '",  "', 1),
+                json.dumps(obj, ensure_ascii=False)[:-1] + f', "term": {json.dumps(draw(TEXT))}}}',
+                json.dumps(obj, ensure_ascii=False)[:-1] + ', "note": ""}',
+                json.dumps(obj, ensure_ascii=False).replace('"id"', '"\\u0069d"', 1),
+                json.dumps({**obj, "id": draw(st.integers(0, 30))}, ensure_ascii=False),
+                json.dumps({**obj, draw(st.sampled_from(sorted(obj))): None}, ensure_ascii=False),
+                json.dumps(obj, ensure_ascii=False).replace(': "', ': "\\/', 1),
+            ]))
         if kind == 4:
             line = draw(st.sampled_from([" ", "\t", ""])) + line
         if kind == 5:
@@ -452,6 +467,15 @@ class TestReaderAgainstOracle:
             (".tsv", ["e1\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-;BOGUS:TOOL:kniv:-",
                       "e2\tt\tTOOL\tSUFF\tSUFF:TOOL:kniv:-"],
              "2: bad outcome row: bad vote serialization: 'BOGUS:TOOL:kniv:-'"),
+            # The writer's keys and spacing, with null where a string belongs.
+            (".jsonl", ['{"id": null, "term": "t", "category": null, "provenance": "UNMAPPED", "votes": ""}'],
+             '1: bad outcome row: "id" must be a JSON string or integer, not null'),
+            (".jsonl", ['{"id": "e1", "term": null, "category": null, "provenance": "UNMAPPED", "votes": ""}'],
+             '1: bad outcome row: "term" must be a JSON string, not null'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": null, "provenance": null, "votes": ""}'],
+             '1: bad outcome row: "provenance" must be a JSON string, not null'),
+            (".jsonl", ['{"id": "e1", "term": "t", "category": null, "provenance": "UNMAPPED", "votes": null}'],
+             '1: bad outcome row: "votes" must be a JSON string, not null'),
         ],
     )
     def test_bad_rows_fail_as_before(self, suffix, lines, error):
