@@ -8,7 +8,7 @@ import enum
 import logging
 from collections import Counter
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -340,20 +340,6 @@ def resource_rows(
         raise ParseError(f"resource {spec.name}: {exc}", str(p), lineno) from None
 
 
-def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:
-    """Read one resource file into categorized records; a row its chapter
-    rule excludes is counted, not kept."""
-    name, rank = spec.name, spec.trust_rank
-    records: list[SourceRecord] = []
-    append = records.append
-    ingested = 0
-    for ingested, (term, category) in enumerate(resource_rows(spec, base_dir), start=1):
-        if category is not None:
-            # What SourceRecord._make does, without the Python-level __new__.
-            append(tuple.__new__(SourceRecord, (term, category, name, name, rank)))
-    return IngestResult(spec.name, tuple(records), ingested, ingested - len(records))
-
-
 def _route_chapter(spec: ResourceSpec, chapter: str) -> Category | None:
     """The category a CHAPTERED row's chapter text routes to (None:
     excluded); a chapter no rule names, with no default, raises ValueError."""
@@ -388,6 +374,22 @@ def mapped_source(
     return name, trust_rank, ((o.term, o.category, o.provenance._value_) for o in outcomes)
 
 
+def _ingest(source: Source) -> IngestResult:
+    """A source's rows as records; a row without a category is counted, not kept."""
+    name, rank, rows = source
+    records = []
+    ingested = 0
+    for ingested, (term, category, provenance) in enumerate(rows, start=1):
+        if category is not None:
+            records.append(SourceRecord(term, category, name, provenance, rank))
+    return IngestResult(name, tuple(records), ingested, ingested - len(records))
+
+
+def ingest_resource(spec: ResourceSpec, base_dir: str | Path | None = None) -> IngestResult:
+    """Read one resource file into records, as ``resource_source`` reads it."""
+    return _ingest(resource_source(spec, base_dir))
+
+
 def mapped_records(
     outcomes: Iterable[MappingOutcome],
     name: str = DEFAULT_MAPPED_NAME,
@@ -395,12 +397,7 @@ def mapped_records(
 ) -> IngestResult:
     """Mapped dictionary outcomes as records, as ``mapped_source`` reads
     them; unmapped entries are counted as excluded."""
-    records = []
-    ingested = 0
-    for ingested, (term, category, provenance) in enumerate(mapped_source(outcomes)[2], start=1):
-        if category is not None:
-            records.append(SourceRecord(term, category, name, provenance, trust_rank))
-    return IngestResult(name, tuple(records), ingested, ingested - len(records))
+    return _ingest(mapped_source(outcomes, name, trust_rank))
 
 
 def merge_sources(
@@ -420,15 +417,15 @@ def merge_sources(
     at that rank are refused. Each source's name must pass
     ``check_source_name`` and differ from the others' (ValueError).
 
-    A term's row is built at its first row; a term met again gets its
-    rows as records, and only those groups are resolved.
+    A term's row is built at its first row; a term met again keeps its
+    rows, and only those groups are resolved.
     """
     sources = resources if mapped is None else chain([mapped], resources)
     mapped_name = None if mapped is None else mapped[0]
     lexicon: dict[str, tuple[str, str, str, str]] = {}
     setdefault = lexicon.setdefault
     # The rows of each key met more than once, in source and row order.
-    more: dict[str, list[SourceRecord]] = {}
+    more: dict[str, list[tuple[str, str, str, str]]] = {}
     ranks: dict[str, int] = {}
     # The one string for each combination of sources (a lone name is one).
     combinations: dict[str, str] = {}
@@ -448,15 +445,11 @@ def merge_sources(
             row = (term, category._value_, name, provenance)
             first = setdefault(key, row)
             if first is not row:
-                # What SourceRecord._make does, without the Python-level __new__.
-                record = tuple.__new__(SourceRecord, (term, category, name, provenance, rank))
                 group = more.get(key)
                 if group is None:
-                    # The first row, rebuilt; a label is its member's name.
-                    term0, label0, name0, provenance0 = first
-                    more[key] = [SourceRecord(term0, Category[label0], name0, provenance0, ranks[name0]), record]
+                    more[key] = [first, row]
                 else:
-                    group.append(record)
+                    group.append(row)
         resource_counts.append((name, ingested, ingested - excluded, excluded))
 
     conflicts: list[tuple[str, str, str, str, str]] = []
@@ -464,20 +457,34 @@ def merge_sources(
     combination_counts: dict[str, int] = {}  # of two or more sources
     for key in sorted(more):
         group = more[key]
-        winner = min(group, key=attrgetter("trust_rank"))  # the earliest of the most trusted
-        rank, category = winner.trust_rank, winner.category
-        if any(r.category is not category and r.trust_rank == rank for r in group):
-            conflicts += _equal_rank_conflicts(key, group, winner)
-        sources_column = ",".join(sorted({r.source for r in group}))
+        # The winner: the earliest row of the lowest trust rank.
+        term, label, source, provenance = min(group, key=lambda r: ranks[r[2]])
+        rank = ranks[source]
+        # At the winner's rank each source counts once, by the label of its
+        # earliest row; a later row that disagrees with it is dropped.
+        earliest: dict[str, str] = {}
+        names = set()
+        corrected = source == mapped_name  # the mapped category won: nothing to correct
+        for row_term, row_label, name, _ in group:
+            names.add(name)
+            if ranks[name] == rank:
+                first_label = earliest.get(name)
+                if first_label is None:
+                    earliest[name] = row_label
+                    if row_label != label:
+                        conflicts.append((key, source, label, name, row_label))
+                elif row_label != first_label:
+                    log.warning("term %r has both %s and %s in %s; merge uses the earliest",
+                                key, first_label, row_label, name)
+            if not corrected and name == mapped_name and row_label != label:
+                # A label is its member's name.
+                corrections.append(Correction(row_term, Category[row_label], Category[label], source))
+                corrected = True
+        sources_column = ",".join(sorted(names))
         sources_column = combinations.setdefault(sources_column, sources_column)
         if "," in sources_column:
             combination_counts[sources_column] = combination_counts.get(sources_column, 0) + 1
-        if mapped_name is not None and winner.source != mapped_name:
-            for r in group:
-                if r.source == mapped_name and r.category is not category:
-                    corrections.append(Correction(r.term, r.category, category, winner.source))
-                    break
-        lexicon[key] = (winner.term, category._value_, sources_column, winner.provenance)
+        lexicon[key] = (term, label, sources_column, provenance)
 
     if conflicts:
         raise MergeConflictError(conflicts)
@@ -517,36 +524,6 @@ def merge_lexicons(
     results = ([mapped] if mapped is not None else []) + list(resources)
     counts = tuple((r.name, r.ingested, r.kept, r.excluded) for r in results)
     return list(map(LexiconRecord._make, rows)), report._replace(resource_counts=counts)
-
-
-def _equal_rank_conflicts(
-    key: str, group: list[SourceRecord], winner: SourceRecord
-) -> list[tuple[str, str, str, str, str]]:
-    """Disagreements with ``winner`` among the group's rows at its rank.
-
-    Each source counts once, by its earliest such row; a later row of the
-    same source that disagrees with it is dropped with a warning.
-    """
-    conflicts = []
-    earliest: dict[str, SourceRecord] = {}
-    for r in group:
-        if r.trust_rank != winner.trust_rank:
-            continue
-        first = earliest.setdefault(r.source, r)
-        if first is not r:
-            if r.category is not first.category:
-                log.warning(
-                    "term %r has both %s and %s in %s; merge uses the earliest",
-                    key,
-                    first.category,
-                    r.category,
-                    r.source,
-                )
-        elif r.category is not winner.category:
-            conflicts.append(
-                (key, winner.source, str(winner.category), r.source, str(r.category))
-            )
-    return conflicts
 
 
 def format_merge_report(report: MergeReport) -> str:

@@ -16,7 +16,7 @@ from medlex.defaults import (
     default_suffix_table,
 )
 from medlex.evaluate import score, stratified_sample
-from medlex.merge import ingest_resource, load_manifest, mapped_records, merge_lexicons
+from medlex.merge import load_manifest, mapped_source, merge_sources, resource_rows, resource_source
 from medlex.model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -235,16 +235,17 @@ def test_iteration_pass():
 def test_merge_fixtures():
     outcomes = _fixture_outcomes(iter_rounds=1)
     specs = load_manifest(DATA / "manifest.json")
-    resources = [ingest_resource(s, DATA) for s in specs]
-    mo = mapped_records(outcomes)
 
-    lower, report = merge_lexicons(mo, resources, lowercase=True)
-    cased, _ = merge_lexicons(mo, resources, lowercase=False)
+    def merged(lowercase):
+        return merge_sources(mapped_source(outcomes), [resource_source(s, DATA) for s in specs], lowercase)
+
+    lower, report = merged(lowercase=True)
+    cased, _ = merged(lowercase=False)
 
     # no duplicate normalized terms
-    keys = [normalize_term(r.term) for r in lower]
+    keys = [normalize_term(term) for term, *_ in lower]
     assert len(keys) == len(set(keys))
-    cased_terms = [r.term for r in cased]
+    cased_terms = [term for term, *_ in cased]
     assert len(cased_terms) == len(set(cased_terms))
 
     # lowercase mode shrinks or preserves
@@ -254,13 +255,13 @@ def test_merge_fixtures():
     all_terms = set(keys)
     assert "lav inntekt" not in all_terms
     assert "blodtrykksmåling" in all_terms
-    routed = next(r for r in lower if normalize_term(r.term) == "blodtrykksmåling")
-    assert routed.category == "PROCEDURE"
+    routed = next(category for term, category, *_ in lower if normalize_term(term) == "blodtrykksmåling")
+    assert routed == "PROCEDURE"
 
     # independent recount oracle, exact
     recount: dict[str, int] = {}
-    for r in lower:
-        recount[str(r.category)] = recount.get(str(r.category), 0) + 1
+    for _, category, *_ in lower:
+        recount[category] = recount.get(category, 0) + 1
     assert recount == report.category_counts
     assert sum(recount.values()) == report.total == len(lower)
     for name, ingested, kept, excluded in report.resource_counts:
@@ -273,11 +274,13 @@ def test_merge_fixtures():
             mo_cats.setdefault(normalize_term(o.term), o.category)
     expected = set()
     best: dict[str, tuple[int, Category]] = {}
-    for res in resources:
-        for rec in res.records:
-            key = normalize_term(rec.term)
-            if key not in best or rec.trust_rank < best[key][0]:
-                best[key] = (rec.trust_rank, rec.category)
+    for spec in specs:
+        for term, category in resource_rows(spec, DATA):
+            if category is None:
+                continue
+            key = normalize_term(term)
+            if key not in best or spec.trust_rank < best[key][0]:
+                best[key] = (spec.trust_rank, category)
     for key, (_, category) in best.items():
         if key in mo_cats and mo_cats[key] is not category:
             expected.add(key)

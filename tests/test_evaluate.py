@@ -46,10 +46,6 @@ def outcome(entry_id, term, category, provenance=Provenance.KW_1N):
     return MappingOutcome(entry_id, term, category, provenance)
 
 
-def record(term, category):
-    return SourceRecord(term, category, "RES", "RES", 1)
-
-
 class TestRounding:
     def test_pct1_half_up(self):
         assert pct1(1, 16) == "6.3"  # 6.25 rounds up
@@ -87,34 +83,34 @@ class TestOverlapEval:
             outcome("e5", "e", Category.TOOL),
         ]
         resource = [
-            record("a", Category.CONDITION),
-            record("b", Category.CONDITION),
-            record("c", Category.PROCEDURE),
-            record("d", Category.CONDITION),
-            record("x", Category.CONDITION),
+            ("a", Category.CONDITION),
+            ("b", Category.CONDITION),
+            ("c", Category.PROCEDURE),
+            ("d", Category.CONDITION),
+            ("x", Category.CONDITION),
         ]
         # independent oracle: intersect dicts explicitly
         m = {o.term: o.category for o in mapped}
-        r = {x.term: x.category for x in resource}
+        r = dict(resource)
         shared = set(m) & set(r)
         agree = sum(1 for t in shared if m[t] is r[t])
         assert (len(shared), agree) == (4, 3)
 
-        result = overlap_eval(mapped, resource)
+        result = score_overlap(mapped_categories(mapped), resource)
         assert (result.overlap, result.correct) == (4, 3)
         assert result.percent_correct == "75.0"
 
     def test_disjoint_sets_report_na(self):
-        result = overlap_eval(
-            [outcome("e1", "a", Category.CONDITION)], [record("z", Category.CONDITION)]
+        result = score_overlap(
+            mapped_categories([outcome("e1", "a", Category.CONDITION)]), [("z", Category.CONDITION)]
         )
         assert result.overlap == 0
         assert result.percent_correct is None
 
     def test_identical_sets_are_all_correct(self):
         mapped = [outcome(f"e{i}", f"t{i}", Category.CONDITION) for i in range(5)]
-        resource = [record(f"t{i}", Category.CONDITION) for i in range(5)]
-        result = overlap_eval(mapped, resource)
+        resource = [(f"t{i}", Category.CONDITION) for i in range(5)]
+        result = score_overlap(mapped_categories(mapped), resource)
         assert (result.overlap, result.percent_correct) == (5, "100.0")
 
     def test_permutation_invariance(self):
@@ -122,32 +118,34 @@ class TestOverlapEval:
             outcome("e1", "a", Category.CONDITION),
             outcome("e2", "b", Category.PROCEDURE),
         ]
-        resource = [record("b", Category.PROCEDURE), record("a", Category.TOOL)]
-        fwd = overlap_eval(mapped, resource)
-        rev = overlap_eval(list(reversed(mapped)), list(reversed(resource)))
+        resource = [("b", Category.PROCEDURE), ("a", Category.TOOL)]
+        fwd = score_overlap(mapped_categories(mapped), resource)
+        rev = score_overlap(mapped_categories(list(reversed(mapped))), list(reversed(resource)))
         assert (fwd.overlap, fwd.correct) == (rev.overlap, rev.correct)
 
     def test_unmapped_outcomes_ignored(self):
         mapped = [MappingOutcome("e1", "a", None, Provenance.UNMAPPED)]
-        result = overlap_eval(mapped, [record("a", Category.CONDITION)])
+        result = score_overlap(mapped_categories(mapped), [("a", Category.CONDITION)])
         assert result.overlap == 0
 
     def test_terms_compared_normalized(self):
         mapped = [outcome("e1", "Aspartam", Category.SUBSTANCE)]
-        result = overlap_eval(mapped, [record("aspartam", Category.SUBSTANCE)])
+        result = score_overlap(mapped_categories(mapped), [("aspartam", Category.SUBSTANCE)])
         assert (result.overlap, result.correct) == (1, 1)
 
 
 def reference_overlap(mapped, resource):
-    """``overlap_eval`` as it was before it scored (term, category) rows:
-    both sides folded into whole dicts, first record wins on each side."""
+    """The overlap score as it was before it scored a resource's rows in
+    one pass: both sides folded into whole dicts, first row wins on each
+    side. ``resource`` holds the (term, category) rows that have a
+    category."""
     mapped_cats = {}
     for o in mapped:
         if o.category is not None:
             mapped_cats.setdefault(normalize_term(o.term), o.category)
     resource_cats = {}
-    for r in resource:
-        resource_cats.setdefault(normalize_term(r.term), r.category)
+    for term, category in resource:
+        resource_cats.setdefault(normalize_term(term), category)
 
     shared = sorted(set(mapped_cats) & set(resource_cats))
     per_category = {}
@@ -205,17 +203,25 @@ class TestOverlapOracle:
     @given(overlap_inputs())
     def test_scorer_matches_the_whole_dict_reference(self, inputs):
         outcomes, rows = inputs
-        records = [record(term.strip(), category) for term, category in rows if category is not None]
-        want = reference_overlap(outcomes, records)
-        assert score_overlap(mapped_categories(outcomes), rows) == want
-        assert overlap_eval(outcomes, records) == want
+        kept = [(term.strip(), category) for term, category in rows if category is not None]
+        assert score_overlap(mapped_categories(outcomes), rows) == reference_overlap(outcomes, kept)
+
+    @settings(max_examples=100, deadline=None)
+    @given(overlap_inputs())
+    def test_record_adapter_matches_the_scorer(self, inputs):
+        """``overlap_eval``, kept for the benchmark's replay, scores a
+        resource's records as ``score_overlap`` scores its rows."""
+        outcomes, rows = inputs
+        records = [SourceRecord(term, category, "RES", "RES", 1)
+                   for term, category in rows if category is not None]
+        assert overlap_eval(outcomes, records) == score_overlap(mapped_categories(outcomes), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(overlap_inputs())
     def test_eval_overlap_command_matches_the_reference(self, inputs):
         outcomes, rows = inputs
-        records = [record(term.strip(), category) for term, category in rows if category is not None]
-        want = format_overlap_report([("R", "Multiple", reference_overlap(outcomes, records))])
+        kept = [(term.strip(), category) for term, category in rows if category is not None]
+        want = format_overlap_report([("R", "Multiple", reference_overlap(outcomes, kept))])
         with tempfile.TemporaryDirectory() as tmp:
             base = Path(tmp)
             write_outcomes(outcomes, base / "mapped.tsv")

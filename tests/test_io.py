@@ -17,7 +17,7 @@ from medlex import io
 from medlex.cli import main
 from medlex.errors import LintError, ParseError
 from medlex.evaluate import read_gold
-from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, ingest_resource, load_manifest, resource_rows
+from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, load_manifest, resource_rows
 from medlex.model import Category
 from medlex.outcomes import read_outcomes, render_outcomes
 from medlex.pipeline import read_dictionary, resolve_synonyms
@@ -786,7 +786,7 @@ def _conllu(path):
 
 
 def _resource(mode, **kwargs):
-    return lambda path: ingest_resource(ResourceSpec("R", str(path), mode, 1, **kwargs))
+    return lambda path: list(resource_rows(ResourceSpec("R", str(path), mode, 1, **kwargs)))
 
 
 READERS = {

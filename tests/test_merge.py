@@ -28,9 +28,12 @@ from medlex.merge import (
     ingest_resource,
     load_manifest,
     mapped_records,
+    mapped_source,
     merge_lexicons,
     merge_sources,
     render_lexicon,
+    resource_rows,
+    resource_source,
 )
 from medlex.merge import _route_chapter
 from medlex.model import (
@@ -57,20 +60,30 @@ def fixed_spec(tmp_path, rows, name="RES", category="SUBSTANCE", rank=1):
     )
 
 
-def source(term, category, name="RES", rank=1):
-    return SourceRecord(term, category, name, name, rank)
+def source(*rows, name="RES", rank=1):
+    """A source for ``merge_sources`` holding the (term, category) ``rows``;
+    a row's provenance is the source's name."""
+    return name, rank, [(term, category, name) for term, category in rows]
 
 
-def result_of(*records: SourceRecord, name="RES", excluded=0):
-    return IngestResult(name, tuple(records), len(records) + excluded, excluded)
+def lexicon_of(mapped, resources, lowercase=True):
+    """``merge_sources``, its rows named by ``LexiconRecord``."""
+    rows, report = merge_sources(mapped, resources, lowercase)
+    return list(map(LexiconRecord._make, rows)), report
+
+
+def counts(rows):
+    """(ingested, kept, excluded) of ``resource_rows``' rows."""
+    excluded = sum(category is None for _, category in rows)
+    return len(rows), len(rows) - excluded, excluded
 
 
 class TestIngestResource:
     def test_fixed_assigns_spec_category_to_every_row(self, tmp_path):
         spec = fixed_spec(tmp_path, ["aspartam", "insulin", "glukose"])
-        result = ingest_resource(spec)
-        assert [r.category for r in result.records] == [Category.SUBSTANCE] * 3
-        assert (result.ingested, result.kept, result.excluded) == (3, 3, 0)
+        rows = list(resource_rows(spec))
+        assert [category for _, category in rows] == [Category.SUBSTANCE] * 3
+        assert counts(rows) == (3, 3, 0)
 
     def test_chaptered_routes_and_excludes(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -91,13 +104,13 @@ class TestIngestResource:
             ),
             chapter_default=Category.CONDITION,
         )
-        result = ingest_resource(spec)
-        categories = {r.term: r.category for r in result.records}
+        rows = list(resource_rows(spec))
+        categories = {term: category for term, category in rows if category is not None}
         assert categories == {
             "blodtrykksmåling": Category.PROCEDURE,
             "feber": Category.CONDITION,
         }
-        assert (result.ingested, result.kept, result.excluded) == (3, 2, 1)
+        assert counts(rows) == (3, 2, 1)
 
     def test_per_entry_reads_category_column(self, tmp_path):
         path = tmp_path / "aloc.tsv"
@@ -105,8 +118,7 @@ class TestIngestResource:
         spec = ResourceSpec(
             name="ALOC", file=str(path), mode=ResourceMode.PER_ENTRY, trust_rank=1
         )
-        result = ingest_resource(spec)
-        assert result.records[0].category is Category.PROCEDURE
+        assert next(resource_rows(spec))[1] is Category.PROCEDURE
 
     def test_per_entry_unknown_category_names_row(self, tmp_path):
         path = tmp_path / "aloc.tsv"
@@ -115,7 +127,7 @@ class TestIngestResource:
             name="ALOC", file=str(path), mode=ResourceMode.PER_ENTRY, trust_rank=1
         )
         with pytest.raises(ParseError) as exc_info:
-            ingest_resource(spec)
+            list(resource_rows(spec))
         assert exc_info.value.line == 2
 
     def test_unmatched_chapter_without_default_rejected(self, tmp_path):
@@ -129,7 +141,7 @@ class TestIngestResource:
             chapter_rules=(ChapterRule("Procedure codes", Category.PROCEDURE),),
         )
         with pytest.raises(ParseError, match="no default"):
-            ingest_resource(spec)
+            list(resource_rows(spec))
 
     def test_chapter_match_is_case_insensitive(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -141,7 +153,7 @@ class TestIngestResource:
             trust_rank=1,
             chapter_rules=(ChapterRule("Procedure codes", Category.PROCEDURE),),
         )
-        assert ingest_resource(spec).records[0].category is Category.PROCEDURE
+        assert next(resource_rows(spec))[1] is Category.PROCEDURE
 
     def test_fixed_spec_requires_category(self, tmp_path):
         with pytest.raises(ValueError, match="category"):
@@ -159,21 +171,20 @@ class TestIngestResource:
             layout={"term": 0, "code": 1},
         )
         with pytest.raises(ParseError, match="empty term"):
-            ingest_resource(spec)
+            list(resource_rows(spec))
 
 
 def reference_ingest(spec, base_dir):
-    """``ingest_resource`` as it was before it resolved each distinct
-    category or chapter text once: every row parses its own. Lines are
-    filtered by the documented rule, written out here: a line with a tab
-    is a row unless its first column begins with ``#`` after leading
-    blanks; a line without one is a row unless it is blank or begins with
-    ``#`` after leading blanks."""
+    """``resource_rows`` as a list, as it was before it resolved each
+    distinct category or chapter text once: every row parses its own.
+    Lines are filtered by the documented rule, written out here: a line
+    with a tab is a row unless its first column begins with ``#`` after
+    leading blanks; a line without one is a row unless it is blank or
+    begins with ``#`` after leading blanks."""
     path = str(base_dir / spec.file)
     text = read_text(path, f"resource {spec.name}")
     need = max(spec.layout.values()) + 1
-    records = []
-    ingested = excluded = 0
+    rows = []
     for lineno, line in enumerate(split_lines(text), start=1):
         if "\t" in line:
             if line.split("\t")[0].lstrip().startswith("#"):
@@ -190,7 +201,6 @@ def reference_ingest(spec, base_dir):
         term = cols[spec.layout["term"]].strip()
         if not term:
             raise ParseError(f"resource {spec.name}: empty term", path, lineno)
-        ingested += 1
         if spec.mode is ResourceMode.FIXED:
             category = spec.category
         elif spec.mode is ResourceMode.PER_ENTRY:
@@ -200,11 +210,8 @@ def reference_ingest(spec, base_dir):
                 raise ParseError(f"resource {spec.name}: {exc}", path, lineno) from None
         else:
             category = route_chapter(spec, cols[spec.layout["chapter"]], path, lineno)
-            if category is None:
-                excluded += 1
-                continue
-        records.append(SourceRecord(term, category, spec.name, spec.name, spec.trust_rank))
-    return IngestResult(spec.name, tuple(records), ingested, excluded)
+        rows.append((term, category))
+    return rows
 
 
 def variant(words, pads=("", " ", "\u00a0")):
@@ -294,28 +301,28 @@ class TestIngestOracle:
                 want = reference_ingest(spec, base)
             except ParseError as exc:
                 with pytest.raises(ParseError) as got:
-                    ingest_resource(spec, base)
+                    list(resource_rows(spec, base))
                 assert (str(got.value), got.value.line) == (str(exc), exc.line)
                 return
-            got = ingest_resource(spec, base)
+            got = list(resource_rows(spec, base))
         assert got == want
-        assert all(type(r) is SourceRecord for r in got.records)
+        assert all(type(r) is tuple for r in got)
 
 
 class TestMergeLexicons:
     def test_agreeing_overlap_unions_sources_without_correction(self):
-        mo = result_of(source("leukemi", Category.CONDITION, "MO", 100), name="MO")
-        icd = result_of(source("leukemi", Category.CONDITION, "ICD-10", 2), name="ICD-10")
-        records, report = merge_lexicons(mo, [icd])
+        mo = source(("leukemi", Category.CONDITION), name="MO", rank=100)
+        icd = source(("leukemi", Category.CONDITION), name="ICD-10", rank=2)
+        records, report = lexicon_of(mo, [icd])
         assert len(records) == 1
         assert records[0].sources == "ICD-10,MO"
         assert records[0].category == "CONDITION"
         assert report.corrections == ()
 
     def test_trusted_resource_overrides_and_logs_correction(self):
-        mo = result_of(source("forbrenning", Category.PHYSIOLOGY, "MO", 100), name="MO")
-        icpc = result_of(source("forbrenning", Category.CONDITION, "ICPC-2", 3), name="ICPC-2")
-        records, report = merge_lexicons(mo, [icpc])
+        mo = source(("forbrenning", Category.PHYSIOLOGY), name="MO", rank=100)
+        icpc = source(("forbrenning", Category.CONDITION), name="ICPC-2", rank=3)
+        records, report = lexicon_of(mo, [icpc])
         assert records[0].category == "CONDITION"
         assert len(report.corrections) == 1
         c = report.corrections[0]
@@ -327,31 +334,25 @@ class TestMergeLexicons:
         )
 
     def test_case_variants_collapse_under_lowercase(self):
-        res = result_of(
-            source("Aspartam", Category.SUBSTANCE),
-            source("aspartam", Category.SUBSTANCE),
-        )
-        lower, _ = merge_lexicons(None, [res], lowercase=True)
-        cased, _ = merge_lexicons(None, [res], lowercase=False)
+        res = source(("Aspartam", Category.SUBSTANCE), ("aspartam", Category.SUBSTANCE))
+        lower, _ = lexicon_of(None, [res], lowercase=True)
+        cased, _ = lexicon_of(None, [res], lowercase=False)
         assert len(lower) == 1
         assert len(cased) == 2
 
     def test_spellings_that_lowercase_to_one_composed_form_merge(self):
         # "W" + ring lowercases to "w" + ring, which NFC writes as U+1E98.
-        res = result_of(
-            source("W\u030ax", Category.SUBSTANCE),
-            source("\u1e98x", Category.SUBSTANCE),
-        )
-        lower, _ = merge_lexicons(None, [res], lowercase=True)
+        res = source(("W\u030ax", Category.SUBSTANCE), ("\u1e98x", Category.SUBSTANCE))
+        lower, _ = lexicon_of(None, [res], lowercase=True)
         assert [(r.term, r.sources) for r in lower] == [("W\u030ax", "RES")]
-        cased, _ = merge_lexicons(None, [res], lowercase=False)
+        cased, _ = lexicon_of(None, [res], lowercase=False)
         assert len(cased) == 2
 
     def test_equal_rank_disagreement_is_refused(self):
-        a = result_of(source("x", Category.CONDITION, "A", 1), name="A")
-        b = result_of(source("x", Category.PROCEDURE, "B", 1), name="B")
+        a = source(("x", Category.CONDITION), name="A")
+        b = source(("x", Category.PROCEDURE), name="B")
         with pytest.raises(MergeConflictError) as exc_info:
-            merge_lexicons(None, [a, b])
+            merge_sources(None, [a, b])
         assert exc_info.value.conflicts
 
     @pytest.mark.parametrize(
@@ -359,27 +360,24 @@ class TestMergeLexicons:
     )
     def test_conflict_message_lists_the_first_twenty(self, n, tail):
         terms = [f"term{i:02}" for i in range(n)]
-        a = result_of(*(source(t, Category.CONDITION, "A", 1) for t in terms), name="A")
-        b = result_of(*(source(t, Category.PROCEDURE, "B", 1) for t in terms), name="B")
+        a = source(*((t, Category.CONDITION) for t in terms), name="A")
+        b = source(*((t, Category.PROCEDURE) for t in terms), name="B")
         with pytest.raises(MergeConflictError) as exc_info:
-            merge_lexicons(None, [a, b])
+            merge_sources(None, [a, b])
         assert [c[0] for c in exc_info.value.conflicts] == terms
         lines = str(exc_info.value).splitlines()[1:]
         listed = [f"  'term{i:02}': A=CONDITION vs B=PROCEDURE" for i in range(20)]
         assert lines == listed + ([tail] if tail else [])
 
     def test_equal_rank_agreement_is_fine(self):
-        a = result_of(source("x", Category.CONDITION, "A", 1), name="A")
-        b = result_of(source("x", Category.CONDITION, "B", 1), name="B")
-        records, _ = merge_lexicons(None, [a, b])
+        a = source(("x", Category.CONDITION), name="A")
+        b = source(("x", Category.CONDITION), name="B")
+        records, _ = lexicon_of(None, [a, b])
         assert len(records) == 1
 
     def test_output_sorted_by_normalized_term(self):
-        res = result_of(
-            source("Zebra", Category.CONDITION),
-            source("alfa", Category.CONDITION),
-        )
-        records, _ = merge_lexicons(None, [res])
+        res = source(("Zebra", Category.CONDITION), ("alfa", Category.CONDITION))
+        records, _ = lexicon_of(None, [res])
         assert [r.term for r in records] == ["alfa", "Zebra"]
 
     def test_provenance_of_winner_kept(self):
@@ -388,7 +386,7 @@ class TestMergeLexicons:
             Vote(Provenance.KW_1N, Category.CONDITION, "sykdom"),
         )
         outcome = MappingOutcome("e1", "leukemi", Category.CONDITION, Provenance.MULTI, votes)
-        records, _ = merge_lexicons(mapped_records([outcome]), [])
+        records, _ = lexicon_of(mapped_source([outcome]), [])
         assert records[0].provenance == "MULTI"
 
     def test_unmapped_outcomes_counted_as_excluded(self):
@@ -396,8 +394,8 @@ class TestMergeLexicons:
             MappingOutcome("e1", "leukemi", Category.CONDITION, Provenance.ITER),
             MappingOutcome("e2", "ukjent", None, Provenance.UNMAPPED),
         ]
-        result = mapped_records(outcomes)
-        assert (result.ingested, result.kept, result.excluded) == (2, 1, 1)
+        _, report = merge_sources(mapped_source(outcomes), [])
+        assert report.resource_counts == (("MO", 2, 1, 1),)
 
 
 def merge_warnings(caplog):
@@ -412,7 +410,7 @@ class TestWithinSourceDisagreement:
             MappingOutcome("e1", "kjerne", Category.ANAT_LOC, Provenance.ITER),
             MappingOutcome("e2", "kjerne", Category.TOOL, Provenance.ITER),
         ]
-        records, report = merge_lexicons(mapped_records(outcomes), [])
+        records, report = lexicon_of(mapped_source(outcomes), [])
         assert [(r.term, r.category, r.sources) for r in records] == [("kjerne", "ANAT_LOC", "MO")]
         assert report.corrections == ()
         assert merge_warnings(caplog) == [
@@ -424,8 +422,8 @@ class TestWithinSourceDisagreement:
             MappingOutcome("e1", "kjerne", Category.ANAT_LOC, Provenance.ITER),
             MappingOutcome("e2", "kjerne", Category.TOOL, Provenance.ITER),
         ]
-        icd = result_of(source("kjerne", Category.TOOL, "ICD-10", 2), name="ICD-10")
-        records, report = merge_lexicons(mapped_records(outcomes), [icd])
+        icd = source(("kjerne", Category.TOOL), name="ICD-10", rank=2)
+        records, report = lexicon_of(mapped_source(outcomes), [icd])
         assert records[0].category == "TOOL"
         assert report.corrections == (
             Correction("kjerne", Category.ANAT_LOC, Category.TOOL, "ICD-10"),
@@ -433,14 +431,11 @@ class TestWithinSourceDisagreement:
         assert merge_warnings(caplog) == []
 
     def test_resource_disagreeing_with_itself_after_case_folding(self, caplog):
-        res = result_of(
-            source("Aspartam", Category.SUBSTANCE),
-            source("aspartam", Category.TOOL),
-        )
-        cased, _ = merge_lexicons(None, [res], lowercase=False)
+        res = source(("Aspartam", Category.SUBSTANCE), ("aspartam", Category.TOOL))
+        cased, _ = lexicon_of(None, [res], lowercase=False)
         assert len(cased) == 2
         assert merge_warnings(caplog) == []
-        lower, report = merge_lexicons(None, [res], lowercase=True)
+        lower, report = lexicon_of(None, [res], lowercase=True)
         assert [(r.term, r.category) for r in lower] == [("Aspartam", "SUBSTANCE")]
         assert report.category_counts == {"SUBSTANCE": 1}
         assert merge_warnings(caplog) == [
@@ -448,27 +443,19 @@ class TestWithinSourceDisagreement:
         ]
 
     def test_other_source_disagreeing_with_the_earliest_row_is_refused(self, caplog):
-        a = result_of(
-            source("x", Category.CONDITION, "A", 1),
-            source("x", Category.PROCEDURE, "A", 1),
-            name="A",
-        )
-        b = result_of(source("x", Category.PROCEDURE, "B", 1), name="B")
+        a = source(("x", Category.CONDITION), ("x", Category.PROCEDURE), name="A")
+        b = source(("x", Category.PROCEDURE), name="B")
         with pytest.raises(MergeConflictError) as exc_info:
-            merge_lexicons(None, [a, b])
+            merge_sources(None, [a, b])
         assert exc_info.value.conflicts == [("x", "A", "CONDITION", "B", "PROCEDURE")]
         assert merge_warnings(caplog) == [
             "term 'x' has both CONDITION and PROCEDURE in A; merge uses the earliest"
         ]
 
     def test_other_source_agreeing_with_the_earliest_row_merges(self, caplog):
-        a = result_of(
-            source("x", Category.CONDITION, "A", 1),
-            source("x", Category.PROCEDURE, "A", 1),
-            name="A",
-        )
-        b = result_of(source("x", Category.CONDITION, "B", 1), name="B")
-        records, report = merge_lexicons(None, [a, b])
+        a = source(("x", Category.CONDITION), ("x", Category.PROCEDURE), name="A")
+        b = source(("x", Category.CONDITION), name="B")
+        records, report = lexicon_of(None, [a, b])
         assert [(r.category, r.sources) for r in records] == [("CONDITION", "A,B")]
         assert report.overlap_pairs == (("A", "B", 1),)
         assert len(merge_warnings(caplog)) == 1
@@ -905,7 +892,7 @@ class TestChapterRouting:
                 ChapterRule("Procedure codes", None),
             ),
         )
-        assert ingest_resource(spec).records[0].category is Category.PROCEDURE
+        assert next(resource_rows(spec))[1] is Category.PROCEDURE
 
     def test_index_is_not_part_of_equality_or_repr(self):
         rules = (ChapterRule("A", Category.CONDITION),)
@@ -918,44 +905,50 @@ class TestChapterRouting:
         assert "chapter_index" not in repr(a)
 
 
+def fixture_sources(data_dir, outcomes):
+    """The mapped outcomes and the ``tests/data`` manifest's resources as
+    sources for ``merge_sources``."""
+    specs = load_manifest(data_dir / "manifest.json")
+    return mapped_source(outcomes), [resource_source(s, data_dir) for s in specs]
+
+
+def kept_rows(mapped, resources):
+    """(source, rank, term, category) for every row of the sources that has
+    a category, in source and row order."""
+    return [(name, rank, term, category)
+            for name, rank, rows in [mapped, *resources] for term, category, _ in rows if category is not None]
+
+
 class TestFixtureMerge:
     @pytest.fixture()
     def merged(self, data_dir, fixture_outcomes):
-        specs = load_manifest(data_dir / "manifest.json")
-        resources = [ingest_resource(s, data_dir) for s in specs]
-        mo = mapped_records(fixture_outcomes)
-        return merge_lexicons(mo, resources, lowercase=True), resources
+        mo, resources = fixture_sources(data_dir, fixture_outcomes)
+        return lexicon_of(mo, resources, lowercase=True), kept_rows(*fixture_sources(data_dir, fixture_outcomes))
 
     def test_no_duplicate_normalized_terms(self, merged):
         (records, _), _ = merged
         keys = [normalize_term(r.term, True) for r in records]
         assert len(keys) == len(set(keys))
 
-    def test_conservation_every_kept_record_lands_exactly_once(self, merged, fixture_outcomes):
-        (records, _), resources = merged
+    def test_conservation_every_kept_record_lands_exactly_once(self, merged):
+        (records, _), kept = merged
         by_key = {normalize_term(r.term, True): r for r in records}
-        mo = mapped_records(fixture_outcomes)
-        for res in [mo] + resources:
-            for rec in res.records:
-                key = normalize_term(rec.term, True)
-                assert key in by_key
-                assert rec.source in by_key[key].sources.split(",")
+        for name, _, term, _ in kept:
+            key = normalize_term(term, True)
+            assert key in by_key
+            assert name in by_key[key].sources.split(",")
 
-    def test_trust_dominance(self, merged, fixture_outcomes):
-        (records, _), resources = merged
+    def test_trust_dominance(self, merged):
+        (records, _), kept = merged
         all_records: dict[str, list] = {}
-        mo = mapped_records(fixture_outcomes)
-        for res in [mo] + resources:
-            for rec in res.records:
-                all_records.setdefault(normalize_term(rec.term, True), []).append(rec)
+        for row in kept:
+            all_records.setdefault(normalize_term(row[2], True), []).append(row)
         for out in records:
             key = normalize_term(out.term, True)
             group = all_records[key]
-            best = min(r.trust_rank for r in group)
-            for rec in group:
-                if rec.trust_rank < best or (
-                    rec.trust_rank == best and str(rec.category) != out.category
-                ):
+            best = min(rank for _, rank, _, _ in group)
+            for _, rank, _, category in group:
+                if rank < best or (rank == best and str(category) != out.category):
                     pytest.fail(f"trust dominance violated for {key}")
 
     def test_expected_corrections(self, merged):
@@ -967,30 +960,29 @@ class TestFixtureMerge:
         }
 
     def test_corrections_match_overlap_disagreements(self, merged, fixture_outcomes):
-        (_, report), resources = merged
+        (_, report), kept = merged
         mo_cats = {}
         for o in fixture_outcomes:
             if o.category is not None:
                 mo_cats.setdefault(normalize_term(o.term), o.category)
         disagreements = set()
-        winner_by_key: dict[str, SourceRecord] = {}
-        for res in resources:
-            for rec in res.records:
-                key = normalize_term(rec.term)
-                prev = winner_by_key.get(key)
-                if prev is None or rec.trust_rank < prev.trust_rank:
-                    winner_by_key[key] = rec
-        for key, rec in winner_by_key.items():
-            if key in mo_cats and mo_cats[key] is not rec.category:
+        # key -> (rank, category) of the earliest resource row of the lowest rank
+        winner_by_key: dict[str, tuple[int, Category]] = {}
+        for name, rank, term, category in kept:
+            if name == "MO":
+                continue
+            key = normalize_term(term)
+            prev = winner_by_key.get(key)
+            if prev is None or rank < prev[0]:
+                winner_by_key[key] = (rank, category)
+        for key, (_, category) in winner_by_key.items():
+            if key in mo_cats and mo_cats[key] is not category:
                 disagreements.add(key)
         assert {normalize_term(c.term) for c in report.corrections} == disagreements
 
     def test_lowercase_shrinks_or_preserves(self, data_dir, fixture_outcomes):
-        specs = load_manifest(data_dir / "manifest.json")
-        resources = [ingest_resource(s, data_dir) for s in specs]
-        mo = mapped_records(fixture_outcomes)
-        lower, _ = merge_lexicons(mo, resources, lowercase=True)
-        cased, _ = merge_lexicons(mo, resources, lowercase=False)
+        lower, _ = merge_sources(*fixture_sources(data_dir, fixture_outcomes), lowercase=True)
+        cased, _ = merge_sources(*fixture_sources(data_dir, fixture_outcomes), lowercase=False)
         assert len(lower) <= len(cased)
         assert len(cased) - len(lower) == 2  # Aspartam and Paracetamol variants
 
@@ -1383,11 +1375,8 @@ class TestManifest:
 
 class TestExport:
     def test_header_plus_rows(self, tmp_path):
-        res = result_of(
-            source("alfa", Category.CONDITION),
-            source("beta", Category.PROCEDURE),
-        )
-        records, _ = merge_lexicons(None, [res])
+        res = source(("alfa", Category.CONDITION), ("beta", Category.PROCEDURE))
+        records, _ = merge_sources(None, [res])
         path = tmp_path / "lex.tsv"
         export_lexicon(records, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -1400,9 +1389,7 @@ class TestExport:
         assert path.read_text(encoding="utf-8") == "term\tcategory\tsources\tprovenance\n"
 
     def test_file_recount_matches_report(self, data_dir, fixture_outcomes, tmp_path):
-        specs = load_manifest(data_dir / "manifest.json")
-        resources = [ingest_resource(s, data_dir) for s in specs]
-        records, report = merge_lexicons(mapped_records(fixture_outcomes), resources)
+        records, report = merge_sources(*fixture_sources(data_dir, fixture_outcomes))
         path = tmp_path / "lex.tsv"
         export_lexicon(records, path)
         recount: dict[str, int] = {}
@@ -1412,6 +1399,6 @@ class TestExport:
         assert recount == report.category_counts
 
     def test_jsonl_render_is_stable(self):
-        res = result_of(source("alfa", Category.CONDITION))
-        records, _ = merge_lexicons(None, [res])
+        res = source(("alfa", Category.CONDITION))
+        records, _ = merge_sources(None, [res])
         assert render_lexicon(records, "jsonl") == render_lexicon(records, "jsonl")

@@ -124,6 +124,13 @@ class TestCategory:
         for cat in Category:
             assert parse_category(str(cat), allow_other=True) is cat
 
+    def test_label_is_the_member_name(self):
+        # A lexicon row stores a category's value, and the merge turns that
+        # label back into its member with Category[label].
+        for cat in Category:
+            assert cat._value_ == cat.name
+            assert Category[cat._value_] is cat
+
     def test_exactly_twelve_assignable(self):
         assert len(ASSIGNABLE_CATEGORIES) == 12
         assert Category.OTHER not in ASSIGNABLE_CATEGORIES
