@@ -144,14 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_map(args: argparse.Namespace) -> int:
     from . import defaults
-    from .pipeline import (
-        attach_tokens,
-        format_stats,
-        map_dictionary,
-        mapping_stats,
-        read_dictionary,
-        resolve_synonyms,
-    )
+    from .pipeline import build_entries, format_stats, map_dictionary, mapping_stats, read_dictionary_rows
     from .strategies import load_keyword_table, load_suffix_table
     from .textprep import ingest_conllu, load_stoplist, load_wordlist
 
@@ -177,18 +170,17 @@ def cmd_map(args: argparse.Namespace) -> int:
     for note in keywords.lint():
         log.info("lint: %s", note)
 
-    entries = read_dictionary(args.dict_file)
+    rows = read_dictionary_rows(args.dict_file)
     conllu_tokens = None
     if args.conllu:
         conllu_tokens = ingest_conllu(
             split_lines(read_text(args.conllu, "CoNLL-U")),
-            id_map={e.id: e.id for e in entries},
+            id_map={row.id: row.id for row in rows},
             path=args.conllu,
         )
-    entries, heuristic_used = attach_tokens(entries, conllu_tokens, function_words)
+    entries, heuristic_used = build_entries(rows, conllu_tokens, function_words)
     if heuristic_used:
         log.warning("one or more definitions were tagged heuristically")
-    entries = resolve_synonyms(entries)
     outcomes = map_dictionary(entries, suffixes, keywords, stops, args.iter_rounds)
 
     if args.out:

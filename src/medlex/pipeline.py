@@ -10,7 +10,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
-from .io import column_count_error, data_lines, json_field, json_object, read_text, sniff_format, split_lines
+from .io import (column_count_error, data_lines, json_field, json_line_values, json_object, read_text, sniff_format,
+                 split_lines)
 from .model import (
     Category,
     Definition,
@@ -110,29 +111,22 @@ def map_dictionary(
     # (position, ITER key) of each entry left unmapped by pass 0 that has a
     # first noun; an assignment removes it.
     pending: list[tuple[int, str]] = []
+    # ITER key -> the category of its earliest mapped entry, and that entry's
+    # position; built once, then each round's assignments are folded in.
+    index: dict[str, Category] = {}
+    first: dict[str, int] = {}
+    warned: set[str] = set()
     if iter_rounds:
         pending = [
             (i, normalize_term(first_noun))
             for i, first_noun in enumerate(first_nouns)
             if first_noun is not None and outcomes[i].category is None
         ]
-    warned: set[str] = set()
-    for _ in range(iter_rounds):
-        index: dict[str, Category] = {}
-        for key, outcome in zip(terms, outcomes):
-            if outcome.category is None:
-                continue
-            if key not in index:
-                index[key] = outcome.category
-            elif index[key] is not outcome.category and key not in warned:
-                log.info(
-                    "term %r mapped to both %s and %s; ITER uses the earliest",
-                    key,
-                    index[key],
-                    outcome.category,
-                )
-                warned.add(key)
+        mapped = [(i, outcome.category) for i, outcome in enumerate(outcomes) if outcome.category is not None]
+        _fold_index(index, first, warned, mapped, terms)
+    for done in range(1, iter_rounds + 1):
         still_pending = []
+        assigned = []
         for i, key in pending:
             category = index.get(key)
             if category is None:
@@ -142,9 +136,13 @@ def map_dictionary(
                 outcomes[i] = MappingOutcome(
                     outcome.entry_id, outcome.term, category, Provenance.ITER
                 )
-        if len(still_pending) == len(pending):
+                assigned.append((i, category))
+        if not assigned:
             break
         pending = still_pending
+        # The next round sees this round's assignments; after the last, nothing does.
+        if done < iter_rounds:
+            _fold_index(index, first, warned, assigned, terms)
     if warned:
         log.warning(
             "%d term(s) mapped to more than one category; ITER uses the earliest "
@@ -152,6 +150,51 @@ def map_dictionary(
             len(warned),
         )
     return outcomes
+
+
+def _fold_index(
+    index: dict[str, Category],
+    first: dict[str, int],
+    warned: set[str],
+    mapped: Sequence[tuple[int, Category]],
+    terms: Sequence[str],
+) -> None:
+    """Fold ``mapped``, the (position, category) of newly mapped entries in
+    position order, into the ITER ``index`` (key -> the category of its
+    earliest mapped entry) and ``first`` (key -> that entry's position), so
+    that both are what one walk over every mapped entry in position order
+    gives. A key not in ``warned`` whose mapped entries now disagree is
+    logged at INFO, with its earliest category and the first that differs,
+    in the order that walk would meet them, and added to ``warned``."""
+    # (position, key, earliest category, other category) at the first entry
+    # of each newly warned key that disagrees with the key's earliest.
+    conflicts = []
+    # Key -> (position, category) of the former earliest entry of a newly
+    # warned key whose new earliest entry disagrees with it: a later entry
+    # of this fold may disagree before that position.
+    unsettled: dict[str, tuple[int, Category]] = {}
+    for i, category in mapped:
+        key = terms[i]
+        earliest = index.get(key)
+        if earliest is None:
+            index[key], first[key] = category, i
+        elif i < first[key]:
+            # Only an entry that a round mapped precedes one mapped before.
+            if category is not earliest and key not in warned:
+                unsettled[key] = (first[key], earliest)
+                warned.add(key)
+            index[key], first[key] = category, i
+        elif key not in warned:
+            if category is not earliest:
+                conflicts.append((i, key, earliest, category))
+                warned.add(key)
+        elif key in unsettled and category is not earliest and i < unsettled[key][0]:
+            unsettled[key] = (i, category)
+    for key, (i, other) in unsettled.items():
+        conflicts.append((i, key, index[key], other))
+    # Positions are distinct, so the sort never compares two categories.
+    for _, key, earliest, other in sorted(conflicts):
+        log.info("term %r mapped to both %s and %s; ITER uses the earliest", key, earliest, other)
 
 
 class MappingStats(NamedTuple):
@@ -215,57 +258,186 @@ def format_stats(stats: MappingStats, heuristic_tagging: bool = False) -> str:
 # dictionary input
 
 
-def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
-    """Load dictionary entries from TSV (id, term, definition[, synonym_of])
-    or JSON-lines with the same fields (plus multi-sense ``definitions``).
+class DictionaryRow(NamedTuple):
+    """One dictionary row as ``read_dictionary_rows`` gives it: the id, the
+    term, the texts of its senses and the id it is a ``synonym_of``."""
+
+    id: str
+    term: str
+    senses: tuple[str, ...]
+    synonym_of: str | None
+
+
+def read_dictionary_rows(path: str | Path, fmt: str | None = None) -> list[DictionaryRow]:
+    """The rows of a TSV (id, term, definition[, synonym_of]) or JSON-lines
+    dictionary with the same fields (plus multi-sense ``definitions``, which
+    a row may give in place of ``definition``, not beside it).
 
     Both formats follow one rule: the id, term and ``synonym_of`` are
     trimmed, an empty ``synonym_of`` is none, and a definition that is
     blank after trimming is dropped (its text is kept as written). A
-    synonym that ``resolve_synonyms`` could not resolve is refused at its
-    own row."""
+    synonym without senses whose ``synonym_of`` chain names an unknown id
+    or loops is refused at its own row, once every row has been read.
+
+    A JSON-lines row in its common form, ``json.dumps(row,
+    ensure_ascii=False)`` of the id, the term and then the definition or
+    the ``synonym_of``, each a string without ``"``, ``\\`` or
+    U+0000-U+001F, is read by one match (``json_line_values``); it holds no
+    tab, CR or LF, so only the blank term and id are checked there. Any
+    other row is decoded and checked as ``id_and_term`` and ``json_field``
+    say, in the same order and with the same messages."""
     p = Path(path)
     text = read_text(p, "dictionary")
-    entries: list[Entry] = []
-    by_id: dict[str, Entry] = {}
-    # (line, entry) of each entry that takes its senses from a synonym_of.
-    synonyms: list[tuple[int, Entry]] = []
+    rows: list[DictionaryRow] = []
+    by_id: dict[str, DictionaryRow] = {}
+    # (line, row) of each row that takes its senses from a synonym_of.
+    synonyms: list[tuple[int, DictionaryRow]] = []
     jsonl = sniff_format(p, fmt) == "jsonl"
+    if jsonl:
+        # The common forms: one definition, or the id the entry is a synonym
+        # of. Only a JSON-lines read compiles their patterns.
+        definition_row = json_line_values(("id", "term", "definition"))
+        synonym_row = json_line_values(("id", "term", "synonym_of"))
+    new_row = tuple.__new__
     lineno = 0
     try:
         for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
-            if jsonl:
-                obj = json_object(raw)
-                entry_id, term = id_and_term(obj)
-                defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
-                # The usual row has only strings; any other goes through
-                # json_field, which names the first value of the wrong type.
-                if type(defs[0]) is not str or type(synonym_of) is not str or "definitions" in obj:
-                    if "definitions" in obj:
-                        defs = json_field(obj, "definitions", list, items=str)
-                    else:
-                        defs = [json_field(obj, "definition", str, optional=True) or ""]
-                    synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
-                    synonym_of = "" if synonym_of is None else str(synonym_of)
-            else:
+            if not jsonl:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
                     raise column_count_error("3 or 4", len(cols))
-                entry_id, term = id_and_term(cols)
-                defs, synonym_of = [cols[2]], cols[3] if len(cols) == 4 else ""
-            entry_id, term = entry_id.strip(), term.strip()
+                entry_id, term, definition = cols[0], cols[1], cols[2]
+                synonym_of = cols[3] if len(cols) == 4 else ""
+                senses = (definition,) if definition.strip() else ()
+            else:
+                values = definition_row(raw)
+                if values is not None and None not in values:
+                    entry_id, term, definition = values
+                    synonym_of, senses = "", (definition,) if definition.strip() else ()
+                else:
+                    values = synonym_row(raw)
+                    if values is not None and None not in values:
+                        entry_id, term, synonym_of = values
+                        senses = ()
+                    else:
+                        entry_id, term, senses, synonym_of = _json_dictionary_row(raw)
+            # As id_and_term checks a TSV row; a decoded row has passed them.
+            if not term.strip():
+                raise ValueError("empty term")
+            if not entry_id.strip():
+                raise ValueError("missing entry id")
+            entry_id, term, synonym_of = entry_id.strip(), term.strip(), synonym_of.strip() or None
             if entry_id in by_id:
                 raise ValueError(f"duplicate entry id {entry_id!r}")
-            senses = tuple(Definition(d) for d in defs if d.strip())
-            entry = by_id[entry_id] = Entry(entry_id, term, senses, synonym_of.strip() or None)
-            entries.append(entry)
-            if entry.synonym_of is not None and not senses:
-                synonyms.append((lineno, entry))
-        for lineno, entry in synonyms:
-            _synonym_senses(entry, by_id)
+            # The tuple DictionaryRow(...) builds, without its Python-level __new__.
+            row = by_id[entry_id] = new_row(DictionaryRow, (entry_id, term, senses, synonym_of))
+            rows.append(row)
+            if synonym_of is not None and not senses:
+                synonyms.append((lineno, row))
+        for lineno, row in synonyms:
+            _synonym_target(row, by_id)
     except ValueError as exc:
         raise ParseError(str(exc), str(p), lineno) from None
-    return entries
+    return rows
+
+
+def _json_dictionary_row(line: str) -> tuple[str, str, tuple[str, ...], str]:
+    """The id, term, non-blank definition texts and ``synonym_of`` (empty
+    when none) of a JSON-lines dictionary row that is not in the common
+    form, checked in the order ``read_dictionary_rows`` promises."""
+    obj = json_object(line)
+    entry_id, term = id_and_term(obj)
+    defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
+    # The usual row has only strings; any other goes through json_field,
+    # which names the first value of the wrong type.
+    if type(defs[0]) is not str or type(synonym_of) is not str or "definitions" in obj:
+        if "definitions" in obj:
+            if "definition" in obj:
+                raise ValueError('a row takes "definition" or "definitions", not both')
+            defs = json_field(obj, "definitions", list, items=str)
+        else:
+            defs = [json_field(obj, "definition", str, optional=True) or ""]
+        synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
+        synonym_of = "" if synonym_of is None else str(synonym_of)
+    return entry_id, term, tuple([d for d in defs if d.strip()]), synonym_of
+
+
+def _tagged(
+    entry_id: str,
+    text: str,
+    conllu_tokens: Sentences | None,
+    function_words: frozenset[str] | None,
+    memo: dict[str, tuple[Token, ...]],
+) -> tuple[Definition | None, bool]:
+    """``text``, the first sense of entry ``entry_id``, with tokens, and
+    whether the heuristic tagger gave them: CoNLL-U tokens from
+    ``ingest_conllu`` win when present for the entry (their surfaces must
+    spell out the text, see ``Definition``, or a ParseError names the
+    sentence); otherwise the heuristic tagger fills in when a function-word
+    list is supplied, with ``memo`` as ``heuristic_tag`` takes it. (None,
+    False) when neither applies."""
+    if conllu_tokens is not None and entry_id in conllu_tokens:
+        try:
+            return Definition(text, tuple(conllu_tokens[entry_id])), False
+        except ValueError as exc:
+            raise ParseError(
+                f"entry {entry_id}: {exc}", conllu_tokens.path, conllu_tokens.lines[entry_id]
+            ) from None
+    if function_words is None:
+        return None, False
+    return Definition(text, tuple(heuristic_tag(text, function_words, memo))), True
+
+
+def build_entries(
+    rows: Iterable[DictionaryRow],
+    conllu_tokens: Sentences | None = None,
+    function_words: frozenset[str] | None = None,
+) -> tuple[list[Entry], bool]:
+    """Build each entry of ``read_dictionary_rows``'s rows once, in row
+    order: its first sense tagged as ``attach_tokens`` tags it, and a
+    synonym without senses given its target's tagged senses, as
+    ``resolve_synonyms`` gives them. Returns the entries and whether any
+    heuristic tagging happened: ``build_entries(read_dictionary_rows(path),
+    conllu_tokens, function_words)`` gives what ``read_dictionary``, then
+    ``attach_tokens`` and ``resolve_synonyms``, give."""
+    entries: list[Entry | DictionaryRow] = []
+    # Positions of the synonyms without senses: each row stands in for its
+    # entry until every other entry is built.
+    synonyms: list[int] = []
+    heuristic_used = False
+    # Whitespace piece -> its heuristic tokens, for this function-word list.
+    memo: dict[str, tuple[Token, ...]] = {}
+    for row in rows:
+        entry_id, term, texts, synonym_of = row
+        if texts:
+            first, heuristic = _tagged(entry_id, texts[0], conllu_tokens, function_words, memo)
+            heuristic_used = heuristic_used or heuristic
+            if first is None:
+                first = Definition(texts[0])
+            senses = (first,) if len(texts) == 1 else (first, *map(Definition, texts[1:]))
+            entries.append(Entry(entry_id, term, senses, synonym_of))
+        elif synonym_of is None:
+            entries.append(Entry(entry_id, term, (), None))
+        else:
+            synonyms.append(len(entries))
+            entries.append(row)
+    if synonyms:
+        by_id = {entry.id: entry for entry in entries}
+        for i in synonyms:
+            row = entries[i]
+            entries[i] = Entry(row.id, row.term, _synonym_target(row, by_id).senses, row.synonym_of)
+    return entries, heuristic_used
+
+
+def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
+    """The entries of ``read_dictionary_rows``' rows, with untagged senses;
+    a synonym without senses is left without them (``resolve_synonyms``
+    gives it its target's). ``build_entries`` builds them tagged and
+    resolved in one pass."""
+    return [
+        Entry(row.id, row.term, tuple(map(Definition, row.senses)), row.synonym_of)
+        for row in read_dictionary_rows(path, fmt)
+    ]
 
 
 def attach_tokens(
@@ -273,45 +445,30 @@ def attach_tokens(
     conllu_tokens: Sentences | None = None,
     function_words: frozenset[str] | None = None,
 ) -> tuple[list[Entry], bool]:
-    """Attach tokens to each entry's first sense.
-
-    CoNLL-U tokens from ``ingest_conllu`` win when present for an entry
-    (their surfaces must spell out the definition text, see ``Definition``,
-    or a ParseError names the sentence); otherwise the heuristic tagger
-    fills in when a function-word list is supplied. Returns the new entries
-    and whether any heuristic tagging happened.
+    """Attach tokens to each entry's first sense that has none, as
+    ``build_entries`` does. Returns the new entries and whether any
+    heuristic tagging happened.
     """
     out: list[Entry] = []
     heuristic_used = False
-    # Whitespace piece -> its heuristic tokens, for this function-word list.
     memo: dict[str, tuple[Token, ...]] = {}
     for entry in entries:
         sense = entry.first_sense()
-        if sense is None or sense.tokens is not None:
-            out.append(entry)
-            continue
-        if conllu_tokens is not None and entry.id in conllu_tokens:
-            try:
-                tagged = Definition(sense.text, tuple(conllu_tokens[entry.id]))
-            except ValueError as exc:
-                raise ParseError(
-                    f"entry {entry.id}: {exc}", conllu_tokens.path, conllu_tokens.lines[entry.id]
-                ) from None
-        elif function_words is not None:
-            tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words, memo)))
-            heuristic_used = True
-        else:
-            out.append(entry)
-            continue
-        senses = (tagged,) + entry.senses[1:]
-        out.append(Entry(entry.id, entry.term, senses, entry.synonym_of))
+        if sense is not None and sense.tokens is None:
+            tagged, heuristic = _tagged(entry.id, sense.text, conllu_tokens, function_words, memo)
+            if tagged is not None:
+                heuristic_used = heuristic_used or heuristic
+                entry = Entry(entry.id, entry.term, (tagged,) + entry.senses[1:], entry.synonym_of)
+        out.append(entry)
     return out, heuristic_used
 
 
-def _synonym_senses(entry: Entry, by_id: Mapping[str, Entry]) -> tuple[Definition, ...]:
-    """The senses a definition-less synonym takes: those of the first entry
-    along its ``synonym_of`` chain that has senses or no ``synonym_of``.
-    An unknown id or a loop raises ValueError."""
+def _synonym_target(
+    entry: Entry | DictionaryRow, by_id: Mapping[str, Entry | DictionaryRow]
+) -> Entry | DictionaryRow:
+    """The entry (or row) whose senses a synonym without senses takes: the
+    first along its ``synonym_of`` chain that has senses or no
+    ``synonym_of``. An unknown id or a loop raises ValueError."""
     target_id = entry.synonym_of
     visited = {entry.id}
     while True:
@@ -322,7 +479,7 @@ def _synonym_senses(entry: Entry, by_id: Mapping[str, Entry]) -> tuple[Definitio
             raise ValueError(f"entry {entry.id}: synonym chain loops")
         visited.add(target.id)
         if target.senses or target.synonym_of is None:
-            return target.senses
+            return target
         target_id = target.synonym_of
 
 
@@ -330,7 +487,7 @@ def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
     """Give definition-less synonym entries their target's senses.
 
     Synonyms remain standalone entries; only the senses are shared. An
-    unknown target or a loop raises ParseError (``read_dictionary``
+    unknown target or a loop raises ParseError (``read_dictionary_rows``
     refuses both at the synonym's row).
     """
     by_id = {e.id: e for e in entries}
@@ -340,7 +497,7 @@ def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
             out.append(entry)
             continue
         try:
-            senses = _synonym_senses(entry, by_id)
+            senses = _synonym_target(entry, by_id).senses
         except ValueError as exc:
             raise ParseError(str(exc)) from None
         out.append(Entry(entry.id, entry.term, senses, entry.synonym_of))

@@ -8,19 +8,20 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlex import io
+from medlex import io, pipeline
 from medlex.cli import main
 from medlex.errors import LintError, ParseError
 from medlex.evaluate import read_gold
 from medlex.merge import ChapterRule, ResourceMode, ResourceSpec, load_manifest, resource_rows
 from medlex.model import Category
 from medlex.outcomes import read_outcomes, render_outcomes
-from medlex.pipeline import read_dictionary, resolve_synonyms
+from medlex.pipeline import read_dictionary, read_dictionary_rows, resolve_synonyms
 from medlex.strategies import load_keyword_table, load_suffix_table
 from medlex.textprep import ingest_conllu, load_stoplist, load_wordlist
 
@@ -128,6 +129,12 @@ def dictionary_missing_term(tmp, data):
 def dictionary_boolean_id(tmp, data):
     d = put(tmp / "d.jsonl", '{"id": true, "term": "leukemi"}\n')
     return ["map", "--dict", d], f"{d}:1:"
+
+
+def dictionary_definition_and_definitions(tmp, data):
+    rows = GOOD_JSON_ROW + '{"id": "e2", "term": "kniv", "definition": "en kniv", "definitions": ["x"]}\n'
+    d = put(tmp / "d.jsonl", rows)
+    return ["map", "--dict", d], f'{d}:2: a row takes "definition" or "definitions", not both'
 
 
 def dictionary_number_term(tmp, data):
@@ -400,6 +407,7 @@ def manifest_jsonl_lone_surrogate(tmp, data):
         dictionary_null_id_and_term,
         dictionary_missing_term,
         dictionary_boolean_id,
+        dictionary_definition_and_definitions,
         dictionary_number_term,
         dictionary_integer_too_long,
         dictionary_id_with_tab,
@@ -635,6 +643,63 @@ def test_jsonl_synonym_of_is_trimmed_and_blank_definitions_dropped(tmp_path):
     e1, e2 = resolve_synonyms(read_dictionary(path))
     assert [d.text for d in e1.senses] == ["sykdom i blodet"]
     assert (e2.synonym_of, e2.senses) == ("e1", e1.senses)
+
+
+# Values for the id, term, definition and synonym_of of a JSON-lines row:
+# plain ones, blank ones, and ones JSON writes with an escape.
+MATCHER_VALUES = st.sampled_from(["e1", "e2", " e1", "7", "", " ", "kniv", "sykdom i blodet", "bl\u00f8d",
+                                  "\u2028", 'en "kniv"', "a\\b", "a\tb", "\x7f", "e2 "])
+MATCHER_DETAILS = ["none", "none", "none", "ascii", "integer id", "null", "separators", "key order",
+                   "extra key", "definitions", "both", "leading space"]
+
+
+@st.composite
+def matcher_rows(draw):
+    """JSON-lines dictionary rows in the writer's form, json.dumps(row,
+    ensure_ascii=False) of the id, the term and then the definition or the
+    synonym_of, and rows one detail away from it."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = {"id": draw(MATCHER_VALUES), "term": draw(MATCHER_VALUES)}
+        row[draw(st.sampled_from(["definition", "synonym_of"]))] = draw(MATCHER_VALUES)
+        detail = draw(st.sampled_from(MATCHER_DETAILS))
+        if detail == "integer id":
+            row["id"] = draw(st.integers(0, 9))
+        elif detail == "null":
+            row[draw(st.sampled_from(sorted(row)))] = None
+        elif detail == "key order":
+            row = dict(reversed(row.items()))
+        elif detail == "extra key":
+            row["note"] = draw(MATCHER_VALUES)
+        elif detail == "definitions":
+            row.pop("definition", None)
+            row["definitions"] = draw(st.lists(MATCHER_VALUES, max_size=2))
+        elif detail == "both":
+            row["definitions"] = [draw(MATCHER_VALUES)]
+        line = json.dumps(row, ensure_ascii=detail == "ascii",
+                          separators=(",", ":") if detail == "separators" else None)
+        lines.append(" " + line if detail == "leading space" else line)
+    return lines
+
+
+def dictionary_rows_or_error(path):
+    try:
+        return read_dictionary_rows(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matcher_rows())
+def test_a_dictionary_row_reads_alike_matched_or_decoded(lines):
+    """Each file loads to the same rows, or fails with the same message at
+    the same line, as it does when every line takes the decoder."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = put(Path(tmp) / "d.jsonl", "".join(line + "\n" for line in lines))
+        matched = dictionary_rows_or_error(path)
+        with mock.patch.object(pipeline, "json_line_values", lambda keys: lambda line: None):
+            decoded = dictionary_rows_or_error(path)
+    assert matched == decoded
 
 
 # Every character str.isspace accepts.

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import logging
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.errors import ParseError
+from medlex.io import (column_count_error, data_lines, json_field, json_object, read_text, sniff_format,
+                       split_lines)
 from medlex.model import (
     Category,
     Definition,
@@ -18,18 +24,20 @@ from medlex.model import (
     Vote,
     normalize_term,
 )
-from medlex.outcomes import format_votes, parse_votes, read_outcomes, render_outcomes, write_outcomes
+from medlex.outcomes import format_votes, id_and_term, parse_votes, read_outcomes, render_outcomes, write_outcomes
 from medlex.pipeline import (
     attach_tokens,
+    build_entries,
     entry_votes,
     map_dictionary,
     mapping_stats,
     read_dictionary,
+    read_dictionary_rows,
     resolve_synonyms,
     resolve_votes,
 )
 from medlex.strategies import KeywordTable, SuffixTable
-from medlex.textprep import StopConfig, extract_first_noun
+from medlex.textprep import StopConfig, extract_first_noun, heuristic_tag, ingest_conllu
 
 EMPTY_STOPS = StopConfig()
 
@@ -503,3 +511,317 @@ class TestOutcomeIO:
             parse_votes(part)
         assert str(info.value) == f"bad vote serialization: {part!r}"
         assert parse_votes("SUFF:TOOL:kniv:007") == (Vote(Provenance.SUFF, Category.TOOL, "kniv", 7),)
+
+
+# ---------------------------------------------------------------------------
+# Each entry built once, against the three passes it replaced.
+#
+# The reference is read_dictionary, attach_tokens and resolve_synonyms as
+# they were before build_entries: the first builds each entry with text-only
+# senses and checks synonym chains, the second rebuilds each entry whose first
+# sense it tags, the third rebuilds each synonym with its target's senses.
+
+
+def reference_read_dictionary(path):
+    p = Path(path)
+    text = read_text(p, "dictionary")
+    entries, by_id, synonyms = [], {}, []
+    jsonl = sniff_format(p) == "jsonl"
+    lineno = 0
+    try:
+        for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
+            if jsonl:
+                obj = json_object(raw)
+                entry_id, term = id_and_term(obj)
+                defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
+                if type(defs[0]) is not str or type(synonym_of) is not str or "definitions" in obj:
+                    if "definitions" in obj:
+                        defs = json_field(obj, "definitions", list, items=str)
+                    else:
+                        defs = [json_field(obj, "definition", str, optional=True) or ""]
+                    synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
+                    synonym_of = "" if synonym_of is None else str(synonym_of)
+            else:
+                cols = raw.split("\t")
+                if len(cols) not in (3, 4):
+                    raise column_count_error("3 or 4", len(cols))
+                entry_id, term = id_and_term(cols)
+                defs, synonym_of = [cols[2]], cols[3] if len(cols) == 4 else ""
+            entry_id, term = entry_id.strip(), term.strip()
+            if entry_id in by_id:
+                raise ValueError(f"duplicate entry id {entry_id!r}")
+            senses = tuple(Definition(d) for d in defs if d.strip())
+            entry = by_id[entry_id] = Entry(entry_id, term, senses, synonym_of.strip() or None)
+            entries.append(entry)
+            if entry.synonym_of is not None and not senses:
+                synonyms.append((lineno, entry))
+        for lineno, entry in synonyms:
+            reference_synonym_senses(entry, by_id)
+    except ValueError as exc:
+        raise ParseError(str(exc), str(p), lineno) from None
+    return entries
+
+
+def reference_attach_tokens(entries, conllu_tokens=None, function_words=None):
+    out, heuristic_used, memo = [], False, {}
+    for entry in entries:
+        sense = entry.first_sense()
+        if sense is None or sense.tokens is not None:
+            out.append(entry)
+            continue
+        if conllu_tokens is not None and entry.id in conllu_tokens:
+            try:
+                tagged = Definition(sense.text, tuple(conllu_tokens[entry.id]))
+            except ValueError as exc:
+                raise ParseError(
+                    f"entry {entry.id}: {exc}", conllu_tokens.path, conllu_tokens.lines[entry.id]
+                ) from None
+        elif function_words is not None:
+            tagged = Definition(sense.text, tuple(heuristic_tag(sense.text, function_words, memo)))
+            heuristic_used = True
+        else:
+            out.append(entry)
+            continue
+        out.append(Entry(entry.id, entry.term, (tagged,) + entry.senses[1:], entry.synonym_of))
+    return out, heuristic_used
+
+
+def reference_synonym_senses(entry, by_id):
+    target_id, visited = entry.synonym_of, {entry.id}
+    while True:
+        target = by_id.get(target_id)
+        if target is None:
+            raise ValueError(f"entry {entry.id}: synonym_of points to unknown id {target_id!r}")
+        if target.id in visited:
+            raise ValueError(f"entry {entry.id}: synonym chain loops")
+        visited.add(target.id)
+        if target.senses or target.synonym_of is None:
+            return target.senses
+        target_id = target.synonym_of
+
+
+def reference_resolve_synonyms(entries):
+    by_id = {e.id: e for e in entries}
+    out = []
+    for entry in entries:
+        if entry.synonym_of is None or entry.senses:
+            out.append(entry)
+            continue
+        try:
+            senses = reference_synonym_senses(entry, by_id)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        out.append(Entry(entry.id, entry.term, senses, entry.synonym_of))
+    return out
+
+
+@contextlib.contextmanager
+def medlex_records():
+    """The log records of medlex's loggers, INFO and up, while the block runs."""
+    logger = logging.getLogger("medlex")
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+BUILD_TERMS = ["leukemi", " kniv ", "sag", "leukemi", "blodkreft", "Sag", "kreft", "lege", ""]
+BUILD_TEXTS = ["sykdom i blodet", "sykdom", "et  redskap", "redskap\u00a0for saging", " ", ""]
+
+
+@st.composite
+def built_dictionaries(draw):
+    """A dictionary as TSV or JSON-lines text, and a CoNLL-U text or None.
+
+    Ids may repeat, terms may be blank, synonyms point at known ids, unknown
+    ones or each other (chains and loops), JSON-lines rows may have several
+    senses or none, and CoNLL-U sentences name known and unknown ids with
+    tokens that may or may not spell out the entry's first definition."""
+    jsonl = draw(st.booleans())
+    lines = []
+    # Id -> the text of its first definition, which a sentence may spell out.
+    texts_of = {}
+    for n in range(1, draw(st.integers(0, 6)) + 1):
+        entry_id = draw(st.sampled_from([f"e{n}"] * 6 + [f" e{n}", "e1"]))
+        term = draw(st.sampled_from(BUILD_TERMS))
+        synonym_of = draw(st.sampled_from([None, None, None, "e1", "e2", " e3", "e5", "e9"]))
+        if jsonl:
+            row = {"id": entry_id, "term": term}
+            texts = draw(st.lists(st.sampled_from(BUILD_TEXTS), max_size=3))
+            texts_of[entry_id.strip()] = texts[0] if texts else ""
+            if len(texts) == 1 and draw(st.booleans()):
+                row["definition"] = texts[0]
+            elif texts or draw(st.booleans()):
+                row["definitions"] = texts
+            if synonym_of is not None:
+                row["synonym_of"] = synonym_of
+            lines.append(json.dumps(row, ensure_ascii=draw(st.booleans())))
+        else:
+            cols = [entry_id, term, draw(st.sampled_from(BUILD_TEXTS))]
+            texts_of[entry_id.strip()] = cols[2]
+            lines.append("\t".join(cols + ([] if synonym_of is None else [synonym_of])))
+    conllu = None
+    if draw(st.booleans()):
+        sentences = []
+        for sent_id in draw(st.lists(st.sampled_from(["e1", "e2", "e3", "e4", "e5", "e9"]), max_size=4,
+                                     unique=True)):
+            words = draw(st.sampled_from([texts_of.get(sent_id, "")] * 3 + BUILD_TEXTS[:4])).split()
+            sentences.append(f"# sent_id = {sent_id}\n" + "".join(
+                f"{n}\t{word}\t_\tNOUN\t_\t_\t0\tdep\t_\t_\n" for n, word in enumerate(words, start=1)))
+        conllu = "\n".join(sentences)
+    return ("d.jsonl" if jsonl else "d.tsv"), "".join(line + "\n" for line in lines), conllu
+
+
+def dictionary_passes(dict_path, conllu_path, function_words, read, build):
+    """(entries, heuristic flag) or the ParseError's text, and the log
+    records, of reading a dictionary as ``map`` does: ``read`` gives rows or
+    entries, CoNLL-U sentences are matched to their ids, and ``build`` turns
+    rows and sentences into tagged and resolved entries."""
+    with medlex_records() as records:
+        try:
+            rows = read(dict_path)
+            conllu = None
+            if conllu_path is not None:
+                conllu = ingest_conllu(split_lines(read_text(conllu_path, "CoNLL-U")),
+                                       id_map={row.id: row.id for row in rows}, path=conllu_path)
+            result = build(rows, conllu, function_words)
+        except ParseError as exc:
+            result = str(exc)
+    return result, [(r.levelname, r.getMessage()) for r in records]
+
+
+def three_passes(attach, resolve):
+    def build(entries, conllu, function_words):
+        entries, heuristic = attach(entries, conllu, function_words)
+        return resolve(entries), heuristic
+    return build
+
+
+class TestOneBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(built_dictionaries(), st.sampled_from([None, frozenset(), frozenset({"i", "for"})]))
+    def test_build_entries_equals_the_three_passes(self, dictionary, function_words):
+        name, text, conllu = dictionary
+        with tempfile.TemporaryDirectory() as tmp:
+            dict_path = Path(tmp) / name
+            dict_path.write_text(text, encoding="utf-8")
+            conllu_path = None
+            if conllu is not None:
+                conllu_path = str(Path(tmp) / "d.conllu")
+                Path(conllu_path).write_text(conllu, encoding="utf-8")
+            reference = dictionary_passes(
+                dict_path, conllu_path, function_words, reference_read_dictionary,
+                three_passes(reference_attach_tokens, reference_resolve_synonyms))
+            built = dictionary_passes(dict_path, conllu_path, function_words, read_dictionary_rows,
+                                      build_entries)
+            # The three functions the one build replaced keep their results.
+            kept = dictionary_passes(dict_path, conllu_path, function_words, read_dictionary,
+                                     three_passes(attach_tokens, resolve_synonyms))
+        assert built == reference
+        assert kept == reference
+        if type(built[0]) is tuple:
+            assert all(type(e) is Entry for e in built[0][0])
+
+    def test_a_synonym_shares_its_target_s_tagged_senses(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("e3\talias2\t\te2\ne1\tleukemi\tsykdom i blodet\ne2\talias\t\te1\n", encoding="utf-8")
+        entries, heuristic = build_entries(read_dictionary_rows(path), None, frozenset({"i"}))
+        assert heuristic
+        assert entries[0].senses is entries[1].senses is entries[2].senses
+        assert [t.upos for t in entries[1].first_sense().tokens] == ["NOUN", "X", "NOUN"]
+        assert [e.id for e in entries] == ["e3", "e1", "e2"]
+
+
+# ITER rounds as map_dictionary ran them before its index was built once:
+# each round rebuilds the index from every outcome and logs each key newly
+# seen mapped to two categories.
+def reference_iter_rounds(entries, suffixes, keywords, stops, iter_rounds):
+    outcomes = map_dictionary(entries, suffixes, keywords, stops, 0)
+    terms = [normalize_term(e.term) for e in entries]
+    first_nouns = [
+        None if e.first_sense() is None or e.first_sense().tokens is None
+        else extract_first_noun(e.first_sense().tokens, stops)
+        for e in entries
+    ]
+    pending = [(i, normalize_term(noun)) for i, noun in enumerate(first_nouns)
+               if noun is not None and outcomes[i].category is None]
+    warned, infos = set(), []
+    for _ in range(iter_rounds):
+        index = {}
+        for key, outcome in zip(terms, outcomes):
+            if outcome.category is None:
+                continue
+            if key not in index:
+                index[key] = outcome.category
+            elif index[key] is not outcome.category and key not in warned:
+                infos.append(f"term {key!r} mapped to both {index[key]} and {outcome.category}; "
+                             "ITER uses the earliest")
+                warned.add(key)
+        still_pending = []
+        for i, key in pending:
+            if key in index:
+                o = outcomes[i]
+                outcomes[i] = MappingOutcome(o.entry_id, o.term, index[key], Provenance.ITER)
+            else:
+                still_pending.append((i, key))
+        if len(still_pending) == len(pending):
+            break
+        pending = still_pending
+    return outcomes, infos, len(warned)
+
+
+def iter_records(entries, iter_rounds):
+    """map_dictionary's outcomes, INFO messages and the count its WARNING gives."""
+    with medlex_records() as records:
+        outcomes = map_dictionary(entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, iter_rounds)
+    infos = [r.getMessage() for r in records if r.levelno == logging.INFO]
+    warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+    assert len(warnings) <= 1
+    return outcomes, infos, int(warnings[0].split()[0]) if warnings else 0
+
+
+# Terms most of which draw no vote, so that homographs map by their first
+# nouns, which are keywords or terms (ITER chains).
+ITER_TERMS = ["kreft", "Kreft", "blodkreft", "noe", "leverkoma", "nevrologi", "lege"]
+ITER_NOUNS = ["kreft", "blodkreft", "noe", "leverkoma", "nevrologi", "lege", "sykdom", "behandling"]
+
+
+@st.composite
+def iter_entries(draw):
+    """Entries whose term is one of ITER_TERMS and whose definition is one noun of ITER_NOUNS."""
+    shared = {noun: Token(noun, "NOUN") for noun in ITER_NOUNS}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ITER_TERMS), st.sampled_from(ITER_NOUNS)), max_size=30))
+    return [Entry(f"e{i}", term, (Definition(noun, (shared[noun],)),)) for i, (term, noun) in enumerate(pairs)]
+
+
+class TestIterIndexBuiltOnce:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(memo_entries(), iter_entries()), st.integers(0, 4))
+    def test_iter_rounds_equal_the_per_round_rebuild(self, entries, iter_rounds):
+        assert iter_records(entries, iter_rounds) == reference_iter_rounds(
+            entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, iter_rounds)
+
+    def test_an_assignment_before_a_homograph_takes_its_place(self):
+        # Pass 0 maps only e4 of the "kreft" entries (PROCEDURE); round 1
+        # gives the earlier e0 CONDITION and e2 DISCIPLINE. From round 2 on
+        # e0 is the earliest "kreft", and e2, not e4, the first to disagree.
+        shared = {pair: Token(*pair) for pair in MEMO_TOKENS}
+        entries = [Entry(f"e{i}", term, (Definition(noun, (shared[(noun, "NOUN")],)),))
+                   for i, (term, noun) in enumerate([
+                       ("kreft", "leverkoma"), ("leverkoma", "noe"), ("Kreft", "nevrologi"),
+                       ("nevrologi", "noe"), ("kreft", "behandling"), ("noe", "kreft")])]
+        outcomes, infos, warned = iter_records(entries, 2)
+        assert (outcomes, infos, warned) == reference_iter_rounds(
+            entries, MEMO_SUFFIXES, MEMO_KEYWORDS, MEMO_STOPS, 2)
+        assert [o.category for o in outcomes] == [Category.CONDITION, Category.CONDITION, Category.DISCIPLINE,
+                                                  Category.DISCIPLINE, Category.PROCEDURE, Category.PROCEDURE]
+        assert infos == ["term 'kreft' mapped to both CONDITION and DISCIPLINE; ITER uses the earliest"]
+        # After the last round nothing looks the index up, so nothing is logged.
+        assert iter_records(entries, 1)[1:] == ([], 0)
