@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import LintError, MedlexError, ParseError
-from .io import check_outputs, read_text, sniff_format, split_lines, write_text, write_texts
+from .io import check_outputs, read_text, sniff_format, split_lines, write_texts
 from .outcomes import read_outcomes, render_outcomes, write_outcomes
 
 # A command imports its stage's modules (map's pipeline, strategies, textprep
@@ -289,7 +289,7 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
         lines.append(f"{o.entry_id}\t{o.term}\t{o.category}\t{o.provenance}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        write_text(args.out, text)
+        write_texts([(args.out, text)])
     else:
         sys.stdout.write(text)
     return 0

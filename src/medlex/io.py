@@ -19,9 +19,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
-# The scanner json.loads uses, with its default settings.
-_scan_value = json.JSONDecoder().scan_once
-
 # A str as JSON text, as json.dumps(..., ensure_ascii=False) writes it.
 json_string = encode_basestring
 
@@ -91,26 +88,18 @@ def data_lines(lines: Iterable[str], *, tsv: bool, comments: bool) -> Iterator[t
 
 
 def json_object(line: str) -> dict[str, Any]:
-    """One JSON-lines row, which must be a JSON object whose strings are
-    text (no lone surrogate); anything else raises a ValueError, to which
-    the reader adds the file and line."""
-    # The usual row, one object with nothing around it, goes straight to the
-    # scanner json.loads ends in. Any other line goes through json.loads,
-    # which also allows surrounding whitespace and words the errors.
-    obj, end = None, -1
-    if line.startswith("{"):
-        try:
-            obj, end = _scan_value(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            pass
-    if end != len(line):
-        try:
-            obj = json.loads(line)
-        # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"bad JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    """One JSON-lines row, decoded by ``json.loads``, which must be a JSON
+    object whose strings are text (no lone surrogate); anything else raises
+    a ValueError, to which the reader adds the file and line. The
+    dictionary and outcome readers bring here only the rows their
+    ``json_line_values`` match misses."""
+    try:
+        obj = json.loads(line)
+    # RecursionError: nested too deep; a plain ValueError: an integer too long to convert.
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     # Only a \u escape can spell a surrogate: UTF-8 text holds none.
     if "\\u" in line:
         surrogate = _lone_surrogate(line)
@@ -250,11 +239,6 @@ def check_outputs(outputs: Iterable[str | Path | None], inputs: Iterable[str | P
             source = read.get(os.path.realpath(path))
             if source is not None:
                 raise ParseError(f"an output and an input name one file: {path} and {source}")
-
-
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, as ``write_texts`` does."""
-    write_texts([(path, text)])
 
 
 def write_texts(files: Sequence[tuple[str | Path, str]]) -> None:

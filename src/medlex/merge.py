@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import (column_count_error, data_lines, json_document, json_field, json_lines, json_object, json_string,
-                 read_text, sniff_format, split_lines, write_text)
+                 read_text, sniff_format, split_lines, write_texts)
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -567,4 +567,4 @@ def render_lexicon(records: Sequence[tuple[str, str, str, str]], fmt: str = "tsv
 def export_lexicon(records: Sequence[tuple[str, str, str, str]], path: str | Path) -> None:
     """Write the merged lexicon as TSV, or as JSON-lines when the path's
     suffix says so, in the order of ``records``."""
-    write_text(path, render_lexicon(records, sniff_format(path)))
+    write_texts([(path, render_lexicon(records, sniff_format(path)))])

@@ -10,7 +10,7 @@ from typing import Any, Iterable
 
 from .errors import ParseError
 from .io import (column_count_error, json_field, json_line_values, json_lines, json_object, json_string, read_text,
-                 sniff_format, split_lines, write_text)
+                 sniff_format, split_lines, write_texts)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -89,20 +89,18 @@ def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str
 
 
 def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: str | None = None) -> None:
-    write_text(path, render_outcomes(outcomes, sniff_format(path, fmt)))
+    write_texts([(path, render_outcomes(outcomes, sniff_format(path, fmt)))])
 
 
 def id_and_term(row: dict[str, Any] | list[str]) -> tuple[str, str]:
     """The id and term, as written, of a dictionary or outcome row: a
     JSON-lines object or a TSV row's columns. Checked in this order, each
     fault a ValueError: a JSON id must be a string or an integer (read as
-    its decimal text) and a term a string, neither may hold a tab, CR or
-    LF (a TSV column holds none), and the term, then the id, must not be
-    blank."""
+    its decimal text) and a term a string (each one ``json_field`` call),
+    neither may hold a tab, CR or LF (a TSV column holds none), and the
+    term, then the id, must not be blank."""
     if type(row) is dict:
-        entry_id, term = row.get("id"), row.get("term")
-        if type(entry_id) is not str or type(term) is not str:
-            entry_id, term = str(json_field(row, "id", str, int)), json_field(row, "term", str)
+        entry_id, term = str(json_field(row, "id", str, int)), json_field(row, "term", str)
         # The outcome file holds both in tab-separated lines.
         if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
             raise ValueError("ids must not contain tabs or newlines")
@@ -207,19 +205,14 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
 
 def _json_row(line: str) -> tuple[str, str, str, str, str]:
     """The id, term, category ("" for null or absent), provenance and votes
-    ("" when absent) of a JSON-lines outcome row not in the writer's form,
-    checked in order as ``id_and_term`` and ``json_field`` check them."""
+    ("" when absent) of a JSON-lines outcome row not in the writer's form:
+    decoded by ``json_object``, then checked in that order by
+    ``id_and_term`` and one ``json_field`` call for each other value."""
     obj = json_object(line)
     entry_id, term = id_and_term(obj)
-    category, provenance = obj.get("category", ""), obj.get("provenance")
-    votes = obj.get("votes", "")
-    if category is None:
-        category = ""
-    if type(category) is not str or type(provenance) is not str or type(votes) is not str:
-        # Name the first that is missing where it must not be or of the wrong type.
-        json_field(obj, "category", str, optional=True)
-        json_field(obj, "provenance", str)
-        json_field(obj, "votes", str)
+    category = json_field(obj, "category", str, optional=True) or ""
+    provenance = json_field(obj, "provenance", str)
+    votes = json_field(obj, "votes", str) if "votes" in obj else ""
     return entry_id, term, category, provenance, votes
 
 

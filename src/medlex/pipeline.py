@@ -81,8 +81,10 @@ def map_dictionary(
     Pass 0 resolves strategy votes per entry; each of the following
     ``iter_rounds`` passes assigns a still-unmapped entry the category of
     an already-mapped entry whose term equals the definition's first
-    noun (provenance ITER). Passes are barriers: an assignment becomes
-    visible to lookups only in the next round.
+    noun (provenance ITER). Passes are barriers: each round indexes the
+    outcomes as the last round left them (each term's earliest mapped
+    entry), so an assignment becomes visible to lookups only in the next
+    round. The rounds stop early once one assigns nothing.
     """
     if iter_rounds < 0:
         raise ValueError("iter_rounds must be >= 0")
@@ -111,38 +113,36 @@ def map_dictionary(
     # (position, ITER key) of each entry left unmapped by pass 0 that has a
     # first noun; an assignment removes it.
     pending: list[tuple[int, str]] = []
-    # ITER key -> the category of its earliest mapped entry, and that entry's
-    # position; built once, then each round's assignments are folded in.
-    index: dict[str, Category] = {}
-    first: dict[str, int] = {}
-    warned: set[str] = set()
     if iter_rounds:
         pending = [
             (i, normalize_term(first_noun))
             for i, first_noun in enumerate(first_nouns)
             if first_noun is not None and outcomes[i].category is None
         ]
-        mapped = [(i, outcome.category) for i, outcome in enumerate(outcomes) if outcome.category is not None]
-        _fold_index(index, first, warned, mapped, terms)
-    for done in range(1, iter_rounds + 1):
+    warned: set[str] = set()
+    for _ in range(iter_rounds):
+        # ITER key -> the category of its earliest mapped entry, as of the
+        # end of the last round.
+        index: dict[str, Category] = {}
+        for key, outcome in zip(terms, outcomes):
+            category = outcome.category
+            if category is None:
+                continue
+            earliest = index.setdefault(key, category)
+            if earliest is not category and key not in warned:
+                log.info("term %r mapped to both %s and %s; ITER uses the earliest", key, earliest, category)
+                warned.add(key)
         still_pending = []
-        assigned = []
         for i, key in pending:
             category = index.get(key)
             if category is None:
                 still_pending.append((i, key))
             else:
                 outcome = outcomes[i]
-                outcomes[i] = MappingOutcome(
-                    outcome.entry_id, outcome.term, category, Provenance.ITER
-                )
-                assigned.append((i, category))
-        if not assigned:
+                outcomes[i] = MappingOutcome(outcome.entry_id, outcome.term, category, Provenance.ITER)
+        if len(still_pending) == len(pending):
             break
         pending = still_pending
-        # The next round sees this round's assignments; after the last, nothing does.
-        if done < iter_rounds:
-            _fold_index(index, first, warned, assigned, terms)
     if warned:
         log.warning(
             "%d term(s) mapped to more than one category; ITER uses the earliest "
@@ -150,51 +150,6 @@ def map_dictionary(
             len(warned),
         )
     return outcomes
-
-
-def _fold_index(
-    index: dict[str, Category],
-    first: dict[str, int],
-    warned: set[str],
-    mapped: Sequence[tuple[int, Category]],
-    terms: Sequence[str],
-) -> None:
-    """Fold ``mapped``, the (position, category) of newly mapped entries in
-    position order, into the ITER ``index`` (key -> the category of its
-    earliest mapped entry) and ``first`` (key -> that entry's position), so
-    that both are what one walk over every mapped entry in position order
-    gives. A key not in ``warned`` whose mapped entries now disagree is
-    logged at INFO, with its earliest category and the first that differs,
-    in the order that walk would meet them, and added to ``warned``."""
-    # (position, key, earliest category, other category) at the first entry
-    # of each newly warned key that disagrees with the key's earliest.
-    conflicts = []
-    # Key -> (position, category) of the former earliest entry of a newly
-    # warned key whose new earliest entry disagrees with it: a later entry
-    # of this fold may disagree before that position.
-    unsettled: dict[str, tuple[int, Category]] = {}
-    for i, category in mapped:
-        key = terms[i]
-        earliest = index.get(key)
-        if earliest is None:
-            index[key], first[key] = category, i
-        elif i < first[key]:
-            # Only an entry that a round mapped precedes one mapped before.
-            if category is not earliest and key not in warned:
-                unsettled[key] = (first[key], earliest)
-                warned.add(key)
-            index[key], first[key] = category, i
-        elif key not in warned:
-            if category is not earliest:
-                conflicts.append((i, key, earliest, category))
-                warned.add(key)
-        elif key in unsettled and category is not earliest and i < unsettled[key][0]:
-            unsettled[key] = (i, category)
-    for key, (i, other) in unsettled.items():
-        conflicts.append((i, key, index[key], other))
-    # Positions are distinct, so the sort never compares two categories.
-    for _, key, earliest, other in sorted(conflicts):
-        log.info("term %r mapped to both %s and %s; ITER uses the earliest", key, earliest, other)
 
 
 class MappingStats(NamedTuple):
@@ -344,21 +299,19 @@ def read_dictionary_rows(path: str | Path, fmt: str | None = None) -> list[Dicti
 def _json_dictionary_row(line: str) -> tuple[str, str, tuple[str, ...], str]:
     """The id, term, non-blank definition texts and ``synonym_of`` (empty
     when none) of a JSON-lines dictionary row that is not in the common
-    form, checked in the order ``read_dictionary_rows`` promises."""
+    form: decoded by ``json_object``, then checked in the order
+    ``read_dictionary_rows`` promises by ``id_and_term`` and one
+    ``json_field`` call for each other value."""
     obj = json_object(line)
     entry_id, term = id_and_term(obj)
-    defs, synonym_of = [obj.get("definition", "")], obj.get("synonym_of", "")
-    # The usual row has only strings; any other goes through json_field,
-    # which names the first value of the wrong type.
-    if type(defs[0]) is not str or type(synonym_of) is not str or "definitions" in obj:
-        if "definitions" in obj:
-            if "definition" in obj:
-                raise ValueError('a row takes "definition" or "definitions", not both')
-            defs = json_field(obj, "definitions", list, items=str)
-        else:
-            defs = [json_field(obj, "definition", str, optional=True) or ""]
-        synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
-        synonym_of = "" if synonym_of is None else str(synonym_of)
+    if "definitions" in obj:
+        if "definition" in obj:
+            raise ValueError('a row takes "definition" or "definitions", not both')
+        defs = json_field(obj, "definitions", list, items=str)
+    else:
+        defs = [json_field(obj, "definition", str, optional=True) or ""]
+    synonym_of = json_field(obj, "synonym_of", str, int, optional=True)
+    synonym_of = "" if synonym_of is None else str(synonym_of)
     return entry_id, term, tuple([d for d in defs if d.strip()]), synonym_of
 
 

@@ -457,6 +457,43 @@ def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys
     assert "Traceback" not in err
 
 
+# A JSON-lines row json_object cannot decode though it begins as an object:
+# one nested too deep (RecursionError) and one whose integer id is too long
+# to convert (ValueError; Python before 3.10.7 converts any length).
+JSON_ROW_FAULTS = {
+    "nested too deep": '{"id": "e1", "term": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "integer too long": '{"id": ' + "1" * 5000 + ', "term": "leukemi"}',
+}
+# For each reader of JSON-lines rows: the file it reads, the command, and
+# what its message puts before "bad JSON: ".
+JSON_LINES_READERS = {
+    "dictionary": ("d.jsonl", ["map", "--dict", "{file}", "--out", "{out}"], ""),
+    "outcomes": ("o.jsonl", ["eval", "sample", "--mapped", "{file}", "--quota", "1", "--seed", "1"],
+                 "bad outcome row: "),
+    "manifest": ("m.jsonl", ["eval", "overlap", "--mapped", "{mapped}", "--manifest", "{file}"], ""),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(JSON_ROW_FAULTS))
+@pytest.mark.parametrize("reader", sorted(JSON_LINES_READERS))
+def test_an_undecodable_json_lines_row_exits_2_at_its_line(reader, fault, tmp_path, capsys):
+    if fault == "integer too long" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts an integer of any length")
+    name, argv, prefix = JSON_LINES_READERS[reader]
+    paths = {
+        "file": put(tmp_path / name, JSON_ROW_FAULTS[fault] + "\n"),
+        "mapped": put(tmp_path / "mapped.tsv", OUTCOME_HEADER),
+        "out": str(tmp_path / "out.tsv"),
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{paths['file']}:1: {prefix}bad JSON: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.tsv").exists()
+
+
 # For each reader that counts a TSV row's columns: the file it reads, a
 # first row with the wrong count, the count it wants, and the command.
 COLUMN_READERS = {
@@ -757,14 +794,14 @@ class TestWriteText:
         path = tmp_path / "out.tsv"
         path.write_text("old contents that are longer\n", encoding="utf-8")
         os.chmod(path, 0o600)
-        io.write_text(path, "ny\n")
+        io.write_texts([(path, "ny\n")])
         assert path.read_bytes() == "ny\n".encode()
         assert path.stat().st_mode & 0o777 == 0o600
         assert os.listdir(tmp_path) == ["out.tsv"]
 
     def test_new_file_gets_umask_mode(self, tmp_path):
         path = tmp_path / "out.tsv"
-        io.write_text(path, "ny\n")
+        io.write_texts([(path, "ny\n")])
         assert path.stat().st_mode & 0o777 == 0o666 & ~current_umask()
 
     def test_symlink_is_written_through(self, tmp_path):
@@ -772,7 +809,7 @@ class TestWriteText:
         real.write_text("old\n", encoding="utf-8")
         link = tmp_path / "link.tsv"
         link.symlink_to(real)
-        io.write_text(link, "ny\n")
+        io.write_texts([(link, "ny\n")])
         assert link.is_symlink()
         assert real.read_text(encoding="utf-8") == "ny\n"
         assert sorted(os.listdir(tmp_path)) == ["link.tsv", "real.tsv"]
@@ -783,7 +820,7 @@ class TestWriteText:
         # A non-blocking reader lets the writer open the pipe at once.
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            io.write_text(fifo, "ny\n")
+            io.write_texts([(fifo, "ny\n")])
             assert os.read(reader, 100) == b"ny\n"
         finally:
             os.close(reader)
@@ -794,7 +831,7 @@ class TestWriteText:
         path = tmp_path / "out.tsv"
         path.write_text("old\n", encoding="utf-8")
         with pytest.raises(UnicodeEncodeError):
-            io.write_text(path, "a\ud800b")  # a lone surrogate cannot be encoded
+            io.write_texts([(path, "a\ud800b")])  # a lone surrogate cannot be encoded
         assert path.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["out.tsv"]
 

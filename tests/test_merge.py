@@ -820,6 +820,68 @@ class TestCommandMatchesAdapters:
                 assert written == out.read_bytes()
 
 
+@st.composite
+def ranked_merge_jobs(draw):
+    """(resources, outcomes, lowercase, order) for a ``merge`` run: two to
+    four resources of any mode without faults, each (manifest TSV line,
+    file name, file text), at distinct ranks below the mapped entries'
+    default, and a permutation ``order`` of the resources."""
+    resources = []
+    names = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
+    for name, rank in zip(names, draw(st.permutations([1, 2, 3, 4, 5]))):
+        # A chapter "ß" upper-cased is "SS", which no rule for "ß" matches: a fault.
+        line, text = draw(resource_files(faults=False).filter(lambda resource: "ß" not in resource[0]))
+        cols = line.split("\t")
+        cols[0], cols[1], cols[4] = name, f"{name.lower()}.tsv", str(rank)
+        resources.append(("\t".join(cols), cols[1], text))
+    drawn = draw(st.lists(st.tuples(variant(["feber", "blå kors", "Ærlig sak"], pads=("",)), OUTCOME_KINDS,
+                                    CATEGORIES), max_size=8))
+    outcomes = [outcome(i, *row) for i, row in enumerate(drawn)]
+    return resources, outcomes, draw(st.booleans()), draw(st.permutations(range(len(resources))))
+
+
+class TestManifestOrder:
+    """With distinct ranks, the order of a manifest's resources decides
+    only the order of the report's resource-count rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_merge_jobs(), st.sampled_from(["tsv", "jsonl"]))
+    def test_permuted_resources_merge_alike(self, job, out_format):
+        resources, outcomes, lowercase, order = job
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            for _, name, text in resources:
+                (base / name).write_bytes(text.encode("utf-8"))
+            mapped = base / "mapped.tsv"
+            write_outcomes(outcomes, mapped)
+            for listed in (resources, [resources[i] for i in order]):
+                manifest = base / "m.tsv"
+                manifest.write_text("".join(line for line, _, _ in listed), encoding="utf-8")
+                out = base / f"lexicon.{out_format}"
+                argv = ["merge", "--manifest", str(manifest), "--mapped", str(mapped), "--out", str(out)]
+                # The command logs its warnings, and logging set up earlier in the
+                # process may send them elsewhere than stderr: take them from the logger.
+                warnings = _Captured()
+                logger = logging.getLogger("medlex.merge")
+                logger.addHandler(warnings)
+                try:
+                    with redirect_stdout(StringIO()) as printed, redirect_stderr(StringIO()) as stderr:
+                        code = main(argv + ["--lowercase"] * lowercase)
+                finally:
+                    logger.removeHandler(warnings)
+                runs.append((code, stderr.getvalue(), warnings.dropped, out.read_bytes() if out.exists() else None,
+                             printed.getvalue().split("\n")))
+                out.unlink(missing_ok=True)
+        (code, *same, report), permuted = runs
+        assert code == 0
+        assert permuted[:-1] == (code, *same)
+        # The header, the mapped entries' row, then one row per resource.
+        counts = 2 + len(resources)
+        assert permuted[-1][counts:] == report[counts:]
+        assert permuted[-1][:counts] == report[:2] + [report[2 + i] for i in order]
+
+
 CHAPTERS = st.builds(
     lambda word, case, pad: pad + case(word) + pad,
     st.sampled_from(["A", "b", "Procedure codes", "İx", "ß"]),

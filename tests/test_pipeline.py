@@ -739,9 +739,9 @@ class TestOneBuild:
         assert [e.id for e in entries] == ["e3", "e1", "e2"]
 
 
-# ITER rounds as map_dictionary ran them before its index was built once:
-# each round rebuilds the index from every outcome and logs each key newly
-# seen mapped to two categories.
+# ITER rounds as the reference for map_dictionary: each round rebuilds the
+# index from every outcome and logs each key newly seen mapped to two
+# categories.
 def reference_iter_rounds(entries, suffixes, keywords, stops, iter_rounds):
     outcomes = map_dictionary(entries, suffixes, keywords, stops, 0)
     terms = [normalize_term(e.term) for e in entries]
