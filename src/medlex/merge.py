@@ -61,6 +61,7 @@ def check_source_name(name: str) -> None:
 class ResourceSpec(Frozen):
     """Declarative description of one external terminology source.
 
+    A blank ``file`` is refused: it would name the manifest's directory.
     An empty ``layout`` stands for the mode's default: the term in column
     0, then any category or chapter column. ``chapter_index`` maps each
     rule's trimmed, lowercased chapter to its category (None: exclude);
@@ -85,6 +86,8 @@ class ResourceSpec(Frozen):
         layout: dict[str, int] | None = None,
     ) -> None:
         check_source_name(name)
+        if not file.strip():
+            raise ValueError(f"resource {name}: file is blank")
         if mode is ResourceMode.FIXED and category is None:
             raise ValueError(f"resource {name}: FIXED mode needs a category")
         if mode is ResourceMode.CHAPTERED and not chapter_rules:

@@ -92,22 +92,18 @@ def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: st
     write_texts([(path, render_outcomes(outcomes, sniff_format(path, fmt)))])
 
 
-def id_and_term(row: dict[str, Any] | list[str]) -> tuple[str, str]:
-    """The id and term, as written, of a dictionary or outcome row: a
-    JSON-lines object or a TSV row's columns. Checked in this order, each
-    fault a ValueError: a JSON id must be a string or an integer (read as
-    its decimal text) and a term a string (each one ``json_field`` call),
-    neither may hold a tab, CR or LF (a TSV column holds none), and the
-    term, then the id, must not be blank."""
-    if type(row) is dict:
-        entry_id, term = str(json_field(row, "id", str, int)), json_field(row, "term", str)
-        # The outcome file holds both in tab-separated lines.
-        if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
-            raise ValueError("ids must not contain tabs or newlines")
-        if "\t" in term or "\n" in term or "\r" in term:
-            raise ValueError("terms must not contain tabs or newlines")
-    else:
-        entry_id, term = row[0], row[1]
+def id_and_term(row: dict[str, Any]) -> tuple[str, str]:
+    """The id and term, as written, of a decoded JSON-lines dictionary or
+    outcome row. Checked in this order, each fault a ValueError: the id
+    must be a string or an integer (read as its decimal text) and the term
+    a string (each one ``json_field`` call), neither may hold a tab, CR or
+    LF, and the term, then the id, must not be blank."""
+    entry_id, term = str(json_field(row, "id", str, int)), json_field(row, "term", str)
+    # The outcome file holds both in tab-separated lines.
+    if "\t" in entry_id or "\n" in entry_id or "\r" in entry_id:
+        raise ValueError("ids must not contain tabs or newlines")
+    if "\t" in term or "\n" in term or "\r" in term:
+        raise ValueError("terms must not contain tabs or newlines")
     if not term.strip():
         raise ValueError("empty term")
     if not entry_id.strip():
@@ -179,7 +175,8 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                         continue
                     raise column_count_error("5", len(cols))
                 entry_id, term, category, provenance, votes = cols
-            # As id_and_term checks them; neither format's row here holds a tab, CR or LF.
+            # The blank checks id_and_term makes of a decoded row; neither
+            # format's row here holds a tab, CR or LF.
             if not term.strip():
                 raise ValueError("empty term")
             if not entry_id.strip():

@@ -276,7 +276,7 @@ def read_dictionary_rows(path: str | Path, fmt: str | None = None) -> list[Dicti
                         senses = ()
                     else:
                         entry_id, term, senses, synonym_of = _json_dictionary_row(raw)
-            # As id_and_term checks a TSV row; a decoded row has passed them.
+            # The blank checks id_and_term makes of a decoded row, which has passed them.
             if not term.strip():
                 raise ValueError("empty term")
             if not entry_id.strip():

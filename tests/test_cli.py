@@ -868,11 +868,12 @@ class TestCmdEval:
             main(["map", "--dict", str(dict_file), "--threads", "0"])
 
 
-def run_module(argv, **env):
+def run_module(argv, *options, **env):
+    """``python [options] -m medlex argv`` with ``env`` added to the environment."""
     src = str(Path(medlex.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "medlex", *argv],
+        [sys.executable, *options, "-m", "medlex", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path, **env),

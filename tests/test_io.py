@@ -312,7 +312,7 @@ def manifest_json_syntax_error(tmp, data):
             ' {"name": "B", "file": "b.tsv", "mode": "FIXED" "category": "TOOL", "trust_rank": 2}]']
     manifest = put(tmp / "m.json", "\r\n".join(rows) + "\r\n")
     mapped = put(tmp / "m.tsv", OUTCOME_HEADER)
-    return (["eval", "overlap", "--mapped", mapped, "--manifest", manifest],
+    return (["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(tmp / "lex.tsv")],
             f"{manifest}:2: bad JSON manifest: Expecting ',' delimiter")
 
 
@@ -450,11 +450,13 @@ def manifest_jsonl_lone_surrogate(tmp, data):
 )
 def test_bad_input_exits_2_naming_file_and_line(case, tmp_path, data_dir, capsys):
     argv, where = case(tmp_path, data_dir)
+    before = sorted(tmp_path.iterdir())
     code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
     assert where in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # A JSON-lines row json_object cannot decode though it begins as an object:
@@ -570,8 +572,9 @@ def test_a_hash_after_an_empty_first_column_is_a_row(tmp_path, capsys):
     lexicon = tmp_path / "lexicon.tsv"
     assert main(["merge", "--manifest", manifest, "--mapped", mapped, "--out", str(lexicon)]) == 0
     assert re.search(r"^R +3 +3 +0$", capsys.readouterr().out, re.M)
-    terms = [line.split("\t")[0] for line in lexicon.read_text(encoding="utf-8").splitlines()[1:]]
-    assert terms == ["#5-HT", "kniv", "saks"]
+    rows = lexicon.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["#5-HT", "kniv", "saks"]
+    assert rows[0] == "#5-HT\tSUBSTANCE\tR\tR"
 
 
 @pytest.mark.parametrize("load", [load_keyword_table, load_suffix_table])
@@ -1061,10 +1064,13 @@ class TestJsonCodec:
             plain = all(v is None or _plain(v) for v in row)
             assert values(line) == (tuple(row) if plain else None)
 
-    def test_no_rows_are_empty_text(self, tmp_path):
+    def test_no_rows_are_empty_text(self, tmp_path, capsys):
         assert io.json_lines(("id", "term"), []) == ""
         assert main(["map", "--dict", put(tmp_path / "d.tsv", ""), "--out", str(tmp_path / "o.jsonl")]) == 0
         assert (tmp_path / "o.jsonl").read_bytes() == b""
+        capsys.readouterr()
+        assert main(["map", "--dict", str(tmp_path / "d.tsv"), "--format", "jsonl"]) == 0
+        assert capsys.readouterr().out == ""
         assert read_outcomes(tmp_path / "o.jsonl") == []
 
 

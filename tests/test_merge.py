@@ -253,7 +253,12 @@ def resource_files(draw, faults=True):
         if draw(st.booleans()):
             rules.append(f"*={draw(st.sampled_from(['CONDITION', 'tool']))}")
         rules_text = ";".join(rules)
-        good = variant(chapters, pads=("", " ", "\u00a0", "  "))
+        # A chapter matches its rule when trimmed and lowercased, so a good
+        # value is one whose case change lowercase undoes ("ß" upper-cased
+        # is "SS", which no rule for "ß" matches).
+        rule_keys = {chapter.strip().lower() for chapter in chapters}
+        good = variant(chapters, pads=("", " ", "\u00a0", "  ")).filter(
+            lambda chapter: chapter.strip().lower() in rule_keys)
         # A miss unless there is a default.
         bad = st.one_of(good.map(lambda chapter: chapter + " x"), variant(["Ukjent kapittel", "SS"]))
         layout["chapter"] = value_column
@@ -829,8 +834,7 @@ def ranked_merge_jobs(draw):
     resources = []
     names = ["A", "B", "C", "D"][: draw(st.integers(2, 4))]
     for name, rank in zip(names, draw(st.permutations([1, 2, 3, 4, 5]))):
-        # A chapter "ß" upper-cased is "SS", which no rule for "ß" matches: a fault.
-        line, text = draw(resource_files(faults=False).filter(lambda resource: "ß" not in resource[0]))
+        line, text = draw(resource_files(faults=False))
         cols = line.split("\t")
         cols[0], cols[1], cols[4] = name, f"{name.lower()}.tsv", str(rank)
         resources.append(("\t".join(cols), cols[1], text))
@@ -1287,6 +1291,11 @@ class TestManifest:
                 {"mode": "PER_ENTRY", "category": "CONDITION"},
                 "resource A: PER_ENTRY mode takes no category",
             ),
+            # A blank file would name the manifest's directory.
+            ("A\t\tFIXED\tTOOL\t1\tterm=0", {"file": "", "mode": "FIXED", "category": "TOOL"},
+             "resource A: file is blank"),
+            ("A\t \tFIXED\tTOOL\t1\t", {"file": " ", "mode": "FIXED", "category": "TOOL"},
+             "resource A: file is blank"),
             # A TSV row cannot hold the fields of the cases below.
             (
                 None,
@@ -1347,7 +1356,7 @@ class TestManifest:
         ],
         ids=["default-exclude", "unknown-mode", "fixed-without-category", "unknown-label",
              "unknown-rule-label", "chaptered-without-rules",
-             "per-entry-with-category", "chaptered-with-category", "fixed-with-rules",
+             "per-entry-with-category", "blank-file", "space-file", "chaptered-with-category", "fixed-with-rules",
              "fixed-with-default", "per-entry-with-rules", "blank-name", "comma-in-name",
              "space-name", "blank-columns", "blank-name-bad-rank", "blank-name-bad-layout",
              "tab-in-name", "cr-in-name", "lf-in-name"],

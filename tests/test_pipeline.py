@@ -545,7 +545,11 @@ def reference_read_dictionary(path):
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):
                     raise column_count_error("3 or 4", len(cols))
-                entry_id, term = id_and_term(cols)
+                entry_id, term = cols[0], cols[1]
+                if not term.strip():
+                    raise ValueError("empty term")
+                if not entry_id.strip():
+                    raise ValueError("missing entry id")
                 defs, synonym_of = [cols[2]], cols[3] if len(cols) == 4 else ""
             entry_id, term = entry_id.strip(), term.strip()
             if entry_id in by_id:
