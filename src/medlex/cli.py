@@ -298,11 +298,14 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        format="%(levelname)s: %(message)s",
-        level=logging.INFO if args.verbose else logging.WARNING,
-    )
+    # This call's diagnostics go to this call's stderr, once, at the level
+    # -v picks, whatever handlers the process's root logger has.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    old_level, old_propagate = log.level, log.propagate
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False
+    log.addHandler(handler)
     # A command builds up to millions of acyclic records, which every full
     # collection would re-walk to free nothing; collection resumes on return.
     gc_was_enabled = gc.isenabled()
@@ -316,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+        log.propagate = old_propagate
         if gc_was_enabled:
             gc.enable()
 

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GoldCoverageError, ParseError
-from .io import column_count_error, data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text
 from .model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -330,7 +330,7 @@ def read_gold(path: str | Path) -> dict[str, Category]:
     gold: dict[str, Category] = {}
     lineno, cols = 0, []
     try:
-        for lineno, line in data_lines(split_lines(text), tsv=True, comments=True):
+        for lineno, line in data_lines(text, tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) != 2:
                 raise column_count_error("2", len(cols))

@@ -69,16 +69,17 @@ def column_count_error(expected: str, got: int) -> ValueError:
     return ValueError(f"expected {expected} tab-separated columns, got {got}")
 
 
-def data_lines(lines: Iterable[str], *, tsv: bool, comments: bool) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each row of a file, with any line terminator
-    removed; every reader but ``ingest_conllu`` finds its rows here. A line
-    that holds no tab is skipped when it is blank or, in a file that takes
-    ``comments``, when its first character that is not blank is ``#``. In
-    a ``tsv`` file a line that holds a tab is a row, even of blank columns,
-    unless the file takes comments and its first column begins with ``#``
-    after leading blanks; in any other file a tab is one more blank."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+def data_lines(text: str, *, tsv: bool, comments: bool) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each row of ``text``, a whole file as
+    ``read_text`` returns it, cut into lines by ``split_lines``. Every
+    reader finds its rows here but CoNLL-U's, where a blank line ends a
+    sentence. A line that holds no tab is skipped when it is blank or, in
+    a file that takes ``comments``, when its first character that is not
+    blank is ``#``. In a ``tsv`` file a line that holds a tab is a row,
+    even of blank columns, unless the file takes comments and its first
+    column begins with ``#`` after leading blanks; in any other file a tab
+    is one more blank."""
+    for lineno, line in enumerate(split_lines(text), start=1):
         head = line.lstrip()
         if head and (head[0] != "#" or not comments):
             yield lineno, line

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import (column_count_error, data_lines, json_document, json_field, json_lines, json_object, json_string,
-                 read_text, sniff_format, split_lines, write_texts)
+                 read_text, sniff_format, write_texts)
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -192,7 +192,7 @@ def load_manifest(path: str | Path, mapped_name: str | None = None) -> list[Reso
             except ValueError as exc:
                 raise ParseError(f"resource #{i}: {exc}", where) from None
         return specs
-    for lineno, line in data_lines(split_lines(text), tsv=not jsonl, comments=True):
+    for lineno, line in data_lines(text, tsv=not jsonl, comments=True):
         try:
             specs.append(_spec(json_object(line) if jsonl else _tsv_object(line), names))
         except ValueError as exc:
@@ -323,7 +323,7 @@ def resource_rows(
     resolved: dict[str, Category | None] = {}
     lineno = 0
     try:
-        for lineno, line in data_lines(split_lines(text), tsv=True, comments=True):
+        for lineno, line in data_lines(text, tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) < need:
                 raise column_count_error(f"at least {need}", len(cols))

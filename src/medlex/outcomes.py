@@ -4,13 +4,12 @@ that the ``map`` and ``merge`` reports print."""
 
 from __future__ import annotations
 
-from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import ParseError
-from .io import (column_count_error, json_field, json_line_values, json_lines, json_object, json_string, read_text,
-                 sniff_format, split_lines, write_texts)
+from .io import (column_count_error, data_lines, json_field, json_line_values, json_lines, json_object, json_string,
+                 read_text, sniff_format, write_texts)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -122,7 +121,8 @@ def _provenance(text: str) -> Provenance:
 def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """Outcome rows as ``write_outcomes`` writes them; every row must have
     a term and a non-blank id no earlier row has, and pass
-    ``MappingOutcome.validate``.
+    ``MappingOutcome.validate``. Rows are the lines ``data_lines`` yields,
+    with no comments; a TSV file's header is skipped on line 1 only.
 
     A JSON-lines row in the writer's form, with a string id, term,
     provenance and votes, is read by one match (``json_line_values``); it
@@ -137,13 +137,9 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     """
     p = Path(path)
     where = str(p)
-    lines = split_lines(read_text(p, "outcomes"))
     jsonl = sniff_format(p) == "jsonl"
     # Only a JSON-lines read compiles the writer-form pattern.
     writer_form = json_line_values(OUTCOME_HEADER) if jsonl else None
-    # Line 1 of a TSV file is the header when it begins with id and term,
-    # whatever its column count.
-    skip = 1 if not jsonl and lines and lines[0].split("\t", 2)[:2] == ["id", "term"] else 0
     outcomes: list[MappingOutcome] = []
     append = outcomes.append
     seen: set[str] = set()
@@ -152,7 +148,7 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
     checked: dict[tuple[str, str, str], tuple[Category | None, Provenance, tuple[Vote, ...]]] = {}
     parsed_votes: dict[str, Vote] = {}
     new = tuple.__new__
-    for lineno, line in enumerate(islice(lines, skip, None), start=1 + skip):
+    for lineno, line in data_lines(read_text(p, "outcomes"), tsv=not jsonl, comments=False):
         try:
             if jsonl:
                 row = writer_form(line)
@@ -161,18 +157,16 @@ def read_outcomes(path: str | Path) -> list[MappingOutcome]:
                     if entry_id is None or term is None or provenance is None or votes is None:
                         row = None
                 if row is None:
-                    # A blank line is no row; any other takes the decoder.
-                    if not line.strip():
-                        continue
                     entry_id, term, category, provenance, votes = _json_row(line)
                 elif category is None:
                     category = ""
             else:
-                # A line that holds a tab is a row, even of blank columns.
                 cols = line.split("\t")
+                # Line 1 is the header when it begins with id and term,
+                # whatever its column count.
+                if lineno == 1 and cols[:2] == ["id", "term"]:
+                    continue
                 if len(cols) != 5:
-                    if len(cols) == 1 and not line.strip():
-                        continue
                     raise column_count_error("5", len(cols))
                 entry_id, term, category, provenance, votes = cols
             # The blank checks id_and_term makes of a decoded row; neither

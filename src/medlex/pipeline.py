@@ -10,8 +10,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
-from .io import (column_count_error, data_lines, json_field, json_line_values, json_object, read_text, sniff_format,
-                 split_lines)
+from .io import column_count_error, data_lines, json_field, json_line_values, json_object, read_text, sniff_format
 from .model import (
     Category,
     Definition,
@@ -256,7 +255,7 @@ def read_dictionary_rows(path: str | Path, fmt: str | None = None) -> list[Dicti
     new_row = tuple.__new__
     lineno = 0
     try:
-        for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
+        for lineno, raw in data_lines(text, tsv=not jsonl, comments=False):
             if not jsonl:
                 cols = raw.split("\t")
                 if len(cols) not in (3, 4):

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import LintError, ParseError
-from .io import column_count_error, data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text
 from .model import Category, Frozen, Provenance, Vote, fold, parse_category
 
 # Containment only fires for keywords longer than this, to avoid short
@@ -108,15 +108,19 @@ class KeywordTable(Frozen):
         return short
 
 
-def _parse_table(
-    lines: Iterable[str], path: str | None, table: type, kind: str
-) -> SuffixTable | KeywordTable:
-    """A two-column ``kind`` table of (trigger, category) rows; a suffix's
-    leading ``-`` is decorative and stripped."""
+def _load_table(path: str | Path, table: type, kind: str) -> SuffixTable | KeywordTable:
+    """The two-column ``kind`` table of (trigger, category) rows in the file
+    at ``path``; a suffix's leading ``-`` is decorative and stripped. A
+    faulty row raises ParseError at its line; once every row has parsed,
+    a trigger that an earlier row holds raises LintError at its line."""
+    p = Path(path)
+    where = str(p)
     rows = []
+    seen: set[str] = set()
+    repeats: list[tuple[int, str]] = []
     lineno = 0
     try:
-        for lineno, line in data_lines(lines, tsv=True, comments=True):
+        for lineno, line in data_lines(read_text(p, f"{kind} table"), tsv=True, comments=True):
             cols = line.split("\t")
             if len(cols) != 2:
                 raise column_count_error("2", len(cols))
@@ -130,32 +134,26 @@ def _parse_table(
                 trigger = trigger.lstrip("-")
             if not trigger:
                 raise ValueError(f"empty {kind}")
+            if trigger in seen:
+                repeats.append((lineno, trigger))
+            seen.add(trigger)
             rows.append((trigger, category))
     except ValueError as exc:
-        raise ParseError(str(exc), path, lineno) from None
-    try:
-        return table(tuple(rows))
-    except ValueError as exc:
-        raise LintError(f"{path or kind + ' table'}: {exc}") from None
-
-
-def parse_suffix_table(lines: Iterable[str], path: str | None = None) -> SuffixTable:
-    """Two-column TSV; a leading ``-`` on suffixes is decorative and stripped."""
-    return _parse_table(lines, path, SuffixTable, "suffix")
-
-
-def parse_keyword_table(lines: Iterable[str], path: str | None = None) -> KeywordTable:
-    return _parse_table(lines, path, KeywordTable, "keyword")
+        raise ParseError(str(exc), where, lineno) from None
+    if repeats:
+        lineno, trigger = repeats[0]
+        raise LintError(f"{where}:{lineno}: duplicate {kind} {trigger!r}")
+    return table(tuple(rows))
 
 
 def load_suffix_table(path: str | Path) -> SuffixTable:
-    p = Path(path)
-    return parse_suffix_table(split_lines(read_text(p, "suffix table")), str(p))
+    """A two-column TSV suffix table; a leading ``-`` on suffixes is decorative and stripped."""
+    return _load_table(path, SuffixTable, "suffix")
 
 
 def load_keyword_table(path: str | Path) -> KeywordTable:
-    p = Path(path)
-    return parse_keyword_table(split_lines(read_text(p, "keyword table")), str(p))
+    """A two-column TSV keyword table."""
+    return _load_table(path, KeywordTable, "keyword")
 
 
 def suffix_vote(term: str, table: SuffixTable) -> Vote | None:

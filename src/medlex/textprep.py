@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, TextIO
 
 from .errors import ParseError
-from .io import column_count_error, data_lines, read_text, split_lines
+from .io import column_count_error, data_lines, read_text
 from .model import Frozen, Token, fold
 
 log = logging.getLogger(__name__)
@@ -52,38 +52,32 @@ class StopConfig(Frozen):
         object.__setattr__(self, "stop_phrases", stop_phrases)
 
 
-def parse_stoplist(lines: Iterable[str], path: str | None = None) -> StopConfig:
-    """Build a StopConfig from a one-item-per-line listing.
-
-    Two-token lines are noun+preposition stop phrases; any other line,
-    an abbreviation such as ``plur.`` too, is a stop noun. Lines starting
-    with ``#`` are comments.
-    """
+def load_stoplist(path: str | Path) -> StopConfig:
+    """The StopConfig of a one-item-per-line listing, rows as ``data_lines``
+    finds them (``#`` comments). Two-token lines are noun+preposition stop
+    phrases; any other line, an abbreviation such as ``plur.`` too, is a
+    stop noun."""
+    p = Path(path)
     nouns: set[str] = set()
     phrases: set[str] = set()
     lineno = 0
     try:
-        for lineno, line in data_lines(lines, tsv=False, comments=True):
+        for lineno, line in data_lines(read_text(p, "stoplist"), tsv=False, comments=True):
             item = " ".join(fold(line).split())
             parts = item.split(" ")
             if len(parts) > 2:
                 raise ValueError(f"stop phrases take exactly two tokens, got {item!r}")
             (phrases if len(parts) == 2 else nouns).add(item)
     except ValueError as exc:
-        raise ParseError(str(exc), path, lineno) from None
+        raise ParseError(str(exc), str(p), lineno) from None
     # fold is idempotent, so every item is folded and StopConfig takes them all.
     return StopConfig(frozenset(nouns), frozenset(phrases))
 
 
-def load_stoplist(path: str | Path) -> StopConfig:
-    p = Path(path)
-    return parse_stoplist(split_lines(read_text(p, "stoplist")), str(p))
-
-
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Plain word list, one item per line, ``#`` comments, folded as terms are."""
-    lines = split_lines(read_text(Path(path), "word list"))
-    return frozenset(fold(line).strip() for _, line in data_lines(lines, tsv=False, comments=True))
+    text = read_text(Path(path), "word list")
+    return frozenset(fold(line).strip() for _, line in data_lines(text, tsv=False, comments=True))
 
 
 class Sentences(dict):

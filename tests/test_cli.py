@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -127,7 +128,7 @@ class TestCmdMap:
             capsys, ["map", "--dict", str(dict_file), "--keywords", str(table)]
         )
         assert code == 3 and stdout == ""
-        assert stderr == f"lint error: {table}: duplicate keyword 'blåsebelg'\n"
+        assert stderr == f"lint error: {table}:2: duplicate keyword 'blåsebelg'\n"
 
     @pytest.mark.parametrize(
         ("option", "row", "message"),
@@ -557,7 +558,7 @@ class TestCmdMerge:
         assert code == 4
         assert "omstridt begrep" in stderr
 
-    def test_within_source_disagreement_warns_and_keeps_the_earliest(self, tmp_path):
+    def test_within_source_disagreement_warns_and_keeps_the_earliest(self, capsys, tmp_path):
         mapped = tmp_path / "mapped.tsv"
         mapped.write_text(
             "id\tterm\tcategory\tprovenance\tvotes\n"
@@ -573,14 +574,12 @@ class TestCmdMerge:
             encoding="utf-8",
         )
         out = tmp_path / "lex.tsv"
-        proc = run_module(
-            ["merge", "--manifest", str(manifest), "--mapped", str(mapped),
-             "--lowercase", "--out", str(out)]
+        code, _, stderr = run(
+            capsys,
+            ["merge", "--manifest", str(manifest), "--mapped", str(mapped), "--lowercase", "--out", str(out)],
         )
-        assert proc.returncode == 0
-        assert proc.stderr == (
-            "WARNING: term 'kjerne' has both ANAT_LOC and TOOL in MO; merge uses the earliest\n"
-        )
+        assert code == 0
+        assert stderr == "WARNING: term 'kjerne' has both ANAT_LOC and TOOL in MO; merge uses the earliest\n"
         assert out.read_text(encoding="utf-8").splitlines()[1:] == [
             "annen\tCONDITION\tR\tR",
             "kjerne\tANAT_LOC\tMO\tITER",
@@ -954,7 +953,30 @@ class TestConsoleEntryPoint:
             tree = ast.parse((package / f"{stage}.py").read_text(encoding="utf-8"))
             assert set(imported(tree)) & stages - {stage} == set(), stage
 
-    def test_verbose_shows_keyword_lint_notes(self, tmp_path):
+    def test_only_io_decides_which_lines_are_rows(self):
+        # io.data_lines is the one row rule. So only io cuts a text into
+        # lines, and cli for the CoNLL-U file, whose blank lines end
+        # sentences; only io and textprep, which takes a CoNLL-U stream,
+        # strip a line end.
+        package = Path(medlex.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            splits = strips = False
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    splits |= name in ("split_lines", "splitlines")
+                    strips |= name in ("strip", "lstrip", "rstrip") and any(
+                        isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                        and ("\r" in arg.value or "\n" in arg.value)
+                        for arg in node.args
+                    )
+            assert not splits or path.stem in ("io", "cli"), path.name
+            assert not strips or path.stem in ("io", "textprep"), path.name
+
+    def test_verbose_shows_keyword_lint_notes(self, capsys, tmp_path):
+        # Quiet, verbose, quiet in one process whose root logger also
+        # writes to stderr: -v holds for its own call alone, and each call
+        # writes its lines once, to the stderr of its own time.
         dict_file = tmp_path / "d.tsv"
         dict_file.write_text("e1\tleukemi\tsykdom i blodet\n", encoding="utf-8")
         table = tmp_path / "keywords.tsv"
@@ -965,13 +987,20 @@ class TestConsoleEntryPoint:
             "INFO: lint: keyword 'lege' has length <= 4; it can only fire as an exact "
             "first-noun match\n"
         )
-        quiet, verbose = run_module(argv), run_module([*argv, "-v"])
-        assert quiet.returncode == verbose.returncode == 0
-        assert quiet.stderr == heuristic
-        assert verbose.stderr == note + heuristic
-        assert quiet.stdout == verbose.stdout
+        logger, host = logging.getLogger("medlex"), logging.StreamHandler(sys.stderr)
+        state = (list(logger.handlers), logger.level, logger.propagate)
+        logging.getLogger().addHandler(host)
+        try:
+            quiet, verbose, again = (run(capsys, call) for call in (argv, [*argv, "-v"], argv))
+        finally:
+            logging.getLogger().removeHandler(host)
+        assert quiet[0] == verbose[0] == 0
+        assert quiet[2] == again[2] == heuristic
+        assert verbose[2] == note + heuristic
+        assert quiet[1] == verbose[1]
+        assert (list(logger.handlers), logger.level, logger.propagate) == state
 
-    def test_iter_homographs_warn_once_and_list_at_info(self, tmp_path):
+    def test_iter_homographs_warn_once_and_list_at_info(self, capsys, tmp_path):
         dict_file = tmp_path / "d.tsv"
         dict_file.write_text(
             "e1\tlege\tsykdom i blodet\n"
@@ -993,12 +1022,12 @@ class TestConsoleEntryPoint:
             "WARNING: 2 term(s) mapped to more than one category; ITER uses the earliest "
             "of each (listed at INFO level, -v)\n"
         )
-        quiet, verbose = run_module(argv), run_module([*argv, "-v"])
-        assert quiet.returncode == verbose.returncode == 0
-        assert quiet.stderr == heuristic + summary
-        assert verbose.stderr == heuristic + listed + summary
-        assert quiet.stdout == verbose.stdout
-        assert quiet.stdout.splitlines()[-1] == "e5\tbarnelege\tCONDITION\tITER\t"
+        quiet, verbose = run(capsys, argv), run(capsys, [*argv, "-v"])
+        assert quiet[0] == verbose[0] == 0
+        assert quiet[2] == heuristic + summary
+        assert verbose[2] == heuristic + listed + summary
+        assert quiet[1] == verbose[1]
+        assert quiet[1].splitlines()[-1] == "e5\tbarnelege\tCONDITION\tITER\t"
 
 
 def fixture_job(data, out):

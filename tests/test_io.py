@@ -757,23 +757,44 @@ class TestLineBreaks:
     def test_split_lines_agrees_with_splitlines_on_cr_and_lf(self, text):
         assert io.split_lines(text) == text.splitlines()
 
-    @given(st.lists(st.text(alphabet=st.sampled_from("\t\t#ab\r\n" + SPACES), max_size=8), max_size=8),
-           st.booleans(), st.booleans())
-    def test_data_lines_matches_a_brute_force_reference(self, lines, tsv, comments):
-        def reference(lines):
-            for lineno, raw in enumerate(lines, start=1):
-                line = raw.rstrip("\r\n")
+    # Each line ends in LF, CR or CR LF, the last one maybe in none; a line
+    # holds any other blank, such as U+2028, U+0085 and FF. An empty line
+    # that ends in LF after one that ends in CR makes one CR LF.
+    @given(st.lists(st.tuples(st.text(alphabet=st.sampled_from("\t\t#ab" + SPACES.replace("\r", "").replace("\n", "")),
+                                      max_size=8),
+                              st.sampled_from(["\n", "\r", "\r\n"])), max_size=8),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_data_lines_matches_a_brute_force_reference(self, lines, final_end, tsv, comments):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_end:
+            text = text[: -len(lines[-1][1])]
+
+        def reference_lines(text):
+            """The lines of ``text``, broken at CR LF, CR and LF only."""
+            lines, line, i = [], "", 0
+            while i < len(text):
+                if text[i] in "\r\n":
+                    lines.append(line)
+                    line = ""
+                    i += 2 if text[i:i + 2] == "\r\n" else 1
+                else:
+                    line += text[i]
+                    i += 1
+            return lines + [line] if line else lines
+
+        def reference(text):
+            for lineno, line in enumerate(reference_lines(text), start=1):
                 if tsv and "\t" in line:
                     first_column = line.split("\t")[0]
                     comment = comments and first_column.strip().startswith("#")
                     if not comment:
                         yield lineno, line
                 else:
-                    text = line.strip()
-                    if text and not (comments and text.startswith("#")):
+                    stripped = line.strip()
+                    if stripped and not (comments and stripped.startswith("#")):
                         yield lineno, line
 
-        assert list(io.data_lines(lines, tsv=tsv, comments=comments)) == list(reference(lines))
+        assert list(io.data_lines(text, tsv=tsv, comments=comments)) == list(reference(text))
 
     def test_unicode_line_breaks_stay_inside_a_jsonl_row(self, tmp_path, data_dir, capsys):
         row = {"id": "e1", "term": "akutt\u2028leuk\x85emi", "definition": "sykdom\u2028i\x85blodet"}

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medlex.cli import main
@@ -29,7 +29,7 @@ from medlex.model import (
 )
 from medlex.outcomes import read_outcomes, render_outcomes
 from medlex.pipeline import attach_tokens, map_dictionary, read_dictionary, resolve_synonyms, resolve_votes
-from medlex.strategies import parse_keyword_table, parse_suffix_table
+from medlex.strategies import load_keyword_table, load_suffix_table
 
 # ---------------------------------------------------------------------------
 # Oracles: the codec as it was before each distinct (category, provenance,
@@ -361,6 +361,9 @@ def write_and_compare(suffix, lines, end):
 class TestReaderAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(tsv_lines(), st.sampled_from(["\n", "\r\n", "\r"]))
+    # A header that ends in CR LF, and a file of CR line ends.
+    @example(["id\tterm\tcategory\tprovenance\tvotes", "e1\tt\tTOOL\tITER\t"], "\r\n")
+    @example(["id\tterm", "", "e1\tt\tTOOL\tITER\t", "e2\tu\t\tUNMAPPED\t"], "\r")
     def test_tsv(self, lines, end):
         write_and_compare(".tsv", lines, end)
 
@@ -599,8 +602,8 @@ def test_what_map_writes_merge_and_eval_read(inputs):
         entries, _ = attach_tokens(read_dictionary(dict_file), None, default_function_words())
         in_memory = map_dictionary(
             resolve_synonyms(entries),
-            parse_suffix_table([f"-{s}\t{c}" for s, c in suffixes]),
-            parse_keyword_table([f"{k}\t{c}" for k, c in keywords]),
+            load_suffix_table(d / "suf.tsv"),
+            load_keyword_table(d / "kw.tsv"),
             default_stops(),
             iter_rounds,
         )

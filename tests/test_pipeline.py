@@ -529,7 +529,7 @@ def reference_read_dictionary(path):
     jsonl = sniff_format(p) == "jsonl"
     lineno = 0
     try:
-        for lineno, raw in data_lines(split_lines(text), tsv=not jsonl, comments=False):
+        for lineno, raw in data_lines(text, tsv=not jsonl, comments=False):
             if jsonl:
                 obj = json_object(raw)
                 entry_id, term = id_and_term(obj)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from medlex.strategies import (
     contained_keyword,
     kw_entry_vote,
     kw_firstnoun_vote,
-    parse_keyword_table,
-    parse_suffix_table,
+    load_keyword_table,
+    load_suffix_table,
     suffix_vote,
 )
 
@@ -342,70 +343,87 @@ class TestKwFirstNounVote:
             assert dict(table.entries)[vote.trigger] is vote.category
 
 
+def table_file(tmp_path, *lines: str) -> Path:
+    """A table file that holds ``lines``."""
+    path = tmp_path / "t.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
 class TestTableParsing:
-    def test_leading_dash_stripped(self):
-        table = parse_suffix_table(["-emi\tCONDITION"])
+    def test_leading_dash_stripped(self, tmp_path):
+        table = load_suffix_table(table_file(tmp_path, "-emi\tCONDITION"))
         assert table.entries == (("emi", Category.CONDITION),)
 
-    def test_comments_and_blanks_skipped(self):
-        table = parse_keyword_table(["# note", "", "sykdom\tCONDITION"])
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        table = load_keyword_table(table_file(tmp_path, "# note", "", "sykdom\tCONDITION"))
         assert table.entries == (("sykdom", Category.CONDITION),)
 
-    def test_wrong_column_count(self):
+    def test_wrong_column_count(self, tmp_path):
         with pytest.raises(ParseError) as exc_info:
-            parse_suffix_table(["emi CONDITION"], path="t.tsv")
+            load_suffix_table(table_file(tmp_path, "emi CONDITION"))
         assert exc_info.value.line == 1
 
-    def test_unknown_category(self):
+    def test_unknown_category(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_keyword_table(["sykdom\tDISEASE"])
+            load_keyword_table(table_file(tmp_path, "sykdom\tDISEASE"))
 
-    def test_duplicate_trigger_is_lint_error(self):
-        with pytest.raises(LintError):
-            parse_suffix_table(["emi\tCONDITION", "-emi\tCONDITION"])
+    def test_duplicate_trigger_is_lint_error(self, tmp_path):
+        path = table_file(tmp_path, "emi\tCONDITION", "-emi\tCONDITION")
+        with pytest.raises(LintError) as exc_info:
+            load_suffix_table(path)
+        assert str(exc_info.value) == f"{path}:2: duplicate suffix 'emi'"
 
-    def test_triggers_lowercased(self):
-        table = parse_keyword_table(["SYKDOM\tCONDITION"])
+    def test_row_fault_after_a_duplicate_wins(self, tmp_path):
+        # Every row is parsed before a repeated trigger is refused.
+        with pytest.raises(ParseError) as exc_info:
+            load_keyword_table(table_file(tmp_path, "kniv\tTOOL", "kniv\tTOOL", "sykdom\tDISEASE"))
+        assert exc_info.value.line == 3
+
+    def test_triggers_lowercased(self, tmp_path):
+        table = load_keyword_table(table_file(tmp_path, "SYKDOM\tCONDITION"))
         assert table.entries[0][0] == "sykdom"
 
-    def test_nfd_keyword_fires_on_nfc_term(self):
+    def test_nfd_keyword_fires_on_nfc_term(self, tmp_path):
         nfd = unicodedata.normalize("NFD", "blåsebelg")
         assert nfd != "blåsebelg"
-        table = parse_keyword_table([f"{nfd}\tTOOL"])
+        table = load_keyword_table(table_file(tmp_path, f"{nfd}\tTOOL"))
         assert table.entries == (("blåsebelg", Category.TOOL),)
         vote = kw_entry_vote("xblåsebelg", table)
         assert (vote.trigger, vote.category, vote.position) == ("blåsebelg", Category.TOOL, 1)
 
-    def test_nfd_suffix_fires_on_nfc_term(self):
-        table = parse_suffix_table([f"-{unicodedata.normalize('NFD', 'blå')}\tCONDITION"])
+    def test_nfd_suffix_fires_on_nfc_term(self, tmp_path):
+        table = load_suffix_table(table_file(tmp_path, f"-{unicodedata.normalize('NFD', 'blå')}\tCONDITION"))
         vote = suffix_vote("xxblå", table)
         assert (vote.trigger, vote.category) == ("blå", Category.CONDITION)
 
     @pytest.mark.parametrize(
-        ("parse", "kind"), [(parse_keyword_table, "keyword"), (parse_suffix_table, "suffix")]
+        ("load", "kind"), [(load_keyword_table, "keyword"), (load_suffix_table, "suffix")]
     )
-    def test_triggers_differing_only_in_normalisation_are_duplicates(self, parse, kind):
-        rows = ["blåsebelg\tTOOL", f"{unicodedata.normalize('NFD', 'blåsebelg')}\tTOOL"]
+    def test_triggers_differing_only_in_normalisation_are_duplicates(self, load, kind, tmp_path):
+        path = table_file(tmp_path, "# blåsebelg", "blåsebelg\tTOOL",
+                          f"{unicodedata.normalize('NFD', 'blåsebelg')}\tTOOL")
         with pytest.raises(LintError) as exc_info:
-            parse(rows, path="t.tsv")
-        assert str(exc_info.value) == f"t.tsv: duplicate {kind} 'blåsebelg'"
+            load(path)
+        assert str(exc_info.value) == f"{path}:3: duplicate {kind} 'blåsebelg'"
 
     @pytest.mark.parametrize(("table", "kind"), [(KeywordTable, "keyword"), (SuffixTable, "suffix")])
     @pytest.mark.parametrize(
         "trigger", ["Sykdom", unicodedata.normalize("NFD", "blåsebelg")], ids=["upper", "NFD"]
     )
-    def test_table_built_directly_rejects_unfolded_triggers(self, table, kind, trigger):
+    def test_table_built_directly_rejects_unfolded_triggers(self, table, kind, trigger, tmp_path):
         with pytest.raises(ValueError) as exc_info:
             table(((trigger, Category.CONDITION),))
         assert str(exc_info.value) == f"{kind} {trigger!r} is not folded (NFC, lowercase, NFC)"
-        # The parsers fold, so the same row read from a file is accepted.
-        parse = parse_keyword_table if table is KeywordTable else parse_suffix_table
-        assert parse([f"{trigger}\tCONDITION"]).entries == ((fold(trigger), Category.CONDITION),)
+        # The loaders fold, so the same row read from a file is accepted.
+        load = load_keyword_table if table is KeywordTable else load_suffix_table
+        path = table_file(tmp_path, f"{trigger}\tCONDITION")
+        assert load(path).entries == ((fold(trigger), Category.CONDITION),)
 
-    def test_trigger_that_lowercases_to_a_composable_sequence_is_accepted(self):
+    def test_trigger_that_lowercases_to_a_composable_sequence_is_accepted(self, tmp_path):
         # "W" + combining ring lowercases to "w" + ring, which NFC composes
         # to U+1E98; the table must hold that composed form.
-        table = parse_keyword_table(["W\u030aabcde\tCONDITION"], path="t.tsv")
+        table = load_keyword_table(table_file(tmp_path, "W\u030aabcde\tCONDITION"))
         assert table.entries == (("\u1e98abcde", Category.CONDITION),)
         vote = kw_entry_vote("x\u1e98abcde", table)
         assert (vote.trigger, vote.category, vote.position) == ("\u1e98abcde", Category.CONDITION, 1)

@@ -18,11 +18,18 @@ from medlex.textprep import (
     extract_first_noun,
     heuristic_tag,
     ingest_conllu,
-    parse_stoplist,
+    load_stoplist,
 )
 from tests.conftest import load_fixture_entries
 
 ROW = "{i}\t{form}\t_\t{upos}\t_\t_\t0\tdep\t_\t_"
+
+
+def stoplist_of(tmp_path, *lines: str) -> StopConfig:
+    """The StopConfig of a stoplist file that holds ``lines``."""
+    path = tmp_path / "stops.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return load_stoplist(path)
 
 
 def conllu_text(*sentences: tuple[str, list[tuple[str, str]]]) -> str:
@@ -418,10 +425,10 @@ class TestExtractFirstNoun:
         tokens = [Token("av", "ADP"), Token("ved", "ADP")]
         assert extract_first_noun(tokens, StopConfig()) is None
 
-    def test_abbreviations_skipped_regardless_of_tag(self):
+    def test_abbreviations_skipped_regardless_of_tag(self, tmp_path):
         # The stoplist lists an abbreviation as a stop noun.
         tokens = [Token("plur.", "NOUN"), Token("celler", "NOUN")]
-        stops = parse_stoplist(["plur."])
+        stops = stoplist_of(tmp_path, "plur.")
         assert stops == StopConfig(stop_nouns=frozenset({"plur."}))
         assert extract_first_noun(tokens, stops) == "celler"
 
@@ -465,20 +472,19 @@ class TestExtractFirstNoun:
 
 
 class TestStoplistParsing:
-    def test_classification_by_shape(self):
-        config = parse_stoplist(
-            ["# comment", "form av", "uttrykk", "plur.", "lat.", ""]
-        )
+    def test_classification_by_shape(self, tmp_path):
+        config = stoplist_of(tmp_path, "# comment", "form av", "uttrykk", "plur.", "lat.", "")
         assert config.stop_phrases == frozenset({"form av"})
         assert config.stop_nouns == frozenset({"uttrykk", "plur.", "lat."})
 
-    def test_items_lowercased(self):
-        config = parse_stoplist(["UTTRYKK"])
+    def test_items_lowercased(self, tmp_path):
+        config = stoplist_of(tmp_path, "UTTRYKK")
         assert config.stop_nouns == frozenset({"uttrykk"})
 
-    def test_three_token_phrase_rejected(self):
-        with pytest.raises(ParseError):
-            parse_stoplist(["en to tre"])
+    def test_three_token_phrase_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as exc_info:
+            stoplist_of(tmp_path, "uttrykk", "en to tre")
+        assert exc_info.value.line == 2
 
     def test_config_validates_phrase_shape(self):
         with pytest.raises(ValueError):
@@ -488,14 +494,14 @@ class TestStoplistParsing:
 
     # An abbreviation is a stop noun that ends in a period.
     @pytest.mark.parametrize("kind", ["stop_nouns", "stop_phrases", "abbreviations"])
-    def test_config_rejects_items_not_in_nfc(self, kind):
+    def test_config_rejects_items_not_in_nfc(self, kind, tmp_path):
         field, item = {"stop_nouns": ("stop_nouns", "måte"), "stop_phrases": ("stop_phrases", "måte på"),
                        "abbreviations": ("stop_nouns", "må.")}[kind]
         nfd = unicodedata.normalize("NFD", item)
         with pytest.raises(ValueError) as exc_info:
             StopConfig(**{field: frozenset({nfd})})
         assert str(exc_info.value) == f"stoplist entries must be folded (NFC, lowercase, NFC): {nfd!r}"
-        assert getattr(parse_stoplist([nfd]), field) == frozenset({item})
+        assert getattr(stoplist_of(tmp_path, nfd), field) == frozenset({item})
 
 
 class TestTaggerIndependence:
