@@ -29,38 +29,6 @@ from .textprep import Sentences, StopConfig, extract_first_noun, heuristic_tag
 log = logging.getLogger(__name__)
 
 
-def entry_votes(
-    term: str,
-    first_noun: str | None,
-    suffixes: SuffixTable,
-    keywords: KeywordTable,
-    memo: dict[str | None, Vote | None] | None = None,
-) -> list[Vote]:
-    """All strategy votes for one entry, in priority order; ``term`` is the
-    entry's term as ``normalize_term`` gives it, and ``first_noun`` the first
-    noun of its definition, if any.
-
-    ``memo`` maps first nouns to their KW-1N vote; a caller voting on many
-    entries passes one dict, used with one ``keywords`` only, so each
-    distinct first noun is voted on once."""
-    if memo is None:
-        memo = {}
-    votes = []
-    vote = suffix_vote(term, suffixes)
-    if vote is not None:
-        votes.append(vote)
-    vote = kw_entry_vote(term, keywords)
-    if vote is not None:
-        votes.append(vote)
-    if first_noun in memo:
-        vote = memo[first_noun]
-    else:
-        vote = memo[first_noun] = kw_firstnoun_vote(first_noun, keywords)
-    if vote is not None:
-        votes.append(vote)
-    return votes
-
-
 def _first_noun(entry: Entry, stops: StopConfig, folded: dict[str, str]) -> str | None:
     sense = entry.first_sense()
     if sense is None or sense.tokens is None:
@@ -77,7 +45,9 @@ def map_dictionary(
 ) -> list[MappingOutcome]:
     """Run the full mapping over a dictionary, in input order.
 
-    Pass 0 resolves strategy votes per entry; each of the following
+    Pass 0 gives each entry the votes of ``suffix_vote`` and ``kw_entry_vote``
+    on its term and of ``kw_firstnoun_vote`` on its definition's first noun,
+    in that order, and resolves them; each of the following
     ``iter_rounds`` passes assigns a still-unmapped entry the category of
     an already-mapped entry whose term equals the definition's first
     noun (provenance ITER). Passes are barriers: each round indexes the
@@ -102,7 +72,19 @@ def map_dictionary(
     kw_1n: dict[str | None, Vote | None] = {}
     new_outcome = tuple.__new__
     for entry, term, first_noun in zip(entries, terms, first_nouns):
-        votes = entry_votes(term, first_noun, suffixes, keywords, kw_1n)
+        votes = []
+        vote = suffix_vote(term, suffixes)
+        if vote is not None:
+            votes.append(vote)
+        vote = kw_entry_vote(term, keywords)
+        if vote is not None:
+            votes.append(vote)
+        if first_noun in kw_1n:
+            vote = kw_1n[first_noun]
+        else:
+            vote = kw_1n[first_noun] = kw_firstnoun_vote(first_noun, keywords)
+        if vote is not None:
+            votes.append(vote)
         category, provenance = resolve_votes(votes)
         # The tuple MappingOutcome(...) builds, without its Python-level __new__.
         outcomes.append(
@@ -345,40 +327,29 @@ def build_entries(
     conllu_tokens: Sentences | None = None,
     function_words: frozenset[str] | None = None,
 ) -> tuple[list[Entry], bool]:
-    """Build each entry of ``read_dictionary_rows``'s rows once, in row
-    order: its first sense tagged as ``attach_tokens`` tags it, and a
-    synonym without senses given its target's tagged senses, as
-    ``resolve_synonyms`` gives them. Returns the entries and whether any
-    heuristic tagging happened: ``build_entries(read_dictionary_rows(path),
+    """Build each entry of ``read_dictionary_rows``'s rows, in row order,
+    with its first sense tagged as ``attach_tokens`` tags it, then give
+    each synonym without senses its target's tagged senses by
+    ``resolve_synonyms``. Returns the entries and whether any heuristic
+    tagging happened: ``build_entries(read_dictionary_rows(path),
     conllu_tokens, function_words)`` gives what ``read_dictionary``, then
-    ``attach_tokens`` and ``resolve_synonyms``, give."""
-    entries: list[Entry | DictionaryRow] = []
-    # Positions of the synonyms without senses: each row stands in for its
-    # entry until every other entry is built.
-    synonyms: list[int] = []
+    ``attach_tokens`` and ``resolve_synonyms``, give. An unknown or looping
+    ``synonym_of``, which only rows built by hand can hold, raises
+    ParseError without a location."""
+    entries: list[Entry] = []
     heuristic_used = False
     # Whitespace piece -> its heuristic tokens, for this function-word list.
     memo: dict[str, tuple[Token, ...]] = {}
-    for row in rows:
-        entry_id, term, texts, synonym_of = row
+    for entry_id, term, texts, synonym_of in rows:
+        senses: tuple[Definition, ...] = ()
         if texts:
             first, heuristic = _tagged(entry_id, texts[0], conllu_tokens, function_words, memo)
             heuristic_used = heuristic_used or heuristic
             if first is None:
                 first = Definition(texts[0])
             senses = (first,) if len(texts) == 1 else (first, *map(Definition, texts[1:]))
-            entries.append(Entry(entry_id, term, senses, synonym_of))
-        elif synonym_of is None:
-            entries.append(Entry(entry_id, term, (), None))
-        else:
-            synonyms.append(len(entries))
-            entries.append(row)
-    if synonyms:
-        by_id = {entry.id: entry for entry in entries}
-        for i in synonyms:
-            row = entries[i]
-            entries[i] = Entry(row.id, row.term, _synonym_target(row, by_id).senses, row.synonym_of)
-    return entries, heuristic_used
+        entries.append(Entry(entry_id, term, senses, synonym_of))
+    return resolve_synonyms(entries), heuristic_used
 
 
 def read_dictionary(path: str | Path, fmt: str | None = None) -> list[Entry]:
@@ -436,11 +407,12 @@ def _synonym_target(
 
 
 def resolve_synonyms(entries: Sequence[Entry]) -> list[Entry]:
-    """Give definition-less synonym entries their target's senses.
+    """Give definition-less synonym entries their target's senses: the
+    synonym step ``build_entries``, and so ``map``, ends in.
 
     Synonyms remain standalone entries; only the senses are shared. An
-    unknown target or a loop raises ParseError (``read_dictionary_rows``
-    refuses both at the synonym's row).
+    unknown target or a loop raises ParseError without a location
+    (``read_dictionary_rows`` refuses both at the synonym's row).
     """
     by_id = {e.id: e for e in entries}
     out: list[Entry] = []

@@ -10,7 +10,8 @@ from medlex.defaults import (
     default_stops,
     default_suffix_table,
 )
-from medlex.pipeline import attach_tokens, map_dictionary, read_dictionary, resolve_synonyms
+from medlex.io import read_text, split_lines
+from medlex.pipeline import build_entries, map_dictionary, read_dictionary_rows
 from medlex.textprep import ingest_conllu
 
 DATA = Path(__file__).parent / "data"
@@ -42,13 +43,15 @@ def function_words():
 
 
 def load_fixture_entries(conllu: bool = True):
-    entries = read_dictionary(DATA / "dict_50.tsv")
+    """The fixture dictionary's entries, built as ``map`` builds them."""
+    rows = read_dictionary_rows(DATA / "dict_50.tsv")
     tokens = None
     if conllu:
-        with open(DATA / "dict_50.conllu", encoding="utf-8") as fh:
-            tokens = ingest_conllu(fh, id_map={e.id: e.id for e in entries})
-    entries, _ = attach_tokens(entries, tokens, default_function_words())
-    return resolve_synonyms(entries)
+        path = str(DATA / "dict_50.conllu")
+        lines = split_lines(read_text(path, "CoNLL-U"))
+        tokens = ingest_conllu(lines, id_map={row.id: row.id for row in rows}, path=path)
+    entries, _ = build_entries(rows, tokens, default_function_words())
+    return entries
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,7 @@ import random
 import time
 
 from medlex.cli import main
-from medlex.defaults import (
-    default_function_words,
-    default_keyword_table,
-    default_stops,
-    default_suffix_table,
-)
+from medlex.defaults import default_keyword_table, default_stops, default_suffix_table
 from medlex.evaluate import score, stratified_sample
 from medlex.merge import load_manifest, mapped_source, merge_sources, resource_rows, resource_source
 from medlex.model import (
@@ -25,15 +20,9 @@ from medlex.model import (
     Vote,
     normalize_term,
 )
-from medlex.pipeline import (
-    attach_tokens,
-    map_dictionary,
-    read_dictionary,
-    resolve_synonyms,
-    resolve_votes,
-)
+from medlex.pipeline import map_dictionary, resolve_votes
 from medlex.strategies import KeywordTable, contained_keyword, kw_entry_vote, suffix_vote
-from tests.conftest import DATA
+from tests.conftest import DATA, load_fixture_entries
 from tests.test_evaluate import score_oracle
 from tests.test_pipeline import resolver_oracle
 
@@ -86,11 +75,11 @@ GOLDEN_ENTRIES = {
 @criterion("golden table: published example entries map to their categories")
 def test_golden_entry_examples():
     started = time.perf_counter()
-    entries = read_dictionary(DATA / "dict_50.tsv")
-    entries, _ = attach_tokens(entries, None, default_function_words())
-    entries = resolve_synonyms(entries)
     outcomes = map_dictionary(
-        entries, default_suffix_table(), default_keyword_table(), default_stops()
+        load_fixture_entries(conllu=False),
+        default_suffix_table(),
+        default_keyword_table(),
+        default_stops(),
     )
     by_term = {o.term: o for o in outcomes}
     for term, expected in GOLDEN_ENTRIES.items():
@@ -175,11 +164,8 @@ def test_resolver_law():
 
 
 def _fixture_outcomes(iter_rounds):
-    entries = read_dictionary(DATA / "dict_50.tsv")
-    entries, _ = attach_tokens(entries, None, default_function_words())
-    entries = resolve_synonyms(entries)
     return map_dictionary(
-        entries,
+        load_fixture_entries(conllu=False),
         default_suffix_table(),
         default_keyword_table(),
         default_stops(),
@@ -206,9 +192,7 @@ def test_iteration_pass():
     for o in round0:
         if o.category is not None:
             terms0.setdefault(normalize_term(o.term), o.category)
-    entries = resolve_synonyms(
-        attach_tokens(read_dictionary(DATA / "dict_50.tsv"), None, default_function_words())[0]
-    )
+    entries = load_fixture_entries(conllu=False)
     from medlex.textprep import extract_first_noun
 
     first_noun = {}

@@ -973,6 +973,54 @@ class TestConsoleEntryPoint:
             assert not splits or path.stem in ("io", "cli"), path.name
             assert not strips or path.stem in ("io", "textprep"), path.name
 
+    def test_every_public_name_is_used(self):
+        # No function, class or constant that nothing uses: each public
+        # top-level name of the package is referred to, outside its own
+        # definition, by a module of the package or of the benchmark. A
+        # reference is a name, an attribute or an imported name; tests,
+        # docstrings and README do not count, nor does __init__.py, which
+        # re-exports.
+        package = Path(medlex.__file__).parent
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+                   for path in [*sorted(package.glob("*.py")), *sorted(bench.glob("*.py"))]}
+        defined = {}
+        for path, tree in modules.items():
+            if path.parent != package:
+                continue
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        defined[f"{path.name}:{name}"] = (name, node)
+        used = {}
+        for path, tree in modules.items():
+            if path.name == "__init__.py" and path.parent == package:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                used.setdefault(name, set()).add(id(node))
+        unused = []
+        for where, (name, definition) in defined.items():
+            own = {id(n) for n in ast.walk(definition)}
+            if not used.get(name, set()) - own:
+                unused.append(where)
+        assert len(defined) > 100
+        assert unused == []
+
     def test_verbose_shows_keyword_lint_notes(self, capsys, tmp_path):
         # Quiet, verbose, quiet in one process whose root logger also
         # writes to stderr: -v holds for its own call alone, and each call

@@ -28,7 +28,7 @@ from medlex.model import (
     parse_category,
 )
 from medlex.outcomes import read_outcomes, render_outcomes
-from medlex.pipeline import attach_tokens, map_dictionary, read_dictionary, resolve_synonyms, resolve_votes
+from medlex.pipeline import build_entries, map_dictionary, read_dictionary_rows, resolve_votes
 from medlex.strategies import load_keyword_table, load_suffix_table
 
 # ---------------------------------------------------------------------------
@@ -599,9 +599,9 @@ def test_what_map_writes_merge_and_eval_read(inputs):
             assert code in (2, 3) and "Traceback" not in err
             return
         # The outcomes map computed, through the library calls cmd_map makes.
-        entries, _ = attach_tokens(read_dictionary(dict_file), None, default_function_words())
+        entries, _ = build_entries(read_dictionary_rows(dict_file), None, default_function_words())
         in_memory = map_dictionary(
-            resolve_synonyms(entries),
+            entries,
             load_suffix_table(d / "suf.tsv"),
             load_keyword_table(d / "kw.tsv"),
             default_stops(),

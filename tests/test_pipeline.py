@@ -26,9 +26,9 @@ from medlex.model import (
 )
 from medlex.outcomes import format_votes, id_and_term, parse_votes, read_outcomes, render_outcomes, write_outcomes
 from medlex.pipeline import (
+    DictionaryRow,
     attach_tokens,
     build_entries,
-    entry_votes,
     map_dictionary,
     mapping_stats,
     read_dictionary,
@@ -36,7 +36,7 @@ from medlex.pipeline import (
     resolve_synonyms,
     resolve_votes,
 )
-from medlex.strategies import KeywordTable, SuffixTable
+from medlex.strategies import KeywordTable, SuffixTable, kw_entry_vote, kw_firstnoun_vote, suffix_vote
 from medlex.textprep import StopConfig, extract_first_noun, heuristic_tag, ingest_conllu
 
 EMPTY_STOPS = StopConfig()
@@ -277,12 +277,15 @@ def memo_entries(draw):
 
 def reference_mapping(entries, suffixes, keywords, stops, iter_rounds):
     """map_dictionary restated entry by entry with no memo: extract_first_noun,
-    entry_votes and resolve_votes for each entry, then the ITER rounds."""
+    the three strategies and resolve_votes for each entry, then the ITER
+    rounds."""
     outcomes, keys = [], []
     for e in entries:
         sense = e.first_sense()
         noun = None if sense is None or sense.tokens is None else extract_first_noun(sense.tokens, stops)
-        votes = entry_votes(normalize_term(e.term), noun, suffixes, keywords)
+        term = normalize_term(e.term)
+        votes = [v for v in (suffix_vote(term, suffixes), kw_entry_vote(term, keywords),
+                             kw_firstnoun_vote(noun, keywords)) if v is not None]
         outcomes.append(MappingOutcome(e.id, e.term, *resolve_votes(votes), tuple(votes)))
         keys.append(None if noun is None else normalize_term(noun))
     for _ in range(iter_rounds):
@@ -374,11 +377,11 @@ class TestDictionaryIO:
     def test_tsv_round_trip(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("e1\tleukemi\tsykdom i blodet\ne2\thepatisk koma\t\te1\n", encoding="utf-8")
-        entries = read_dictionary(path)
-        assert entries[0].term == "leukemi"
-        assert entries[0].senses[0].text == "sykdom i blodet"
-        assert entries[1].synonym_of == "e1"
-        assert entries[1].senses == ()
+        rows = read_dictionary_rows(path)
+        assert rows[0].term == "leukemi"
+        assert rows[0].senses == ("sykdom i blodet",)
+        assert rows[1].synonym_of == "e1"
+        assert rows[1].senses == ()
 
     def test_jsonl_with_multiple_senses(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -387,15 +390,15 @@ class TestDictionaryIO:
             {"id": "e2", "term": "hjerte", "definition": "muskel"},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
-        entries = read_dictionary(path)
-        assert [d.text for d in entries[0].senses] == ["trykkbølge i årene", "rytme"]
-        assert entries[1].senses[0].text == "muskel"
+        rows = read_dictionary_rows(path)
+        assert rows[0].senses == ("trykkbølge i årene", "rytme")
+        assert rows[1].senses == ("muskel",)
 
     def test_only_first_sense_consulted(self, tmp_path):
         path = tmp_path / "d.jsonl"
         row = {"id": "e1", "term": "puls", "definitions": ["bølge i årene", "sykdom i rytmen"]}
         path.write_text(json.dumps(row), encoding="utf-8")
-        entries, _ = attach_tokens(read_dictionary(path), None, frozenset({"i"}))
+        entries, _ = build_entries(read_dictionary_rows(path), None, frozenset({"i"}))
         outcomes = map_dictionary(entries, SuffixTable(()), KEYWORDS, EMPTY_STOPS)
         # second sense's "sykdom" must not be consulted
         assert outcomes[0].provenance is Provenance.UNMAPPED
@@ -404,30 +407,30 @@ class TestDictionaryIO:
         path = tmp_path / "d.tsv"
         path.write_text("e1\ta\tx\ne1\tb\ty\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc_info:
-            read_dictionary(path)
+            read_dictionary_rows(path)
         assert exc_info.value.line == 2
 
     def test_empty_term_rejected(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("e1\t \tx\n", encoding="utf-8")
         with pytest.raises(ParseError, match="empty term"):
-            read_dictionary(path)
+            read_dictionary_rows(path)
 
     def test_tab_in_jsonl_term_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"id": "e1", "term": "a\tb", "definition": "x"}), encoding="utf-8")
         with pytest.raises(ParseError, match="tabs"):
-            read_dictionary(path)
+            read_dictionary_rows(path)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("e1\tonly-term\n", encoding="utf-8")
         with pytest.raises(ParseError):
-            read_dictionary(path)
+            read_dictionary_rows(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
-            read_dictionary(tmp_path / "absent.tsv")
+            read_dictionary_rows(tmp_path / "absent.tsv")
 
 
 class TestSynonyms:
@@ -445,6 +448,9 @@ class TestSynonyms:
     def test_unknown_target_rejected(self):
         with pytest.raises(ParseError, match="unknown id"):
             resolve_synonyms([Entry("e2", "alias", (), "missing")])
+        with pytest.raises(ParseError, match="unknown id") as exc_info:
+            build_entries([DictionaryRow("e2", "alias", (), "missing")])
+        assert exc_info.value.path is None and exc_info.value.line is None
 
     def test_synonym_chain_followed(self):
         entries = [
