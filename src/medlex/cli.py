@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import LintError, MedlexError, ParseError
-from .io import check_outputs, read_text, sniff_format, split_lines, write_texts
+from .io import check_outputs, read_text, sniff_format, split_lines, tsv_lines, write_texts
 from .outcomes import read_outcomes, render_outcomes, write_outcomes
 
 # A command imports its stage's modules (map's pipeline, strategies, textprep
@@ -283,11 +283,9 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
     outcomes = read_outcomes(args.mapped)
     ids = stratified_sample(outcomes, args.quota, args.seed)
     by_id = {o.entry_id: o for o in outcomes}
-    lines = ["id\tterm\tcategory\tprovenance"]
-    for entry_id in ids:
-        o = by_id[entry_id]
-        lines.append(f"{o.entry_id}\t{o.term}\t{o.category}\t{o.provenance}")
-    text = "\n".join(lines) + "\n"
+    sampled = (by_id[entry_id] for entry_id in ids)
+    text = tsv_lines(("id", "term", "category", "provenance"),
+                     ((o.entry_id, o.term, str(o.category), str(o.provenance)) for o in sampled))
     if args.out:
         write_texts([(args.out, text)])
     else:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GoldCoverageError, ParseError
-from .io import column_count_error, data_lines, read_text
+from .io import column_count_error, data_lines, read_text, tsv_lines
 from .model import (
     ASSIGNABLE_CATEGORIES,
     Category,
@@ -414,11 +414,13 @@ def _macro(pairs: list[tuple[int, int]]) -> str:
 
 
 def format_eval_tsv(report: EvalReport) -> str:
-    lines = ["label\ttp\tpred_n\tgold_n\tprecision\trecall"]
-    for s in sorted(report.per_category, key=lambda s: s.label):
-        precision, recall = _ratio(s.tp, s.pred_n, ""), _ratio(s.tp, s.gold_n, "")
-        lines.append(f"{s.label}\t{s.tp}\t{s.pred_n}\t{s.gold_n}\t{precision}\t{recall}")
-    return "\n".join(lines) + "\n"
+    return tsv_lines(
+        ("label", "tp", "pred_n", "gold_n", "precision", "recall"),
+        (
+            (s.label, str(s.tp), str(s.pred_n), str(s.gold_n), _ratio(s.tp, s.pred_n, ""), _ratio(s.tp, s.gold_n, ""))
+            for s in sorted(report.per_category, key=lambda s: s.label)
+        ),
+    )
 
 
 def format_overlap_report(

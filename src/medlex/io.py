@@ -2,8 +2,8 @@
 writes a file, and the only one that encodes or decodes JSON. Every input
 is read whole by ``read_text``; unreadable input becomes a ParseError
 naming the file, and text that is not UTF-8 one naming the file and line.
-Outputs are written by ``write_texts``, JSON lines rendered by
-``json_lines``. A reader's check on a row raises ValueError
+Outputs are written by ``write_texts``, TSV rendered by ``tsv_lines`` and
+JSON lines by ``json_lines``. A reader's check on a row raises ValueError
 (``json_object``, ``json_field`` and ``column_count_error`` word the
 shared ones), and its one ``except`` adds the file and line."""
 
@@ -149,6 +149,13 @@ def _lone_surrogate(line: str) -> str | None:
             except UnicodeEncodeError as exc:
                 return f"\\u{ord(exc.object[exc.start]):04x}"
     return None
+
+
+def tsv_lines(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The TSV twin of ``json_lines``: the ``header`` line, then one line
+    for each row, its values joined by tabs, every line ending in LF. No
+    rows give the header line alone."""
+    return "\n".join(["\t".join(header), *map("\t".join, rows)]) + "\n"
 
 
 # The separators json.dumps writes by default: between items, and after a key.

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MergeConflictError, ParseError
 from .io import (column_count_error, data_lines, json_document, json_field, json_lines, json_object, json_string,
-                 read_text, sniff_format, write_texts)
+                 read_text, sniff_format, tsv_lines, write_texts)
 from .model import Category, Frozen, LexiconRecord, MappingOutcome, normalize_term, parse_category
 from .outcomes import count_table
 
@@ -555,7 +555,7 @@ def render_lexicon(records: Sequence[tuple[str, str, str, str]], fmt: str = "tsv
     lists the names the row joins with ``,``; no rows give empty JSON
     lines."""
     if fmt != "jsonl":
-        return "\n".join(["\t".join(LEXICON_HEADER), *map("\t".join, records)]) + "\n"
+        return tsv_lines(LEXICON_HEADER, records)
     enc = json_string
     # Rows with one combination of sources share its string: each distinct
     # one is encoded once, as a JSON list.

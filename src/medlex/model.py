@@ -249,13 +249,9 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
             raise ValueError(f"{strategy} is not a voting strategy")
         if strategies.count(strategy) > 1:
             raise ValueError("more than one vote from the same strategy")
-    for strategy in STRATEGY_PRIORITY:
-        if strategy in strategies:
-            winner = votes[strategies.index(strategy)]
-            break
-    else:
-        return None, Provenance.UNMAPPED
-    if len(votes) > 1 and all(v.category is winner.category for v in votes):
+    # Two or more votes, each from a voting strategy: the first in priority wins.
+    winner = min(votes, key=lambda v: STRATEGY_PRIORITY.index(v.strategy))
+    if all(v.category is winner.category for v in votes):
         return winner.category, Provenance.MULTI
     return winner.category, winner.strategy
 

@@ -9,7 +9,7 @@ from typing import Any, Iterable
 
 from .errors import ParseError
 from .io import (column_count_error, data_lines, json_field, json_line_values, json_lines, json_object, json_string,
-                 read_text, sniff_format, write_texts)
+                 read_text, sniff_format, tsv_lines, write_texts)
 from .model import STRATEGY_PRIORITY, Category, MappingOutcome, Provenance, Vote, parse_category
 
 OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
@@ -71,20 +71,14 @@ def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str
                 for o in outcomes
             ),
         )
-    lines = ["\t".join(OUTCOME_HEADER)]
-    for o in outcomes:
-        lines.append(
-            "\t".join(
-                (
-                    o.entry_id,
-                    o.term,
-                    "" if o.category is None else o.category._value_,
-                    o.provenance._value_,
-                    format_votes(o.votes),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return tsv_lines(
+        OUTCOME_HEADER,
+        (
+            (o.entry_id, o.term, "" if o.category is None else o.category._value_, o.provenance._value_,
+             format_votes(o.votes))
+            for o in outcomes
+        ),
+    )
 
 
 def write_outcomes(outcomes: Iterable[MappingOutcome], path: str | Path, fmt: str | None = None) -> None:

@@ -973,6 +973,26 @@ class TestConsoleEntryPoint:
             assert not splits or path.stem in ("io", "cli"), path.name
             assert not strips or path.stem in ("io", "textprep"), path.name
 
+    def test_only_io_lays_out_tsv(self):
+        # io.tsv_lines is the one TSV layout. So no other module joins
+        # values with a tab, called or passed as "\t".join, or writes a tab
+        # into an f-string; splitting on a tab and testing for one stay.
+        package = Path(medlex.__file__).parent
+        sites = set()
+        for path in sorted(package.glob("*.py")):
+            if path.stem == "io":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "join":
+                    parts = [node.value]
+                elif isinstance(node, ast.JoinedStr):
+                    parts = node.values
+                else:
+                    continue
+                if any(isinstance(part, ast.Constant) and "\t" in str(part.value) for part in parts):
+                    sites.add(f"{path.name}:{node.lineno}")
+        assert sorted(sites) == []
+
     def test_every_public_name_is_used(self):
         # No function, class or constant that nothing uses: each public
         # top-level name of the package is referred to, outside its own

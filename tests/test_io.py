@@ -1087,6 +1087,8 @@ class TestJsonCodec:
 
     def test_no_rows_are_empty_text(self, tmp_path, capsys):
         assert io.json_lines(("id", "term"), []) == ""
+        # The TSV twin writes the header line alone.
+        assert io.tsv_lines(("id", "term"), []) == "id\tterm\n"
         assert main(["map", "--dict", put(tmp_path / "d.tsv", ""), "--out", str(tmp_path / "o.jsonl")]) == 0
         assert (tmp_path / "o.jsonl").read_bytes() == b""
         capsys.readouterr()

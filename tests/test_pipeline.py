@@ -811,7 +811,7 @@ def iter_entries(draw):
     return [Entry(f"e{i}", term, (Definition(noun, (shared[noun],)),)) for i, (term, noun) in enumerate(pairs)]
 
 
-class TestIterIndexBuiltOnce:
+class TestIterRoundsMatchReference:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(memo_entries(), iter_entries()), st.integers(0, 4))
     def test_iter_rounds_equal_the_per_round_rebuild(self, entries, iter_rounds):
