@@ -285,7 +285,7 @@ def cmd_eval_sample(args: argparse.Namespace) -> int:
     by_id = {o.entry_id: o for o in outcomes}
     sampled = (by_id[entry_id] for entry_id in ids)
     text = tsv_lines(("id", "term", "category", "provenance"),
-                     ((o.entry_id, o.term, str(o.category), str(o.provenance)) for o in sampled))
+                     ((o.entry_id, o.term, o.category, o.provenance) for o in sampled))
     if args.out:
         write_texts([(args.out, text)])
     else:

@@ -140,11 +140,10 @@ def stratified_sample(
     if quota_per_category < 1:
         raise ValueError("quota must be >= 1")
     rng = random.Random(seed)
-    # _value_ is the label str() gives, without the enum's Python-level __str__ and __hash__.
-    by_category: dict[str, list[MappingOutcome]] = {}
+    by_category: dict[Category, list[MappingOutcome]] = {}
     for o in outcomes:
         if o.category is not None:
-            by_category.setdefault(o.category._value_, []).append(o)
+            by_category.setdefault(o.category, []).append(o)
 
     sample: list[str] = []
     for label in sorted(by_category):
@@ -152,9 +151,9 @@ def stratified_sample(
         if len(members) <= quota_per_category:
             sample.extend(o.entry_id for o in members)
             continue
-        strata: dict[str, list[str]] = {p._value_: [] for p in SAMPLE_STRATA}
+        strata: dict[Provenance, list[str]] = {p: [] for p in SAMPLE_STRATA}
         for o in members:
-            strata[o.provenance._value_].append(o.entry_id)
+            strata[o.provenance].append(o.entry_id)
         for stratum in strata.values():
             rng.shuffle(stratum)
         # Members outnumber the quota, so each round picks at least one.
@@ -223,7 +222,7 @@ def _merge_label_map(
 ) -> dict[Category, str]:
     """Each category's label: its own, or its group's. Raises ValueError unless every
     group holds two or more categories, none OTHER, and no two groups share one."""
-    mapping: dict[Category, str] = {c: str(c) for c in Category}
+    mapping: dict[Category, str] = {c: c for c in Category}
     seen: set[Category] = set()
     for group_label, members in merge_groups or ():
         if len(members) < 2:
@@ -263,11 +262,10 @@ def score(
     """
     check_coverage(gold, predicted)
     label_of = _merge_label_map(merge_groups)
-    other = str(Category.OTHER)
     has_other = not exclude_other and Category.OTHER in gold.values()
     labels = sorted({label_of[c] for c in ASSIGNABLE_CATEGORIES})
     if has_other:
-        labels.append(other)
+        labels.append(Category.OTHER)
     index = {label: i for i, label in enumerate(labels)}
     scored = gold
     if exclude_other:
@@ -311,11 +309,11 @@ def strategy_accuracy(
         key = normalize_term(o.term)
         if key not in gold:
             continue
-        correct, total = result.get(str(o.provenance), (0, 0))
+        correct, total = result.get(o.provenance, (0, 0))
         total += 1
         if gold[key] is o.category:
             correct += 1
-        result[str(o.provenance)] = (correct, total)
+        result[o.provenance] = (correct, total)
     return result
 
 
@@ -368,7 +366,7 @@ def _resolve_category(text: str) -> Category:
     except ValueError:
         pass
     key = text.strip().upper().replace("-", "_")
-    hits = [c for c in ASSIGNABLE_CATEGORIES if c.value.startswith(key)]
+    hits = [c for c in ASSIGNABLE_CATEGORIES if c.startswith(key)]
     if len(hits) != 1:
         raise ValueError(f"category {text!r} is unknown or ambiguous")
     return hits[0]

@@ -26,7 +26,9 @@ DEFAULT_MAPPED_NAME = "MO"
 DEFAULT_MAPPED_RANK = 100
 
 
-class ResourceMode(enum.Enum):
+class ResourceMode(str, enum.Enum):
+    __str__ = str.__str__
+
     FIXED = "FIXED"
     PER_ENTRY = "PER_ENTRY"
     CHAPTERED = "CHAPTERED"
@@ -102,7 +104,7 @@ class ResourceSpec(Frozen):
             raise ValueError(f"resource {name}: layout must place the term column")
         if category_field is not None and category_field not in layout:
             raise ValueError(
-                f"resource {name}: {mode.value} layout needs a {category_field} column"
+                f"resource {name}: {mode} layout needs a {category_field} column"
             )
         index: dict[str, Category | None] = {}
         for rule in chapter_rules:
@@ -120,7 +122,7 @@ class ResourceSpec(Frozen):
     def category_descriptor(self) -> str:
         """Short per-resource category summary, for report rows."""
         if self.mode is ResourceMode.FIXED:
-            return str(self.category)
+            return self.category
         return "Multiple"
 
 
@@ -273,9 +275,9 @@ def _spec(obj: object, names: dict[str, str]) -> ResourceSpec:
             raise ValueError(names[name])
         names[name] = "duplicate resource name"
         if category and mode is not ResourceMode.FIXED:
-            raise ValueError(f"{mode.value} mode takes no category")
+            raise ValueError(f"{mode} mode takes no category")
         if rules and mode is not ResourceMode.CHAPTERED:
-            raise ValueError(f"{mode.value} mode takes no chapter rules or default")
+            raise ValueError(f"{mode} mode takes no chapter rules or default")
         chapter_rules: list[ChapterRule] = []
         chapter_default: Category | None = None
         for chapter, label in rules:
@@ -373,8 +375,7 @@ def mapped_source(
 ) -> Source:
     """Mapped dictionary outcomes as a source for ``merge_sources``; an
     unmapped entry is counted as excluded."""
-    # _value_ is the label str() gives, read without the enum's Python-level __str__.
-    return name, trust_rank, ((o.term, o.category, o.provenance._value_) for o in outcomes)
+    return name, trust_rank, ((o.term, o.category, o.provenance) for o in outcomes)
 
 
 def _ingest(source: Source) -> IngestResult:
@@ -407,10 +408,11 @@ def merge_sources(
     mapped: Source | None,
     resources: Iterable[Source],
     lowercase: bool = True,
-) -> tuple[list[tuple[str, str, str, str]], MergeReport]:
+) -> tuple[list[tuple[str, Category, str, str]], MergeReport]:
     """Merge the sources, the mapped one first, into the lexicon's rows,
     one per normalized term, sorted by it. A row is a plain tuple of the
-    four columns ``LexiconRecord`` names.
+    four columns ``LexiconRecord`` names; its category is the ``Category``
+    member, a str equal to its label.
 
     Within a term's group of rows the category of the lowest trust rank
     wins; a mapped-dictionary category overridden by a more trusted
@@ -425,10 +427,10 @@ def merge_sources(
     """
     sources = resources if mapped is None else chain([mapped], resources)
     mapped_name = None if mapped is None else mapped[0]
-    lexicon: dict[str, tuple[str, str, str, str]] = {}
+    lexicon: dict[str, tuple[str, Category, str, str]] = {}
     setdefault = lexicon.setdefault
     # The rows of each key met more than once, in source and row order.
-    more: dict[str, list[tuple[str, str, str, str]]] = {}
+    more: dict[str, list[tuple[str, Category, str, str]]] = {}
     ranks: dict[str, int] = {}
     # The one string for each combination of sources (a lone name is one).
     combinations: dict[str, str] = {}
@@ -445,7 +447,7 @@ def merge_sources(
                 excluded += 1
                 continue
             key = normalize_term(term, lowercase)
-            row = (term, category._value_, name, provenance)
+            row = (term, category, name, provenance)
             first = setdefault(key, row)
             if first is not row:
                 group = more.get(key)
@@ -465,7 +467,7 @@ def merge_sources(
         rank = ranks[source]
         # At the winner's rank each source counts once, by the label of its
         # earliest row; a later row that disagrees with it is dropped.
-        earliest: dict[str, str] = {}
+        earliest: dict[str, Category] = {}
         names = set()
         corrected = source == mapped_name  # the mapped category won: nothing to correct
         for row_term, row_label, name, _ in group:
@@ -480,8 +482,7 @@ def merge_sources(
                     log.warning("term %r has both %s and %s in %s; merge uses the earliest",
                                 key, first_label, row_label, name)
             if not corrected and name == mapped_name and row_label != label:
-                # A label is its member's name.
-                corrections.append(Correction(row_term, Category[row_label], Category[label], source))
+                corrections.append(Correction(row_term, row_label, label, source))
                 corrected = True
         sources_column = ",".join(sorted(names))
         sources_column = combinations.setdefault(sources_column, sources_column)

@@ -11,8 +11,11 @@ import unicodedata
 from typing import NamedTuple, Sequence
 
 
-class Category(enum.Enum):
-    """The twelve assignable entity types plus the gold-only OTHER label."""
+class Category(str, enum.Enum):
+    """The twelve assignable entity types plus the gold-only OTHER label.
+    A member is a str equal to its label."""
+
+    __str__ = str.__str__
 
     ABBREV = "ABBREV"
     ANAT_LOC = "ANAT_LOC"
@@ -28,9 +31,6 @@ class Category(enum.Enum):
     TOOL = "TOOL"
     # Accepted in gold-label files only; never produced by mapping.
     OTHER = "OTHER"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 ASSIGNABLE_CATEGORIES: tuple[Category, ...] = tuple(
@@ -56,10 +56,13 @@ def parse_category(label: str, allow_other: bool = False) -> Category:
     return cat
 
 
-class Provenance(enum.Enum):
+class Provenance(str, enum.Enum):
     """How a mapping outcome got its category: the one strategy that voted
     or won (SUFF, KW_E, KW_1N, which are also what a vote names), agreeing
-    strategies (MULTI), the iterative pass (ITER), or none (UNMAPPED)."""
+    strategies (MULTI), the iterative pass (ITER), or none (UNMAPPED). A
+    member is a str equal to its label."""
+
+    __str__ = str.__str__
 
     SUFF = "SUFF"
     KW_E = "KW_E"
@@ -67,9 +70,6 @@ class Provenance(enum.Enum):
     MULTI = "MULTI"
     ITER = "ITER"
     UNMAPPED = "UNMAPPED"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # The strategies that vote, in the priority order that resolves disagreeing votes.
@@ -242,7 +242,6 @@ def resolve_votes(votes: Sequence[Vote]) -> tuple[Category | None, Provenance]:
         strategy = votes[0].strategy
         if strategy is Provenance.SUFF or strategy is Provenance.KW_E or strategy is Provenance.KW_1N:
             return votes[0].category, strategy
-    # Enum members hash in Python, so the checks compare them by identity.
     strategies = [v.strategy for v in votes]
     for strategy in strategies:
         if strategy not in STRATEGY_PRIORITY:
@@ -286,10 +285,10 @@ class MappingOutcome(NamedTuple):
 
 class LexiconRecord(NamedTuple):
     """One merged, deduplicated row of the lexicon, as its file holds it:
-    the category's label, and the sorted names of the row's sources joined
-    by ``,`` (a source name holds no ``,``)."""
+    the category, and the sorted names of the row's sources joined by
+    ``,`` (a source name holds no ``,``)."""
 
     term: str
-    category: str
+    category: Category
     sources: str
     provenance: str

@@ -16,19 +16,16 @@ OUTCOME_HEADER = ("id", "term", "category", "provenance", "votes")
 
 
 def format_votes(votes: Iterable[Vote]) -> str:
-    # _value_ is the label str() gives, read without calling the enum's
-    # Python-level __str__ (as in merge.mapped_source).
     return ";".join(
         [
-            f"{strategy._value_}:{category._value_}:{trigger}:"
-            f"{'-' if position is None else position}"
+            ":".join((strategy, category, trigger, "-" if position is None else str(position)))
             for strategy, category, trigger, position in votes
         ]
     )
 
 
-# The label of each strategy that votes; a vote naming any other is refused.
-_VOTERS = {strategy.value: strategy for strategy in STRATEGY_PRIORITY}
+# Each strategy that votes, found by its label; a vote naming any other is refused.
+_VOTERS = {strategy: strategy for strategy in STRATEGY_PRIORITY}
 
 
 def parse_votes(text: str, parsed: dict[str, Vote] | None = None) -> tuple[Vote, ...]:
@@ -66,16 +63,15 @@ def render_outcomes(outcomes: Iterable[MappingOutcome], fmt: str = "tsv") -> str
         return json_lines(
             OUTCOME_HEADER,
             (
-                (enc(o.entry_id), enc(o.term), "null" if o.category is None else enc(o.category._value_),
-                 enc(o.provenance._value_), enc(format_votes(o.votes)))
+                (enc(o.entry_id), enc(o.term), "null" if o.category is None else enc(o.category),
+                 enc(o.provenance), enc(format_votes(o.votes)))
                 for o in outcomes
             ),
         )
     return tsv_lines(
         OUTCOME_HEADER,
         (
-            (o.entry_id, o.term, "" if o.category is None else o.category._value_, o.provenance._value_,
-             format_votes(o.votes))
+            (o.entry_id, o.term, "" if o.category is None else o.category, o.provenance, format_votes(o.votes))
             for o in outcomes
         ),
     )

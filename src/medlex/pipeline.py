@@ -152,17 +152,15 @@ def mapping_stats(outcomes: Iterable[MappingOutcome]) -> MappingStats:
     provenance_counts: dict[str, int] = {}
     disagreements = 0
     mapped = unmapped = 0
-    # _value_ is the label str() gives, read without calling the enum's
-    # Python-level __str__ (as in outcomes.format_votes).
     for outcome in outcomes:
-        label = outcome.provenance._value_
-        provenance_counts[label] = provenance_counts.get(label, 0) + 1
-        if outcome.category is None:
+        provenance = outcome.provenance
+        provenance_counts[provenance] = provenance_counts.get(provenance, 0) + 1
+        category = outcome.category
+        if category is None:
             unmapped += 1
         else:
             mapped += 1
-            label = outcome.category._value_
-            category_counts[label] = category_counts.get(label, 0) + 1
+            category_counts[category] = category_counts.get(category, 0) + 1
         votes = outcome.votes
         if len(votes) > 1:
             first = votes[0].category

@@ -993,6 +993,18 @@ class TestConsoleEntryPoint:
                     sites.add(f"{path.name}:{node.lineno}")
         assert sorted(sites) == []
 
+    def test_no_module_reads_an_enum_value(self):
+        # Category, Provenance and ResourceMode members are str, each equal
+        # to its label, so no module converts a member to its label.
+        package = Path(medlex.__file__).parent
+        sites = sorted(
+            (path.name, node.lineno)
+            for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("value", "_value_")
+        )
+        assert [f"{name}:{line}" for name, line in sites] == []
+
     def test_every_public_name_is_used(self):
         # No function, class or constant that nothing uses: each public
         # top-level name of the package is referred to, outside its own

@@ -7,7 +7,9 @@ directory.
 
 The test never rewrites an expected file. ``python
 tests/rewrite_expected.py`` rewrites them all from this table; a change
-that alters any of them says which, and why."""
+that alters any of them says which, and why. One test runs that script
+into a temporary directory and compares what it writes with the
+committed files."""
 
 from __future__ import annotations
 
@@ -40,10 +42,13 @@ RUNS: dict[str, tuple[list[str], dict[str, tuple[str, str] | str]]] = {
     "map-iter0-jsonl-stdout": (["map", "--dict", "data/dict_50.tsv", "--conllu", "data/dict_50.conllu",
                                 "--iter", "0", "--format", "jsonl"], {}),
     "map-verbose-iter3": (["map", "-v", "--dict", "data/dict_50.tsv", "--iter", "3", "--out", "mapped.jsonl"], {}),
+    "map-jsonl-iter2": (["map", "--dict", "data/dict_50.jsonl", "--iter", "2", "--out", "mapped.tsv"], {}),
     "merge-tsv-lowercase": (["merge", "--manifest", "data/manifest.json", "--mapped", "mapped.tsv", "--lowercase",
                              "--out", "lexicon.tsv"], MAPPED_TSV),
     "merge-jsonl": (["merge", "--manifest", "data/manifest.tsv", "--mapped", "mapped.jsonl",
                      "--out", "lexicon.jsonl"], MAPPED_JSONL),
+    "merge-manifest-jsonl": (["merge", "--manifest", "data/manifest.jsonl", "--mapped", "mapped.jsonl",
+                              "--out", "lexicon.tsv"], MAPPED_JSONL),
     "eval-overlap": (["eval", "overlap", "--mapped", "mapped.tsv", "--manifest", "data/manifest.jsonl"], MAPPED_TSV),
     "eval-gold": (["eval", "gold", "--gold", "data/gold.tsv", "--mapped", "mapped.tsv", "--merge-labels", "ORG+SER",
                    "--exclude-other", "--matrix-out", "matrix.csv", "--report-tsv", "report.tsv"], MAPPED_TSV),
@@ -103,6 +108,17 @@ def unified_diff(path: str, want: bytes | None, got: bytes | None) -> str:
 
 def test_expected_directories_are_the_table_runs():
     assert sorted(path.name for path in EXPECTED.iterdir()) == sorted(RUNS)
+
+
+def test_rewrite_script_writes_the_committed_files(tmp_path, monkeypatch):
+    import rewrite_expected
+
+    committed, target = snapshot(EXPECTED), tmp_path / "expected"
+    # The script writes there, and each run reads earlier runs' outputs there.
+    monkeypatch.setattr(rewrite_expected, "EXPECTED", target)
+    monkeypatch.setitem(rewrite_expected.run.__globals__, "EXPECTED", target)
+    rewrite_expected.main()
+    assert snapshot(target) == committed
 
 
 @pytest.mark.parametrize("name", RUNS)

@@ -1109,6 +1109,7 @@ SHIPPED = SRC / "data"
 BOM_READERS = {
     "TSV dictionary": (read_dictionary, DATA / "dict_50.tsv"),
     "JSON-lines dictionary": (read_dictionary, DATA / "dict_50.jsonl"),
+    "JSON-lines dictionary, format given": (lambda path: read_dictionary_rows(path, "jsonl"), DATA / "dict_50.jsonl"),
     "gold file": (read_gold, DATA / "gold.tsv"),
     "TSV manifest": (load_manifest, DATA / "manifest.tsv"),
     "JSON manifest": (load_manifest, DATA / "manifest.json"),

@@ -716,7 +716,7 @@ class TestMergeOracle:
             [as_result(r) for r in resources],
             lowercase,
         )
-        assert rows is None or all(type(r) is tuple and list(map(type, r)) == [str] * 4 for r in rows)
+        assert rows is None or all(type(r) is tuple and list(map(type, r)) == [str, Category, str, str] for r in rows)
 
     def test_merge_sources_counts_excluded_rows(self):
         rows, report = merge_sources(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import copy
 import inspect
+import json
 import pickle
 import re
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlex.evaluate import CategoryScore, ConfusionMatrix, EvalReport, OverlapResult
+from medlex.io import json_string
 from medlex.merge import (
     ChapterRule,
     Correction,
@@ -125,11 +127,10 @@ class TestCategory:
             assert parse_category(str(cat), allow_other=True) is cat
 
     def test_label_is_the_member_name(self):
-        # A lexicon row stores a category's value, and the merge turns that
-        # label back into its member with Category[label].
+        # A member is a str equal to its label, which is its name.
         for cat in Category:
-            assert cat._value_ == cat.name
-            assert Category[cat._value_] is cat
+            assert cat == cat.name
+            assert Category(cat.name) is cat
 
     def test_exactly_twelve_assignable(self):
         assert len(ASSIGNABLE_CATEGORIES) == 12
@@ -150,6 +151,31 @@ class TestCategory:
         with pytest.raises(ValueError):
             parse_category("OTHER")
         assert parse_category("OTHER", allow_other=True) is Category.OTHER
+
+
+STR_ENUM_MEMBERS = [*Category, *Provenance, *ResourceMode]
+
+
+class TestStrEnums:
+    """Each member of Category, Provenance and ResourceMode is a str equal
+    to its label, however it is printed, encoded or copied. Enum's
+    ``__str__`` and ``__format__`` changed between Python 3.10 and 3.12, so
+    this runs on every supported version."""
+
+    @pytest.mark.parametrize("member", STR_ENUM_MEMBERS, ids=lambda m: f"{type(m).__name__}.{m.name}")
+    def test_member_is_its_label(self, member):
+        label = member.name
+        assert isinstance(member, str)
+        assert member == label and hash(member) == hash(label)
+        assert {label: 1}[member] == 1 and {member: 1}[label] == 1
+        assert type(str(member)) is str
+        assert str(member) == "%s" % member == f"{member}" == label
+        assert format(member, ">10") == format(label, ">10")
+        assert json_string(member) == json.dumps(member) == json.dumps(label)
+        assert "\t".join([member, member]) == f"{label}\t{label}"
+        assert repr(member) == f"<{type(member).__name__}.{label}: {label!r}>"
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 class TestEntry:

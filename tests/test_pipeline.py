@@ -200,6 +200,10 @@ class TestMapDictionary:
         with pytest.raises(ValueError, match="duplicate"):
             map_dictionary(entries, SuffixTable(()), KEYWORDS, EMPTY_STOPS)
 
+    def test_negative_iter_rounds_rejected(self):
+        with pytest.raises(ValueError, match="iter_rounds must be >= 0"):
+            map_dictionary([entry("e1", "a", "sykdom")], SuffixTable(()), KEYWORDS, EMPTY_STOPS, iter_rounds=-1)
+
     def test_empty_definition_is_not_an_error(self):
         outcomes = map_dictionary(
             [Entry("e1", "leukemi")], SuffixTable(()), KEYWORDS, EMPTY_STOPS

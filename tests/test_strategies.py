@@ -420,6 +420,18 @@ class TestTableParsing:
         path = table_file(tmp_path, f"{trigger}\tCONDITION")
         assert load(path).entries == ((fold(trigger), Category.CONDITION),)
 
+    @pytest.mark.parametrize(("table", "kind"), [(KeywordTable, "keyword"), (SuffixTable, "suffix")])
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [((("", Category.TOOL),), "empty {kind}"),
+         ((("blodet", Category.TOOL), ("blodet", Category.CONDITION)), "duplicate {kind} 'blodet'")],
+        ids=["empty", "repeated"],
+    )
+    def test_table_built_directly_rejects_empty_and_repeated_triggers(self, table, kind, rows, message):
+        with pytest.raises(ValueError) as exc_info:
+            table(rows)
+        assert str(exc_info.value) == message.format(kind=kind)
+
     def test_trigger_that_lowercases_to_a_composable_sequence_is_accepted(self, tmp_path):
         # "W" + combining ring lowercases to "w" + ring, which NFC composes
         # to U+1E98; the table must hold that composed form.
